@@ -38,7 +38,7 @@ from .itoverify import (
     s_transform,
     simple_skorokhod_mc,
 )
-from .regulated import Jump, Partition, RegulatedFunction, one_sided_limits, p_variation, sigma2, w2star_criterion
+from .regulated import Jump, Partition, RegulatedFunction, p_variation, sigma2, w2star_criterion
 from .stieltjes import ScalarField, chain_rule, hk_riemann_sum, integrate_ls, integrate_ys, young_stieltjes_sum
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "ito_stransform_residual",
     "martingale_ito_mc",
     "mc_s_transform",
-    "one_sided_limits",
     "p_variation",
     "path_qv_mc",
     "planar_qv_sum",

@@ -39,6 +39,7 @@ from .gaussproc import (
 from .heatkernel import GrowthBound, GrowthBoundError, TEST_FUNCTION_IDS, test_function
 from .itoverify import (
     ItoCase,
+    McReport,
     Observable,
     SimpleWickIntegrand,
     auto_cm_battery,
@@ -236,8 +237,8 @@ def _build_battery(scenario, spec):
     return [cm_element(spec, [(a, t) for a, t in combo], label=f"h{k}") for k, combo in enumerate(cfg)]
 
 
-def _det_record(case_id, residual, tolerance, ok, lhs, terms, extra=None):
-    rec = {
+def _det_record(case_id, residual, tolerance, ok, lhs, terms):
+    return {
         "case_id": case_id,
         "kind": "deterministic",
         "pass": bool(ok),
@@ -247,9 +248,6 @@ def _det_record(case_id, residual, tolerance, ok, lhs, terms, extra=None):
         "terms": terms,
         "mc": None,
     }
-    if extra:
-        rec.update(extra)
-    return rec
 
 
 def _mc_record(case_id, report, ok, tolerance, terms=None):
@@ -334,15 +332,13 @@ def _plan_cases(scenario, seed):
 
             def thunk(case=case, cid=cid):
                 res = ito_rcll_residual(case, drop=frozenset(rcll_drop))
-                general = ito_stransform_residual(case)
-                delta = abs(res.residual - general.residual)
                 ok = (
                     res.converged
                     and abs(res.residual) < det_tol(case.test_function)
-                    and delta < tol["rcll_agreement"]
+                    and res.agreement_delta < tol["rcll_agreement"]
                 )
                 terms = res.terms()
-                terms["agreement_delta"] = delta
+                terms["agreement_delta"] = res.agreement_delta
                 return _det_record(cid, res.residual, det_tol(case.test_function), ok, res.lhs, terms)
 
             plans.append((cid, thunk))
@@ -368,6 +364,9 @@ def _plan_cases(scenario, seed):
 
             plans.append((cid, thunk))
 
+    def z_record(cid, report):
+        return _mc_record(cid, report, report.within(tol["z_max"]), tol["z_max"])
+
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the
         # combined weight lognormal mild so the sample mean is trustworthy
@@ -391,9 +390,7 @@ def _plan_cases(scenario, seed):
 
             def thunk(h=h, obs=obs, cid=cid, k=k):
                 case = ItoCase(spec, tfs[0], h, ys_tol=tol["ys_tol"])
-                report = mc_s_transform(case, obs, int(mc_cfg["n_paths"]), base_seed + 2000 + k)
-                ok = abs(report.z_score) <= tol["z_max"]
-                return _mc_record(cid, report, ok, tol["z_max"])
+                return z_record(cid, mc_s_transform(case, obs, int(mc_cfg["n_paths"]), base_seed + 2000 + k))
 
             plans.append((cid, thunk))
 
@@ -405,9 +402,7 @@ def _plan_cases(scenario, seed):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
 
             def thunk(g=g, h=h, cid=cid, k=k):
-                report = hermite_p2_identity_mc(spec, g, h, int(mc_cfg["n_paths"]), base_seed + 3000 + k)
-                ok = abs(report.z_score) <= tol["z_max"]
-                return _mc_record(cid, report, ok, tol["z_max"])
+                return z_record(cid, hermite_p2_identity_mc(spec, g, h, int(mc_cfg["n_paths"]), base_seed + 3000 + k))
 
             plans.append((cid, thunk))
 
@@ -417,25 +412,8 @@ def _plan_cases(scenario, seed):
         def thunk(cid=cid):
             grid = Partition.uniform(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]))
             rep = path_qv_mc(spec, grid, int(mc_cfg["n_paths"]), base_seed + 4000)
-            ok = abs(rep.mean_qv - rep.reference) <= tol["z_max"] * rep.standard_error
-            z = (rep.mean_qv - rep.reference) / rep.standard_error if rep.standard_error > 0 else 0.0
-            return {
-                "case_id": cid,
-                "kind": "mc",
-                "pass": bool(ok),
-                "residual": None,
-                "tolerance": tol["z_max"],
-                "lhs": None,
-                "terms": {},
-                "mc": {
-                    "estimate": rep.mean_qv,
-                    "standard_error": rep.standard_error,
-                    "reference": rep.reference,
-                    "z_score": z,
-                    "n_paths": rep.n_paths,
-                    "seed": base_seed + 4000,
-                },
-            }
+            report = McReport(rep.mean_qv, rep.standard_error, rep.reference, rep.n_paths, base_seed + 4000)
+            return z_record(cid, report)
 
         plans.append((cid, thunk))
 
@@ -450,9 +428,7 @@ def _plan_cases(scenario, seed):
                 open_coeffs=(mild, zero),
                 node_coeffs=(zero, zero, zero),
             )
-            report = simple_skorokhod_mc(spec, z, mild, int(mc_cfg["n_paths"]), base_seed + 5000)
-            ok = abs(report.z_score) <= tol["z_max"]
-            return _mc_record(cid, report, ok, tol["z_max"])
+            return z_record(cid, simple_skorokhod_mc(spec, z, mild, int(mc_cfg["n_paths"]), base_seed + 5000))
 
         plans.append((cid, thunk))
 

@@ -85,7 +85,9 @@ class ProcessSpec:
 
     ``jump_cov_left(ts, k)`` returns E[X_t (X_{s_k} - X_{s_k-})] vectorized
     over ts (``jump_cov_right`` the forward analogue); ``jump_gram_left`` is
-    the Gram matrix of the left-jump variables.  ``section_knots(t)``
+    the Gram matrix of the left-jump variables (``jump_gram_right`` of the
+    forward ones; left and right jump variables are uncorrelated in every
+    model).  ``section_knots(t)``
     enumerates the kink locations of R(., t) so integration partitions can
     pin them.
     """
@@ -101,7 +103,6 @@ class ProcessSpec:
     jump_cov_right: Callable = None
     jump_gram_left: np.ndarray = None
     jump_gram_right: np.ndarray = None
-    jump_gram_cross: np.ndarray = None
     section_knots: Callable = None
     sampler: Callable = None
     pathwise_qv_cont: float | None = None
@@ -119,8 +120,6 @@ class ProcessSpec:
             self.jump_gram_left = np.zeros((k, k))
         if self.jump_gram_right is None:
             self.jump_gram_right = np.zeros((k, k))
-        if self.jump_gram_cross is None:
-            self.jump_gram_cross = np.zeros((k, k))
         if self.section_knots is None:
             self.section_knots = lambda t: (float(t),)
 
@@ -128,9 +127,6 @@ class ProcessSpec:
 
     def v(self, t: float) -> float:
         return float(self.variance.values(t))
-
-    def v_one_sided(self, t: float) -> tuple[float, float, float]:
-        return self.variance.one_sided(t)
 
     def record_times(self) -> tuple[float, ...]:
         return tuple(r.time for r in self.records)
@@ -194,24 +190,16 @@ def _one_sided_cov_matrix(spec: ProcessSpec, ta: np.ndarray, sa: int, tb: np.nda
             if cols.size:
                 term = spec.jump_cov_left(ta, k) if sb < 0 else spec.jump_cov_right(ta, k)
                 M[:, cols] += sb * term[:, None]
-    if sa and sb:
+    if sa and sa == sb:  # left and right jump variables are uncorrelated
+        gram = spec.jump_gram_left if sa < 0 else spec.jump_gram_right
         for k, rk in enumerate(spec.records):
             rows = np.flatnonzero(ta == rk.time)
             if not rows.size:
                 continue
             for l, rl in enumerate(spec.records):
                 cols = np.flatnonzero(tb == rl.time)
-                if not cols.size:
-                    continue
-                if sa < 0 and sb < 0:
-                    g = spec.jump_gram_left[k, l]
-                elif sa > 0 and sb > 0:
-                    g = spec.jump_gram_right[k, l]
-                elif sa < 0 and sb > 0:
-                    g = spec.jump_gram_cross[k, l]
-                else:
-                    g = spec.jump_gram_cross[l, k]
-                M[np.ix_(rows, cols)] += sa * sb * g
+                if cols.size:
+                    M[np.ix_(rows, cols)] += gram[k, l]
     return M
 
 
@@ -593,14 +581,11 @@ def _evanescent_phase(ts: np.ndarray, s0: float) -> tuple[np.ndarray, np.ndarray
     return j, theta
 
 
-def _evanescent_spec(s0: float, horizon: float = 1.0, depth: int = 20) -> ProcessSpec:
+def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
     T = float(horizon)
     s0 = float(s0)
-    depth = int(depth)
     if T <= 0 or not 0.0 < s0 < T:
         raise CatalogError("need 0 < s0 < horizon")
-    if depth < 2:
-        raise CatalogError("depth must be at least 2")
 
     def cov(t, s):
         t = np.asarray(t, dtype=float)
@@ -651,7 +636,7 @@ def _evanescent_spec(s0: float, horizon: float = 1.0, depth: int = 20) -> Proces
         jump_gram_left=np.array([[0.0]]),
         section_knots=section_knots,
         pathwise_qv_cont=None,
-        params={"s0": s0, "horizon": T, "depth": depth},
+        params={"s0": s0, "horizon": T},
         description=(
             "unit-variance rotation through fresh coordinates on dyadic windows before s0, zero after; "
             "the weak left limit at s0 is 0 while the variance stays 1, with no mean-square jump"
@@ -708,7 +693,7 @@ _CATALOG: dict[str, tuple[Callable, CatalogEntry]] = {
         _evanescent_spec,
         CatalogEntry(
             "evanescent",
-            "0 < s0 < horizon, horizon=1.0, depth=20",
+            "0 < s0 < horizon, horizon=1.0",
             "rotating-coordinate construction that fades weakly to 0 at s0",
             "weak one-sided limit with variance drop (V-(s0)=0 < V(s0-)=1): jump terms beyond the right-continuous form",
         ),

@@ -8,11 +8,15 @@ smooth deterministic functions,
       = int psi_{F'}(V, hbar) dhbar + (1/2) int psi_{F''}(V, hbar) dV
         + left and right jump-correction sums over the discontinuity times,
 
-which the engines here evaluate term by term with the Stieltjes machinery and
-report as a residual.  The right-continuous reduction replaces the value
-integrands by left-limit integrands, drops the variance atoms, and folds the
-jump algebra into a single sum whose left-limit/jump correlation term can be
-knocked out on purpose (mutation sensitivity).
+which is the two-variable chain rule of ``stieltjes.chain_rule`` for
+G(x1, x2) = psi_F(x2, x1) along (hbar, V).  That one engine evaluates every
+term; the two forms here are adapters over its result.  The general form
+reports the engine's terms, with chosen terms knocked out on purpose
+(mutation sensitivity).  The right-continuous reduction keeps the engine's
+continuous integrals and lhs, takes the dhbar atoms at left-limit integrands,
+moves the variance atoms into a single jump sum, and reports how far its
+residual lies from the general one; its left-limit/jump correlation term can
+be knocked out on purpose too.
 
 Monte Carlo side: pathwise checks in the martingale case, sample pairings
 against Wick exponentials with exact first-chaos norms, simple Wick-Stieltjes
@@ -23,7 +27,7 @@ product identity E[P2(g) P2(h)] = 2 E[gh]^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .gaussproc import (
 )
 from .heatkernel import TestFunction, psi
 from .regulated import Partition
-from .stieltjes import integrate_ls, integrate_ys
+from .stieltjes import ChainRuleTerms, ScalarField, chain_rule
 
 __all__ = [
     "ItoCase",
@@ -82,17 +86,29 @@ class McReport:
     estimate: float
     standard_error: float
     reference: float
-    z_score: float
     n_paths: int
     seed: int
     label: str = ""
+
+    @property
+    def z_score(self) -> float:
+        """(estimate - reference) / standard_error; 0 for a zero-spread sample."""
+        se = self.standard_error
+        return (self.estimate - self.reference) / se if se > 0 else 0.0
+
+    def within(self, z_max: float) -> bool:
+        """|estimate - reference| <= z_max * standard_error.
+
+        A zero-spread sample passes only when it hits its reference exactly;
+        NaN anywhere fails.
+        """
+        return abs(self.estimate - self.reference) <= z_max * self.standard_error
 
 
 def _mc_report(values: np.ndarray, reference: float, n_paths: int, seed: int, label: str) -> McReport:
     est = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
-    z = (est - reference) / se if se > 0 else 0.0
-    return McReport(estimate=est, standard_error=se, reference=reference, z_score=z, n_paths=n_paths, seed=seed, label=label)
+    return McReport(estimate=est, standard_error=se, reference=reference, n_paths=n_paths, seed=seed, label=label)
 
 
 # -- S-transform closed forms ---------------------------------------------------
@@ -137,10 +153,21 @@ def s_transform(obs: Observable, case: ItoCase) -> float:
 
 # -- deterministic residuals ----------------------------------------------------
 
+# mutation flag -> the right-hand term it knocks out of the residual
+_DROPPED_TERM = {
+    "drop_dv_integral": "integral_dv_half",
+    "drop_left_jump_sum": "left_jump_sum",
+    "drop_right_jump_sum": "right_jump_sum",
+}
+
 
 @dataclass(frozen=True)
 class ItoResidual:
-    """Term-by-term breakdown; residual = lhs - (all right-hand terms)."""
+    """Term-by-term breakdown; residual = lhs - (right-hand terms not dropped).
+
+    ``agreement_delta`` is, for the right-continuous form, the distance of its
+    residual from the unmutated general residual of the same case.
+    """
 
     form: str
     lhs: float
@@ -148,10 +175,23 @@ class ItoResidual:
     integral_dv_half: float
     left_jump_terms: tuple[tuple[float, float], ...]
     right_jump_terms: tuple[tuple[float, float], ...]
-    left_jump_sum: float
-    right_jump_sum: float
-    residual: float
     converged: bool
+    drop: frozenset = frozenset()
+    agreement_delta: float = 0.0
+
+    @property
+    def left_jump_sum(self) -> float:
+        return math.fsum(v for _, v in self.left_jump_terms)
+
+    @property
+    def right_jump_sum(self) -> float:
+        return math.fsum(v for _, v in self.right_jump_terms)
+
+    @property
+    def residual(self) -> float:
+        dropped = {_DROPPED_TERM.get(flag) for flag in self.drop}
+        rhs = [v for k, v in self.terms().items() if k != "lhs" and k not in dropped]
+        return self.lhs - math.fsum(rhs)
 
     def terms(self) -> dict[str, float]:
         return {
@@ -171,121 +211,72 @@ def _check_mutations(drop) -> frozenset:
     return drop
 
 
+def _identity_terms(case: ItoCase) -> ChainRuleTerms:
+    """The general identity as the chain rule for G(x1, x2) = psi_F(x2, x1).
+
+    With u1 = hbar and u2 = V, d1 G = psi_{F'} and d2 G = (1/2) psi_{F''} by
+    the heat identities, so the chain rule's terms are the identity's terms.
+    """
+    tf = case.test_function
+    G = ScalarField(
+        value=lambda x1, x2: psi(tf.f, x2, x1),
+        d1=lambda x1, x2: psi(tf.f1, x2, x1),
+        d2=lambda x1, x2: 0.5 * psi(tf.f2, x2, x1),
+        name=f"psi_{tf.name}",
+    )
+    return chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol, max_refine=case.max_refine)
+
+
 def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
     """Residual of the general deterministic identity for one case.
 
-    Jump sums use exact stored jump sizes of V and hbar, are accumulated with
+    Jump terms use exact stored jump sizes of V and hbar, are accumulated with
     compensated summation (so they are invariant under reordering of the
     discontinuity list), and can be knocked out selectively via ``drop`` for
     sensitivity checks.
     """
     drop = _check_mutations(drop)
-    spec, tf = case.spec, case.test_function
-    hbar, V = case.h.hbar, spec.variance
-    T = spec.horizon
-
-    lhs = float(psi(tf.f, V.values(T), hbar.values(T)) - psi(tf.f, V.values(0.0), hbar.values(0.0)))
-
-    def u_d1(ts):
-        return psi(tf.f1, V.values(ts), hbar.values(ts))
-
-    def u_d2(ts):
-        return psi(tf.f2, V.values(ts), hbar.values(ts))
-
-    r1 = integrate_ys(u_d1, hbar, tol=case.ys_tol, max_refine=case.max_refine, extra_knots=V.pinned_points())
-    r2 = integrate_ls(u_d2, V, tol=case.ys_tol, max_refine=case.max_refine, extra_knots=hbar.pinned_points())
-
-    left_terms, right_terms = [], []
-    for rec in spec.records:
-        s = rec.time
-        vl, vv, vr = V.one_sided(s)
-        hl, hh, hr = hbar.one_sided(s)
-        p1 = float(psi(tf.f1, vv, hh))
-        p2 = float(psi(tf.f2, vv, hh))
-        if s > 0.0:
-            val = (
-                float(psi(tf.f, vv, hh))
-                - float(psi(tf.f, vl, hl))
-                - p1 * hbar.delta_minus_at(s)
-                - 0.5 * p2 * V.delta_minus_at(s)
-            )
-            left_terms.append((s, val))
-        if s < T:
-            val = (
-                float(psi(tf.f, vr, hr))
-                - float(psi(tf.f, vv, hh))
-                - p1 * hbar.delta_plus_at(s)
-                - 0.5 * p2 * V.delta_plus_at(s)
-            )
-            right_terms.append((s, val))
-
-    left_sum = math.fsum(v for _, v in left_terms)
-    right_sum = math.fsum(v for _, v in right_terms)
-
-    rhs = [r1.value]
-    if "drop_dv_integral" not in drop:
-        rhs.append(0.5 * r2.value)
-    if "drop_left_jump_sum" not in drop:
-        rhs.append(left_sum)
-    if "drop_right_jump_sum" not in drop:
-        rhs.append(right_sum)
-
+    chain = _identity_terms(case)
     return ItoResidual(
         form="general",
-        lhs=lhs,
-        integral_dhbar=r1.value,
-        integral_dv_half=0.5 * r2.value,
-        left_jump_terms=tuple(left_terms),
-        right_jump_terms=tuple(right_terms),
-        left_jump_sum=left_sum,
-        right_jump_sum=right_sum,
-        residual=lhs - math.fsum(rhs),
-        converged=r1.converged and r2.converged,
+        lhs=chain.lhs,
+        integral_dhbar=chain.int_u1.value,
+        integral_dv_half=chain.int_u2.value,
+        left_jump_terms=chain.left_jump_terms,
+        right_jump_terms=chain.right_jump_terms,
+        converged=chain.converged,
+        drop=drop,
     )
 
 
 def ito_rcll_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
     """Residual of the right-continuous reduction (left-limit integrands,
-    continuous-variance integral, single jump sum with the
-    E[X_{s-} (X_s - X_{s-})] correction term).
+    continuous-variance integral, single jump sum).
 
-    Only meaningful for martingale/rcll models; the correction term can be
-    removed with ``drop={"drop_xleft_correction"}`` to measure its weight.
+    Reuses the continuous parts of the general form's integrals: integrands
+    at interior points see no difference between values and left limits.
+    The dhbar atoms take the left-limit integrand, the variance atoms move
+    into the jump sum.  There the E[X_{s-} (X_s - X_{s-})] pairing of the jump
+    term cancels the Ito integral's trace term; only
+    ``drop={"drop_xleft_correction"}`` makes it appear, to measure its weight.
+    Only meaningful for martingale/rcll models.
     """
     drop = _check_mutations(drop)
     spec, tf = case.spec, case.test_function
     if spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs kind martingale/rcll")
     hbar, V = case.h.hbar, spec.variance
-    T = spec.horizon
     for rec in spec.records:
         if rec.e_dplus_sq or rec.v_plus != rec.v_right or hbar.delta_plus_at(rec.time) or V.delta_plus_at(rec.time):
             raise UnsupportedModelError(f"{spec.name}: forward jump data present at t={rec.time}")
 
-    lhs = float(psi(tf.f, V.values(T), hbar.values(T)) - psi(tf.f, V.values(0.0), hbar.values(0.0)))
-
-    def u_d1_left(ts):
-        return psi(tf.f1, V.left_values(ts), hbar.left_values(ts))
-
-    def u_d2_left(ts):
-        return psi(tf.f2, V.left_values(ts), hbar.left_values(ts))
-
-    r1 = integrate_ys(
-        u_d1_left,
-        hbar,
-        tol=case.ys_tol,
-        max_refine=case.max_refine,
-        extra_knots=V.pinned_points(),
-        exclude_zero_plus_atom=True,
-    )
-    # continuous part of V only: atoms move into the jump sum
-    r2 = integrate_ls(
-        u_d2_left,
-        V.without_jumps(),
-        tol=case.ys_tol,
-        max_refine=case.max_refine,
-        extra_knots=tuple(hbar.pinned_points()) + tuple(V.jump_times),
-    )
+    general = _identity_terms(case)
+    # no forward jumps and none at time 0, so only left atoms carry mass
+    atoms = 0.0
+    if hbar.jump_times:
+        jt = np.asarray(hbar.jump_times)
+        p1_left = psi(tf.f1, V.left_values(jt), hbar.left_values(jt))
+        atoms = math.fsum(p * hbar.delta_minus_at(s) for p, s in zip(p1_left, jt))
 
     jump_terms = []
     for rec in spec.records:
@@ -294,34 +285,22 @@ def ito_rcll_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
             continue
         vl, vv, _ = V.one_sided(s)
         hl, hh, _ = hbar.one_sided(s)
-        p1_left = float(psi(tf.f1, vl, hl))
-        p2_left = float(psi(tf.f2, vl, hl))
-        val = (
-            float(psi(tf.f, vv, hh))
-            - float(psi(tf.f, vl, hl))
-            - (p2_left * rec.e_xleft_dminus + p1_left * hbar.delta_minus_at(s))
-        )
-        if "drop_xleft_correction" not in drop:
-            val += p2_left * rec.e_xleft_dminus
+        val = float(psi(tf.f, vv, hh)) - float(psi(tf.f, vl, hl)) - float(psi(tf.f1, vl, hl)) * hbar.delta_minus_at(s)
+        if "drop_xleft_correction" in drop:
+            val -= float(psi(tf.f2, vl, hl)) * rec.e_xleft_dminus
         jump_terms.append((s, val))
-    jump_sum = math.fsum(v for _, v in jump_terms)
 
-    rhs = [r1.value, jump_sum]
-    if "drop_dv_integral" not in drop:
-        rhs.append(0.5 * r2.value)
-
-    return ItoResidual(
+    res = ItoResidual(
         form="rcll",
-        lhs=lhs,
-        integral_dhbar=r1.value,
-        integral_dv_half=0.5 * r2.value,
+        lhs=general.lhs,
+        integral_dhbar=general.int_u1.continuous + atoms,
+        integral_dv_half=general.int_u2.continuous,
         left_jump_terms=tuple(jump_terms),
         right_jump_terms=(),
-        left_jump_sum=jump_sum,
-        right_jump_sum=0.0,
-        residual=lhs - math.fsum(rhs),
-        converged=r1.converged and r2.converged,
+        converged=general.converged,
+        drop=drop,
     )
+    return replace(res, agreement_delta=abs(res.residual - general.residual))
 
 
 # -- Monte Carlo engines ----------------------------------------------------------
@@ -395,12 +374,10 @@ def martingale_ito_mc(case: ItoCase, grid, n_paths: int, seed: int) -> McReport:
         se_rel = float(np.std(resid**2, ddof=1)) / math.sqrt(n_paths) / (2.0 * rms) / max(scale, 1e-300)
     else:
         se_rel = 0.0
-    z = rel / se_rel if se_rel > 0 else 0.0
     return McReport(
         estimate=rel,
         standard_error=se_rel,
         reference=0.0,
-        z_score=z,
         n_paths=n_paths,
         seed=seed,
         label=f"martingale_ito[{spec.name},{tf.name},n={len(pts) - 1}]",

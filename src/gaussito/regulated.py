@@ -32,7 +32,6 @@ __all__ = [
     "Partition",
     "RegulatedFunction",
     "W2StarResult",
-    "one_sided_limits",
     "p_variation",
     "sigma2",
     "w2star_criterion",
@@ -97,9 +96,6 @@ class Partition:
         arr = np.asarray(self.points)
         mids = 0.5 * (arr[1:] + arr[:-1])
         return self.refined_with(mids)
-
-    def is_refinement_of(self, other: "Partition") -> bool:
-        return set(other.points) <= set(self.points)
 
 
 def _as_float_array(ts) -> tuple[np.ndarray, bool]:
@@ -249,11 +245,6 @@ class RegulatedFunction:
     def pinned_points(self) -> tuple[float, ...]:
         """Jump times and base kinks, for partition pinning."""
         return tuple(sorted(set(self.jump_times) | set(self.breakpoints)))
-
-
-def one_sided_limits(u: RegulatedFunction, t: float) -> tuple[float, float, float]:
-    """One-sided limits (u(t-), u(t), u(t+)) honoring the jump list."""
-    return u.one_sided(t)
 
 
 def p_variation(u: RegulatedFunction, p: float, pi: Partition) -> float:

@@ -19,7 +19,9 @@ Three engines share one adaptive core:
 
 The chain rule for G(u1, u2) with u1 regulated (finite quadratic jump part)
 and u2 of bounded variation combines both engines with the left/right jump
-correction sums; its residual should vanish to tolerance.
+correction sums; its residual should vanish to tolerance.  It is the one
+engine of the change-of-variables identity: the Gaussian Ito forms in
+``itoverify`` are adapters over its terms.
 """
 
 from __future__ import annotations
@@ -119,13 +121,20 @@ def young_stieltjes_sum(u, r: RegulatedFunction, cells: Sequence[TaggedCell]) ->
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: float
+    """Adaptively refined continuous part beside the exact atom sum."""
+
+    continuous: float
+    atoms: float
     error_estimate: float
     converged: bool
     n_cells: int
 
+    @property
+    def value(self) -> float:
+        return self.continuous + self.atoms
 
-def _atom_sum(u, r: RegulatedFunction, exclude_zero_plus_atom: bool) -> float:
+
+def _atom_sum(u, r: RegulatedFunction) -> float:
     t0, t1 = r.domain
     if not r.jump_times:
         return 0.0
@@ -135,7 +144,7 @@ def _atom_sum(u, r: RegulatedFunction, exclude_zero_plus_atom: bool) -> float:
     for k, s in enumerate(jt):
         if s > t0:
             terms.append(uj[k] * r.delta_minus_at(s))
-        if s < t1 and not (exclude_zero_plus_atom and s == t0):
+        if s < t1:
             terms.append(uj[k] * r.delta_plus_at(s))
     return math.fsum(terms)
 
@@ -215,7 +224,9 @@ def _adaptive_continuous(
         if total_err < tol:
             converged = True
             break
-        if splits >= max_refine:
+        # floored cells are never split again, so once their error alone
+        # reaches tol no refinement can bring the total under it
+        if splits >= max_refine or float(np.sum(err[at_floor])) >= tol:
             converged = False
             break
         eligible = ~at_floor & (err > 0.0)
@@ -267,7 +278,6 @@ def integrate_ys(
     tol: float = 1e-10,
     max_refine: int = 40000,
     extra_knots: Sequence[float] = (),
-    exclude_zero_plus_atom: bool = False,
     min_cells: int = 16,
 ) -> IntegralResult:
     """Young-Stieltjes integral of u against r by adaptive refinement.
@@ -275,14 +285,15 @@ def integrate_ys(
     Jump times of r (and of u, when u is a RegulatedFunction) are pinned as
     partition points, so the atom terms are refinement-invariant and only the
     interior midpoint sums are refined.  ``converged`` is False when
-    ``max_refine`` bisections did not bring the error estimate under ``tol``;
-    the last estimate is still returned.
+    ``max_refine`` bisections, or cells refined down to the width floor, left
+    the error estimate at or above ``tol``; the last estimate is still
+    returned.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    atoms = _atom_sum(u, r, exclude_zero_plus_atom)
+    atoms = _atom_sum(u, r)
     value, err, ok, n = _adaptive_continuous(u, r, tol, max_refine, _collect_knots(u, r, extra_knots), min_cells)
-    return IntegralResult(value=value + atoms, error_estimate=err, converged=ok, n_cells=n)
+    return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 
 def integrate_ls(
@@ -308,7 +319,7 @@ def integrate_ls(
     base = r.without_jumps()
     knots = _collect_knots(u, r, extra_knots) + list(r.jump_times)
     value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, knots, min_cells)
-    return IntegralResult(value=value + atoms, error_estimate=err, converged=ok, n_cells=n)
+    return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 
 @dataclass(frozen=True)
@@ -323,13 +334,33 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ChainRuleTerms:
+    """Every term of the chain rule; residual = lhs - (both integrals + both jump sums).
+
+    Jump terms are ``(s, value)`` pairs in increasing time order.
+    """
+
     lhs: float
-    int_u1: float
-    int_u2: float
-    left_jump_sum: float
-    right_jump_sum: float
-    residual: float
-    converged: bool
+    int_u1: IntegralResult
+    int_u2: IntegralResult
+    left_jump_terms: tuple[tuple[float, float], ...]
+    right_jump_terms: tuple[tuple[float, float], ...]
+
+    @property
+    def left_jump_sum(self) -> float:
+        return math.fsum(v for _, v in self.left_jump_terms)
+
+    @property
+    def right_jump_sum(self) -> float:
+        return math.fsum(v for _, v in self.right_jump_terms)
+
+    @property
+    def residual(self) -> float:
+        rhs = (self.int_u1.value, self.int_u2.value, self.left_jump_sum, self.right_jump_sum)
+        return self.lhs - math.fsum(rhs)
+
+    @property
+    def converged(self) -> bool:
+        return self.int_u1.converged and self.int_u2.converged
 
 
 def chain_rule(
@@ -343,9 +374,9 @@ def chain_rule(
 
     Computes G(u(T)) - G(u(0)) against the Young-Stieltjes integral of
     d1 G(u) in du1, the Lebesgue-Stieltjes integral of d2 G(u) in du2, and
-    the left/right jump correction sums over the union of jump times.  The
-    caller asserts G's regularity on the range box; the residual reports how
-    well the identity closes.
+    the left/right jump correction terms at each time of the union of jump
+    times.  The caller asserts G's regularity on the range box; the residual
+    reports how well the identity closes.
     """
     if u1.domain != u2.domain:
         raise ValueError("u1 and u2 must share a domain")
@@ -359,14 +390,11 @@ def chain_rule(
     def integrand2(ts):
         return G.d2(u1.values(ts), u2.values(ts))
 
-    cross1 = list(u2.pinned_points())
-    cross2 = list(u1.pinned_points())
-    r1 = integrate_ys(integrand1, u1, tol=tol, max_refine=max_refine, extra_knots=cross1)
-    r2 = integrate_ls(integrand2, u2, tol=tol, max_refine=max_refine, extra_knots=cross2)
+    r1 = integrate_ys(integrand1, u1, tol=tol, max_refine=max_refine, extra_knots=u2.pinned_points())
+    r2 = integrate_ls(integrand2, u2, tol=tol, max_refine=max_refine, extra_knots=u1.pinned_points())
 
-    jump_times = sorted(set(u1.jump_times) | set(u2.jump_times))
     left_terms, right_terms = [], []
-    for s in jump_times:
+    for s in sorted({float(t) for t in u1.jump_times + u2.jump_times}):
         x1, x2 = float(u1.values(s)), float(u2.values(s))
         g_here = float(G.value(x1, x2))
         d1_here = float(G.d1(x1, x2))
@@ -374,23 +402,18 @@ def chain_rule(
         if s > t0:
             g_left = float(G.value(u1.left_values(s), u2.left_values(s)))
             left_terms.append(
-                g_here - g_left - d1_here * u1.delta_minus_at(s) - d2_here * u2.delta_minus_at(s)
+                (s, g_here - g_left - d1_here * u1.delta_minus_at(s) - d2_here * u2.delta_minus_at(s))
             )
         if s < t1:
             g_right = float(G.value(u1.right_values(s), u2.right_values(s)))
             right_terms.append(
-                g_right - g_here - d1_here * u1.delta_plus_at(s) - d2_here * u2.delta_plus_at(s)
+                (s, g_right - g_here - d1_here * u1.delta_plus_at(s) - d2_here * u2.delta_plus_at(s))
             )
-    left_jump_sum = math.fsum(left_terms)
-    right_jump_sum = math.fsum(right_terms)
 
-    residual = lhs - (r1.value + r2.value + left_jump_sum + right_jump_sum)
     return ChainRuleTerms(
         lhs=lhs,
-        int_u1=r1.value,
-        int_u2=r2.value,
-        left_jump_sum=left_jump_sum,
-        right_jump_sum=right_jump_sum,
-        residual=residual,
-        converged=r1.converged and r2.converged,
+        int_u1=r1,
+        int_u2=r2,
+        left_jump_terms=tuple(left_terms),
+        right_jump_terms=tuple(right_terms),
     )

@@ -129,6 +129,31 @@ class TestRun:
         kinds = {cid.split(":")[0] for cid in ids}
         assert {"ito", "rcll", "mc_ito", "mc_st", "mc_p2", "mc_qv", "mc_sk"} <= kinds
 
+    def test_rcll_check_runs_the_engine_once(self, tmp_path, capsys, monkeypatch):
+        import sys
+
+        import gaussito.stieltjes
+
+        calls = []
+        original = gaussito.stieltjes.integrate_ys
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # rebind it wherever a gaussito module holds it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gaussito") and getattr(module, "integrate_ys", None) is original:
+                monkeypatch.setattr(module, "integrate_ys", counting)
+        scen = write_scenario(
+            tmp_path, cm_elements=[[[1.0, 1.0]], [[0.7, 0.5], [0.4, 0.8]]], checks=["ito_stransform", "ito_rcll"]
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["summary"]["total"] == 4
+        # one engine run per (case, check): 2 cases x 2 checks
+        assert len(calls) == 4
+
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "from-env"))
         scen = write_scenario(tmp_path)

@@ -150,6 +150,7 @@ class TestRcllResidual:
             case = make_case(jump_bm, fname, [(0.7, 0.5), (0.3, 1.0)])
             general = ito_stransform_residual(case)
             reduced = ito_rcll_residual(case)
+            assert reduced.agreement_delta == abs(general.residual - reduced.residual)
             assert abs(general.residual - reduced.residual) < 1e-10
             assert abs(reduced.residual) < 1e-9
 
@@ -392,6 +393,16 @@ class TestMcReportInvariants:
         assert rep.standard_error > 0.0
         assert rep.z_score == pytest.approx((rep.estimate - rep.reference) / rep.standard_error)
         assert rep.n_paths == 1000 and rep.seed == 99
+
+    def test_zero_spread_sample_away_from_reference_fails(self):
+        from gaussito.itoverify import _mc_report
+
+        off = _mc_report(np.full(100, 1.0), reference=0.5, n_paths=100, seed=0, label="const")
+        assert off.standard_error == 0.0 and off.z_score == 0.0
+        assert not off.within(4.0)
+        on = _mc_report(np.zeros(100), reference=0.0, n_paths=100, seed=0, label="const")
+        assert on.within(4.0)
+        assert not _mc_report(np.full(100, np.nan), 0.0, 100, 0, "nan").within(4.0)
 
     def test_too_few_paths(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])

@@ -9,7 +9,6 @@ from gaussito.regulated import (
     Jump,
     Partition,
     RegulatedFunction,
-    one_sided_limits,
     p_variation,
     sigma2,
     w2star_criterion,
@@ -48,25 +47,25 @@ def regulated_functions(draw):
 class TestOneSidedLimits:
     def test_value_jump_convention(self):
         u = identity(jumps=[Jump(0.5, 0.5, 0.0)])
-        assert one_sided_limits(u, 0.5) == (0.5, 1.0, 1.0)
+        assert u.one_sided(0.5) == (0.5, 1.0, 1.0)
 
     def test_continuous(self):
-        assert one_sided_limits(identity(), 0.3) == (0.3, 0.3, 0.3)
+        assert identity().one_sided(0.3) == (0.3, 0.3, 0.3)
 
     def test_before_jump(self):
-        assert one_sided_limits(heaviside(), 0.25) == (0.0, 0.0, 0.0)
+        assert heaviside().one_sided(0.25) == (0.0, 0.0, 0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            one_sided_limits(identity(), 1.5)
+            identity().one_sided(1.5)
         with pytest.raises(DomainError):
-            one_sided_limits(identity(), -0.1)
+            identity().one_sided(-0.1)
 
     def test_endpoint_conventions(self):
         u = RegulatedFunction(lambda t: 0.0, [Jump(0.0, 0.0, 1.0), Jump(1.0, 0.5, 0.0)], (0.0, 1.0))
-        left0, val0, _ = one_sided_limits(u, 0.0)
+        left0, val0, _ = u.one_sided(0.0)
         assert left0 == val0  # u(0-) = u(0)
-        _, valT, rightT = one_sided_limits(u, 1.0)
+        _, valT, rightT = u.one_sided(1.0)
         assert rightT == valT  # u(T+) = u(T)
 
     def test_invalid_endpoint_jumps_rejected(self):
@@ -78,7 +77,7 @@ class TestOneSidedLimits:
     @given(regulated_functions())
     def test_delta_consistency(self, u):
         for j in u.jumps:
-            left, value, right = one_sided_limits(u, j.time)
+            left, value, right = u.one_sided(j.time)
             scale = 1.0 + abs(left) + abs(value) + abs(right)
             assert abs(value - left - j.delta_minus) <= 1e-12 * scale
             assert abs(right - value - j.delta_plus) <= 1e-12 * scale

@@ -100,6 +100,22 @@ class TestIntegrateYS:
         res = integrate_ys(lambda t: np.cos(40 * t), identity(), tol=1e-14, max_refine=2)
         assert not res.converged
 
+    def test_stops_once_floored_cells_exceed_tol(self):
+        # a 0.2-Hoelder cusp floors cells whose error alone exceeds tol; the
+        # refinement must give up there instead of spending its whole budget
+        from gaussito.gaussproc import catalog, cm_element
+        from gaussito.heatkernel import psi, test_function
+
+        spec = catalog("fbm", hurst=0.1)
+        hbar, V = cm_element(spec, [(0.8, 0.4)]).hbar, spec.variance
+        tf = test_function("x2", spec.lam)
+        res = integrate_ys(
+            lambda ts: psi(tf.f1, V.values(ts), hbar.values(ts)), hbar, tol=1e-11, extra_knots=V.pinned_points()
+        )
+        assert not res.converged
+        assert res.error_estimate >= 1e-11
+        assert res.n_cells < 40000 // 4
+
     @given(
         st.floats(min_value=-2, max_value=2, allow_nan=False),
         st.floats(min_value=-2, max_value=2, allow_nan=False),
@@ -182,8 +198,8 @@ class TestChainRule:
         u = identity()
         res = chain_rule(field_product(), u, u, tol=1e-10)
         assert res.lhs == pytest.approx(1.0)
-        assert res.int_u1 == pytest.approx(0.5, abs=1e-9)
-        assert res.int_u2 == pytest.approx(0.5, abs=1e-9)
+        assert res.int_u1.value == pytest.approx(0.5, abs=1e-9)
+        assert res.int_u2.value == pytest.approx(0.5, abs=1e-9)
         assert res.left_jump_sum == 0.0 and res.right_jump_sum == 0.0
         assert abs(res.residual) < 1e-9
 
@@ -193,7 +209,7 @@ class TestChainRule:
         u2 = RegulatedFunction(lambda t: 0.0, (), (0.0, 1.0))
         res = chain_rule(field_square(), u1, u2, tol=1e-10)
         assert res.lhs == pytest.approx(4.0)
-        assert res.int_u1 == pytest.approx(5.0, abs=1e-9)
+        assert res.int_u1.value == pytest.approx(5.0, abs=1e-9)
         assert res.left_jump_sum == pytest.approx(-1.0, abs=1e-12)
         assert abs(res.residual) < 1e-9
 
@@ -210,6 +226,19 @@ class TestChainRule:
         res = chain_rule(field_product(), u1, u2, tol=1e-10)
         assert res.right_jump_sum != 0.0
         assert abs(res.residual) < 1e-8
+
+    def test_terms_beside_sums(self):
+        u1 = identity(jumps=[Jump(0.3, 0.4, -0.2), Jump(0.7, 0.0, 0.3)])
+        u2 = RegulatedFunction(np.polynomial.Polynomial([0.0, 0.0, 1.0]), [Jump(0.7, 0.0, 0.5)], (0.0, 1.0))
+        res = chain_rule(field_product(), u1, u2, tol=1e-10)
+        assert [s for s, _ in res.left_jump_terms] == [0.3, 0.7]
+        assert [s for s, _ in res.right_jump_terms] == [0.3, 0.7]
+        assert res.left_jump_sum == math.fsum(v for _, v in res.left_jump_terms)
+        assert res.int_u1.value == res.int_u1.continuous + res.int_u1.atoms
+        assert res.int_u2.atoms == pytest.approx(u1.values(0.7) * 0.5, abs=1e-15)  # d2 G = x1 at the atom
+        assert res.residual == res.lhs - math.fsum(
+            [res.int_u1.value, res.int_u2.value, res.left_jump_sum, res.right_jump_sum]
+        )
 
     def test_domain_mismatch(self):
         u1 = identity()
