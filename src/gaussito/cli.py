@@ -349,18 +349,16 @@ def _plan_cases(scenario, seed):
 
             def thunk(case=case, cid=cid, k=k):
                 depth = int(mc_cfg["grid_depth"])
-                rels = {}
-                report = None
-                for d in (depth - 2, depth - 1, depth):
-                    grid = Partition.uniform(0.0, spec.horizon, 2**d)
-                    report = martingale_ito_mc(case, grid, int(mc_cfg["n_paths"]), base_seed + 1000 + k)
-                    rels[f"rel_l2_depth{d}"] = report.estimate
+                depths = (depth - 2, depth - 1, depth)
+                grids = [Partition.uniform(0.0, spec.horizon, 2**d) for d in depths]
+                reports = martingale_ito_mc(case, grids, int(mc_cfg["n_paths"]), base_seed + 1000 + k)
+                rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
                 vals = list(rels.values())
                 # below roundoff scale the identity holds exactly per path and
                 # there is no discretization error left to decay
                 decay = all(b < a for a, b in zip(vals, vals[1:]) if a > 1e-12)
                 ok = vals[-1] < tol["mc_rel_residual"] and decay
-                return _mc_record(cid, report, ok, tol["mc_rel_residual"], terms=rels)
+                return _mc_record(cid, reports[-1], ok, tol["mc_rel_residual"], terms=rels)
 
             plans.append((cid, thunk))
 

@@ -342,15 +342,17 @@ def _gram_sampler(spec: ProcessSpec):
 def _brownian_increments(grid: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     inc_var = np.diff(np.concatenate([[0.0], grid]))
     z = rng.standard_normal((n_paths, len(grid)))
-    return np.cumsum(z * np.sqrt(inc_var), axis=1)
+    z *= np.sqrt(inc_var)
+    return np.cumsum(z, axis=1, out=z)
 
 
-def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int) -> SimulationResult:
+def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.SeedSequence) -> SimulationResult:
     """Exact Gaussian draws of X on the grid; jump variables drawn jointly.
 
-    Deterministic given the seed.  Models with an independent-increment
-    construction use it directly; the fallback factorizes the (possibly
-    jump-extended) Gram matrix with an escalating diagonal jitter.
+    Deterministic given the seed (an integer or a ``SeedSequence``).  Models
+    with an independent-increment construction use it directly; the fallback
+    factorizes the (possibly jump-extended) Gram matrix with an escalating
+    diagonal jitter.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")
@@ -373,7 +375,8 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> PathQvReport
     if spec.pathwise_qv_cont is None or spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
     sim = simulate_paths(spec, grid, n_paths, seed)
-    qv = np.sum(np.diff(sim.paths, axis=1) ** 2, axis=1)
+    d = np.diff(sim.paths, axis=1)
+    qv = np.sum(np.square(d, out=d), axis=1)
     reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
     mean = float(np.mean(qv)) if n_paths else float("nan")
     se = float(np.std(qv, ddof=1) / math.sqrt(n_paths)) if n_paths >= 2 else float("nan")
@@ -487,9 +490,10 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
         full = np.union1d(grid, s_arr)
         B = _brownian_increments(full, n_paths, rng)
         xi = rng.standard_normal((n_paths, len(pairs))) * np.sqrt(v_arr)
-        X = B + xi @ (full[None, :] >= s_arr[:, None])
-        cols = np.searchsorted(full, grid)
-        return X[:, cols], xi
+        B += xi @ (full[None, :] >= s_arr[:, None])
+        if len(full) == len(grid):
+            return B, xi
+        return B[:, np.searchsorted(full, grid)], xi
 
     return ProcessSpec(
         name="jump_bm",
@@ -549,9 +553,10 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         B = _brownian_increments(full, n_paths, rng)
         i0 = int(np.searchsorted(full, s0))
         draw = c * B[:, i0]
-        X = B + draw[:, None] * (full[None, :] >= s0)
-        cols = np.searchsorted(full, grid)
-        return X[:, cols], draw[:, None]
+        B += draw[:, None] * (full[None, :] >= s0)
+        if len(full) == len(grid):
+            return B, draw[:, None]
+        return B[:, np.searchsorted(full, grid)], draw[:, None]
 
     return ProcessSpec(
         name="coupled_jump_bm",

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "GrowthBound",
@@ -145,11 +147,13 @@ def _poly_test_function(name: str, coeffs, lam: float) -> TestFunction:
     c2 = c1.deriv()
     a = 0.125 / lam if lam > 0 else 1e-6
     scale = max(_poly_growth(c0.coef, a), _poly_growth(c1.coef, a), _poly_growth(c2.coef, a))
+    # raw polyval on the coefficients: Polynomial.__call__ maps every
+    # argument array through the (identity) domain map first
     return TestFunction(
         name=name,
-        f=c0,
-        f1=c1,
-        f2=c2,
+        f=partial(polyval, c=c0.coef),
+        f1=partial(polyval, c=c1.coef),
+        f2=partial(polyval, c=c2.coef),
         growth=GrowthBound(scale=scale, rate=a),
         kind="polynomial",
     )

@@ -329,59 +329,123 @@ def _left_limit_paths(spec: ProcessSpec, sim: SimulationResult, t: float) -> np.
     return vals
 
 
-def martingale_ito_mc(case: ItoCase, grid, n_paths: int, seed: int) -> McReport:
-    """Pathwise check of the discontinuous-martingale identity on a grid.
+# rows per simulation batch: about 4 MB per float array on the finest grid
+_BATCH_ELEMENTS = 2**19
 
-    Per path: forward Riemann sums of F'(X) against the Brownian increments,
-    exact jump handling with the jointly drawn jump variables, and the
-    continuous-variance quadrature term.  The report's estimate is the
-    relative L2 residual (discretization error; halves roughly like the
-    square root of the step).
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of a sample."""
+    mean = float(np.mean(values))
+    return len(values), mean, float(np.sum((values - mean) ** 2))
+
+
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) triples."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def martingale_ito_mc(case: ItoCase, grids, n_paths: int, seed: int) -> tuple[McReport, ...]:
+    """Pathwise check of the discontinuous-martingale identity on nested grids.
+
+    Each grid is joined with the discontinuity times, and every joined grid
+    must be a subset of the finest one (``ValueError`` otherwise).  Paths are
+    drawn only on the finest grid, in batches of about 4 MB per array, batch
+    b seeded from ``SeedSequence(seed).spawn(n_batches)[b]``; every coarser
+    grid reads its columns from the same draw.  The levels are therefore
+    coupled, as in multilevel Monte Carlo, and memory is bounded by the batch
+    whatever ``n_paths``.
+
+    Per path and grid: forward Riemann sums of F'(X) against the Brownian
+    increments, exact jump handling with the jointly drawn jump variables
+    (the same on every grid, since every grid pins the discontinuity times),
+    and the continuous-variance quadrature term.  Returns one report per
+    grid, in the order given; its estimate is the relative L2 residual
+    (discretization error; halves roughly like the square root of the step).
     """
     spec, tf = case.spec, case.test_function
     if spec.kind != "martingale":
         raise UnsupportedModelError(f"{spec.name}: pathwise identity needs a martingale model")
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    pts = np.asarray(grid.points if isinstance(grid, Partition) else grid, dtype=float)
-    pts = np.union1d(pts, np.asarray(spec.record_times()))
-    if pts[0] != 0.0 or pts[-1] != spec.horizon:
-        raise ValueError("grid must span [0, horizon]")
-    sim = simulate_paths(spec, pts, n_paths, seed)
-    X, xi = sim.paths, sim.jump_draws
+    records = np.asarray(spec.record_times(), dtype=float)
+    levels = [
+        np.union1d(np.asarray(g.points if isinstance(g, Partition) else g, dtype=float), records) for g in grids
+    ]
+    if not levels:
+        raise ValueError("need at least one grid")
+    fine = max(levels, key=len)
+    for pts in levels:
+        if pts[0] != 0.0 or pts[-1] != spec.horizon:
+            raise ValueError("grid must span [0, horizon]")
+        if not np.all(np.isin(pts, fine)):
+            raise ValueError("grids must be nested: each must be a subset of the finest")
+    jcols = np.searchsorted(fine, records)
+    # per level: fine columns (None for the finest), the interval ending at
+    # each discontinuity, and the continuous-variance increments
+    plan = [
+        (
+            None if len(pts) == len(fine) else np.searchsorted(fine, pts),
+            np.searchsorted(pts, records) - 1,
+            np.diff(spec.variance.base_values(pts)),
+        )
+        for pts in levels
+    ]
 
-    dB = np.diff(X, axis=1)
-    jcols = [_column(pts, s) for s in spec.record_times()]
-    for k, col in enumerate(jcols):
-        dB[:, col - 1] -= xi[:, k]
+    rows = max(1, _BATCH_ELEMENTS // len(fine))
+    streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
+    sum_inc2 = 0.0
+    moments = [(0, 0.0, 0.0)] * len(levels)  # of resid^2, per level
+    for b, stream in enumerate(streams):
+        sim = simulate_paths(spec, fine, min(rows, n_paths - b * rows), stream)
+        X, xi = sim.paths, sim.jump_draws
+        f1, f2 = tf.f1(X[:, :-1]), tf.f2(X[:, :-1])
 
-    ito = np.sum(tf.f1(X[:, :-1]) * dB, axis=1)
-    jump = np.zeros(n_paths)
-    for k, col in enumerate(jcols):
-        x_left = X[:, col] - xi[:, k]
-        ito += tf.f1(x_left) * xi[:, k]
-        jump += tf.f(X[:, col]) - tf.f(x_left) - tf.f1(x_left) * xi[:, k]
+        # the increment and the jump terms do not depend on the grid
+        x_left = X[:, jcols] - xi
+        f1_left = tf.f1(x_left)
+        jump_ito = np.sum(f1_left * xi, axis=1)
+        jump = np.sum(tf.f(X[:, jcols]) - tf.f(x_left) - f1_left * xi, axis=1)
+        increment = tf.f(X[:, -1]) - tf.f(X[:, 0])
+        sum_inc2 += float(np.sum(increment**2))
 
-    dvc = np.diff(spec.variance.base_values(pts))
-    quad = 0.5 * np.sum(tf.f2(X[:, :-1]) * dvc, axis=1)
+        for lvl, (cols, jpos, dvc) in enumerate(plan):
+            if cols is None:
+                Xl, f1l, f2l = X, f1, f2
+            else:
+                Xl, f1l, f2l = X[:, cols], f1[:, cols[:-1]], f2[:, cols[:-1]]
+            dB = np.diff(Xl, axis=1)
+            dB[:, jpos] -= xi
+            ito = np.einsum("ij,ij->i", f1l, dB) + jump_ito
+            quad = 0.5 * np.einsum("ij,j->i", f2l, dvc)
+            resid = increment - ito - quad - jump
+            moments[lvl] = _merge_moments(moments[lvl], _moments(resid**2))
 
-    increment = tf.f(X[:, -1]) - tf.f(X[:, 0])
-    resid = increment - ito - quad - jump
-    scale = math.sqrt(float(np.mean(increment**2)))
-    rms = math.sqrt(float(np.mean(resid**2)))
-    rel = rms / scale if scale > 0 else rms
-    if rms > 0:
-        se_rel = float(np.std(resid**2, ddof=1)) / math.sqrt(n_paths) / (2.0 * rms) / max(scale, 1e-300)
-    else:
-        se_rel = 0.0
-    return McReport(
-        estimate=rel,
-        standard_error=se_rel,
-        reference=0.0,
-        n_paths=n_paths,
-        seed=seed,
-        label=f"martingale_ito[{spec.name},{tf.name},n={len(pts) - 1}]",
-    )
+    scale = math.sqrt(sum_inc2 / n_paths)
+    reports = []
+    for pts, (_, mean_r2, m2_r2) in zip(levels, moments):
+        rms = math.sqrt(mean_r2)
+        rel = rms / scale if scale > 0 else rms
+        if rms > 0:
+            se_rel = math.sqrt(m2_r2 / (n_paths - 1)) / math.sqrt(n_paths) / (2.0 * rms) / max(scale, 1e-300)
+        else:
+            se_rel = 0.0
+        reports.append(
+            McReport(
+                estimate=rel,
+                standard_error=se_rel,
+                reference=0.0,
+                n_paths=n_paths,
+                seed=seed,
+                label=f"martingale_ito[{spec.name},{tf.name},n={len(pts) - 1}]",
+            )
+        )
+    return tuple(reports)
 
 
 def _needs_right_jump(spec: ProcessSpec) -> bool:

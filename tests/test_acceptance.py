@@ -218,12 +218,10 @@ def test_criterion_5_martingale_mc():
     spec = catalog("jump_bm", jumps=[(0.5, 0.25)])
     h = cm_element(spec, [(1.0, 1.0)])
     case = ItoCase(spec, make_tf("x2", spec.lam), h)
-    rels = []
-    for depth in (8, 9, 10):
-        rep = martingale_ito_mc(case, Partition.uniform(0.0, 1.0, 2**depth), 20000, seed=31415)
-        rels.append(rep.estimate)
-    linear = martingale_ito_mc(
-        ItoCase(spec, make_tf("x", spec.lam), h), Partition.uniform(0.0, 1.0, 2**10), 20000, seed=31415
+    grids = [Partition.uniform(0.0, 1.0, 2**depth) for depth in (8, 9, 10)]
+    rels = [rep.estimate for rep in martingale_ito_mc(case, grids, 20000, seed=31415)]
+    (linear,) = martingale_ito_mc(
+        ItoCase(spec, make_tf("x", spec.lam), h), [Partition.uniform(0.0, 1.0, 2**10)], 20000, seed=31415
     )
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(rels, rels[1:]))

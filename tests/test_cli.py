@@ -175,6 +175,19 @@ class TestRun:
         main(["run", str(scen), "--out", str(tmp_path / "b"), "--jobs", "4"])
         assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
 
+    def test_jobs_parallel_same_report_with_monte_carlo(self, tmp_path, capsys):
+        scen = write_scenario(
+            tmp_path,
+            test_functions=["x2", "sin"],
+            cm_elements="auto",
+            checks=["martingale_ito", "path_qv"],
+            # two simulation batches on the finest grid
+            mc={"n_paths": 2000, "grid_depth": 9},
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", str(scen), "--out", str(tmp_path / "b"), "--jobs", "4"]) == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
     @pytest.mark.parametrize(
         "model",
         [

@@ -231,6 +231,40 @@ class TestSimulation:
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.jump_draws, b.jump_draws)
 
+    @pytest.mark.parametrize(
+        "grid", [(0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 0.2, 0.45, 0.8, 1.0)], ids=["jump_on_grid", "jump_off_grid"]
+    )
+    @pytest.mark.parametrize("model", ["brownian", "jump_bm", "coupled"])
+    def test_in_place_samplers_match_out_of_place_draws(self, model, grid, request):
+        # the draws the samplers made with out-of-place temporaries, rebuilt
+        # from the same seed: same values and same signs of zero
+        spec = request.getfixturevalue(model)
+        grid = np.asarray(grid)
+        rng = np.random.default_rng(13)
+
+        def brownian(pts):
+            inc_var = np.diff(np.concatenate([[0.0], pts]))
+            return np.cumsum(rng.standard_normal((50, len(pts))) * np.sqrt(inc_var), axis=1)
+
+        if model == "brownian":
+            paths, draws = brownian(grid), np.zeros((50, 0))
+        elif model == "jump_bm":
+            s_arr, v_arr = np.array([0.5]), np.array([0.25])
+            full = np.union1d(grid, s_arr)
+            B = brownian(full)
+            draws = rng.standard_normal((50, 1)) * np.sqrt(v_arr)
+            paths = (B + draws @ (full[None, :] >= s_arr[:, None]))[:, np.searchsorted(full, grid)]
+        else:
+            full = np.union1d(grid, [0.5])
+            B = brownian(full)
+            draws = 1.0 * B[:, int(np.searchsorted(full, 0.5))]
+            paths = (B + draws[:, None] * (full[None, :] >= 0.5))[:, np.searchsorted(full, grid)]
+            draws = draws[:, None]
+        sim = simulate_paths(spec, grid, 50, seed=13)
+        for new, old in ((sim.paths, paths), (sim.jump_draws, draws)):
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
+
     def test_gram_sampler_matches_covariance(self, evanescent):
         grid = np.array([0.1, 0.3, 0.45, 0.7])
         sim = simulate_paths(evanescent, grid, 80000, seed=5)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussito.gaussproc import (
     DiscontinuityRecord,
@@ -29,6 +31,7 @@ from gaussito.itoverify import (
     skorokhod_sample,
     wick_exponential_paths,
 )
+from gaussito.itoverify import _merge_moments, _moments
 from gaussito.regulated import Jump, Partition, RegulatedFunction
 
 
@@ -247,23 +250,71 @@ class TestForwardJump:
 class TestMartingaleItoMc:
     def test_square_discretization_error(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        rep = martingale_ito_mc(case, Partition.uniform(0, 1, 2**8), 4000, seed=5)
+        (rep,) = martingale_ito_mc(case, [Partition.uniform(0, 1, 2**8)], 4000, seed=5)
         assert 0.0 < rep.estimate < 0.1
 
     def test_linear_telescopes(self, jump_bm):
         case = make_case(jump_bm, "x", [(1.0, 1.0)])
-        rep = martingale_ito_mc(case, Partition.uniform(0, 1, 2**8), 2000, seed=5)
+        (rep,) = martingale_ito_mc(case, [Partition.uniform(0, 1, 2**8)], 2000, seed=5)
         assert rep.estimate < 1e-12
+
+    def test_non_nested_grids_raise(self, jump_bm):
+        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
+        with pytest.raises(ValueError, match="nested"):
+            martingale_ito_mc(case, [Partition.uniform(0, 1, 16), Partition.uniform(0, 1, 24)], 100, seed=1)
+        with pytest.raises(ValueError, match="span"):
+            martingale_ito_mc(case, [Partition.uniform(0, 1, 16), Partition((0.0, 0.5))], 100, seed=1)
+
+    def test_coarser_grids_leave_finest_level_unchanged(self, jump_bm):
+        case = make_case(jump_bm, "sin", [(1.0, 1.0)])
+        grids = [Partition.uniform(0, 1, 2**d) for d in (6, 7, 8)]
+        # 3000 paths on 257 points are two batches
+        (alone,) = martingale_ito_mc(case, grids[-1:], 3000, seed=9)
+        reports = martingale_ito_mc(case, grids, 3000, seed=9)
+        assert reports[-1] == alone
+        assert [r.label for r in reports] == [f"martingale_ito[jump_bm,sin,n={2**d}]" for d in (6, 7, 8)]
+        assert reports[0].estimate > reports[1].estimate > reports[2].estimate
+        # reports follow the order the grids are given in
+        assert martingale_ito_mc(case, grids[::-1], 3000, seed=9) == reports[::-1]
+
+    def test_memory_bounded_by_batch(self, jump_bm):
+        case = make_case(jump_bm, "sin", [(1.0, 1.0)])
+        grids = [Partition.uniform(0, 1, 2**d) for d in (9, 10, 11)]
+        peaks = []
+        for n_paths in (2000, 8000):
+            tracemalloc.start()
+            try:
+                martingale_ito_mc(case, grids, n_paths, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
+        st.lists(st.integers(1, 59), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_moment_merge_matches_whole_sample(self, values, cuts):
+        values = np.array(values)
+        bounds = sorted({c for c in cuts if c < len(values)})
+        acc = (0, 0.0, 0.0)
+        for chunk in np.split(values, bounds):
+            acc = _merge_moments(acc, _moments(chunk))
+        n, mean, m2 = acc
+        assert n == len(values)
+        assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-9)
+        assert m2 / (n - 1) == pytest.approx(np.var(values, ddof=1), rel=1e-9, abs=1e-9)
 
     def test_requires_martingale(self, coupled):
         case = make_case(coupled, "x2", [(1.0, 1.0)])
         with pytest.raises(UnsupportedModelError):
-            martingale_ito_mc(case, Partition.uniform(0, 1, 16), 100, seed=1)
+            martingale_ito_mc(case, [Partition.uniform(0, 1, 16)], 100, seed=1)
 
     def test_requires_paths(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         with pytest.raises(ValueError):
-            martingale_ito_mc(case, Partition.uniform(0, 1, 16), 0, seed=1)
+            martingale_ito_mc(case, [Partition.uniform(0, 1, 16)], 0, seed=1)
 
 
 class TestMcSTransform:
