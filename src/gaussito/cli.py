@@ -280,7 +280,7 @@ def effective_seed(scenario: dict, seed=None) -> int:
 
 
 def _plan_cases(scenario, seed):
-    """Build (case_id, thunk) pairs; thunks return report-case dicts."""
+    """Build (case_ids, thunk) pairs; each thunk returns the report-case dicts of its case ids, in order."""
     model = scenario["model"]
     try:
         spec = catalog(model["id"], **model.get("params", {}))
@@ -315,33 +315,29 @@ def _plan_cases(scenario, seed):
     def det_tol(tf):
         return tol["polynomial"] if tf.kind == "polynomial" else tol["transcendental"]
 
-    if "ito_stransform" in checks:
+    # one chain-rule run per case serves both deterministic checks
+    do_ito = "ito_stransform" in checks
+    do_rcll = "ito_rcll" in checks and spec.kind in ("martingale", "rcll")
+    if do_ito or do_rcll:
         for case in cases:
-            cid = f"ito:{spec.name}:{case.label}"
+            ito_id, rcll_id = f"ito:{spec.name}:{case.label}", f"rcll:{spec.name}:{case.label}"
 
-            def thunk(case=case, cid=cid):
-                res = ito_stransform_residual(case, drop=frozenset(drop))
-                ok = res.converged and abs(res.residual) < det_tol(case.test_function)
-                return _det_record(cid, res.residual, det_tol(case.test_function), ok, res.lhs, res.terms())
+            def thunk(case=case, ito_id=ito_id, rcll_id=rcll_id):
+                tol_f = det_tol(case.test_function)
+                general = ito_stransform_residual(case, drop=frozenset(drop))
+                records = []
+                if do_ito:
+                    ok = general.converged and abs(general.residual) < tol_f
+                    records.append(_det_record(ito_id, general.residual, tol_f, ok, general.lhs, general.terms()))
+                if do_rcll:
+                    res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
+                    ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
+                    terms = res.terms()
+                    terms["agreement_delta"] = res.agreement_delta
+                    records.append(_det_record(rcll_id, res.residual, tol_f, ok, res.lhs, terms))
+                return records
 
-            plans.append((cid, thunk))
-
-    if "ito_rcll" in checks and spec.kind in ("martingale", "rcll"):
-        for case in cases:
-            cid = f"rcll:{spec.name}:{case.label}"
-
-            def thunk(case=case, cid=cid):
-                res = ito_rcll_residual(case, drop=frozenset(rcll_drop))
-                ok = (
-                    res.converged
-                    and abs(res.residual) < det_tol(case.test_function)
-                    and res.agreement_delta < tol["rcll_agreement"]
-                )
-                terms = res.terms()
-                terms["agreement_delta"] = res.agreement_delta
-                return _det_record(cid, res.residual, det_tol(case.test_function), ok, res.lhs, terms)
-
-            plans.append((cid, thunk))
+            plans.append((([ito_id] if do_ito else []) + ([rcll_id] if do_rcll else []), thunk))
 
     if "martingale_ito" in checks and spec.kind == "martingale":
         for k, case in enumerate((c for c in cases if c.h.label == battery[0].label)):
@@ -358,9 +354,9 @@ def _plan_cases(scenario, seed):
                 # there is no discretization error left to decay
                 decay = all(b < a for a, b in zip(vals, vals[1:]) if a > 1e-12)
                 ok = vals[-1] < tol["mc_rel_residual"] and decay
-                return _mc_record(cid, reports[-1], ok, tol["mc_rel_residual"], terms=rels)
+                return [_mc_record(cid, reports[-1], ok, tol["mc_rel_residual"], terms=rels)]
 
-            plans.append((cid, thunk))
+            plans.append(([cid], thunk))
 
     def z_record(cid, report):
         return _mc_record(cid, report, report.within(tol["z_max"]), tol["z_max"])
@@ -388,9 +384,9 @@ def _plan_cases(scenario, seed):
 
             def thunk(h=h, obs=obs, cid=cid, k=k):
                 case = ItoCase(spec, tfs[0], h, ys_tol=tol["ys_tol"])
-                return z_record(cid, mc_s_transform(case, obs, int(mc_cfg["n_paths"]), base_seed + 2000 + k))
+                return [z_record(cid, mc_s_transform(case, obs, int(mc_cfg["n_paths"]), base_seed + 2000 + k))]
 
-            plans.append((cid, thunk))
+            plans.append(([cid], thunk))
 
     if "hermite_p2" in checks:
         pairs = [(battery[0], battery[0])]
@@ -400,9 +396,9 @@ def _plan_cases(scenario, seed):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
 
             def thunk(g=g, h=h, cid=cid, k=k):
-                return z_record(cid, hermite_p2_identity_mc(spec, g, h, int(mc_cfg["n_paths"]), base_seed + 3000 + k))
+                return [z_record(cid, hermite_p2_identity_mc(spec, g, h, int(mc_cfg["n_paths"]), base_seed + 3000 + k))]
 
-            plans.append((cid, thunk))
+            plans.append(([cid], thunk))
 
     if "path_qv" in checks and spec.pathwise_qv_cont is not None:
         cid = f"mc_qv:{spec.name}"
@@ -411,9 +407,9 @@ def _plan_cases(scenario, seed):
             grid = Partition.uniform(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]))
             rep = path_qv_mc(spec, grid, int(mc_cfg["n_paths"]), base_seed + 4000)
             report = McReport(rep.mean_qv, rep.standard_error, rep.reference, rep.n_paths, base_seed + 4000)
-            return z_record(cid, report)
+            return [z_record(cid, report)]
 
-        plans.append((cid, thunk))
+        plans.append(([cid], thunk))
 
     if "simple_skorokhod" in checks:
         cid = f"mc_sk:{spec.name}"
@@ -426,9 +422,9 @@ def _plan_cases(scenario, seed):
                 open_coeffs=(mild, zero),
                 node_coeffs=(zero, zero, zero),
             )
-            return z_record(cid, simple_skorokhod_mc(spec, z, mild, int(mc_cfg["n_paths"]), base_seed + 5000))
+            return [z_record(cid, simple_skorokhod_mc(spec, z, mild, int(mc_cfg["n_paths"]), base_seed + 5000))]
 
-        plans.append((cid, thunk))
+        plans.append(([cid], thunk))
 
     return plans
 
@@ -479,24 +475,24 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
     clocks: dict[str, float] = {}
 
     def execute(item):
-        cid, thunk = item
+        _, thunk = item
         t0 = time.perf_counter()
         try:
-            record = thunk()
+            records = thunk()
         except UnsupportedModelError as exc:
             raise ConfigError(str(exc)) from exc
-        return cid, record, (time.perf_counter() - t0) * 1e3
+        return records, (time.perf_counter() - t0) * 1e3
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for cid, record, ms in pool.map(execute, plans):
-                results[cid] = record
-                clocks[cid] = ms
+            outcomes = list(pool.map(execute, plans))
     else:
-        for item in plans:
-            cid, record, ms = execute(item)
-            results[cid] = record
-            clocks[cid] = ms
+        outcomes = [execute(item) for item in plans]
+    # every record of a plan item gets the item's whole runtime
+    for records, ms in outcomes:
+        for record in records:
+            results[record["case_id"]] = record
+            clocks[record["case_id"]] = ms
 
     cases = [results[cid] for cid in sorted(results)]
     passed = sum(1 for c in cases if c["pass"])

@@ -34,32 +34,21 @@ __all__ = [
     "TEST_FUNCTION_IDS",
 ]
 
-DEFAULT_NODES = 64
-
 
 class GrowthBoundError(ValueError):
     """Growth certificate incompatible with the process variance bound."""
 
 
-class _HermiteRule:
-    """Cached Gauss-Hermite nodes rescaled for standard-normal expectations."""
-
-    def __init__(self, n: int):
-        z, w = np.polynomial.hermite.hermgauss(n)
-        self.shift = z * math.sqrt(2.0)
-        self.weights = w / math.sqrt(math.pi)
+def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights rescaled for standard-normal expectations."""
+    z, w = np.polynomial.hermite.hermgauss(n)
+    return z * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
-_RULES: dict[int, _HermiteRule] = {}
+_SHIFT, _WEIGHTS = _gauss_hermite(64)
 
 
-def _rule(n: int) -> _HermiteRule:
-    if n not in _RULES:
-        _RULES[n] = _HermiteRule(n)
-    return _RULES[n]
-
-
-def psi(func: Callable, t, x, n_nodes: int = DEFAULT_NODES):
+def psi(func: Callable, t, x):
     """Gaussian smoothing E[func(x + sqrt(t) Z)] at scale t >= 0, broadcast over (t, x)."""
     t_arr = np.asarray(t, dtype=float)
     x_arr = np.asarray(x, dtype=float)
@@ -67,9 +56,8 @@ def psi(func: Callable, t, x, n_nodes: int = DEFAULT_NODES):
         raise ValueError("smoothing scale t must be >= 0")
     scalar = t_arr.ndim == 0 and x_arr.ndim == 0
     t_arr, x_arr = np.broadcast_arrays(np.atleast_1d(t_arr), np.atleast_1d(x_arr))
-    rule = _rule(n_nodes)
-    args = x_arr[..., None] + np.sqrt(t_arr)[..., None] * rule.shift
-    out = np.asarray(func(args), dtype=float) @ rule.weights
+    args = x_arr[..., None] + np.sqrt(t_arr)[..., None] * _SHIFT
+    out = np.asarray(func(args), dtype=float) @ _WEIGHTS
     zero = t_arr == 0.0
     if np.any(zero):
         exact = np.asarray(func(x_arr), dtype=float)
@@ -96,14 +84,8 @@ class TestFunction:
     growth: GrowthBound
     kind: str  # "polynomial" | "transcendental"
 
-    def psi(self, t, x, n_nodes: int = DEFAULT_NODES):
-        return psi(self.f, t, x, n_nodes)
-
-    def psi_d1(self, t, x, n_nodes: int = DEFAULT_NODES):
-        return psi(self.f1, t, x, n_nodes)
-
-    def psi_d2(self, t, x, n_nodes: int = DEFAULT_NODES):
-        return psi(self.f2, t, x, n_nodes)
+    def psi(self, t, x):
+        return psi(self.f, t, x)
 
     def check_growth(self, lam: float) -> None:
         limit = 0.25 / lam if lam > 0 else math.inf
@@ -124,9 +106,9 @@ def heat_identity_residual(tf: TestFunction, t: float, x: float, fd_step: float)
     if not t > fd_step:
         raise ValueError("need t > fd_step for the central t-stencil")
     dt_num = (tf.psi(t + fd_step, x) - tf.psi(t - fd_step, x)) / (2.0 * fd_step)
-    dt_res = abs(dt_num - 0.5 * tf.psi_d2(t, x))
+    dt_res = abs(dt_num - 0.5 * psi(tf.f2, t, x))
     dx_num = (tf.psi(t, x + fd_step) - tf.psi(t, x - fd_step)) / (2.0 * fd_step)
-    dx_res = abs(dx_num - tf.psi_d1(t, x))
+    dx_res = abs(dx_num - psi(tf.f1, t, x))
     return dt_res, dx_res
 
 
@@ -168,7 +150,15 @@ def test_function(name: str, lam: float, poly_coeffs=None) -> TestFunction:
     ``lam`` is the sup of the variance function of the active model; growth
     rates are chosen as 1/(8 lam), safely inside the admissible range.
     ``poly_coeffs`` (ascending) builds a custom polynomial under id "poly".
+    A growth certificate too large for a float raises ``GrowthBoundError``.
     """
+    try:
+        return _registered(name, lam, poly_coeffs)
+    except OverflowError as exc:
+        raise GrowthBoundError(f"growth certificate of test function {name!r} overflows at lambda={lam:g}") from exc
+
+
+def _registered(name: str, lam: float, poly_coeffs) -> TestFunction:
     if name == "poly":
         if poly_coeffs is None:
             raise ValueError("poly test function needs coefficients")

@@ -12,8 +12,9 @@ which is the two-variable chain rule of ``stieltjes.chain_rule`` for
 G(x1, x2) = psi_F(x2, x1) along (hbar, V).  That one engine evaluates every
 term; the two forms here are adapters over its result.  The general form
 reports the engine's terms, with chosen terms knocked out on purpose
-(mutation sensitivity).  The right-continuous reduction keeps the engine's
-continuous integrals and lhs, takes the dhbar atoms at left-limit integrands,
+(mutation sensitivity).  The right-continuous reduction is a function of
+the general result, not a second engine run: it keeps the continuous
+integrals and lhs, takes the dhbar atoms at left-limit integrands,
 moves the variance atoms into a single jump sum, and reports how far its
 residual lies from the general one; its left-limit/jump correlation term can
 be knocked out on purpose too.
@@ -42,7 +43,7 @@ from .gaussproc import (
 )
 from .heatkernel import TestFunction, psi
 from .regulated import Partition
-from .stieltjes import ChainRuleTerms, ScalarField, chain_rule
+from .stieltjes import IntegralResult, ScalarField, chain_rule
 
 __all__ = [
     "ItoCase",
@@ -163,21 +164,34 @@ _DROPPED_TERM = {
 
 @dataclass(frozen=True)
 class ItoResidual:
-    """Term-by-term breakdown; residual = lhs - (right-hand terms not dropped).
+    """Term-by-term breakdown of one case; residual = lhs - (right-hand terms not dropped).
 
-    ``agreement_delta`` is, for the right-continuous form, the distance of its
-    residual from the unmutated general residual of the same case.
+    The two integrals are the engine's results, with their convergence flags
+    and error estimates.  ``agreement_delta`` is, for the right-continuous
+    form, the distance of its residual from the unmutated general residual of
+    the same case.
     """
 
-    form: str
+    case: ItoCase
     lhs: float
-    integral_dhbar: float
-    integral_dv_half: float
+    int_dhbar: IntegralResult
+    int_dv_half: IntegralResult
     left_jump_terms: tuple[tuple[float, float], ...]
     right_jump_terms: tuple[tuple[float, float], ...]
-    converged: bool
     drop: frozenset = frozenset()
     agreement_delta: float = 0.0
+
+    @property
+    def integral_dhbar(self) -> float:
+        return self.int_dhbar.value
+
+    @property
+    def integral_dv_half(self) -> float:
+        return self.int_dv_half.value
+
+    @property
+    def converged(self) -> bool:
+        return self.int_dhbar.converged and self.int_dv_half.converged
 
     @property
     def left_jump_sum(self) -> float:
@@ -211,12 +225,18 @@ def _check_mutations(drop) -> frozenset:
     return drop
 
 
-def _identity_terms(case: ItoCase) -> ChainRuleTerms:
-    """The general identity as the chain rule for G(x1, x2) = psi_F(x2, x1).
+def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
+    """Residual of the general deterministic identity for one case.
 
-    With u1 = hbar and u2 = V, d1 G = psi_{F'} and d2 G = (1/2) psi_{F''} by
-    the heat identities, so the chain rule's terms are the identity's terms.
+    The identity is the chain rule for G(x1, x2) = psi_F(x2, x1) along
+    (u1, u2) = (hbar, V): d1 G = psi_{F'} and d2 G = (1/2) psi_{F''} by the
+    heat identities, so the chain rule's terms are the identity's terms.
+    Jump terms use exact stored jump sizes of V and hbar, are accumulated with
+    compensated summation (so they are invariant under reordering of the
+    discontinuity list), and can be knocked out selectively via ``drop`` for
+    sensitivity checks.
     """
+    drop = _check_mutations(drop)
     tf = case.test_function
     G = ScalarField(
         value=lambda x1, x2: psi(tf.f, x2, x1),
@@ -224,53 +244,41 @@ def _identity_terms(case: ItoCase) -> ChainRuleTerms:
         d2=lambda x1, x2: 0.5 * psi(tf.f2, x2, x1),
         name=f"psi_{tf.name}",
     )
-    return chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol, max_refine=case.max_refine)
-
-
-def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
-    """Residual of the general deterministic identity for one case.
-
-    Jump terms use exact stored jump sizes of V and hbar, are accumulated with
-    compensated summation (so they are invariant under reordering of the
-    discontinuity list), and can be knocked out selectively via ``drop`` for
-    sensitivity checks.
-    """
-    drop = _check_mutations(drop)
-    chain = _identity_terms(case)
+    chain = chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol, max_refine=case.max_refine)
     return ItoResidual(
-        form="general",
+        case=case,
         lhs=chain.lhs,
-        integral_dhbar=chain.int_u1.value,
-        integral_dv_half=chain.int_u2.value,
+        int_dhbar=chain.int_u1,
+        int_dv_half=chain.int_u2,
         left_jump_terms=chain.left_jump_terms,
         right_jump_terms=chain.right_jump_terms,
-        converged=chain.converged,
         drop=drop,
     )
 
 
-def ito_rcll_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
+def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
     """Residual of the right-continuous reduction (left-limit integrands,
-    continuous-variance integral, single jump sum).
+    continuous-variance integral, single jump sum) of a general result.
 
-    Reuses the continuous parts of the general form's integrals: integrands
-    at interior points see no difference between values and left limits.
-    The dhbar atoms take the left-limit integrand, the variance atoms move
-    into the jump sum.  There the E[X_{s-} (X_s - X_{s-})] pairing of the jump
-    term cancels the Ito integral's trace term; only
+    Regroups the general result's terms without integrating again: integrands
+    at interior points see no difference between values and left limits, so
+    the continuous parts of both integrals and the lhs carry over.  The dhbar
+    atoms take the left-limit integrand, the variance atoms move into the
+    jump sum.  There the E[X_{s-} (X_s - X_{s-})] pairing of the jump term
+    cancels the Ito integral's trace term; only
     ``drop={"drop_xleft_correction"}`` makes it appear, to measure its weight.
-    Only meaningful for martingale/rcll models.
+    The general result's own ``drop`` is ignored.  Only meaningful for
+    martingale/rcll models.
     """
     drop = _check_mutations(drop)
-    spec, tf = case.spec, case.test_function
+    spec, tf = general.case.spec, general.case.test_function
     if spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs kind martingale/rcll")
-    hbar, V = case.h.hbar, spec.variance
+    hbar, V = general.case.h.hbar, spec.variance
     for rec in spec.records:
         if rec.e_dplus_sq or rec.v_plus != rec.v_right or hbar.delta_plus_at(rec.time) or V.delta_plus_at(rec.time):
             raise UnsupportedModelError(f"{spec.name}: forward jump data present at t={rec.time}")
 
-    general = _identity_terms(case)
     # no forward jumps and none at time 0, so only left atoms carry mass
     atoms = 0.0
     if hbar.jump_times:
@@ -290,17 +298,15 @@ def ito_rcll_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
             val -= float(psi(tf.f2, vl, hl)) * rec.e_xleft_dminus
         jump_terms.append((s, val))
 
-    res = ItoResidual(
-        form="rcll",
-        lhs=general.lhs,
-        integral_dhbar=general.int_u1.continuous + atoms,
-        integral_dv_half=general.int_u2.continuous,
+    res = replace(
+        general,
+        int_dhbar=replace(general.int_dhbar, atoms=atoms),
+        int_dv_half=replace(general.int_dv_half, atoms=0.0),
         left_jump_terms=tuple(jump_terms),
         right_jump_terms=(),
-        converged=general.converged,
         drop=drop,
     )
-    return replace(res, agreement_delta=abs(res.residual - general.residual))
+    return replace(res, agreement_delta=abs(res.residual - replace(general, drop=frozenset()).residual))
 
 
 # -- Monte Carlo engines ----------------------------------------------------------
@@ -608,7 +614,7 @@ def hermite_p2_identity_mc(
 # -- standard pairing battery -------------------------------------------------------
 
 
-def auto_cm_battery(spec: ProcessSpec, size: int = 3) -> list[CameronMartinElement]:
+def auto_cm_battery(spec: ProcessSpec) -> list[CameronMartinElement]:
     """Deterministic battery of pairing elements adapted to the model.
 
     Times come from a coarse grid plus the discontinuity times and near-jump
@@ -636,7 +642,4 @@ def auto_cm_battery(spec: ProcessSpec, size: int = 3) -> list[CameronMartinEleme
             hi = min(T, s + 0.2 * T)
             combos.append([(0.7, s), (0.4, hi)])
             combos.append([(0.5, lo), (-0.6, s)])
-    while len(combos) < size:
-        k = len(combos)
-        combos.append([(0.9 / (k + 1), (0.15 + 0.7 * k / (k + 1)) * T)])
     return [cm_element(spec, c, label=f"h{k}") for k, c in enumerate(combos)]

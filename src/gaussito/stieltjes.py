@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
+# at least this many cells in the initial partition, spread over the knot gaps
+_MIN_CELLS = 16
 
 
 class UnsupportedIntegratorError(ValueError):
@@ -155,7 +157,6 @@ def _adaptive_continuous(
     tol: float,
     max_refine: int,
     knots: Sequence[float],
-    min_cells: int,
 ) -> tuple[float, float, bool, int]:
     """Adaptive midpoint-Stieltjes value of the continuous part of int u dr.
 
@@ -171,7 +172,7 @@ def _adaptive_continuous(
     pts = sorted({t0, t1} | {float(k) for k in knots if t0 < float(k) < t1})
 
     # seed each initial gap so oscillation between knots cannot hide
-    per_gap = max(2, int(np.ceil(min_cells / max(1, len(pts) - 1))))
+    per_gap = max(2, int(np.ceil(_MIN_CELLS / max(1, len(pts) - 1))))
     a_list, b_list = [], []
     for i in range(len(pts) - 1):
         edges = np.linspace(pts[i], pts[i + 1], per_gap + 1)
@@ -278,7 +279,6 @@ def integrate_ys(
     tol: float = 1e-10,
     max_refine: int = 40000,
     extra_knots: Sequence[float] = (),
-    min_cells: int = 16,
 ) -> IntegralResult:
     """Young-Stieltjes integral of u against r by adaptive refinement.
 
@@ -292,7 +292,7 @@ def integrate_ys(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     atoms = _atom_sum(u, r)
-    value, err, ok, n = _adaptive_continuous(u, r, tol, max_refine, _collect_knots(u, r, extra_knots), min_cells)
+    value, err, ok, n = _adaptive_continuous(u, r, tol, max_refine, _collect_knots(u, r, extra_knots))
     return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 
@@ -302,7 +302,6 @@ def integrate_ls(
     tol: float = 1e-10,
     max_refine: int = 40000,
     extra_knots: Sequence[float] = (),
-    min_cells: int = 16,
 ) -> IntegralResult:
     """Lebesgue-Stieltjes integral of u against a bounded-variation r.
 
@@ -318,7 +317,7 @@ def integrate_ls(
         atoms = math.fsum(uj[k] * (r.delta_minus_at(s) + r.delta_plus_at(s)) for k, s in enumerate(jt))
     base = r.without_jumps()
     knots = _collect_knots(u, r, extra_knots) + list(r.jump_times)
-    value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, knots, min_cells)
+    value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, knots)
     return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 

@@ -96,12 +96,12 @@ def test_criterion_2_rcll_reduction(catalog_specs):
             tf = make_tf(fname, spec.lam)
             for h in battery:
                 case = ItoCase(spec, tf, h)
-                delta = abs(ito_rcll_residual(case).residual - ito_stransform_residual(case).residual)
+                delta = abs(ito_rcll_residual(ito_stransform_residual(case)).residual - ito_stransform_residual(case).residual)
                 worst = max(worst, delta)
     coupled = next(s for s in catalog_specs if s.name == "coupled_jump_bm")
     case = ItoCase(coupled, make_tf("x2", coupled.lam), cm_element(coupled, [(1.0, 1.0)]))
-    clean = ito_rcll_residual(case).residual
-    mutated = ito_rcll_residual(case, drop={"drop_xleft_correction"}).residual
+    clean = ito_rcll_residual(ito_stransform_residual(case)).residual
+    mutated = ito_rcll_residual(ito_stransform_residual(case), drop={"drop_xleft_correction"}).residual
     shift = mutated - clean
     ok = worst < 1e-10 and abs(shift - 1.0) < 1e-8
     assert announce(

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,24 @@ def write_scenario(tmp_path, name="scen.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(scenario))
     return path
+
+
+def count_engine_runs(monkeypatch) -> list:
+    """A list that gains one entry per ``integrate_ys`` call from now on."""
+    import gaussito.stieltjes
+
+    calls = []
+    original = gaussito.stieltjes.integrate_ys
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # rebind it wherever a gaussito module holds it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaussito") and getattr(module, "integrate_ys", None) is original:
+            monkeypatch.setattr(module, "integrate_ys", counting)
+    return calls
 
 
 class TestCommands:
@@ -87,6 +106,19 @@ class TestRun:
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "growth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("horizon", "tf", "lam"),
+        [(2000.0, "exp", "lambda=2000"), (1e210, "x3", "lambda=1e+210")],
+        ids=["exp", "x3"],
+    )
+    def test_growth_certificate_overflow_exit_2(self, tmp_path, capsys, horizon, tf, lam):
+        scen = write_scenario(
+            tmp_path, model={"id": "brownian", "params": {"horizon": horizon}}, test_functions=[tf], cm_elements="auto"
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"test function {tf!r} overflows at {lam}" in err
+
     def test_schema_violation_exit_2_with_paths(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 1, "name": "x", "model": {"id": "brownian"}, "oops": 1}))
@@ -124,35 +156,55 @@ class TestRun:
 
         scenario = _load_scenario(_resolve_scenario("full_jump_bm"))
         plans = _plan_cases(scenario, seed=None)
-        ids = [cid for cid, _ in plans]
+        ids = [cid for cids, _ in plans for cid in cids]
         assert len(ids) == len(set(ids)) and len(ids) >= 25
         kinds = {cid.split(":")[0] for cid in ids}
         assert {"ito", "rcll", "mc_ito", "mc_st", "mc_p2", "mc_qv", "mc_sk"} <= kinds
 
     def test_rcll_check_runs_the_engine_once(self, tmp_path, capsys, monkeypatch):
-        import sys
-
-        import gaussito.stieltjes
-
-        calls = []
-        original = gaussito.stieltjes.integrate_ys
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        # rebind it wherever a gaussito module holds it
-        for name, module in list(sys.modules.items()):
-            if name.startswith("gaussito") and getattr(module, "integrate_ys", None) is original:
-                monkeypatch.setattr(module, "integrate_ys", counting)
+        calls = count_engine_runs(monkeypatch)
         scen = write_scenario(
             tmp_path, cm_elements=[[[1.0, 1.0]], [[0.7, 0.5], [0.4, 0.8]]], checks=["ito_stransform", "ito_rcll"]
         )
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"]["total"] == 4
-        # one engine run per (case, check): 2 cases x 2 checks
-        assert len(calls) == 4
+        # one engine run per case serves both checks: 2 cases
+        assert len(calls) == 2
+
+    def test_rcll_only_check_runs_the_engine_once_per_case(self, tmp_path, capsys, monkeypatch):
+        calls = count_engine_runs(monkeypatch)
+        elements = [[[1.0, 1.0]], [[0.7, 0.5], [0.4, 0.8]]]
+        scen = write_scenario(tmp_path, "rcll.json", cm_elements=elements, checks=["ito_rcll"])
+        assert main(["run", str(scen), "--out", str(tmp_path / "rcll")]) == 0
+        assert len(calls) == 2
+        both = write_scenario(tmp_path, "both.json", cm_elements=elements, checks=["ito_stransform", "ito_rcll"])
+        assert main(["run", str(both), "--out", str(tmp_path / "both")]) == 0
+        alone = json.loads((tmp_path / "rcll" / "report.json").read_text())["cases"]
+        shared = json.loads((tmp_path / "both" / "report.json").read_text())["cases"]
+        assert [c["case_id"] for c in alone] == ["rcll:jump_bm:x2:h0", "rcll:jump_bm:x2:h1"]
+        assert alone == [c for c in shared if c["case_id"].startswith("rcll:")]
+
+    def test_jump_sum_mutation_leaves_rcll_records_alone(self, tmp_path, capsys):
+        checks = ["ito_stransform", "ito_rcll"]
+        clean = write_scenario(tmp_path, "clean.json", checks=checks)
+        mutated = write_scenario(tmp_path, "mutated.json", checks=checks, mutations={"drop_jump_sum": True})
+        assert main(["run", str(clean), "--out", str(tmp_path / "clean")]) == 0
+        assert main(["run", str(mutated), "--out", str(tmp_path / "mutated")]) == 1
+        cases = {}
+        for name in ("clean", "mutated"):
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            cases[name] = {c["case_id"]: c for c in report["cases"]}
+        assert not cases["mutated"]["ito:jump_bm:x2:h0"]["pass"]
+        rcll = cases["mutated"]["rcll:jump_bm:x2:h0"]
+        assert rcll == cases["clean"]["rcll:jump_bm:x2:h0"]
+        assert rcll["pass"] and "agreement_delta" in rcll["terms"]
+
+    def test_shared_plan_item_timings(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, checks=["ito_stransform", "ito_rcll"])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--timings"]) == 0
+        ito, rcll = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert ito["runtime_ms"] == rcll["runtime_ms"] >= 0.0
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "from-env"))

@@ -152,7 +152,7 @@ class TestRcllResidual:
         for fname in ("x2", "sin"):
             case = make_case(jump_bm, fname, [(0.7, 0.5), (0.3, 1.0)])
             general = ito_stransform_residual(case)
-            reduced = ito_rcll_residual(case)
+            reduced = ito_rcll_residual(ito_stransform_residual(case))
             assert reduced.agreement_delta == abs(general.residual - reduced.residual)
             assert abs(general.residual - reduced.residual) < 1e-10
             assert abs(reduced.residual) < 1e-9
@@ -161,24 +161,24 @@ class TestRcllResidual:
         # dropping the left-limit/jump correlation term shifts the residual by
         # psi_{F''} * E[X_{s-} dX] = 2 * 0.5 = 1 for F = x^2, h = X_T
         case = make_case(coupled, "x2", [(1.0, 1.0)])
-        clean = ito_rcll_residual(case)
-        mutated = ito_rcll_residual(case, drop={"drop_xleft_correction"})
+        clean = ito_rcll_residual(ito_stransform_residual(case))
+        mutated = ito_rcll_residual(ito_stransform_residual(case), drop={"drop_xleft_correction"})
         assert abs(clean.residual) < 1e-10
         assert mutated.residual - clean.residual == pytest.approx(1.0, abs=1e-8)
 
     def test_martingale_correction_is_free(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        clean = ito_rcll_residual(case)
-        mutated = ito_rcll_residual(case, drop={"drop_xleft_correction"})
+        clean = ito_rcll_residual(ito_stransform_residual(case))
+        mutated = ito_rcll_residual(ito_stransform_residual(case), drop={"drop_xleft_correction"})
         assert mutated.residual == pytest.approx(clean.residual, abs=1e-14)
 
     def test_rejects_general_kind(self, evanescent):
         with pytest.raises(UnsupportedModelError):
-            ito_rcll_residual(make_case(evanescent, "x2", [(1.0, 0.3)]))
+            ito_rcll_residual(ito_stransform_residual(make_case(evanescent, "x2", [(1.0, 0.3)])))
 
     def test_brownian_degenerates_to_continuous_form(self, brownian):
         case = make_case(brownian, "sin", [(1.0, 1.0)])
-        res = ito_rcll_residual(case)
+        res = ito_rcll_residual(ito_stransform_residual(case))
         assert res.left_jump_sum == 0.0
         assert abs(res.residual) < 1e-9
 
