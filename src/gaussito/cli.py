@@ -9,6 +9,8 @@ explicitly requested.
 
 Exit codes: 0 all cases pass, 1 at least one case failed, 2 configuration
 error (schema violation, unknown ids, growth-bound violation, I/O problems).
+The JSON report is strict JSON: a non-finite number is written as null,
+and the case that produced it fails.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -39,7 +42,6 @@ from .gaussproc import (
 from .heatkernel import GrowthBound, GrowthBoundError, TEST_FUNCTION_IDS, test_function
 from .itoverify import (
     ItoCase,
-    McReport,
     Observable,
     SimpleWickIntegrand,
     auto_cm_battery,
@@ -291,6 +293,7 @@ def _plan_cases(scenario, seed):
     tol.update(scenario.get("tolerances", {}))
     mc_cfg = {"n_paths": 20000, "grid_depth": 10}
     mc_cfg.update(scenario.get("mc", {}))
+    n_paths = int(mc_cfg["n_paths"])
     base_seed = effective_seed(scenario, seed)
     checks = scenario.get("checks", ["ito_stransform"])
     mutations = scenario.get("mutations", {})
@@ -347,7 +350,7 @@ def _plan_cases(scenario, seed):
                 depth = int(mc_cfg["grid_depth"])
                 depths = (depth - 2, depth - 1, depth)
                 grids = [Partition.uniform(0.0, spec.horizon, 2**d) for d in depths]
-                reports = martingale_ito_mc(case, grids, int(mc_cfg["n_paths"]), base_seed + 1000 + k)
+                reports = martingale_ito_mc(case, grids, n_paths, base_seed + 1000 + k)
                 rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
                 vals = list(rels.values())
                 # below roundoff scale the identity holds exactly per path and
@@ -358,9 +361,6 @@ def _plan_cases(scenario, seed):
 
             plans.append(([cid], thunk))
 
-    def z_record(cid, report):
-        return _mc_record(cid, report, report.within(tol["z_max"]), tol["z_max"])
-
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the
         # combined weight lognormal mild so the sample mean is trustworthy
@@ -369,24 +369,21 @@ def _plan_cases(scenario, seed):
         s = math.sqrt(target / h.norm_sq)
         return cm_element(spec, [(s * a, t) for a, t in h.coeffs], label=f"{h.label}s")
 
+    # z-gated pairing checks: (case id, zero-argument estimator returning an McReport)
+    pairings = []
     if "s_transform_mc" in checks:
         obs_list = []
         g_mild = scaled_to(battery[0], 0.5)
         for h in battery[:3]:
             obs_list.append((h, Observable(kind="process", t=0.6 * spec.horizon, label="X_t")))
             obs_list.append((scaled_to(h, 1.0), Observable(kind="wick_exp", g=g_mild, label="wick_exp")))
-        if tfs:
-            obs_list.append((battery[0], Observable(kind="f", t=0.7 * spec.horizon, label="f")))
+        obs_list.append((battery[0], Observable(kind="f", t=0.7 * spec.horizon, label="f")))
         if spec.records and float(spec.records[0].e_dminus_sq) > 0:
             obs_list.append((battery[0], Observable(kind="jump_pairing", jump_index=0, coeff=0.8, label="jump_pairing")))
         for k, (h, obs) in enumerate(obs_list):
+            case = ItoCase(spec, tfs[0], h, ys_tol=tol["ys_tol"])
             cid = f"mc_st:{spec.name}:{k}:{obs.label}:{h.label}"
-
-            def thunk(h=h, obs=obs, cid=cid, k=k):
-                case = ItoCase(spec, tfs[0], h, ys_tol=tol["ys_tol"])
-                return [z_record(cid, mc_s_transform(case, obs, int(mc_cfg["n_paths"]), base_seed + 2000 + k))]
-
-            plans.append(([cid], thunk))
+            pairings.append((cid, partial(mc_s_transform, case, obs, n_paths, base_seed + 2000 + k)))
 
     if "hermite_p2" in checks:
         pairs = [(battery[0], battery[0])]
@@ -394,39 +391,42 @@ def _plan_cases(scenario, seed):
             pairs.append((battery[0], battery[1]))
         for k, (g, h) in enumerate(pairs):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
-
-            def thunk(g=g, h=h, cid=cid, k=k):
-                return [z_record(cid, hermite_p2_identity_mc(spec, g, h, int(mc_cfg["n_paths"]), base_seed + 3000 + k))]
-
-            plans.append(([cid], thunk))
+            pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k)))
 
     if "path_qv" in checks and spec.pathwise_qv_cont is not None:
-        cid = f"mc_qv:{spec.name}"
-
-        def thunk(cid=cid):
-            grid = Partition.uniform(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]))
-            rep = path_qv_mc(spec, grid, int(mc_cfg["n_paths"]), base_seed + 4000)
-            report = McReport(rep.mean_qv, rep.standard_error, rep.reference, rep.n_paths, base_seed + 4000)
-            return [z_record(cid, report)]
-
-        plans.append(([cid], thunk))
+        grid = Partition.uniform(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]))
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000)))
 
     if "simple_skorokhod" in checks:
-        cid = f"mc_sk:{spec.name}"
+        zero = cm_element(spec, [], label="one")
+        mild = scaled_to(battery[0], 0.5)
+        z = SimpleWickIntegrand(
+            times=(0.0, 0.5 * spec.horizon, spec.horizon),
+            open_coeffs=(mild, zero),
+            node_coeffs=(zero, zero, zero),
+        )
+        pairings.append((f"mc_sk:{spec.name}", partial(simple_skorokhod_mc, spec, z, mild, n_paths, base_seed + 5000)))
 
-        def thunk(cid=cid):
-            zero = cm_element(spec, [], label="one")
-            mild = scaled_to(battery[0], 0.5)
-            z = SimpleWickIntegrand(
-                times=(0.0, 0.5 * spec.horizon, spec.horizon),
-                open_coeffs=(mild, zero),
-                node_coeffs=(zero, zero, zero),
-            )
-            return [z_record(cid, simple_skorokhod_mc(spec, z, mild, int(mc_cfg["n_paths"]), base_seed + 5000))]
+    for cid, estimate in pairings:
+
+        def thunk(cid=cid, estimate=estimate):
+            report = estimate()
+            return [_mc_record(cid, report, report.within(tol["z_max"]), tol["z_max"])]
 
         plans.append(([cid], thunk))
 
     return plans
+
+
+def _strict_json(obj):
+    """``obj`` with every non-finite float replaced by None, so it serializes as strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_strict_json(v) for v in obj]
+    return obj
 
 
 def _write_reports(out_dir: Path, report: dict, timings: dict | None) -> tuple[Path, Path]:
@@ -436,7 +436,8 @@ def _write_reports(out_dir: Path, report: dict, timings: dict | None) -> tuple[P
         if timings is not None:
             for case in report["cases"]:
                 case["runtime_ms"] = timings.get(case["case_id"])
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(_strict_json(report), sort_keys=True, indent=2, allow_nan=False)
+        report_path.write_text(text + "\n", encoding="utf-8")
 
         csv_path = out_dir / "terms.csv"
         with csv_path.open("w", newline="", encoding="utf-8") as fh:

@@ -28,7 +28,7 @@ __all__ = [
     "CameronMartinElement",
     "CatalogError",
     "DiscontinuityRecord",
-    "PathQvReport",
+    "McReport",
     "ProcessSpec",
     "SimulationError",
     "SimulationResult",
@@ -37,6 +37,7 @@ __all__ = [
     "catalog_entries",
     "cm_element",
     "cm_inner",
+    "mc_estimate",
     "path_qv_mc",
     "planar_qv_sum",
     "planar_variation_sum",
@@ -107,7 +108,6 @@ class ProcessSpec:
     sampler: Callable = None
     pathwise_qv_cont: float | None = None
     params: dict = field(default_factory=dict)
-    description: str = ""
 
     def __post_init__(self):
         k = len(self.records)
@@ -300,11 +300,29 @@ class SimulationResult:
 
 
 @dataclass(frozen=True)
-class PathQvReport:
-    mean_qv: float
-    reference: float
+class McReport:
+    """One Monte Carlo check: sample mean and its standard error against the exact value."""
+
+    estimate: float
     standard_error: float
+    reference: float
     n_paths: int
+    seed: int
+    label: str = ""
+
+    @property
+    def z_score(self) -> float:
+        """(estimate - reference) / standard_error; 0 for a zero-spread sample."""
+        se = self.standard_error
+        return (self.estimate - self.reference) / se if se > 0 else 0.0
+
+    def within(self, z_max: float) -> bool:
+        """|estimate - reference| <= z_max * standard_error.
+
+        A zero-spread sample passes only when it hits its reference exactly;
+        NaN anywhere fails.
+        """
+        return abs(self.estimate - self.reference) <= z_max * self.standard_error
 
 
 def _chol_with_jitter(G: np.ndarray, scale: float) -> np.ndarray:
@@ -365,7 +383,20 @@ def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.
     return SimulationResult(times=pts, paths=paths, jump_draws=draws)
 
 
-def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> PathQvReport:
+def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "") -> McReport:
+    """Sample mean and standard error of ``sample(sim)`` against its closed form.
+
+    ``sample`` maps one ``simulate_paths`` draw of ``n_paths`` paths on
+    ``grid`` to one value per path; ``reference`` is the exact expectation.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    values = sample(simulate_paths(spec, grid, n_paths, seed))
+    se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+    return McReport(float(np.mean(values)), se, reference, n_paths, seed, label)
+
+
+def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
     """Monte Carlo mean of the pathwise quadratic sum against its expected limit.
 
     The reference is the continuous quadratic variation plus the summed
@@ -374,13 +405,13 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> PathQvReport
     """
     if spec.pathwise_qv_cont is None or spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
-    sim = simulate_paths(spec, grid, n_paths, seed)
-    d = np.diff(sim.paths, axis=1)
-    qv = np.sum(np.square(d, out=d), axis=1)
+
+    def sample(sim):
+        d = np.diff(sim.paths, axis=1)
+        return np.sum(np.square(d, out=d), axis=1)
+
     reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
-    mean = float(np.mean(qv)) if n_paths else float("nan")
-    se = float(np.std(qv, ddof=1) / math.sqrt(n_paths)) if n_paths >= 2 else float("nan")
-    return PathQvReport(mean_qv=mean, reference=reference, standard_error=se, n_paths=n_paths)
+    return mc_estimate(spec, grid, sample, reference, n_paths, seed, "path_qv")
 
 
 # -- catalog -------------------------------------------------------------------
@@ -404,7 +435,6 @@ def _brownian_spec(horizon: float = 1.0) -> ProcessSpec:
         sampler=sample,
         pathwise_qv_cont=T,
         params={"horizon": T},
-        description="standard Brownian motion; continuous baseline, no jump terms",
     )
 
 
@@ -431,7 +461,6 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
         variance=RegulatedFunction(lambda ts: np.asarray(ts, dtype=float) ** two_h, (), (0.0, T)),
         pathwise_qv_cont=T if H == 0.5 else None,
         params={"hurst": H, "horizon": T},
-        description="fractional Brownian motion; continuous paths, regularity carried by the covariance",
     )
 
 
@@ -508,7 +537,6 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
         sampler=sample,
         pathwise_qv_cont=T,
         params={"jumps": [[s, v] for s, v in pairs], "horizon": T},
-        description="Brownian motion plus independent Gaussian jumps at fixed times; discontinuous martingale",
     )
 
 
@@ -572,7 +600,6 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         sampler=sample,
         pathwise_qv_cont=T,
         params={"c": c, "s0": s0, "horizon": T},
-        description="Brownian motion with a jump proportional to its own level; the left limit correlates with the jump",
     )
 
 
@@ -642,10 +669,6 @@ def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
         section_knots=section_knots,
         pathwise_qv_cont=None,
         params={"s0": s0, "horizon": T},
-        description=(
-            "unit-variance rotation through fresh coordinates on dyadic windows before s0, zero after; "
-            "the weak left limit at s0 is 0 while the variance stays 1, with no mean-square jump"
-        ),
     )
 
 

@@ -22,7 +22,10 @@ be knocked out on purpose too.
 Monte Carlo side: pathwise checks in the martingale case, sample pairings
 against Wick exponentials with exact first-chaos norms, simple Wick-Stieltjes
 integrals with closed-form Wick products, and the degree-two Hermite inner
-product identity E[P2(g) P2(h)] = 2 E[gh]^2.
+product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing check hands a
+support grid, a per-path sample and its closed form to
+``gaussproc.mc_estimate``; only the martingale check keeps its own coupled,
+batched estimator.
 """
 
 from __future__ import annotations
@@ -34,16 +37,18 @@ import numpy as np
 
 from .gaussproc import (
     CameronMartinElement,
+    McReport,
     ProcessSpec,
     SimulationResult,
     UnsupportedModelError,
     cm_element,
     cm_inner,
+    mc_estimate,
     simulate_paths,
 )
 from .heatkernel import TestFunction, psi
-from .regulated import Partition
-from .stieltjes import IntegralResult, ScalarField, chain_rule
+from .regulated import Partition, RegulatedFunction
+from .stieltjes import ChainRuleTerms, ScalarField, chain_rule
 
 __all__ = [
     "ItoCase",
@@ -82,36 +87,6 @@ class ItoCase:
         self.test_function.check_growth(self.spec.lam)
 
 
-@dataclass(frozen=True)
-class McReport:
-    estimate: float
-    standard_error: float
-    reference: float
-    n_paths: int
-    seed: int
-    label: str = ""
-
-    @property
-    def z_score(self) -> float:
-        """(estimate - reference) / standard_error; 0 for a zero-spread sample."""
-        se = self.standard_error
-        return (self.estimate - self.reference) / se if se > 0 else 0.0
-
-    def within(self, z_max: float) -> bool:
-        """|estimate - reference| <= z_max * standard_error.
-
-        A zero-spread sample passes only when it hits its reference exactly;
-        NaN anywhere fails.
-        """
-        return abs(self.estimate - self.reference) <= z_max * self.standard_error
-
-
-def _mc_report(values: np.ndarray, reference: float, n_paths: int, seed: int, label: str) -> McReport:
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
-    return McReport(estimate=est, standard_error=se, reference=reference, n_paths=n_paths, seed=seed, label=label)
-
-
 # -- S-transform closed forms ---------------------------------------------------
 
 
@@ -133,23 +108,41 @@ class Observable:
     label: str = ""
 
 
+def _pairing(obs: Observable, case: ItoCase):
+    """(closed form, support times, per-path sample) of E[exp-wick(case.h) * observable].
+
+    The sample maps a simulation whose grid holds the support times and
+    case.h's times to one value per path; its mean estimates the closed form.
+    """
+    spec, tf, h, t = case.spec, case.test_function, case.h, obs.t
+
+    def weighted(observable):
+        return lambda sim: wick_exponential_paths(sim, h) * observable(sim)
+
+    if obs.kind == "process":
+        return _at(h.hbar, t, 0), (t,), weighted(lambda sim: _one_sided_paths(spec, sim, t, 0))
+    if obs.kind in ("f", "f1", "f2", "f_left", "f_right"):
+        side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
+        fn = {"f1": tf.f1, "f2": tf.f2}.get(obs.kind, tf.f)
+        closed = float(psi(fn, _at(spec.variance, t, side), _at(h.hbar, t, side)))
+        return closed, (t,), weighted(lambda sim: fn(_one_sided_paths(spec, sim, t, side)))
+    if obs.kind == "wick_exp":
+        closed = math.exp(cm_inner(spec, obs.g, h))
+        return closed, tuple(obs.g.times), weighted(lambda sim: wick_exponential_paths(sim, obs.g))
+    if obs.kind == "jump_pairing":
+        c, var = obs.coeff, spec.records[obs.jump_index].e_dminus_sq
+
+        def sample(sim):
+            j = sim.jump_draws[:, obs.jump_index]
+            return (np.exp(c * j - 0.5 * c**2 * var) - 1.0) * j
+
+        return c * var, (), sample
+    raise ValueError(f"unknown observable kind {obs.kind!r}")
+
+
 def s_transform(obs: Observable, case: ItoCase) -> float:
     """Deterministic pairing value of the observable against exp-wick of case.h."""
-    spec, tf, h = case.spec, case.test_function, case.h
-    if obs.kind == "process":
-        return float(h.hbar.values(obs.t))
-    if obs.kind in ("f", "f1", "f2"):
-        fn = {"f": tf.f, "f1": tf.f1, "f2": tf.f2}[obs.kind]
-        return float(psi(fn, spec.variance.values(obs.t), h.hbar.values(obs.t)))
-    if obs.kind == "f_left":
-        return float(psi(tf.f, spec.variance.left_values(obs.t), h.hbar.left_values(obs.t)))
-    if obs.kind == "f_right":
-        return float(psi(tf.f, spec.variance.right_values(obs.t), h.hbar.right_values(obs.t)))
-    if obs.kind == "wick_exp":
-        return math.exp(cm_inner(spec, obs.g, h))
-    if obs.kind == "jump_pairing":
-        return obs.coeff * spec.records[obs.jump_index].e_dminus_sq
-    raise ValueError(f"unknown observable kind {obs.kind!r}")
+    return _pairing(obs, case)[0]
 
 
 # -- deterministic residuals ----------------------------------------------------
@@ -163,43 +156,27 @@ _DROPPED_TERM = {
 
 
 @dataclass(frozen=True)
-class ItoResidual:
+class ItoResidual(ChainRuleTerms):
     """Term-by-term breakdown of one case; residual = lhs - (right-hand terms not dropped).
 
-    The two integrals are the engine's results, with their convergence flags
-    and error estimates.  ``agreement_delta`` is, for the right-continuous
-    form, the distance of its residual from the unmutated general residual of
-    the same case.
+    The two integrals (``int_u1`` in dhbar, ``int_u2`` the half-weighted dV
+    one) are the engine's results, with their convergence flags and error
+    estimates.  ``agreement_delta`` is, for the right-continuous form, the
+    distance of its residual from the unmutated general residual of the same
+    case.
     """
 
     case: ItoCase
-    lhs: float
-    int_dhbar: IntegralResult
-    int_dv_half: IntegralResult
-    left_jump_terms: tuple[tuple[float, float], ...]
-    right_jump_terms: tuple[tuple[float, float], ...]
     drop: frozenset = frozenset()
     agreement_delta: float = 0.0
 
     @property
     def integral_dhbar(self) -> float:
-        return self.int_dhbar.value
+        return self.int_u1.value
 
     @property
     def integral_dv_half(self) -> float:
-        return self.int_dv_half.value
-
-    @property
-    def converged(self) -> bool:
-        return self.int_dhbar.converged and self.int_dv_half.converged
-
-    @property
-    def left_jump_sum(self) -> float:
-        return math.fsum(v for _, v in self.left_jump_terms)
-
-    @property
-    def right_jump_sum(self) -> float:
-        return math.fsum(v for _, v in self.right_jump_terms)
+        return self.int_u2.value
 
     @property
     def residual(self) -> float:
@@ -245,15 +222,7 @@ def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
         name=f"psi_{tf.name}",
     )
     chain = chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol, max_refine=case.max_refine)
-    return ItoResidual(
-        case=case,
-        lhs=chain.lhs,
-        int_dhbar=chain.int_u1,
-        int_dv_half=chain.int_u2,
-        left_jump_terms=chain.left_jump_terms,
-        right_jump_terms=chain.right_jump_terms,
-        drop=drop,
-    )
+    return ItoResidual(**vars(chain), case=case, drop=drop)
 
 
 def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
@@ -300,8 +269,8 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
 
     res = replace(
         general,
-        int_dhbar=replace(general.int_dhbar, atoms=atoms),
-        int_dv_half=replace(general.int_dv_half, atoms=0.0),
+        int_u1=replace(general.int_u1, atoms=atoms),
+        int_u2=replace(general.int_u2, atoms=0.0),
         left_jump_terms=tuple(jump_terms),
         right_jump_terms=(),
         drop=drop,
@@ -319,20 +288,33 @@ def _column(times: np.ndarray, t: float) -> int:
     return idx
 
 
+def _first_chaos(sim: SimulationResult, h: CameronMartinElement) -> np.ndarray:
+    """h = sum_i a_i X_{t_i} per path."""
+    return sim.paths[:, [_column(sim.times, t) for t in h.times]] @ h.weights
+
+
 def wick_exponential_paths(sim: SimulationResult, h: CameronMartinElement) -> np.ndarray:
     """exp{h - E[h^2]/2} per path, with the exact first-chaos norm."""
     if len(h.coeffs) == 0:
         return np.ones(sim.paths.shape[0])
-    cols = [_column(sim.times, t) for t in h.times]
-    return np.exp(sim.paths[:, cols] @ h.weights - 0.5 * h.norm_sq)
+    return np.exp(_first_chaos(sim, h) - 0.5 * h.norm_sq)
 
 
-def _left_limit_paths(spec: ProcessSpec, sim: SimulationResult, t: float) -> np.ndarray:
+def _one_sided_paths(spec: ProcessSpec, sim: SimulationResult, t: float, side: int) -> np.ndarray:
+    """X_{t-}, X_t or X_{t+} per path for side -1, 0, +1."""
+    if side > 0 and any(rec.e_dplus_sq > 0 for rec in spec.records):
+        raise UnsupportedModelError("forward jump variables are not simulated")
     vals = sim.paths[:, _column(sim.times, t)]
-    for k, rec in enumerate(spec.records):
-        if rec.time == t:
-            return vals - sim.jump_draws[:, k]
+    if side < 0:
+        for k, rec in enumerate(spec.records):
+            if rec.time == t:
+                return vals - sim.jump_draws[:, k]
     return vals
+
+
+def _at(r: RegulatedFunction, t: float, side: int) -> float:
+    """r(t-), r(t) or r(t+) for side -1, 0, +1."""
+    return float((r.left_values, r.values, r.right_values)[side + 1](t))
 
 
 # rows per simulation batch: about 4 MB per float array on the finest grid
@@ -454,49 +436,13 @@ def martingale_ito_mc(case: ItoCase, grids, n_paths: int, seed: int) -> tuple[Mc
     return tuple(reports)
 
 
-def _needs_right_jump(spec: ProcessSpec) -> bool:
-    return any(rec.e_dplus_sq > 0 for rec in spec.records)
-
-
 def mc_s_transform(case: ItoCase, obs: Observable, n_paths: int, seed: int) -> McReport:
     """Monte Carlo pairing E[exp-wick(h) * observable] against the closed form."""
-    spec, h = case.spec, case.h
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    reference = s_transform(obs, case)
-
-    times = set(h.times) | set(spec.record_times())
-    if obs.kind in ("process", "f", "f1", "f2", "f_left", "f_right"):
-        times.add(obs.t)
-    if obs.g is not None:
-        times.update(obs.g.times)
+    spec = case.spec
+    reference, support, sample = _pairing(obs, case)
+    times = set(case.h.times) | set(spec.record_times()) | set(support)
     grid = np.array(sorted(times)) if times else np.array([spec.horizon])
-    sim = simulate_paths(spec, grid, n_paths, seed)
-
-    if obs.kind == "jump_pairing":
-        j = sim.jump_draws[:, obs.jump_index]
-        var = spec.records[obs.jump_index].e_dminus_sq
-        values = (np.exp(obs.coeff * j - 0.5 * obs.coeff**2 * var) - 1.0) * j
-        return _mc_report(values, reference, n_paths, seed, obs.label or "jump_pairing")
-
-    weight = wick_exponential_paths(sim, h)
-    tf = case.test_function
-    if obs.kind == "process":
-        xi = sim.paths[:, _column(grid, obs.t)]
-    elif obs.kind in ("f", "f1", "f2"):
-        fn = {"f": tf.f, "f1": tf.f1, "f2": tf.f2}[obs.kind]
-        xi = fn(sim.paths[:, _column(grid, obs.t)])
-    elif obs.kind == "f_left":
-        xi = tf.f(_left_limit_paths(spec, sim, obs.t))
-    elif obs.kind == "f_right":
-        if _needs_right_jump(spec):
-            raise UnsupportedModelError("forward jump variables are not simulated")
-        xi = tf.f(sim.paths[:, _column(grid, obs.t)])
-    elif obs.kind == "wick_exp":
-        xi = wick_exponential_paths(sim, obs.g)
-    else:
-        raise ValueError(f"unknown observable kind {obs.kind!r}")
-    return _mc_report(weight * xi, reference, n_paths, seed, obs.label or obs.kind)
+    return mc_estimate(spec, grid, sample, reference, n_paths, seed, obs.label or obs.kind)
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------
@@ -523,6 +469,20 @@ class SimpleWickIntegrand:
         if len(self.open_coeffs) != len(self.times) - 1 or len(self.node_coeffs) != len(self.times):
             raise ValueError("coefficient counts must match the time grid")
 
+    def increments(self) -> list[tuple[CameronMartinElement, tuple[float, int], tuple[float, int]]]:
+        """(coefficient, start, end) of each one-sided-limit increment, in time order.
+
+        ``start``/``end`` are (t, side) with side -1, 0, +1 for X_{t-}, X_t,
+        X_{t+}: the node jump X_{t_0+} - X_{t_0}, then per cell the open
+        increment X_{t_i-} - X_{t_{i-1}+} and the node jump X_{t_i+} - X_{t_i-}.
+        """
+        t = self.times
+        out = [(self.node_coeffs[0], (t[0], 0), (t[0], 1))]
+        for i in range(1, len(t)):
+            out.append((self.open_coeffs[i - 1], (t[i - 1], 1), (t[i], -1)))
+            out.append((self.node_coeffs[i], (t[i], -1), (t[i], 1)))
+        return out
+
 
 def _check_integrand_span(spec: ProcessSpec, z: SimpleWickIntegrand) -> None:
     if z.times[0] != 0.0 or z.times[-1] != spec.horizon:
@@ -532,41 +492,18 @@ def _check_integrand_span(spec: ProcessSpec, z: SimpleWickIntegrand) -> None:
 def skorokhod_s_transform(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMartinElement) -> float:
     """Deterministic pairing of the simple Wick-Stieltjes integral (exact sum)."""
     _check_integrand_span(spec, z)
-    hbar = h.hbar
-    terms = [math.exp(cm_inner(spec, z.node_coeffs[0], h)) * float(hbar.right_values(z.times[0]) - hbar.values(z.times[0]))]
-    for i in range(1, len(z.times)):
-        a, b = z.times[i - 1], z.times[i]
-        terms.append(math.exp(cm_inner(spec, z.open_coeffs[i - 1], h)) * float(hbar.left_values(b) - hbar.right_values(a)))
-        terms.append(math.exp(cm_inner(spec, z.node_coeffs[i], h)) * float(hbar.right_values(b) - hbar.left_values(b)))
-    return math.fsum(terms)
-
-
-def _one_sided_paths(spec: ProcessSpec, sim: SimulationResult, t: float, side: int) -> np.ndarray:
-    if side < 0:
-        return _left_limit_paths(spec, sim, t)
-    if _needs_right_jump(spec):
-        raise UnsupportedModelError("forward jump variables are not simulated")
-    return sim.paths[:, _column(sim.times, t)]
+    return math.fsum(
+        math.exp(cm_inner(spec, f, h)) * (_at(h.hbar, *end) - _at(h.hbar, *start)) for f, start, end in z.increments()
+    )
 
 
 def skorokhod_sample(spec: ProcessSpec, z: SimpleWickIntegrand, sim: SimulationResult) -> np.ndarray:
     """Per-path values of the simple Wick-Stieltjes integral via closed-form Wick products."""
     _check_integrand_span(spec, z)
     total = np.zeros(sim.paths.shape[0])
-    f0 = z.node_coeffs[0]
-    g0 = _one_sided_paths(spec, sim, z.times[0], +1) - sim.paths[:, _column(sim.times, z.times[0])]
-    e0 = float(f0.hbar.right_values(z.times[0]) - f0.hbar.values(z.times[0]))
-    total += wick_exponential_paths(sim, f0) * (g0 - e0)
-    for i in range(1, len(z.times)):
-        a, b = z.times[i - 1], z.times[i]
-        fo = z.open_coeffs[i - 1]
-        g_open = _one_sided_paths(spec, sim, b, -1) - _one_sided_paths(spec, sim, a, +1)
-        e_open = float(fo.hbar.left_values(b) - fo.hbar.right_values(a))
-        total += wick_exponential_paths(sim, fo) * (g_open - e_open)
-        fn = z.node_coeffs[i]
-        g_node = _one_sided_paths(spec, sim, b, +1) - _one_sided_paths(spec, sim, b, -1)
-        e_node = float(fn.hbar.right_values(b) - fn.hbar.left_values(b))
-        total += wick_exponential_paths(sim, fn) * (g_node - e_node)
+    for f, start, end in z.increments():
+        g = _one_sided_paths(spec, sim, *end) - _one_sided_paths(spec, sim, *start)
+        total += wick_exponential_paths(sim, f) * (g - (_at(f.hbar, *end) - _at(f.hbar, *start)))
     return total
 
 
@@ -578,16 +515,15 @@ def simple_skorokhod_mc(
     seed: int,
 ) -> McReport:
     """Monte Carlo pairing of the sampled integral against its exact transform."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
     times = set(z.times) | set(h.times) | set(spec.record_times())
     for c in z.open_coeffs + z.node_coeffs:
         times.update(c.times)
-    grid = np.array(sorted(times))
-    sim = simulate_paths(spec, grid, n_paths, seed)
-    values = wick_exponential_paths(sim, h) * skorokhod_sample(spec, z, sim)
+
+    def sample(sim):
+        return wick_exponential_paths(sim, h) * skorokhod_sample(spec, z, sim)
+
     reference = skorokhod_s_transform(spec, z, h)
-    return _mc_report(values, reference, n_paths, seed, "simple_skorokhod")
+    return mc_estimate(spec, np.array(sorted(times)), sample, reference, n_paths, seed, "simple_skorokhod")
 
 
 def hermite_p2_identity_mc(
@@ -598,17 +534,14 @@ def hermite_p2_identity_mc(
     seed: int,
 ) -> McReport:
     """Degree-two Hermite pairing E[(g^2 - E g^2)(h^2 - E h^2)] vs 2 E[gh]^2."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
     times = sorted(set(g.times) | set(h.times))
     if not times:
         raise ValueError("need at least one support time")
-    sim = simulate_paths(spec, np.array(times), n_paths, seed)
-    gv = sim.paths[:, [_column(sim.times, t) for t in g.times]] @ g.weights
-    hv = sim.paths[:, [_column(sim.times, t) for t in h.times]] @ h.weights
-    values = (gv**2 - g.norm_sq) * (hv**2 - h.norm_sq)
-    reference = 2.0 * cm_inner(spec, g, h) ** 2
-    return _mc_report(values, reference, n_paths, seed, "hermite_p2")
+
+    def sample(sim):
+        return (_first_chaos(sim, g) ** 2 - g.norm_sq) * (_first_chaos(sim, h) ** 2 - h.norm_sq)
+
+    return mc_estimate(spec, np.array(times), sample, 2.0 * cm_inner(spec, g, h) ** 2, n_paths, seed, "hermite_p2")
 
 
 # -- standard pairing battery -------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regulated import RegulatedFunction
+from .regulated import _WIDTH_FLOOR, RegulatedFunction
 
 __all__ = [
     "ChainRuleTerms",
@@ -48,7 +48,6 @@ __all__ = [
     "young_stieltjes_sum",
 ]
 
-_WIDTH_FLOOR = 64.0 * np.finfo(float).eps
 # at least this many cells in the initial partition, spread over the knot gaps
 _MIN_CELLS = 16
 

@@ -281,12 +281,12 @@ def test_criterion_7_planar_qv():
     exact = all(planar_qv_sum(brownian, Partition.uniform(0.0, 1.0, n)) == 1.0 / n for n in (2, 4, 8, 16))
     spec = catalog("jump_bm", jumps=[(0.5, 0.25)])
     rep = path_qv_mc(spec, Partition.uniform(0.0, 1.0, 256), 10000, seed=2718)
-    within = abs(rep.mean_qv - rep.reference) <= 4.0 * rep.standard_error
+    within = abs(rep.estimate - rep.reference) <= 4.0 * rep.standard_error
     ok = exact and rep.reference == 1.25 and within
     assert announce(
         "criterion-7 planar and pathwise quadratic variation",
         ok,
-        f"uniform sums exact: {exact}, path qv {rep.mean_qv:.4f} vs 1.25 (se {rep.standard_error:.4f})",
+        f"uniform sums exact: {exact}, path qv {rep.estimate:.4f} vs 1.25 (se {rep.standard_error:.4f})",
     )
     assert exact
     assert rep.reference == 1.25

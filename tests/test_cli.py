@@ -119,6 +119,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"test function {tf!r} overflows at {lam}" in err
 
+    def test_non_finite_values_write_strict_json(self, tmp_path, capsys):
+        # the growth check admits x2 at this horizon, but every term overflows
+        scen = write_scenario(tmp_path, model={"id": "brownian", "params": {"horizon": 1e210}}, cm_elements="auto")
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
+        assert report["summary"]["passed"] == 0
+        assert all(case["residual"] is None and not case["pass"] for case in report["cases"])
+        out = capsys.readouterr().out
+        assert "[FAIL] ito:brownian:x2:h0 residual=nan" in out
+
     def test_schema_violation_exit_2_with_paths(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 1, "name": "x", "model": {"id": "brownian"}, "oops": 1}))

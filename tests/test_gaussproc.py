@@ -305,12 +305,12 @@ class TestPathQv:
     def test_jump_bm_reference(self, jump_bm):
         rep = path_qv_mc(jump_bm, Partition.uniform(0, 1, 256), 10000, seed=21)
         assert rep.reference == pytest.approx(1.25)
-        assert abs(rep.mean_qv - rep.reference) < 4 * rep.standard_error
+        assert abs(rep.estimate - rep.reference) < 4 * rep.standard_error
 
-    def test_single_path_smoke(self, brownian):
-        rep = path_qv_mc(brownian, Partition((0.0, 1.0)), 1, seed=2)
-        assert rep.mean_qv >= 0.0
-        assert math.isnan(rep.standard_error)
+    def test_single_path_raises(self, brownian):
+        # like every other pairing check: one path has no standard error
+        with pytest.raises(ValueError):
+            path_qv_mc(brownian, Partition((0.0, 1.0)), 1, seed=2)
 
     def test_unsupported_for_evanescent(self, evanescent):
         with pytest.raises(UnsupportedModelError):

@@ -33,6 +33,7 @@ from gaussito.itoverify import (
 )
 from gaussito.itoverify import _merge_moments, _moments
 from gaussito.regulated import Jump, Partition, RegulatedFunction
+from gaussito.stieltjes import ChainRuleTerms
 
 
 def make_case(spec, fname, coeffs, **kw):
@@ -114,6 +115,14 @@ class TestGeneralResidual:
         case = make_case(brownian, "x2", [(1.0, 1.0)])
         mutated = ito_stransform_residual(case, drop={"drop_dv_integral"})
         assert mutated.residual == pytest.approx(1.0, abs=1e-9)
+
+    def test_unmutated_residual_is_the_engine_residual(self, jump_bm):
+        # the general result is the engine's terms plus case, drop and agreement_delta
+        res = ito_stransform_residual(make_case(jump_bm, "sin", [(0.7, 0.5), (0.4, 0.9)]))
+        assert isinstance(res, ChainRuleTerms)
+        assert res.residual == ChainRuleTerms.residual.fget(res)
+        mutated = replace(res, drop=frozenset({"drop_left_jump_sum"}))
+        assert mutated.residual != ChainRuleTerms.residual.fget(mutated)
 
     def test_unknown_mutation_rejected(self, brownian):
         with pytest.raises(ValueError):
@@ -391,6 +400,18 @@ class TestSimpleSkorokhod:
         rep = simple_skorokhod_mc(jump_bm, z, h, 100000, seed=10)
         assert abs(rep.z_score) < 4
 
+    def test_increments_walk_one_sided_limits_in_time_order(self, brownian):
+        one = cm_element(brownian, [], label="one")
+        f = cm_element(brownian, [(1.0, 0.5)], label="f")
+        z = SimpleWickIntegrand(times=(0.0, 0.5, 1.0), open_coeffs=(f, one), node_coeffs=(one, one, one))
+        assert [(c.label, start, end) for c, start, end in z.increments()] == [
+            ("one", (0.0, 0), (0.0, 1)),
+            ("f", (0.0, 1), (0.5, -1)),
+            ("one", (0.5, -1), (0.5, 1)),
+            ("one", (0.5, 1), (1.0, -1)),
+            ("one", (1.0, -1), (1.0, 1)),
+        ]
+
     def test_span_validation(self, brownian):
         one = cm_element(brownian, [], label="one")
         z = SimpleWickIntegrand(times=(0.0, 0.5), open_coeffs=(one,), node_coeffs=(one, one))
@@ -437,6 +458,19 @@ class TestDegenerateObservables:
         assert np.all(sim.paths[:, 0] != 0.0)
 
 
+def test_public_names_resolve():
+    import importlib
+
+    import gaussito
+
+    layers = ("regulated", "stieltjes", "heatkernel", "gaussproc", "itoverify", "cli")
+    for name in ["gaussito"] + [f"gaussito.{m}" for m in layers]:
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+    assert hasattr(gaussito, "__all__") and "McReport" in gaussito.__all__
+
+
 class TestMcReportInvariants:
     def test_standard_error_and_z(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
@@ -445,15 +479,19 @@ class TestMcReportInvariants:
         assert rep.z_score == pytest.approx((rep.estimate - rep.reference) / rep.standard_error)
         assert rep.n_paths == 1000 and rep.seed == 99
 
-    def test_zero_spread_sample_away_from_reference_fails(self):
-        from gaussito.itoverify import _mc_report
+    def test_zero_spread_sample_away_from_reference_fails(self, brownian):
+        from gaussito.gaussproc import mc_estimate
 
-        off = _mc_report(np.full(100, 1.0), reference=0.5, n_paths=100, seed=0, label="const")
+        def const(value):
+            return lambda sim: np.full(sim.paths.shape[0], value)
+
+        grid = np.array([1.0])
+        off = mc_estimate(brownian, grid, const(1.0), reference=0.5, n_paths=100, seed=0, label="const")
         assert off.standard_error == 0.0 and off.z_score == 0.0
         assert not off.within(4.0)
-        on = _mc_report(np.zeros(100), reference=0.0, n_paths=100, seed=0, label="const")
+        on = mc_estimate(brownian, grid, const(0.0), reference=0.0, n_paths=100, seed=0, label="const")
         assert on.within(4.0)
-        assert not _mc_report(np.full(100, np.nan), 0.0, 100, 0, "nan").within(4.0)
+        assert not mc_estimate(brownian, grid, const(np.nan), 0.0, 100, 0, "nan").within(4.0)
 
     def test_too_few_paths(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
