@@ -151,6 +151,7 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "drop_jump_sum": {"type": "boolean"},
+                "drop_dv_integral": {"type": "boolean"},
                 "drop_xleft_correction": {"type": "boolean"},
             },
         },
@@ -300,6 +301,8 @@ def _plan_cases(scenario, seed):
     drop = set()
     if mutations.get("drop_jump_sum"):
         drop |= {"drop_left_jump_sum", "drop_right_jump_sum"}
+    if mutations.get("drop_dv_integral"):
+        drop.add("drop_dv_integral")
     rcll_drop = {"drop_xleft_correction"} if mutations.get("drop_xleft_correction") else set()
 
     try:

@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _RECORD_TOL = 1e-10
+# rows per simulation batch: about 4 MB per float array on the finest grid
+_BATCH_ELEMENTS = 2**19
 
 
 class CatalogError(ValueError):
@@ -407,8 +409,10 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
 
     def sample(sim):
-        d = np.diff(sim.paths, axis=1)
-        return np.sum(np.square(d, out=d), axis=1)
+        # squared differences in row blocks, so no second paths-sized array
+        rows = max(1, _BATCH_ELEMENTS // sim.paths.shape[1])
+        blocks = (np.diff(sim.paths[i : i + rows], axis=1) for i in range(0, len(sim.paths), rows))
+        return np.concatenate([np.sum(np.square(d, out=d), axis=1) for d in blocks])
 
     reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
     return mc_estimate(spec, grid, sample, reference, n_paths, seed, "path_qv")
@@ -519,7 +523,8 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
         full = np.union1d(grid, s_arr)
         B = _brownian_increments(full, n_paths, rng)
         xi = rng.standard_normal((n_paths, len(pairs))) * np.sqrt(v_arr)
-        B += xi @ (full[None, :] >= s_arr[:, None])
+        for k, col in enumerate(np.searchsorted(full, s_arr)):
+            B[:, col:] += xi[:, k : k + 1]
         if len(full) == len(grid):
             return B, xi
         return B[:, np.searchsorted(full, grid)], xi

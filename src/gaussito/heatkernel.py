@@ -1,9 +1,10 @@
 """Gaussian smoothing of test functions and growth-certified registries.
 
-psi(t, x) = E[F(x + sqrt(t) Z)] for Z standard normal is the heat-semigroup
-action on F at scale t.  It is evaluated by Gauss-Hermite quadrature, exact
-to machine precision for polynomial F up to the node-count degree, with the
-short circuit psi(0, x) = F(x).  The companion identities
+psi_F(t, x) = E[F(x + sqrt(t) Z)] for Z standard normal is the heat-semigroup
+action on F at scale t.  Every registered F carries it, and those of F' and
+F'', in closed form, exact at every t >= 0: the finite heat series
+sum_j (t/2)^j / j! p^(2j)(x) for a polynomial p (coefficients computed once),
+exp(-t/2) sin(x) for sin and exp(x + t/2) for exp.  The companion identities
 
     d/dx psi_F = psi_{F'},      d/dt psi_F = (1/2) psi_{F''}
 
@@ -22,7 +23,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
+from numpy.polynomial.polynomial import polyder, polyval
 
 __all__ = [
     "GrowthBound",
@@ -39,30 +40,13 @@ class GrowthBoundError(ValueError):
     """Growth certificate incompatible with the process variance bound."""
 
 
-def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights rescaled for standard-normal expectations."""
-    z, w = np.polynomial.hermite.hermgauss(n)
-    return z * math.sqrt(2.0), w / math.sqrt(math.pi)
-
-
-_SHIFT, _WEIGHTS = _gauss_hermite(64)
-
-
-def psi(func: Callable, t, x):
-    """Gaussian smoothing E[func(x + sqrt(t) Z)] at scale t >= 0, broadcast over (t, x)."""
+def psi(tf: TestFunction, t, x, order: int = 0):
+    """psi_{F^(order)}(t, x) = E[F^(order)(x + sqrt(t) Z)] for tf's F, scale t >= 0, broadcast over (t, x)."""
     t_arr = np.asarray(t, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("smoothing scale t must be >= 0")
-    scalar = t_arr.ndim == 0 and x_arr.ndim == 0
-    t_arr, x_arr = np.broadcast_arrays(np.atleast_1d(t_arr), np.atleast_1d(x_arr))
-    args = x_arr[..., None] + np.sqrt(t_arr)[..., None] * _SHIFT
-    out = np.asarray(func(args), dtype=float) @ _WEIGHTS
-    zero = t_arr == 0.0
-    if np.any(zero):
-        exact = np.asarray(func(x_arr), dtype=float)
-        out = np.where(zero, np.broadcast_to(exact, out.shape), out)
-    return float(out[0]) if scalar else out
+    out = tf.smooth(t_arr, np.asarray(x, dtype=float), order)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -75,17 +59,15 @@ class GrowthBound:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """F with derivatives and a joint growth certificate for (F, F', F'')."""
+    """F with derivatives, their heat smoothing and a joint growth certificate for (F, F', F'')."""
 
     name: str
     f: Callable
     f1: Callable
     f2: Callable
+    smooth: Callable  # (t, x, order) -> psi_{F^(order)}(t, x) for order 0, 1, 2
     growth: GrowthBound
     kind: str  # "polynomial" | "transcendental"
-
-    def psi(self, t, x):
-        return psi(self.f, t, x)
 
     def check_growth(self, lam: float) -> None:
         limit = 0.25 / lam if lam > 0 else math.inf
@@ -105,10 +87,10 @@ def heat_identity_residual(tf: TestFunction, t: float, x: float, fd_step: float)
     """
     if not t > fd_step:
         raise ValueError("need t > fd_step for the central t-stencil")
-    dt_num = (tf.psi(t + fd_step, x) - tf.psi(t - fd_step, x)) / (2.0 * fd_step)
-    dt_res = abs(dt_num - 0.5 * psi(tf.f2, t, x))
-    dx_num = (tf.psi(t, x + fd_step) - tf.psi(t, x - fd_step)) / (2.0 * fd_step)
-    dx_res = abs(dx_num - psi(tf.f1, t, x))
+    dt_num = (psi(tf, t + fd_step, x) - psi(tf, t - fd_step, x)) / (2.0 * fd_step)
+    dt_res = abs(dt_num - 0.5 * psi(tf, t, x, 2))
+    dx_num = (psi(tf, t, x + fd_step) - psi(tf, t, x - fd_step)) / (2.0 * fd_step)
+    dx_res = abs(dx_num - psi(tf, t, x, 1))
     return dt_res, dx_res
 
 
@@ -123,25 +105,37 @@ def _poly_growth(coeffs: np.ndarray, a: float) -> float:
     return math.fsum(abs(c) * _monomial_envelope(k, a) for k, c in enumerate(coeffs) if c)
 
 
+def _heat_series(coef: np.ndarray) -> np.ndarray:
+    """c with psi_p(t, x) = sum_ij c[i, j] x^i t^j: column j holds p^(2j) / (2^j j!)."""
+    c = np.zeros((len(coef), (len(coef) + 1) // 2))
+    for j in range(c.shape[1]):
+        d = polyder(coef, 2 * j)
+        c[: len(d), j] = d / (2.0**j * math.factorial(j))
+    return c
+
+
+def _poly_smooth(series: tuple, t, x, order: int):
+    # Horner in x for every power of t, then Horner in t
+    return polyval(t, polyval(x, series[order]), tensor=False)
+
+
 def _poly_test_function(name: str, coeffs, lam: float) -> TestFunction:
-    c0 = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    c1 = c0.deriv()
-    c2 = c1.deriv()
+    coef = np.asarray(coeffs, dtype=float)
+    derivatives = (coef, polyder(coef), polyder(coef, 2))
     a = 0.125 / lam if lam > 0 else 1e-6
-    scale = max(_poly_growth(c0.coef, a), _poly_growth(c1.coef, a), _poly_growth(c2.coef, a))
-    # raw polyval on the coefficients: Polynomial.__call__ maps every
-    # argument array through the (identity) domain map first
+    scale = max(_poly_growth(d, a) for d in derivatives)
     return TestFunction(
-        name=name,
-        f=partial(polyval, c=c0.coef),
-        f1=partial(polyval, c=c1.coef),
-        f2=partial(polyval, c=c2.coef),
+        name,
+        *(partial(polyval, c=d) for d in derivatives),
+        smooth=partial(_poly_smooth, tuple(_heat_series(d) for d in derivatives)),
         growth=GrowthBound(scale=scale, rate=a),
         kind="polynomial",
     )
 
 
-TEST_FUNCTION_IDS = ("x", "x2", "x3", "sin", "exp")
+_POLYNOMIALS = {"x": [0.0, 1.0], "x2": [0.0, 0.0, 1.0], "x3": [0.0, 0.0, 0.0, 1.0]}
+TEST_FUNCTION_IDS = (*_POLYNOMIALS, "sin", "exp")
+_SIN_DERIVATIVES = (np.sin, np.cos, lambda x: -np.sin(x))
 
 
 def test_function(name: str, lam: float, poly_coeffs=None) -> TestFunction:
@@ -163,18 +157,13 @@ def _registered(name: str, lam: float, poly_coeffs) -> TestFunction:
         if poly_coeffs is None:
             raise ValueError("poly test function needs coefficients")
         return _poly_test_function("poly", poly_coeffs, lam)
-    if name == "x":
-        return _poly_test_function("x", [0.0, 1.0], lam)
-    if name == "x2":
-        return _poly_test_function("x2", [0.0, 0.0, 1.0], lam)
-    if name == "x3":
-        return _poly_test_function("x3", [0.0, 0.0, 0.0, 1.0], lam)
+    if name in _POLYNOMIALS:
+        return _poly_test_function(name, _POLYNOMIALS[name], lam)
     if name == "sin":
         return TestFunction(
-            name="sin",
-            f=np.sin,
-            f1=np.cos,
-            f2=lambda x: -np.sin(x),
+            "sin",
+            *_SIN_DERIVATIVES,
+            smooth=lambda t, x, order: np.exp(-0.5 * t) * _SIN_DERIVATIVES[order](x),
             growth=GrowthBound(scale=1.0, rate=0.0),
             kind="transcendental",
         )
@@ -186,6 +175,7 @@ def _registered(name: str, lam: float, poly_coeffs) -> TestFunction:
             f=np.exp,
             f1=np.exp,
             f2=np.exp,
+            smooth=lambda t, x, order: np.exp(x + 0.5 * t),
             growth=GrowthBound(scale=math.exp(0.25 / a), rate=a),
             kind="transcendental",
         )

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussproc import (
+    _BATCH_ELEMENTS,
     CameronMartinElement,
     McReport,
     ProcessSpec,
@@ -123,8 +124,9 @@ def _pairing(obs: Observable, case: ItoCase):
         return _at(h.hbar, t, 0), (t,), weighted(lambda sim: _one_sided_paths(spec, sim, t, 0))
     if obs.kind in ("f", "f1", "f2", "f_left", "f_right"):
         side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
-        fn = {"f1": tf.f1, "f2": tf.f2}.get(obs.kind, tf.f)
-        closed = float(psi(fn, _at(spec.variance, t, side), _at(h.hbar, t, side)))
+        order = {"f1": 1, "f2": 2}.get(obs.kind, 0)
+        fn = (tf.f, tf.f1, tf.f2)[order]
+        closed = psi(tf, _at(spec.variance, t, side), _at(h.hbar, t, side), order)
         return closed, (t,), weighted(lambda sim: fn(_one_sided_paths(spec, sim, t, side)))
     if obs.kind == "wick_exp":
         closed = math.exp(cm_inner(spec, obs.g, h))
@@ -216,9 +218,9 @@ def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
     drop = _check_mutations(drop)
     tf = case.test_function
     G = ScalarField(
-        value=lambda x1, x2: psi(tf.f, x2, x1),
-        d1=lambda x1, x2: psi(tf.f1, x2, x1),
-        d2=lambda x1, x2: 0.5 * psi(tf.f2, x2, x1),
+        value=lambda x1, x2: psi(tf, x2, x1),
+        d1=lambda x1, x2: psi(tf, x2, x1, 1),
+        d2=lambda x1, x2: 0.5 * psi(tf, x2, x1, 2),
         name=f"psi_{tf.name}",
     )
     chain = chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol, max_refine=case.max_refine)
@@ -252,7 +254,7 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
     atoms = 0.0
     if hbar.jump_times:
         jt = np.asarray(hbar.jump_times)
-        p1_left = psi(tf.f1, V.left_values(jt), hbar.left_values(jt))
+        p1_left = psi(tf, V.left_values(jt), hbar.left_values(jt), 1)
         atoms = math.fsum(p * hbar.delta_minus_at(s) for p, s in zip(p1_left, jt))
 
     jump_terms = []
@@ -262,9 +264,9 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
             continue
         vl, vv, _ = V.one_sided(s)
         hl, hh, _ = hbar.one_sided(s)
-        val = float(psi(tf.f, vv, hh)) - float(psi(tf.f, vl, hl)) - float(psi(tf.f1, vl, hl)) * hbar.delta_minus_at(s)
+        val = psi(tf, vv, hh) - psi(tf, vl, hl) - psi(tf, vl, hl, 1) * hbar.delta_minus_at(s)
         if "drop_xleft_correction" in drop:
-            val -= float(psi(tf.f2, vl, hl)) * rec.e_xleft_dminus
+            val -= psi(tf, vl, hl, 2) * rec.e_xleft_dminus
         jump_terms.append((s, val))
 
     res = replace(
@@ -315,10 +317,6 @@ def _one_sided_paths(spec: ProcessSpec, sim: SimulationResult, t: float, side: i
 def _at(r: RegulatedFunction, t: float, side: int) -> float:
     """r(t-), r(t) or r(t+) for side -1, 0, +1."""
     return float((r.left_values, r.values, r.right_values)[side + 1](t))
-
-
-# rows per simulation batch: about 4 MB per float array on the finest grid
-_BATCH_ELEMENTS = 2**19
 
 
 def _moments(values: np.ndarray) -> tuple[int, float, float]:

@@ -101,6 +101,29 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"]["failed"] >= 1
 
+    def test_dv_integral_mutation_fails_smoke(self, tmp_path, capsys):
+        smoke = json.loads(SMOKE.read_text())
+        scen = write_scenario(tmp_path, **{**smoke, "mutations": {"drop_dv_integral": True}})
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (case,) = report["cases"]
+        assert case["case_id"].startswith("ito:") and not case["pass"]
+        # the dropped term is the whole residual: (1/2) int psi_{F''} dV = 1
+        assert case["residual"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_large_horizon_smoothing_is_exact(self, tmp_path, capsys):
+        # psi(sin, 300, x) = e^{-150} sin(x): a fixed quadrature rule got it wrong by O(1)
+        scen = write_scenario(
+            tmp_path,
+            model={"id": "brownian", "params": {"horizon": 300.0}},
+            test_functions=["sin", "x3"],
+            cm_elements=[[[1.0, 300.0]], [[0.5, 150.0], [0.3, 300.0]]],
+            checks=["ito_stransform", "ito_rcll"],
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["summary"] == {"total": 8, "passed": 8, "failed": 0}
+
     def test_growth_violation_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, test_functions=[{"id": "exp", "a": 0.5}])
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2

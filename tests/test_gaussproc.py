@@ -249,11 +249,11 @@ class TestSimulation:
         if model == "brownian":
             paths, draws = brownian(grid), np.zeros((50, 0))
         elif model == "jump_bm":
-            s_arr, v_arr = np.array([0.5]), np.array([0.25])
-            full = np.union1d(grid, s_arr)
+            full = np.union1d(grid, [0.5])
             B = brownian(full)
-            draws = rng.standard_normal((50, 1)) * np.sqrt(v_arr)
-            paths = (B + draws @ (full[None, :] >= s_arr[:, None]))[:, np.searchsorted(full, grid)]
+            draws = rng.standard_normal((50, 1)) * np.sqrt(0.25)
+            # the columns before the jump are left as drawn, zeros keep their sign
+            paths = np.where(full >= 0.5, B + draws, B)[:, np.searchsorted(full, grid)]
         else:
             full = np.union1d(grid, [0.5])
             B = brownian(full)
@@ -264,6 +264,21 @@ class TestSimulation:
         for new, old in ((sim.paths, paths), (sim.jump_draws, draws)):
             assert np.array_equal(new, old)
             assert np.array_equal(np.signbit(new), np.signbit(old))
+
+    def test_two_jump_sampler_matches_summed_jumps(self):
+        # each jump is added in place on its own: the matrix form sums the
+        # jumps first, so the two differ by roundoff only
+        spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
+        grid = np.arange(11) / 10.0  # holds both jump times exactly
+        rng = np.random.default_rng(17)
+        inc_var = np.diff(np.concatenate([[0.0], grid]))
+        B = np.cumsum(rng.standard_normal((200, len(grid))) * np.sqrt(inc_var), axis=1)
+        draws = rng.standard_normal((200, 2)) * np.sqrt([0.2, 0.3])
+        paths = B + draws @ (grid[None, :] >= np.array([[0.3], [0.7]]))
+        sim = simulate_paths(spec, grid, 200, seed=17)
+        assert np.array_equal(sim.jump_draws, draws)
+        scale = np.abs(B) + np.sum(np.abs(draws), axis=1, keepdims=True)
+        assert np.all(np.abs(sim.paths - paths) <= 4 * np.finfo(float).eps * scale)
 
     def test_gram_sampler_matches_covariance(self, evanescent):
         grid = np.array([0.1, 0.3, 0.45, 0.7])

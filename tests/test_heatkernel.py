@@ -3,8 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from gaussito.heatkernel import GrowthBoundError, heat_identity_residual, psi
+from gaussito.heatkernel import TEST_FUNCTION_IDS, GrowthBoundError, heat_identity_residual, psi
 from gaussito.heatkernel import test_function as make_tf
+
+# degree 5, so the heat series of F reaches its (t/2)^2 / 2 term
+POLY5 = [0.5, -1.0, 0.25, 2.0, -0.3, 0.1]
+ALL_IDS = TEST_FUNCTION_IDS + ("poly",)
+
+
+def registered(name: str):
+    return make_tf(name, lam=1.0, poly_coeffs=POLY5 if name == "poly" else None)
+
+
+def monomial(k: int):
+    return make_tf("poly", lam=1.0, poly_coeffs=[0.0] * k + [1.0])
+
+
+def gauss_hermite_psi(func, t, x, n_nodes: int = 64):
+    """Independent oracle: E[func(x + sqrt(t) Z)] by n-node Gauss-Hermite quadrature.
+
+    Exact for polynomials of degree < 2 n_nodes; accurate to roundoff for
+    sin and exp at moderate t (it breaks down for exp near t = 100).
+    """
+    z, w = np.polynomial.hermite.hermgauss(n_nodes)
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    args = x[..., None] + np.sqrt(t)[..., None] * (z * math.sqrt(2.0))
+    return np.asarray(func(args), dtype=float) @ (w / math.sqrt(math.pi))
 
 
 def gaussian_moment_poly(k: int, t: float, x: float) -> float:
@@ -22,52 +46,71 @@ def gaussian_moment_poly(k: int, t: float, x: float) -> float:
 class TestPsi:
     def test_square_adds_scale(self):
         tf = make_tf("x2", lam=1.0)
-        assert tf.psi(0.5, 1.0) == pytest.approx(1.5, abs=1e-13)
+        assert psi(tf, 0.5, 1.0) == pytest.approx(1.5, abs=1e-13)
 
     def test_linear_invariant(self):
         tf = make_tf("x", lam=1.0)
         for t in (0.0, 0.3, 2.0):
-            assert tf.psi(t, 0.7) == pytest.approx(0.7, abs=1e-13)
+            assert psi(tf, t, 0.7) == pytest.approx(0.7, abs=1e-13)
 
     def test_exponential_mgf(self):
         tf = make_tf("exp", lam=1.0)
-        assert tf.psi(1.0, 0.0) == pytest.approx(math.exp(0.5), rel=1e-12)
+        assert psi(tf, 1.0, 0.0) == pytest.approx(math.exp(0.5), rel=1e-12)
 
     def test_zero_scale_short_circuits(self):
-        assert psi(np.sin, 0.0, 0.3) == math.sin(0.3)
+        # every closed form reduces to F^(k) itself at t = 0, no special case
+        for name in ALL_IDS:
+            tf = registered(name)
+            for k, fn in enumerate((tf.f, tf.f1, tf.f2)):
+                assert psi(tf, 0.0, 0.3, k) == float(fn(0.3))
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
-            psi(np.sin, -1e-9, 0.0)
+            psi(make_tf("sin", lam=1.0), -1e-9, 0.0)
 
     def test_broadcasting(self):
         t = np.array([0.0, 0.5, 1.0])
         x = np.array([1.0, 1.0, 1.0])
-        out = psi(lambda z: z**2, t, x)
+        out = psi(make_tf("x2", lam=1.0), t, x)
+        assert out.shape == (3,)
         assert np.allclose(out, x**2 + t, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
     def test_monomials_match_moment_oracle(self, k):
         for t in (0.0, 0.25, 1.7):
             for x in (-1.3, 0.0, 0.8):
-                got = psi(lambda z: z**k, t, x)
+                got = psi(monomial(k), t, x)
                 assert got == pytest.approx(gaussian_moment_poly(k, t, x), rel=1e-11, abs=1e-11)
 
     def test_linearity_in_function(self):
         t, x = 0.7, -0.4
-        combo = psi(lambda z: 2.0 * z**3 - 0.5 * np.sin(z), t, x)
-        parts = 2.0 * psi(lambda z: z**3, t, x) - 0.5 * psi(np.sin, t, x)
+        combo = gauss_hermite_psi(lambda z: 2.0 * z**3 - 0.5 * np.sin(z), t, x)
+        parts = 2.0 * psi(monomial(3), t, x) - 0.5 * psi(make_tf("sin", lam=1.0), t, x)
         assert combo == pytest.approx(parts, abs=1e-13)
 
     def test_monotone_preserved(self):
         xs = np.linspace(-2, 2, 41)
-        vals = psi(lambda z: z**3 + z, np.full_like(xs, 0.7), xs)
+        vals = psi(make_tf("poly", lam=1.0, poly_coeffs=[0.0, 1.0, 0.0, 1.0]), np.full_like(xs, 0.7), xs)
         assert np.all(np.diff(vals) > 0)
 
     def test_sin_closed_form(self):
         # E[sin(x + sqrt(t) Z)] = exp(-t/2) sin(x)
         for t, x in [(0.3, 0.5), (1.2, -0.9)]:
-            assert psi(np.sin, t, x) == pytest.approx(math.exp(-t / 2) * math.sin(x), abs=1e-13)
+            assert gauss_hermite_psi(np.sin, t, x) == pytest.approx(math.exp(-t / 2) * math.sin(x), abs=1e-13)
+            assert psi(make_tf("sin", lam=1.0), t, x) == pytest.approx(math.exp(-t / 2) * math.sin(x), abs=1e-13)
+
+    @pytest.mark.parametrize("name", ALL_IDS)
+    def test_closed_forms_match_gauss_hermite_oracle(self, name):
+        tf = registered(name)
+        t, x = np.meshgrid([0.0, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0], [-2.0, -0.7, 0.0, 0.4, 1.5])
+        for k, fn in enumerate((tf.f, tf.f1, tf.f2)):
+            assert psi(tf, t, x, k) == pytest.approx(gauss_hermite_psi(fn, t, x), rel=1e-12, abs=1e-12)
+
+    def test_exp_exact_at_large_scale(self):
+        # a 64-node rule returns about 0.023 e^150 here
+        tf = make_tf("exp", lam=300.0)
+        assert psi(tf, 300.0, 0.0) == pytest.approx(math.exp(150.0), rel=1e-14)
+        assert psi(make_tf("sin", lam=300.0), 300.0, 1.0) == pytest.approx(math.exp(-150.0) * math.sin(1.0), rel=1e-14)
 
 
 class TestHeatIdentity:
@@ -96,6 +139,13 @@ class TestHeatIdentity:
         for big, small in zip(res_big, res_small):
             if big > 1e-12:
                 assert big / small == pytest.approx(4.0, rel=0.25)
+
+    @pytest.mark.parametrize("name", ALL_IDS)
+    def test_every_registered_function(self, name):
+        for t, x in ((0.5, 0.3), (2.0, -1.1)):
+            dt_res, dx_res = heat_identity_residual(registered(name), t, x, 1e-4)
+            assert dt_res < 1e-7
+            assert dx_res < 1e-7
 
     def test_requires_interior_scale(self):
         tf = make_tf("x2", lam=1.0)

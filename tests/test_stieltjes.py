@@ -110,7 +110,7 @@ class TestIntegrateYS:
         hbar, V = cm_element(spec, [(0.8, 0.4)]).hbar, spec.variance
         tf = test_function("x2", spec.lam)
         res = integrate_ys(
-            lambda ts: psi(tf.f1, V.values(ts), hbar.values(ts)), hbar, tol=1e-11, extra_knots=V.pinned_points()
+            lambda ts: psi(tf, V.values(ts), hbar.values(ts), 1), hbar, tol=1e-11, extra_knots=V.pinned_points()
         )
         assert not res.converged
         assert res.error_estimate >= 1e-11
