@@ -243,6 +243,36 @@ class TestRun:
         ito, rcll = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
         assert ito["runtime_ms"] == rcll["runtime_ms"] >= 0.0
 
+    def test_martingale_records_share_one_plan_item(self, tmp_path, capsys):
+        mc = {"n_paths": 1000, "grid_depth": 9}
+        scen = write_scenario(tmp_path, test_functions=["x", "x2", "sin"], checks=["martingale_ito"], mc=mc)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--timings"]) == 0
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert [c["case_id"] for c in cases] == ["mc_ito:jump_bm:sin", "mc_ito:jump_bm:x", "mc_ito:jump_bm:x2"]
+        # one coupled draw for every test function, seeded as the first one's was
+        assert {c["runtime_ms"] for c in cases} == {cases[0]["runtime_ms"]}
+        assert {c["mc"]["seed"] for c in cases} == {20250809 + 1000}
+
+    def test_martingale_records_carry_no_z_score(self, tmp_path, capsys):
+        # the martingale verdict is the relative residual and its decay; a
+        # z-score against 0 would read as a failure
+        scen = write_scenario(
+            tmp_path, test_functions=["x2"], checks=["martingale_ito", "path_qv"], mc={"n_paths": 1000, "grid_depth": 9}
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        ito, qv = (c["mc"] for c in report["cases"])
+        assert ito["z_score"] is None
+        assert isinstance(qv["z_score"], float)
+        rows = (tmp_path / "out" / "terms.csv").read_text().splitlines()
+        assert not [r for r in rows if r.startswith("mc_ito:") and ",z_score," in r]
+        assert [r for r in rows if r.startswith("mc_qv:") and ",z_score," in r]
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines() if "mc_ito:jump_bm:x2" in ln]
+        assert f"rel={ito['estimate']:.6g} tol=0.05 " in line and "z=" not in line
+        (line,) = [ln for ln in out.splitlines() if "mc_qv:jump_bm" in ln]
+        assert f"z={qv['z_score']:.2f}" in line
+
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "from-env"))
         scen = write_scenario(tmp_path)

@@ -10,6 +10,7 @@ from gaussito.gaussproc import (
     DiscontinuityRecord,
     ProcessSpec,
     UnsupportedModelError,
+    catalog,
     cm_element,
     cm_inner,
     simulate_paths,
@@ -258,46 +259,51 @@ class TestForwardJump:
 
 class TestMartingaleItoMc:
     def test_square_discretization_error(self, jump_bm):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        (rep,) = martingale_ito_mc(case, [Partition.uniform(0, 1, 2**8)], 4000, seed=5)
+        tfs = [make_tf("x2", jump_bm.lam)]
+        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 2**8)], 4000, seed=5)
         assert 0.0 < rep.estimate < 0.1
 
     def test_linear_telescopes(self, jump_bm):
-        case = make_case(jump_bm, "x", [(1.0, 1.0)])
-        (rep,) = martingale_ito_mc(case, [Partition.uniform(0, 1, 2**8)], 2000, seed=5)
+        tfs = [make_tf("x", jump_bm.lam)]
+        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 2**8)], 2000, seed=5)
         assert rep.estimate < 1e-12
 
     def test_non_nested_grids_raise(self, jump_bm):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
+        tfs = [make_tf("x2", jump_bm.lam)]
         with pytest.raises(ValueError, match="nested"):
-            martingale_ito_mc(case, [Partition.uniform(0, 1, 16), Partition.uniform(0, 1, 24)], 100, seed=1)
+            martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 16), Partition.uniform(0, 1, 24)], 100, seed=1)
         with pytest.raises(ValueError, match="span"):
-            martingale_ito_mc(case, [Partition.uniform(0, 1, 16), Partition((0.0, 0.5))], 100, seed=1)
+            martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 16), Partition((0.0, 0.5))], 100, seed=1)
 
     def test_coarser_grids_leave_finest_level_unchanged(self, jump_bm):
-        case = make_case(jump_bm, "sin", [(1.0, 1.0)])
+        tfs = [make_tf("sin", jump_bm.lam)]
         grids = [Partition.uniform(0, 1, 2**d) for d in (6, 7, 8)]
         # 3000 paths on 257 points are two batches
-        (alone,) = martingale_ito_mc(case, grids[-1:], 3000, seed=9)
-        reports = martingale_ito_mc(case, grids, 3000, seed=9)
+        ((alone,),) = martingale_ito_mc(jump_bm, tfs, grids[-1:], 3000, seed=9)
+        (reports,) = martingale_ito_mc(jump_bm, tfs, grids, 3000, seed=9)
         assert reports[-1] == alone
         assert [r.label for r in reports] == [f"martingale_ito[jump_bm,sin,n={2**d}]" for d in (6, 7, 8)]
         assert reports[0].estimate > reports[1].estimate > reports[2].estimate
         # reports follow the order the grids are given in
-        assert martingale_ito_mc(case, grids[::-1], 3000, seed=9) == reports[::-1]
+        assert martingale_ito_mc(jump_bm, tfs, grids[::-1], 3000, seed=9)[0] == reports[::-1]
 
     def test_memory_bounded_by_batch(self, jump_bm):
-        case = make_case(jump_bm, "sin", [(1.0, 1.0)])
+        one = [make_tf("sin", jump_bm.lam)]
+        three = one + [make_tf("x2", jump_bm.lam), make_tf("exp", jump_bm.lam)]
         grids = [Partition.uniform(0, 1, 2**d) for d in (9, 10, 11)]
-        peaks = []
+        peaks = {}
         for n_paths in (2000, 8000):
-            tracemalloc.start()
-            try:
-                martingale_ito_mc(case, grids, n_paths, seed=3)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+            for tfs in (one, three):
+                tracemalloc.start()
+                try:
+                    martingale_ito_mc(jump_bm, tfs, grids, n_paths, seed=3)
+                    peaks[n_paths, len(tfs)] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[8000, 1] <= 1.1 * peaks[2000, 1]
+        # the test functions share the batch; each adds only its own evaluations
+        for n_paths in (2000, 8000):
+            assert peaks[n_paths, 3] <= 1.15 * peaks[n_paths, 1]
 
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
@@ -316,14 +322,47 @@ class TestMartingaleItoMc:
         assert m2 / (n - 1) == pytest.approx(np.var(values, ddof=1), rel=1e-9, abs=1e-9)
 
     def test_requires_martingale(self, coupled):
-        case = make_case(coupled, "x2", [(1.0, 1.0)])
         with pytest.raises(UnsupportedModelError):
-            martingale_ito_mc(case, [Partition.uniform(0, 1, 16)], 100, seed=1)
+            martingale_ito_mc(coupled, [make_tf("x2", coupled.lam)], [Partition.uniform(0, 1, 16)], 100, seed=1)
 
     def test_requires_paths(self, jump_bm):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         with pytest.raises(ValueError):
-            martingale_ito_mc(case, [Partition.uniform(0, 1, 16)], 0, seed=1)
+            martingale_ito_mc(jump_bm, [make_tf("x2", jump_bm.lam)], [Partition.uniform(0, 1, 16)], 0, seed=1)
+
+    def test_requires_admissible_test_functions(self, jump_bm):
+        from gaussito.heatkernel import GrowthBound, GrowthBoundError
+
+        grids = [Partition.uniform(0, 1, 16)]
+        with pytest.raises(ValueError, match="test function"):
+            martingale_ito_mc(jump_bm, [], grids, 100, seed=1)
+        tf = make_tf("exp", jump_bm.lam)
+        bad = replace(tf, growth=GrowthBound(scale=tf.growth.scale, rate=1.0))
+        with pytest.raises(GrowthBoundError):
+            martingale_ito_mc(jump_bm, [make_tf("x", jump_bm.lam), bad], grids, 100, seed=1)
+
+    def test_sharing_couples_only_the_draw(self, monkeypatch):
+        import gaussito.itoverify
+
+        spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
+        tfs = [make_tf(name, spec.lam) for name in ("x", "x2", "sin")]
+        grids = [Partition.uniform(0, 1, 2**d) for d in (6, 7, 8)]
+        calls = []
+        original = gaussito.itoverify.simulate_paths
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gaussito.itoverify, "simulate_paths", counting)
+        # 3000 paths on the 259 points of the finest joined grid are two batches
+        shared = martingale_ito_mc(spec, tfs, grids, 3000, seed=11)
+        assert len(calls) == 2
+        assert [[r.label for r in reps] for reps in shared] == [
+            # each grid is joined with the two discontinuity times
+            [f"martingale_ito[jump_bm,{tf.name},n={2**d + 2}]" for d in (6, 7, 8)] for tf in tfs
+        ]
+        for k, tf in enumerate(tfs):
+            assert shared[k] == martingale_ito_mc(spec, [tf], grids, 3000, seed=11)[0]
 
 
 class TestMcSTransform:
