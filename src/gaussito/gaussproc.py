@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "CatalogError",
     "DiscontinuityRecord",
     "McReport",
+    "PreparedSampler",
     "ProcessSpec",
     "SimulationError",
     "SimulationResult",
@@ -41,6 +43,8 @@ __all__ = [
     "path_qv_mc",
     "planar_qv_sum",
     "planar_variation_sum",
+    "prepare_sampler",
+    "simulate_batches",
     "simulate_paths",
 ]
 
@@ -92,7 +96,10 @@ class ProcessSpec:
     forward ones; left and right jump variables are uncorrelated in every
     model).  ``section_knots(t)``
     enumerates the kink locations of R(., t) so integration partitions can
-    pin them.
+    pin them.  ``sampler(grid)``, for models with an exact construction, does
+    the per-grid work once and returns ``draw(n_paths, rng)``, which makes one
+    ``(paths, jump_draws)`` batch on the grid; without it the Gram matrix is
+    factorized.
     """
 
     name: str
@@ -337,52 +344,108 @@ def _chol_with_jitter(G: np.ndarray, scale: float) -> np.ndarray:
     raise SimulationError("covariance factorization failed after jitter escalation")
 
 
-def _gram_sampler(spec: ProcessSpec):
-    def sample(grid: np.ndarray, n_paths: int, rng: np.random.Generator):
-        K = len(spec.records)
-        base = np.asarray(spec.cov(grid[:, None], grid[None, :]), dtype=float)
-        extend = K > 0 and np.any(spec.jump_gram_left)
-        if extend:
-            Jc = np.column_stack([spec.jump_cov_left(grid, k) for k in range(K)])
-            G = np.block([[base, Jc], [Jc.T, spec.jump_gram_left]])
-        else:
-            G = base
-        L = _chol_with_jitter(G, spec.lam)
+def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
+    K = len(spec.records)
+    base = np.asarray(spec.cov(grid[:, None], grid[None, :]), dtype=float)
+    extend = K > 0 and np.any(spec.jump_gram_left)
+    if extend:
+        Jc = np.column_stack([spec.jump_cov_left(grid, k) for k in range(K)])
+        G = np.block([[base, Jc], [Jc.T, spec.jump_gram_left]])
+    else:
+        G = base
+    L = _chol_with_jitter(G, spec.lam)
+    # a zero-variance coordinate is almost surely zero; do not let the
+    # factorization jitter leak into it
+    zero = np.diag(G) == 0.0
+
+    def draw(n_paths: int, rng: np.random.Generator):
         Y = rng.standard_normal((n_paths, G.shape[0])) @ L.T
-        # a zero-variance coordinate is almost surely zero; do not let the
-        # factorization jitter leak into it
-        Y[:, np.diag(G) == 0.0] = 0.0
+        Y[:, zero] = 0.0
         if extend:
             return Y[:, : len(grid)], Y[:, len(grid):]
         return Y, np.zeros((n_paths, K))
 
-    return sample
+    return draw
 
 
-def _brownian_increments(grid: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    inc_var = np.diff(np.concatenate([[0.0], grid]))
-    z = rng.standard_normal((n_paths, len(grid)))
-    z *= np.sqrt(inc_var)
+def _increment_sd(grid: np.ndarray) -> np.ndarray:
+    """Standard deviations of the Brownian increments ending at each grid time, from 0."""
+    return np.sqrt(np.diff(np.concatenate([[0.0], grid])))
+
+
+def _brownian_increments(sd: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((n_paths, len(sd)))
+    z *= sd
     return np.cumsum(z, axis=1, out=z)
+
+
+@dataclass(frozen=True)
+class PreparedSampler:
+    """A model's sampler on one grid, its per-grid work done: ``draw(n_paths, rng)`` makes one batch."""
+
+    spec: ProcessSpec
+    times: np.ndarray
+    draw: Callable
+
+
+def prepare_sampler(spec: ProcessSpec, grid) -> PreparedSampler:
+    """Do the per-grid work of ``simulate_paths`` once: the joined grid and
+    columns of an exact construction, or the factorized (possibly
+    jump-extended) Gram matrix, with an escalating diagonal jitter."""
+    pts = np.asarray(grid.points if isinstance(grid, Partition) else grid, dtype=float)
+    if np.any(np.diff(pts) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    prepare = spec.sampler if spec.sampler is not None else partial(_gram_sampler, spec)
+    return PreparedSampler(spec, pts, prepare(pts))
 
 
 def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.SeedSequence) -> SimulationResult:
     """Exact Gaussian draws of X on the grid; jump variables drawn jointly.
 
-    Deterministic given the seed (an integer or a ``SeedSequence``).  Models
-    with an independent-increment construction use it directly; the fallback
-    factorizes the (possibly jump-extended) Gram matrix with an escalating
-    diagonal jitter.
+    Deterministic given the seed (an integer or a ``SeedSequence``).  ``grid``
+    is a ``Partition``, an array of times, or a ``prepare_sampler`` result for
+    ``spec``, whose per-grid work is then reused.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")
-    pts = np.asarray(grid.points if isinstance(grid, Partition) else grid, dtype=float)
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    rng = np.random.default_rng(seed)
-    sampler = spec.sampler if spec.sampler is not None else _gram_sampler(spec)
-    paths, draws = sampler(pts, int(n_paths), rng)
-    return SimulationResult(times=pts, paths=paths, jump_draws=draws)
+    sampler = grid if isinstance(grid, PreparedSampler) else prepare_sampler(spec, grid)
+    if sampler.spec is not spec:
+        raise ValueError("prepared sampler belongs to another model")
+    paths, draws = sampler.draw(int(n_paths), np.random.default_rng(seed))
+    return SimulationResult(times=sampler.times, paths=paths, jump_draws=draws)
+
+
+def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int) -> Iterator[SimulationResult]:
+    """``n_paths`` draws on ``grid`` as ``simulate_paths`` batches of about 4 MB per array.
+
+    The sampler is prepared once; batch b is seeded from
+    ``SeedSequence(seed).spawn(n_batches)[b]``, so the draws depend only on
+    (spec, grid, n_paths, seed) and memory is bounded by the batch whatever
+    ``n_paths``.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    sampler = prepare_sampler(spec, grid)
+    rows = max(1, _BATCH_ELEMENTS // len(sampler.times))
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // rows))):
+        yield simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream)
+
+
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of a sample."""
+    mean = float(np.mean(values))
+    return len(values), mean, float(np.sum((values - mean) ** 2))
+
+
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) triples."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    if na == 0:
+        return b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
 def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "") -> McReport:
@@ -403,19 +466,19 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
 
     The reference is the continuous quadratic variation plus the summed
     mean-square jumps; only models whose paths have a deterministic continuous
-    quadratic variation support this check.
+    quadratic variation support this check.  The paths come from
+    ``simulate_batches``, and the moments of the per-path sums are merged
+    batch by batch, so memory is bounded by the batch.
     """
     if spec.pathwise_qv_cont is None or spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
-
-    def sample(sim):
-        # squared differences in row blocks, so no second paths-sized array
-        rows = max(1, _BATCH_ELEMENTS // sim.paths.shape[1])
-        blocks = (np.diff(sim.paths[i : i + rows], axis=1) for i in range(0, len(sim.paths), rows))
-        return np.concatenate([np.sum(np.square(d, out=d), axis=1) for d in blocks])
-
+    acc = (0, 0.0, 0.0)
+    for sim in simulate_batches(spec, grid, n_paths, seed):
+        d = np.diff(sim.paths, axis=1)
+        acc = _merge_moments(acc, _moments(np.sum(np.square(d, out=d), axis=1)))
+    _, mean, m2 = acc
     reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
-    return mc_estimate(spec, grid, sample, reference, n_paths, seed, "path_qv")
+    return McReport(mean, math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths), reference, n_paths, seed, "path_qv")
 
 
 # -- catalog -------------------------------------------------------------------
@@ -426,8 +489,9 @@ def _brownian_spec(horizon: float = 1.0) -> ProcessSpec:
     if T <= 0:
         raise CatalogError("horizon must be positive")
 
-    def sample(grid, n_paths, rng):
-        return _brownian_increments(grid, n_paths, rng), np.zeros((n_paths, 0))
+    def sampler(grid):
+        sd = _increment_sd(grid)
+        return lambda n_paths, rng: (_brownian_increments(sd, n_paths, rng), np.zeros((n_paths, 0)))
 
     return ProcessSpec(
         name="brownian",
@@ -436,7 +500,7 @@ def _brownian_spec(horizon: float = 1.0) -> ProcessSpec:
         lam=T,
         cov=lambda t, s: np.minimum(t, s),
         variance=RegulatedFunction(lambda ts: np.asarray(ts, dtype=float), (), (0.0, T)),
-        sampler=sample,
+        sampler=sampler,
         pathwise_qv_cont=T,
         params={"horizon": T},
     )
@@ -519,15 +583,19 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
     def jump_cov_left(ts, k):
         return v_arr[k] * (np.asarray(ts, dtype=float) >= s_arr[k])
 
-    def sample(grid, n_paths, rng):
+    def sampler(grid):
         full = np.union1d(grid, s_arr)
-        B = _brownian_increments(full, n_paths, rng)
-        xi = rng.standard_normal((n_paths, len(pairs))) * np.sqrt(v_arr)
-        for k, col in enumerate(np.searchsorted(full, s_arr)):
-            B[:, col:] += xi[:, k : k + 1]
-        if len(full) == len(grid):
-            return B, xi
-        return B[:, np.searchsorted(full, grid)], xi
+        sd, cols = _increment_sd(full), np.searchsorted(full, s_arr)
+        pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
+
+        def draw(n_paths, rng):
+            B = _brownian_increments(sd, n_paths, rng)
+            xi = rng.standard_normal((n_paths, len(pairs))) * np.sqrt(v_arr)
+            for k, col in enumerate(cols):
+                B[:, col:] += xi[:, k : k + 1]
+            return (B if pick is None else B[:, pick]), xi
+
+        return draw
 
     return ProcessSpec(
         name="jump_bm",
@@ -539,7 +607,7 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
         records=records,
         jump_cov_left=jump_cov_left,
         jump_gram_left=np.diag(v_arr),
-        sampler=sample,
+        sampler=sampler,
         pathwise_qv_cont=T,
         params={"jumps": [[s, v] for s, v in pairs], "horizon": T},
     )
@@ -581,15 +649,18 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         ts = np.asarray(ts, dtype=float)
         return c * np.minimum(ts, s0) + (c * c * s0) * (ts >= s0)
 
-    def sample(grid, n_paths, rng):
+    def sampler(grid):
         full = np.union1d(grid, [s0])
-        B = _brownian_increments(full, n_paths, rng)
-        i0 = int(np.searchsorted(full, s0))
-        draw = c * B[:, i0]
-        B += draw[:, None] * (full[None, :] >= s0)
-        if len(full) == len(grid):
-            return B, draw[:, None]
-        return B[:, np.searchsorted(full, grid)], draw[:, None]
+        sd, i0, after = _increment_sd(full), int(np.searchsorted(full, s0)), full[None, :] >= s0
+        pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
+
+        def draw(n_paths, rng):
+            B = _brownian_increments(sd, n_paths, rng)
+            jump = c * B[:, i0]
+            B += jump[:, None] * after
+            return (B if pick is None else B[:, pick]), jump[:, None]
+
+        return draw
 
     return ProcessSpec(
         name="coupled_jump_bm",
@@ -602,7 +673,7 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         jump_cov_left=jump_cov_left,
         jump_gram_left=np.array([[c * c * s0]]),
         section_knots=lambda t: (float(t), s0),
-        sampler=sample,
+        sampler=sampler,
         pathwise_qv_cont=T,
         params={"c": c, "s0": s0, "horizon": T},
     )

@@ -114,6 +114,16 @@ def _heat_series(coef: np.ndarray) -> np.ndarray:
     return c
 
 
+def _horner(c: np.ndarray, x):
+    """polyval(x, c) by in-place Horner: polyval's operations in its order, one array in all."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, c[-1])
+    for ci in c[-2::-1]:
+        out *= x
+        out += ci
+    return out[()]
+
+
 def _poly_smooth(series: tuple, t, x, order: int):
     # Horner in x for every power of t, then Horner in t
     return polyval(t, polyval(x, series[order]), tensor=False)
@@ -126,7 +136,7 @@ def _poly_test_function(name: str, coeffs, lam: float) -> TestFunction:
     scale = max(_poly_growth(d, a) for d in derivatives)
     return TestFunction(
         name,
-        *(partial(polyval, c=d) for d in derivatives),
+        *(partial(_horner, d) for d in derivatives),
         smooth=partial(_poly_smooth, tuple(_heat_series(d) for d in derivatives)),
         growth=GrowthBound(scale=scale, rate=a),
         kind="polynomial",

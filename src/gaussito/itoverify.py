@@ -24,8 +24,8 @@ against Wick exponentials with exact first-chaos norms, simple Wick-Stieltjes
 integrals with closed-form Wick products, and the degree-two Hermite inner
 product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing check hands a
 support grid, a per-path sample and its closed form to
-``gaussproc.mc_estimate``; only the martingale check keeps its own coupled,
-batched estimator.
+``gaussproc.mc_estimate``; only the martingale check keeps its own coupled
+estimator over ``gaussproc.simulate_batches``.
 """
 
 from __future__ import annotations
@@ -36,16 +36,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussproc import (
-    _BATCH_ELEMENTS,
     CameronMartinElement,
     McReport,
     ProcessSpec,
     SimulationResult,
     UnsupportedModelError,
+    _merge_moments,
+    _moments,
     cm_element,
     cm_inner,
     mc_estimate,
-    simulate_paths,
+    simulate_batches,
 )
 from .heatkernel import TestFunction, psi
 from .regulated import Partition, RegulatedFunction
@@ -319,23 +320,6 @@ def _at(r: RegulatedFunction, t: float, side: int) -> float:
     return float((r.left_values, r.values, r.right_values)[side + 1](t))
 
 
-def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations from the mean) of a sample."""
-    mean = float(np.mean(values))
-    return len(values), mean, float(np.sum((values - mean) ** 2))
-
-
-def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Chan-Golub-LeVeque merge of two (count, mean, M2) triples."""
-    na, mean_a, m2_a = a
-    nb, mean_b, m2_b = b
-    if na == 0:
-        return b
-    n = na + nb
-    delta = mean_b - mean_a
-    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
-
-
 def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dBs):
     """(increment, squared residual per level) of one test function on one batch."""
     f1, f2 = tf.f1(X[:, :-1]), tf.f2(X[:, :-1])
@@ -361,12 +345,11 @@ def martingale_ito_mc(
 
     Each grid is joined with the discontinuity times, and every joined grid
     must be a subset of the finest one (``ValueError`` otherwise).  Paths are
-    drawn only on the finest grid, in batches of about 4 MB per array, batch
-    b seeded from ``SeedSequence(seed).spawn(n_batches)[b]``; every coarser
-    grid reads its columns from the same draw, and every test function reads
-    the same batch.  The levels and the test functions are therefore coupled,
-    as in multilevel Monte Carlo, and memory is bounded by the batch whatever
-    ``n_paths``.  Only the evaluations of F, F' and F'' are made per test
+    drawn only on the finest grid, by ``gaussproc.simulate_batches``; every
+    coarser grid reads its columns from the same draw, and every test
+    function reads the same batch.  The levels and the test functions are
+    therefore coupled, as in multilevel Monte Carlo, and memory is bounded by
+    the batch whatever ``n_paths``.  Only the evaluations of F, F' and F'' are made per test
     function; the rest of a batch is made once.
 
     Per path and grid: forward Riemann sums of F'(X) against the Brownian
@@ -384,8 +367,6 @@ def martingale_ito_mc(
         raise ValueError("need at least one test function")
     for tf in tfs:
         tf.check_growth(spec.lam)
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
     records = np.asarray(spec.record_times(), dtype=float)
     levels = [
         np.union1d(np.asarray(g.points if isinstance(g, Partition) else g, dtype=float), records) for g in grids
@@ -410,12 +391,9 @@ def martingale_ito_mc(
         for pts in levels
     ]
 
-    rows = max(1, _BATCH_ELEMENTS // len(fine))
-    streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
     sum_inc2 = [0.0] * len(tfs)
     moments = [[(0, 0.0, 0.0)] * len(levels) for _ in tfs]  # of resid^2, per function and level
-    for b, stream in enumerate(streams):
-        sim = simulate_paths(spec, fine, min(rows, n_paths - b * rows), stream)
+    for sim in simulate_batches(spec, fine, n_paths, seed):
         X, xi = sim.paths, sim.jump_draws
         # what every test function shares: increments net of the jump draws,
         # and the values and left limits at the discontinuities

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from gaussito.gaussproc import (
     path_qv_mc,
     planar_qv_sum,
     planar_variation_sum,
+    prepare_sampler,
     simulate_paths,
 )
-from gaussito.gaussproc import _one_sided_cov_matrix
+from gaussito.gaussproc import _BATCH_ELEMENTS, _one_sided_cov_matrix
 from gaussito.regulated import Partition
 
 
@@ -300,6 +302,21 @@ class TestSimulation:
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / 60000) + 1e-9
         assert np.all(err < 4.5 * se)
 
+    @pytest.mark.parametrize("model", ["brownian", "fbm07", "jump_bm", "coupled", "evanescent"])
+    def test_prepared_sampler_draws_what_a_fresh_one_draws(self, model, request):
+        spec = request.getfixturevalue(model)
+        grid = np.array([0.1, 0.3, 0.5, 0.7, 1.0])
+        prepared = prepare_sampler(spec, grid)
+        for seed in (3, 4):
+            again, fresh = simulate_paths(spec, prepared, 40, seed), simulate_paths(spec, grid, 40, seed)
+            assert np.array_equal(again.times, fresh.times)
+            assert np.array_equal(again.paths, fresh.paths)
+            assert np.array_equal(again.jump_draws, fresh.jump_draws)
+
+    def test_prepared_sampler_belongs_to_its_model(self, brownian, jump_bm):
+        with pytest.raises(ValueError, match="another model"):
+            simulate_paths(jump_bm, prepare_sampler(brownian, np.array([0.5, 1.0])), 10, seed=1)
+
 
 class TestJitterLadder:
     def test_factorization_failure_raises(self):
@@ -330,3 +347,56 @@ class TestPathQv:
     def test_unsupported_for_evanescent(self, evanescent):
         with pytest.raises(UnsupportedModelError):
             path_qv_mc(evanescent, Partition.uniform(0, 1, 16), 100, seed=1)
+
+    @pytest.mark.parametrize("model", ["jump_bm", "fbm_h05"])
+    def test_memory_bounded_by_batch(self, model, jump_bm):
+        spec = jump_bm if model == "jump_bm" else catalog("fbm", hurst=0.5)
+        grid = Partition.uniform(0, 1, 2**10)
+        peaks = {}
+        for n_paths in (2000, 8000):
+            tracemalloc.start()
+            try:
+                path_qv_mc(spec, grid, n_paths, seed=5)
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8000] <= 1.1 * peaks[2000]
+
+    def test_gram_sampler_factorizes_once_per_call(self, monkeypatch):
+        import gaussito.gaussproc as gp
+
+        spec = catalog("fbm", hurst=0.5)
+        counts = {"chol": 0, "draws": 0}
+        chol, simulate = gp._chol_with_jitter, gp.simulate_paths
+
+        def counting_chol(*args, **kwargs):
+            counts["chol"] += 1
+            return chol(*args, **kwargs)
+
+        def counting_simulate(*args, **kwargs):
+            counts["draws"] += 1
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", counting_chol)
+        monkeypatch.setattr(gp, "simulate_paths", counting_simulate)
+        # 4000 paths on 1025 points are 8 batches of at most 511 rows
+        rep = path_qv_mc(spec, Partition.uniform(0, 1, 2**10), 4000, seed=9)
+        assert counts == {"chol": 1, "draws": 8}
+        assert abs(rep.z_score) < 4
+
+    def test_batched_moments_match_the_whole_sample(self, jump_bm):
+        grid = Partition.uniform(0, 1, 2**10)
+        n_paths, seed = 3000, 12
+        # the batches the estimator must read: rows per batch from the batch
+        # size, batch b seeded by the b-th spawned stream
+        rows = _BATCH_ELEMENTS // len(grid.points)
+        streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
+        sums = []
+        for b, stream in enumerate(streams):
+            paths = simulate_paths(jump_bm, grid, min(rows, n_paths - b * rows), stream).paths
+            sums.append(np.sum(np.diff(paths, axis=1) ** 2, axis=1))
+        sums = np.concatenate(sums)
+        assert len(streams) == 6 and len(sums) == n_paths
+        rep = path_qv_mc(jump_bm, grid, n_paths, seed)
+        assert rep.estimate == pytest.approx(np.mean(sums), rel=1e-12)
+        assert rep.standard_error == pytest.approx(np.std(sums, ddof=1) / math.sqrt(n_paths), rel=1e-12)

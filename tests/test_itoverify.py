@@ -15,6 +15,7 @@ from gaussito.gaussproc import (
     cm_inner,
     simulate_paths,
 )
+from gaussito.gaussproc import _merge_moments, _moments
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
     ItoCase,
@@ -32,7 +33,6 @@ from gaussito.itoverify import (
     skorokhod_sample,
     wick_exponential_paths,
 )
-from gaussito.itoverify import _merge_moments, _moments
 from gaussito.regulated import Jump, Partition, RegulatedFunction
 from gaussito.stieltjes import ChainRuleTerms
 
@@ -341,19 +341,20 @@ class TestMartingaleItoMc:
             martingale_ito_mc(jump_bm, [make_tf("x", jump_bm.lam), bad], grids, 100, seed=1)
 
     def test_sharing_couples_only_the_draw(self, monkeypatch):
-        import gaussito.itoverify
+        import gaussito.gaussproc
 
         spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
         tfs = [make_tf(name, spec.lam) for name in ("x", "x2", "sin")]
         grids = [Partition.uniform(0, 1, 2**d) for d in (6, 7, 8)]
         calls = []
-        original = gaussito.itoverify.simulate_paths
+        original = gaussito.gaussproc.simulate_paths
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(gaussito.itoverify, "simulate_paths", counting)
+        # the batch loop lives in gaussproc.simulate_batches
+        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
         # 3000 paths on the 259 points of the finest joined grid are two batches
         shared = martingale_ito_mc(spec, tfs, grids, 3000, seed=11)
         assert len(calls) == 2
