@@ -51,6 +51,8 @@ __all__ = [
 _RECORD_TOL = 1e-10
 # rows per simulation batch: about 4 MB per float array on the finest grid
 _BATCH_ELEMENTS = 2**19
+# largest Gram matrix the fallback sampler builds: one n x n float array
+_GRAM_BYTES = 2**30
 
 
 class CatalogError(ValueError):
@@ -335,34 +337,36 @@ class McReport:
 
 
 def _chol_with_jitter(G: np.ndarray, scale: float) -> np.ndarray:
+    # each rung adds its jitter to G's diagonal in place; the diagonal is restored after
+    diag = np.diag(G).copy()
     eps = 1e-12 * max(scale, 1.0)
     for _ in range(5):
+        np.fill_diagonal(G, diag + eps)
         try:
-            return np.linalg.cholesky(G + eps * np.eye(len(G)))
+            return np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             eps *= 10.0
+        finally:
+            np.fill_diagonal(G, diag)
     raise SimulationError("covariance factorization failed after jitter escalation")
 
 
 def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
-    K = len(spec.records)
-    base = np.asarray(spec.cov(grid[:, None], grid[None, :]), dtype=float)
-    extend = K > 0 and np.any(spec.jump_gram_left)
-    if extend:
-        Jc = np.column_stack([spec.jump_cov_left(grid, k) for k in range(K)])
-        G = np.block([[base, Jc], [Jc.T, spec.jump_gram_left]])
-    else:
-        G = base
-    L = _chol_with_jitter(G, spec.lam)
+    """Draws of X from its factorized Gram matrix; the left-jump variables are zero."""
+    n, K = len(grid), len(spec.records)
+    if np.any(spec.jump_gram_left):
+        raise UnsupportedModelError(f"{spec.name}: left-jump variables need the model's own sampler")
+    if n * n * 8 > _GRAM_BYTES:
+        raise UnsupportedModelError(f"{spec.name}: a {n}-point Gram matrix exceeds the Gram limit of {_GRAM_BYTES >> 30} GiB")
+    G = np.asarray(spec.cov(grid[:, None], grid[None, :]), dtype=float)
     # a zero-variance coordinate is almost surely zero; do not let the
     # factorization jitter leak into it
     zero = np.diag(G) == 0.0
+    L = _chol_with_jitter(G, spec.lam)
 
     def draw(n_paths: int, rng: np.random.Generator):
-        Y = rng.standard_normal((n_paths, G.shape[0])) @ L.T
+        Y = rng.standard_normal((n_paths, n)) @ L.T
         Y[:, zero] = 0.0
-        if extend:
-            return Y[:, : len(grid)], Y[:, len(grid):]
         return Y, np.zeros((n_paths, K))
 
     return draw
@@ -390,11 +394,11 @@ class PreparedSampler:
 
 def prepare_sampler(spec: ProcessSpec, grid) -> PreparedSampler:
     """Do the per-grid work of ``simulate_paths`` once: the joined grid and
-    columns of an exact construction, or the factorized (possibly
-    jump-extended) Gram matrix, with an escalating diagonal jitter."""
+    columns of an exact construction, or the factorized Gram matrix, with an
+    escalating diagonal jitter."""
     pts = np.asarray(grid.points if isinstance(grid, Partition) else grid, dtype=float)
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("grid must be strictly increasing")
+    if not pts.size or np.any(np.diff(pts) <= 0):
+        raise ValueError("grid must hold at least one time, strictly increasing")
     prepare = spec.sampler if spec.sampler is not None else partial(_gram_sampler, spec)
     return PreparedSampler(spec, pts, prepare(pts))
 
@@ -431,14 +435,14 @@ def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int) -> Iterat
         yield simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream)
 
 
-def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations from the mean) of a sample."""
-    mean = float(np.mean(values))
-    return len(values), mean, float(np.sum((values - mean) ** 2))
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, sum of squared deviations from the mean) of each row of a sample."""
+    mean = np.mean(values, axis=-1, keepdims=True)
+    return values.shape[-1], mean[..., 0], np.sum((values - mean) ** 2, axis=-1)
 
 
-def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Chan-Golub-LeVeque merge of two (count, mean, M2) triples."""
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """Chan-Golub-LeVeque merge of two (count, mean, M2) triples, row by row."""
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
     if na == 0:
@@ -451,14 +455,15 @@ def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]) -> 
 def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "") -> McReport:
     """Sample mean and standard error of ``sample(sim)`` against its closed form.
 
-    ``sample`` maps one ``simulate_paths`` draw of ``n_paths`` paths on
-    ``grid`` to one value per path; ``reference`` is the exact expectation.
+    ``sample`` maps one ``simulate_batches`` batch on ``grid`` to one value
+    per path; ``reference`` is the exact expectation.  The moments are merged
+    batch by batch, so memory is bounded by the batch whatever ``n_paths``.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    values = sample(simulate_paths(spec, grid, n_paths, seed))
-    se = float(np.std(values, ddof=1) / math.sqrt(n_paths))
-    return McReport(float(np.mean(values)), se, reference, n_paths, seed, label)
+    acc = (0, 0.0, 0.0)
+    for sim in simulate_batches(spec, grid, n_paths, seed):
+        acc = _merge_moments(acc, _moments(sample(sim)))
+    _, mean, m2 = acc
+    return McReport(float(mean), math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths), reference, n_paths, seed, label)
 
 
 def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
@@ -466,19 +471,17 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
 
     The reference is the continuous quadratic variation plus the summed
     mean-square jumps; only models whose paths have a deterministic continuous
-    quadratic variation support this check.  The paths come from
-    ``simulate_batches``, and the moments of the per-path sums are merged
-    batch by batch, so memory is bounded by the batch.
+    quadratic variation support this check.
     """
     if spec.pathwise_qv_cont is None or spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
-    acc = (0, 0.0, 0.0)
-    for sim in simulate_batches(spec, grid, n_paths, seed):
+
+    def quadratic_sum(sim):
         d = np.diff(sim.paths, axis=1)
-        acc = _merge_moments(acc, _moments(np.sum(np.square(d, out=d), axis=1)))
-    _, mean, m2 = acc
+        return np.sum(np.square(d, out=d), axis=1)
+
     reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
-    return McReport(mean, math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths), reference, n_paths, seed, "path_qv")
+    return mc_estimate(spec, grid, quadratic_sum, reference, n_paths, seed, "path_qv")
 
 
 # -- catalog -------------------------------------------------------------------

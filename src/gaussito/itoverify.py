@@ -321,7 +321,7 @@ def _at(r: RegulatedFunction, t: float, side: int) -> float:
 
 
 def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dBs):
-    """(increment, squared residual per level) of one test function on one batch."""
+    """Squared increment, then squared residual per level, of one test function on one batch."""
     f1, f2 = tf.f1(X[:, :-1]), tf.f2(X[:, :-1])
     f1_left = tf.f1(x_left)
     jump_ito = np.sum(f1_left * xi, axis=1)
@@ -335,7 +335,7 @@ def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dBs):
         ito = np.einsum("ij,ij->i", f1l, dB) + jump_ito
         quad = 0.5 * np.einsum("ij,j->i", f2l, dvc)
         resid2.append((increment - ito - quad - jump) ** 2)
-    return increment, resid2
+    return [increment**2, *resid2]
 
 
 def martingale_ito_mc(
@@ -391,8 +391,7 @@ def martingale_ito_mc(
         for pts in levels
     ]
 
-    sum_inc2 = [0.0] * len(tfs)
-    moments = [[(0, 0.0, 0.0)] * len(levels) for _ in tfs]  # of resid^2, per function and level
+    acc = (0, 0.0, 0.0)  # moments of every test function's rows, row by row
     for sim in simulate_batches(spec, fine, n_paths, seed):
         X, xi = sim.paths, sim.jump_draws
         # what every test function shares: increments net of the jump draws,
@@ -404,16 +403,15 @@ def martingale_ito_mc(
             dBs.append(dB)
         x_jump = X[:, jcols]
         x_left = x_jump - xi
-        for k, tf in enumerate(tfs):
-            increment, resid2 = _level_residuals(tf, X, xi, x_jump, x_left, plan, dBs)
-            sum_inc2[k] += float(np.sum(increment**2))
-            moments[k] = [_merge_moments(m, _moments(r2)) for m, r2 in zip(moments[k], resid2)]
+        rows = [row for tf in tfs for row in _level_residuals(tf, X, xi, x_jump, x_left, plan, dBs)]
+        acc = _merge_moments(acc, _moments(np.stack(rows)))
 
+    _, means, m2s = acc
     reports = []
-    for tf, inc2, fn_moments in zip(tfs, sum_inc2, moments):
-        scale = math.sqrt(inc2 / n_paths)
+    for tf, mean, m2 in zip(tfs, means.reshape(len(tfs), -1), m2s.reshape(len(tfs), -1)):
+        scale = math.sqrt(mean[0])
         per_grid = []
-        for pts, (_, mean_r2, m2_r2) in zip(levels, fn_moments):
+        for pts, mean_r2, m2_r2 in zip(levels, mean[1:], m2[1:]):
             rms = math.sqrt(mean_r2)
             se_r2 = math.sqrt(m2_r2 / (n_paths - 1)) / math.sqrt(n_paths)
             se_rel = se_r2 / (2.0 * rms) / max(scale, 1e-300) if rms > 0 else 0.0

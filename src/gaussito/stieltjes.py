@@ -309,11 +309,7 @@ def integrate_ls(
     """
     if not r.bounded_variation:
         raise UnsupportedIntegratorError("integrator base is not of bounded variation")
-    jt = np.asarray(r.jump_times)
-    atoms = 0.0
-    if len(jt):
-        uj = _as_vector_fn(u)(jt)
-        atoms = math.fsum(uj[k] * (r.delta_minus_at(s) + r.delta_plus_at(s)) for k, s in enumerate(jt))
+    atoms = _atom_sum(u, r)
     base = r.without_jumps()
     knots = _collect_knots(u, r, extra_knots) + list(r.jump_times)
     value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, knots)

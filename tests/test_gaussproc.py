@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from gaussito.gaussproc import (
     catalog_entries,
     cm_element,
     cm_inner,
+    mc_estimate,
     path_qv_mc,
     planar_qv_sum,
     planar_variation_sum,
     prepare_sampler,
+    simulate_batches,
     simulate_paths,
 )
-from gaussito.gaussproc import _BATCH_ELEMENTS, _one_sided_cov_matrix
+from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _one_sided_cov_matrix
 from gaussito.regulated import Partition
 
 
@@ -317,6 +320,47 @@ class TestSimulation:
         with pytest.raises(ValueError, match="another model"):
             simulate_paths(jump_bm, prepare_sampler(brownian, np.array([0.5, 1.0])), 10, seed=1)
 
+    def test_empty_grid_raises(self, brownian):
+        with pytest.raises(ValueError, match="at least one time"):
+            next(simulate_batches(brownian, np.array([]), 10, seed=1))
+        with pytest.raises(ValueError, match="at least one time"):
+            mc_estimate(brownian, np.array([]), lambda sim: sim.paths.sum(axis=1), 0.0, 10, seed=1)
+
+
+class TestGramSampler:
+    def test_left_jumps_need_an_exact_sampler(self, jump_bm):
+        # the Gram fallback draws no jump variables: it must not draw zero jumps
+        spec = replace(jump_bm, sampler=None)
+        with pytest.raises(UnsupportedModelError, match="sampler"):
+            simulate_paths(spec, np.array([0.25, 0.5, 1.0]), 10, seed=1)
+
+    def test_prepared_sampler_holds_one_matrix(self):
+        spec = catalog("fbm", hurst=0.5)
+        grid = Partition.uniform(0, 1, 2**10)
+        matrix = len(grid.points) ** 2 * 8
+        tracemalloc.start()
+        try:
+            prepared = prepare_sampler(spec, grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert prepared.spec is spec
+        # the Cholesky factor, not the Gram matrix beside it
+        assert held <= 1.1 * matrix
+
+    def test_gram_limit_raises_before_allocating(self):
+        spec = catalog("fbm", hurst=0.5)
+        grid = Partition.uniform(0, 1, 2**14)  # schema-valid; one Gram matrix is 2 GiB
+        assert len(grid.points) ** 2 * 8 > _GRAM_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedModelError, match="Gram limit"):
+                path_qv_mc(spec, grid, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestJitterLadder:
     def test_factorization_failure_raises(self):
@@ -331,6 +375,8 @@ class TestJitterLadder:
         G = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one
         L = _chol_with_jitter(G, scale=1.0)
         assert np.allclose(L @ L.T, G, atol=1e-7)
+        # the jitter went onto G's diagonal in place and came off again
+        assert np.array_equal(G, np.ones((2, 2)))
 
 
 class TestPathQv:
@@ -348,15 +394,22 @@ class TestPathQv:
         with pytest.raises(UnsupportedModelError):
             path_qv_mc(evanescent, Partition.uniform(0, 1, 16), 100, seed=1)
 
-    @pytest.mark.parametrize("model", ["jump_bm", "fbm_h05"])
+    @pytest.mark.parametrize("model", ["jump_bm", "fbm_h05", "pairing"])
     def test_memory_bounded_by_batch(self, model, jump_bm):
-        spec = jump_bm if model == "jump_bm" else catalog("fbm", hurst=0.5)
         grid = Partition.uniform(0, 1, 2**10)
+        fbm = catalog("fbm", hurst=0.5)
+        # a Wick-weighted pairing sample, as the z-gated checks hand to mc_estimate
+        pairing = lambda sim: np.exp(sim.paths[:, -1] - 0.5 * jump_bm.lam) * sim.paths[:, 512]
+        check = {
+            "jump_bm": lambda n_paths: path_qv_mc(jump_bm, grid, n_paths, seed=5),
+            "fbm_h05": lambda n_paths: path_qv_mc(fbm, grid, n_paths, seed=5),
+            "pairing": lambda n_paths: mc_estimate(jump_bm, grid, pairing, 0.5, n_paths, seed=5),
+        }[model]
         peaks = {}
         for n_paths in (2000, 8000):
             tracemalloc.start()
             try:
-                path_qv_mc(spec, grid, n_paths, seed=5)
+                check(n_paths)
                 peaks[n_paths] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -391,12 +444,18 @@ class TestPathQv:
         # size, batch b seeded by the b-th spawned stream
         rows = _BATCH_ELEMENTS // len(grid.points)
         streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
-        sums = []
+        # the quadratic sum, and a pairing-style sample through mc_estimate
+        product = lambda sim: sim.paths[:, -1] * sim.jump_draws[:, 0]
+        sums, products = [], []
         for b, stream in enumerate(streams):
-            paths = simulate_paths(jump_bm, grid, min(rows, n_paths - b * rows), stream).paths
-            sums.append(np.sum(np.diff(paths, axis=1) ** 2, axis=1))
-        sums = np.concatenate(sums)
-        assert len(streams) == 6 and len(sums) == n_paths
-        rep = path_qv_mc(jump_bm, grid, n_paths, seed)
-        assert rep.estimate == pytest.approx(np.mean(sums), rel=1e-12)
-        assert rep.standard_error == pytest.approx(np.std(sums, ddof=1) / math.sqrt(n_paths), rel=1e-12)
+            sim = simulate_paths(jump_bm, grid, min(rows, n_paths - b * rows), stream)
+            sums.append(np.sum(np.diff(sim.paths, axis=1) ** 2, axis=1))
+            products.append(product(sim))
+        assert len(streams) == 6
+        for rep, values in (
+            (path_qv_mc(jump_bm, grid, n_paths, seed), np.concatenate(sums)),
+            (mc_estimate(jump_bm, grid, product, 0.25, n_paths, seed), np.concatenate(products)),
+        ):
+            assert len(values) == n_paths
+            assert rep.estimate == pytest.approx(np.mean(values), rel=1e-12)
+            assert rep.standard_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(n_paths), rel=1e-12)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaussito.gaussproc import (
     DiscontinuityRecord,
@@ -306,20 +307,26 @@ class TestMartingaleItoMc:
             assert peaks[n_paths, 3] <= 1.15 * peaks[n_paths, 1]
 
     @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
+        hnp.arrays(
+            float,
+            st.one_of(st.tuples(st.integers(2, 60)), st.tuples(st.integers(1, 4), st.integers(2, 60))),
+            elements=st.floats(-1e3, 1e3),
+        ),
         st.lists(st.integers(1, 59), max_size=8),
     )
     @settings(max_examples=60, deadline=None)
     def test_moment_merge_matches_whole_sample(self, values, cuts):
-        values = np.array(values)
-        bounds = sorted({c for c in cuts if c < len(values)})
+        # a 1-D sample, or a (rows, paths) one merged row by row
+        n_values = values.shape[-1]
+        bounds = sorted({c for c in cuts if c < n_values})
         acc = (0, 0.0, 0.0)
-        for chunk in np.split(values, bounds):
+        for chunk in np.split(values, bounds, axis=-1):
             acc = _merge_moments(acc, _moments(chunk))
         n, mean, m2 = acc
-        assert n == len(values)
-        assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=1e-9)
-        assert m2 / (n - 1) == pytest.approx(np.var(values, ddof=1), rel=1e-9, abs=1e-9)
+        assert n == n_values
+        assert np.shape(mean) == np.shape(m2) == values.shape[:-1]
+        assert mean == pytest.approx(np.mean(values, axis=-1), rel=1e-12, abs=1e-9)
+        assert m2 / (n - 1) == pytest.approx(np.var(values, axis=-1, ddof=1), rel=1e-9, abs=1e-9)
 
     def test_requires_martingale(self, coupled):
         with pytest.raises(UnsupportedModelError):
