@@ -1,8 +1,8 @@
 """Numerical verification of a jump-aware stochastic calculus for centered
 Gaussian processes with fixed-time discontinuities.
 
-Layers: regulated functions and variation functionals (``regulated``),
-Stieltjes integration engines and the two-variable chain rule (``stieltjes``),
+Layers: regulated functions and time grids (``regulated``), the adaptive
+Stieltjes integrals and the two-variable chain rule (``stieltjes``),
 the Gaussian smoothing semigroup with growth-certified test functions
 (``heatkernel``), the closed-form process catalog with exact simulation
 (``gaussproc``), the deterministic and Monte Carlo verification engines
@@ -20,7 +20,6 @@ from .gaussproc import (
     cm_inner,
     path_qv_mc,
     planar_qv_sum,
-    planar_variation_sum,
     simulate_paths,
 )
 from .heatkernel import TestFunction, heat_identity_residual, psi, test_function
@@ -38,8 +37,8 @@ from .itoverify import (
     s_transform,
     simple_skorokhod_mc,
 )
-from .regulated import Jump, Partition, RegulatedFunction, p_variation, sigma2, w2star_criterion
-from .stieltjes import ScalarField, chain_rule, hk_riemann_sum, integrate_ls, integrate_ys, young_stieltjes_sum
+from .regulated import Jump, Partition, RegulatedFunction, sigma2
+from .stieltjes import ScalarField, chain_rule, integrate_ls, integrate_ys
 
 __all__ = [
     "CameronMartinElement",
@@ -61,23 +60,18 @@ __all__ = [
     "cm_inner",
     "heat_identity_residual",
     "hermite_p2_identity_mc",
-    "hk_riemann_sum",
     "integrate_ls",
     "integrate_ys",
     "ito_rcll_residual",
     "ito_stransform_residual",
     "martingale_ito_mc",
     "mc_s_transform",
-    "p_variation",
     "path_qv_mc",
     "planar_qv_sum",
-    "planar_variation_sum",
     "psi",
     "s_transform",
     "sigma2",
     "simple_skorokhod_mc",
     "simulate_paths",
     "test_function",
-    "w2star_criterion",
-    "young_stieltjes_sum",
 ]

@@ -421,6 +421,9 @@ def _plan_cases(scenario, seed):
 
         plans.append(([cid], thunk))
 
+    # checks a model cannot run are skipped; a scenario left with none verifies nothing
+    if not plans:
+        raise ConfigError(f"model {model['id']} runs none of the requested checks ({', '.join(checks)})")
     return plans
 
 

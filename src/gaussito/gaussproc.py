@@ -9,9 +9,9 @@ top of the catalog this module builds Cameron-Martin elements
 
     h = sum_i a_i X_{t_i},      hbar(t) = E[X_t h] = sum_i a_i R(t, t_i),
 
-covariance regularity diagnostics (planar quadratic variation and planar
-variation of R, with exact one-sided limits), and exact Gaussian path
-simulation with jointly drawn jump variables.
+the planar quadratic variation of R with exact one-sided limits (a covariance
+regularity diagnostic), and exact Gaussian path simulation with jointly drawn
+jump variables.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "mc_estimate",
     "path_qv_mc",
     "planar_qv_sum",
-    "planar_variation_sum",
     "prepare_sampler",
     "simulate_batches",
     "simulate_paths",
@@ -227,14 +226,6 @@ def planar_qv_sum(spec: ProcessSpec, pi: Partition) -> float:
     pp = _one_sided_cov_matrix(spec, tp, +1, tp, +1)
     incr = mm - mp - mp.T + pp
     return float(np.sum(incr**2))
-
-
-def planar_variation_sum(spec: ProcessSpec, pi: Partition) -> float:
-    """Double sum of absolute rectangle increments of the covariance."""
-    pts = np.asarray(pi.points, dtype=float)
-    M = np.asarray(spec.cov(pts[:, None], pts[None, :]), dtype=float)
-    rect = M[1:, 1:] + M[:-1, :-1] - M[1:, :-1] - M[:-1, 1:]
-    return float(np.sum(np.abs(rect)))
 
 
 # -- Cameron-Martin elements ---------------------------------------------------

@@ -50,7 +50,7 @@ from .gaussproc import (
 )
 from .heatkernel import TestFunction, psi
 from .regulated import Partition, RegulatedFunction
-from .stieltjes import ChainRuleTerms, ScalarField, chain_rule
+from .stieltjes import ChainRuleTerms, ScalarField, _atom_sum, chain_rule
 
 __all__ = [
     "ItoCase",
@@ -251,12 +251,8 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
         if rec.e_dplus_sq or rec.v_plus != rec.v_right or hbar.delta_plus_at(rec.time) or V.delta_plus_at(rec.time):
             raise UnsupportedModelError(f"{spec.name}: forward jump data present at t={rec.time}")
 
-    # no forward jumps and none at time 0, so only left atoms carry mass
-    atoms = 0.0
-    if hbar.jump_times:
-        jt = np.asarray(hbar.jump_times)
-        p1_left = psi(tf, V.left_values(jt), hbar.left_values(jt), 1)
-        atoms = math.fsum(p * hbar.delta_minus_at(s) for p, s in zip(p1_left, jt))
+    # no forward jumps, so only left atoms carry mass
+    atoms = _atom_sum(lambda ts: psi(tf, V.left_values(ts), hbar.left_values(ts), 1), hbar)
 
     jump_terms = []
     for rec in spec.records:

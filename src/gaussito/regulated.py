@@ -7,22 +7,19 @@ as a continuous base evaluator together with finitely many jumps
     u(s)  = u(s-) + d_minus(s),        u(s+) = u(s) + d_plus(s),
     u(0-) = u(0),                      u(T+) = u(T).
 
-On top of the representation this module provides the variation functionals:
-partition p-variation sums, the quadratic jump functional
+The quadratic jump functional is exact over the finite jump list:
 
-    sigma2(u) = sum_{s in (0,T]} d_minus(s)^2 + sum_{s in [0,T)} d_plus(s)^2,
+    sigma2(u) = sum_{s in (0,T]} d_minus(s)^2 + sum_{s in [0,T)} d_plus(s)^2.
 
-and a refinement driver that checks whether the quadratic sums along refining
-partitions settle at sigma2(u), i.e. whether the continuous part of the
-quadratic variation vanishes to a tolerance.
+Beside the representation, ``Partition`` holds the strictly increasing time
+grids of path simulation and of the covariance sums.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,13 +28,8 @@ __all__ = [
     "Jump",
     "Partition",
     "RegulatedFunction",
-    "W2StarResult",
-    "p_variation",
     "sigma2",
-    "w2star_criterion",
 ]
-
-_WIDTH_FLOOR = 64.0 * np.finfo(float).eps
 
 
 class DomainError(ValueError):
@@ -52,14 +44,10 @@ class Jump:
     delta_minus: float = 0.0
     delta_plus: float = 0.0
 
-    @property
-    def delta(self) -> float:
-        return self.delta_minus + self.delta_plus
-
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing grid of times; refinement = superset of points."""
+    """Strictly increasing grid of times."""
 
     points: tuple[float, ...]
 
@@ -75,27 +63,6 @@ class Partition:
         if n < 1:
             raise ValueError("need at least one subinterval")
         return cls(tuple(np.linspace(a, b, n + 1)))
-
-    @property
-    def a(self) -> float:
-        return self.points[0]
-
-    @property
-    def b(self) -> float:
-        return self.points[-1]
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(np.asarray(self.points))))
-
-    def refined_with(self, extra: Iterable[float]) -> "Partition":
-        pts = sorted(set(self.points) | {float(t) for t in extra})
-        return Partition(tuple(pts))
-
-    def bisected(self) -> "Partition":
-        arr = np.asarray(self.points)
-        mids = 0.5 * (arr[1:] + arr[:-1])
-        return self.refined_with(mids)
 
 
 def _as_float_array(ts) -> tuple[np.ndarray, bool]:
@@ -247,72 +214,9 @@ class RegulatedFunction:
         return tuple(sorted(set(self.jump_times) | set(self.breakpoints)))
 
 
-def p_variation(u: RegulatedFunction, p: float, pi: Partition) -> float:
-    """sum |u(t_j) - u(t_{j-1})|^p along the partition (no supremum taken)."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    vals = u.values(np.asarray(pi.points))
-    return math.fsum(abs(d) ** p for d in np.diff(vals))
-
-
 def sigma2(u: RegulatedFunction) -> float:
     """Exact quadratic jump functional over the finite jump list."""
     t0, t1 = u.domain
     left = math.fsum(j.delta_minus**2 for j in u.jumps if j.time > t0)
     right = math.fsum(j.delta_plus**2 for j in u.jumps if j.time < t1)
     return left + right
-
-
-@dataclass(frozen=True)
-class W2StarResult:
-    estimate: float
-    converged: bool
-    n_points: int
-
-
-def w2star_criterion(
-    u: RegulatedFunction,
-    initial: Partition,
-    tol: float,
-    max_refine: int,
-) -> W2StarResult:
-    """Refine partitions and test whether quadratic sums settle at sigma2(u).
-
-    Jump times are always pinned as partition points.  Each step bisects the
-    cell whose quadratic contribution is farthest from its refinement limit
-    (the limit of a cell [a, b] is d_plus(a)^2 + d_minus(b)^2).  Returns the
-    final quadratic-sum estimate and whether |estimate - sigma2(u)| < tol.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    target = sigma2(u)
-    pts = sorted(set(initial.points) | set(u.jump_times))
-    vals = [float(u.values(t)) for t in pts]
-
-    def cell(a, b, ua, ub):
-        contrib = (ub - ua) ** 2
-        share = u.delta_plus_at(a) ** 2 + u.delta_minus_at(b) ** 2
-        return (-abs(contrib - share), a, b, ua, ub, contrib)
-
-    heap = [cell(pts[i], pts[i + 1], vals[i], vals[i + 1]) for i in range(len(pts) - 1)]
-    heapq.heapify(heap)
-    total = math.fsum(c[5] for c in heap)
-
-    splits = 0
-    while abs(total - target) >= tol and splits < max_refine:
-        excess, a, b, ua, ub, contrib = heapq.heappop(heap)
-        if b - a <= _WIDTH_FLOOR * max(1.0, abs(b)):
-            heapq.heappush(heap, (0.0, a, b, ua, ub, contrib))
-            if excess == 0.0:
-                break  # nothing refinable is left
-            continue
-        m = 0.5 * (a + b)
-        um = float(u.values(m))
-        c1 = cell(a, m, ua, um)
-        c2 = cell(m, b, um, ub)
-        total += c1[5] + c2[5] - contrib
-        heapq.heappush(heap, c1)
-        heapq.heappush(heap, c2)
-        splits += 1
-
-    return W2StarResult(estimate=total, converged=abs(total - target) < tol, n_points=len(heap) + 1)

@@ -1,24 +1,18 @@
 """Stieltjes-type integration against regulated integrators.
 
-Three engines share one adaptive core:
+Two integrals share one adaptive core, ``_adaptive_continuous``, which
+refines the continuous part by bisection with a per-cell two-level
+Richardson estimate, while jump times and declared kinks stay pinned as
+partition points and the atoms are summed exactly:
 
-* ``hk_riemann_sum`` / ``young_stieltjes_sum`` evaluate single tagged sums.
-  Young-Stieltjes sums carry explicit one-sided jump terms,
-
-      S_YS = sum_i u(s_{i-1}) d+r(s_{i-1}) + u(y_i)(r(s_i-) - r(s_{i-1}+))
-                                           + u(s_i) d-r(s_i),
-
-  with strictly interior tags y_i.
-* ``integrate_ys`` drives Young-Stieltjes sums through adaptive bisection
-  (jump times and declared kinks always pinned) with a per-cell two-level
-  Richardson estimate.  Convergence in this refinement mode is the
-  computational stand-in for gauge-based integration.
+* ``integrate_ys`` is the Young-Stieltjes integral.  Its atoms are the
+  one-sided jump terms u(s) d-r(s) + u(s) d+r(s).  Convergence in this
+  refinement mode is the computational stand-in for gauge-based integration.
 * ``integrate_ls`` integrates against a bounded-variation integrator as a
-  measure: adaptive quadrature against the continuous base plus atom terms
-  u(s) * (r(s+) - r(s-)).
+  measure: the continuous base plus atom terms u(s) * (r(s+) - r(s-)).
 
 The chain rule for G(u1, u2) with u1 regulated (finite quadratic jump part)
-and u2 of bounded variation combines both engines with the left/right jump
+and u2 of bounded variation combines both integrals with the left/right jump
 correction sums; its residual should vanish to tolerance.  It is the one
 engine of the change-of-variables identity: the Gaussian Ito forms in
 ``itoverify`` are adapters over its terms.
@@ -32,55 +26,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regulated import _WIDTH_FLOOR, RegulatedFunction
+from .regulated import RegulatedFunction
 
 __all__ = [
     "ChainRuleTerms",
     "IntegralResult",
     "ScalarField",
-    "TaggedCell",
     "UnsupportedIntegratorError",
     "chain_rule",
-    "hk_riemann_sum",
     "integrate_ls",
     "integrate_ys",
-    "tagged_partition",
-    "young_stieltjes_sum",
 ]
 
 # at least this many cells in the initial partition, spread over the knot gaps
 _MIN_CELLS = 16
+# cells this narrow, relative to their position, are never split again
+_WIDTH_FLOOR = 64.0 * np.finfo(float).eps
 
 
 class UnsupportedIntegratorError(ValueError):
     """The integrator's base is not declared of bounded variation."""
-
-
-@dataclass(frozen=True)
-class TaggedCell:
-    left: float
-    right: float
-    tag: float
-
-    def __post_init__(self):
-        if not self.left < self.right:
-            raise ValueError("degenerate cell")
-        if not (self.left <= self.tag <= self.right):
-            raise ValueError("tag outside closed cell")
-
-
-def tagged_partition(points: Sequence[float], tags: str | Sequence[float] = "midpoint") -> tuple[TaggedCell, ...]:
-    """Build a tagged partition over consecutive points; tags "midpoint"/"left"/"right" or explicit."""
-    pts = [float(p) for p in points]
-    cells = []
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        if isinstance(tags, str):
-            y = {"midpoint": 0.5 * (a + b), "left": a, "right": b}[tags]
-        else:
-            y = float(tags[i])
-        cells.append(TaggedCell(a, b, y))
-    return tuple(cells)
 
 
 def _as_vector_fn(u) -> Callable[[np.ndarray], np.ndarray]:
@@ -91,33 +56,6 @@ def _as_vector_fn(u) -> Callable[[np.ndarray], np.ndarray]:
         return out
 
     return call
-
-
-def hk_riemann_sum(u, r, cells: Sequence[TaggedCell]) -> float:
-    """Riemann sum sum_i u(y_i) (r(s_i) - r(s_{i-1})) with closed-interval tags."""
-    rv = r.values if isinstance(r, RegulatedFunction) else r
-    return math.fsum(float(u(np.asarray(c.tag))) * (float(rv(c.right)) - float(rv(c.left))) for c in cells)
-
-
-def young_stieltjes_sum(u, r: RegulatedFunction, cells: Sequence[TaggedCell]) -> float:
-    """Young-Stieltjes sum with strictly interior tags and one-sided jump terms."""
-    t0, t1 = r.domain
-    if not cells or cells[0].left != t0 or cells[-1].right != t1:
-        raise ValueError("cells must cover the integrator's domain")
-    for c, nxt in zip(cells, cells[1:]):
-        if c.right != nxt.left:
-            raise ValueError("cells must be contiguous")
-    for c in cells:
-        if not (c.left < c.tag < c.right):
-            raise ValueError("Young tags must be strictly interior")
-    terms = []
-    for c in cells:
-        if c.left < t1:
-            terms.append(float(u(np.asarray(c.left))) * r.delta_plus_at(c.left))
-        terms.append(float(u(np.asarray(c.tag))) * (float(r.left_values(c.right)) - float(r.right_values(c.left))))
-        if c.right > t0:
-            terms.append(float(u(np.asarray(c.right))) * r.delta_minus_at(c.right))
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,21 @@ class TestRun:
         assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
 
     @pytest.mark.parametrize(
+        "model, checks",
+        [
+            ({"id": "fbm", "params": {"hurst": 0.7}}, ["martingale_ito", "path_qv"]),
+            ({"id": "evanescent", "params": {"s0": 0.5}}, ["ito_rcll"]),
+        ],
+        ids=lambda v: v["id"] if isinstance(v, dict) else "+".join(v),
+    )
+    def test_scenario_with_no_runnable_check_exit_2(self, model, checks, tmp_path, capsys):
+        scen = write_scenario(tmp_path, model=model, checks=checks)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert model["id"] in err and all(check in err for check in checks)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "model",
         [
             {"id": "brownian"},

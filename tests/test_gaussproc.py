@@ -16,7 +16,6 @@ from gaussito.gaussproc import (
     mc_estimate,
     path_qv_mc,
     planar_qv_sum,
-    planar_variation_sum,
     prepare_sampler,
     simulate_batches,
     simulate_paths,
@@ -176,22 +175,6 @@ class TestPlanarSums:
         spec = catalog("fbm", hurst=0.5)
         pi = Partition.uniform(0, 1, 8)
         assert planar_qv_sum(spec, pi) == pytest.approx(planar_qv_sum(brownian, pi), abs=1e-15)
-
-    def test_brownian_variation_telescopes(self, brownian):
-        for n in (1, 4, 16):
-            assert planar_variation_sum(brownian, Partition.uniform(0, 1, n)) == pytest.approx(1.0)
-
-    def test_fbm07_variation_golden(self, fbm07):
-        # frozen from an independent brute-force double loop over the
-        # covariance rectangle increments (all increments nonnegative for
-        # hurst > 1/2, so the sum telescopes to the terminal variance)
-        got = planar_variation_sum(fbm07, Partition.uniform(0, 1, 8))
-        assert got == pytest.approx(0.9999999999999998, abs=1e-12)
-
-    def test_single_cell_is_increment_variance(self, jump_bm):
-        pi = Partition((0.0, 1.0))
-        # Var(X_1 - X_0) = V(1) = 1.25
-        assert planar_variation_sum(jump_bm, pi) == pytest.approx(1.25)
 
     def test_one_sided_jump_increments(self, jump_bm):
         # E[X_{0.5-} X_1] = R(0.5, 1) - E[xi X_1] = 0.75 - 0.25

@@ -516,6 +516,18 @@ def test_public_names_resolve():
         missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
         assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     assert hasattr(gaussito, "__all__") and "McReport" in gaussito.__all__
+    # removed surface stays removed: no deleted name resolves from the package or its layer
+    removed = {
+        "regulated": ("p_variation", "W2StarResult", "w2star_criterion"),
+        "stieltjes": ("TaggedCell", "tagged_partition", "hk_riemann_sum", "young_stieltjes_sum"),
+        "gaussproc": ("planar_variation_sum",),
+    }
+    for layer, names in removed.items():
+        module = importlib.import_module(f"gaussito.{layer}")
+        resolved = [attr for attr in names if hasattr(gaussito, attr) or hasattr(module, attr)]
+        assert not resolved, f"removed names resolve again from gaussito.{layer}: {resolved}"
+    assert not [attr for attr in ("a", "b", "mesh", "refined_with", "bisected") if hasattr(Partition, attr)]
+    assert not hasattr(Jump, "delta")
 
 
 class TestMcReportInvariants:

@@ -9,11 +9,8 @@ from gaussito.stieltjes import (
     ScalarField,
     UnsupportedIntegratorError,
     chain_rule,
-    hk_riemann_sum,
     integrate_ls,
     integrate_ys,
-    tagged_partition,
-    young_stieltjes_sum,
 )
 
 
@@ -27,51 +24,6 @@ def heaviside(s=0.5, size=1.0):
 
 def const_one(ts):
     return np.ones_like(np.asarray(ts, dtype=float))
-
-
-class TestRiemannSum:
-    def test_constant_telescopes(self):
-        cells = tagged_partition(np.linspace(0, 1, 8), "midpoint")
-        assert hk_riemann_sum(const_one, identity(), cells) == pytest.approx(1.0)
-
-    def test_left_tags_two_cells(self):
-        cells = tagged_partition([0.0, 0.5, 1.0], "left")
-        # 0 * 0.5 + 0.5 * 0.5
-        assert hk_riemann_sum(lambda t: t, identity(), cells) == pytest.approx(0.25)
-
-    def test_heaviside_telescopes(self):
-        cells = tagged_partition([0.0, 0.25, 0.5, 0.75, 1.0], "right")
-        assert hk_riemann_sum(const_one, heaviside(), cells) == pytest.approx(1.0)
-
-
-class TestYoungStieltjesSum:
-    def test_jump_term_survives(self):
-        # only u(0.5) * d-r(0.5) = 0.5 remains
-        cells = tagged_partition([0.0, 0.5, 1.0], "midpoint")
-        assert young_stieltjes_sum(lambda t: t, heaviside(), cells) == pytest.approx(0.5)
-
-    def test_constant_telescopes(self):
-        r = identity(jumps=[Jump(0.3, 0.2, 0.1), Jump(0.8, -0.4, 0.0)])
-        cells = tagged_partition([0.0, 0.3, 0.55, 0.8, 1.0], "midpoint")
-        expected = float(r.values(1.0) - r.values(0.0))
-        assert young_stieltjes_sum(const_one, r, cells) == pytest.approx(expected)
-
-    def test_midpoint_tags_linear(self):
-        cells = tagged_partition([0.0, 0.5, 1.0], "midpoint")
-        # 0.25 * 0.5 + 0.75 * 0.5 = 0.5
-        assert young_stieltjes_sum(lambda t: t, identity(), cells) == pytest.approx(0.5)
-
-    def test_interior_tags_enforced(self):
-        cells = tagged_partition([0.0, 0.5, 1.0], "left")
-        with pytest.raises(ValueError):
-            young_stieltjes_sum(lambda t: t, identity(), cells)
-
-    def test_coverage_enforced(self):
-        with pytest.raises(ValueError):
-            young_stieltjes_sum(lambda t: t, identity(), tagged_partition([0.0, 0.5], "midpoint"))
-        gappy = tagged_partition([0.0, 0.4], "midpoint") + tagged_partition([0.5, 1.0], "midpoint")
-        with pytest.raises(ValueError):
-            young_stieltjes_sum(lambda t: t, identity(), gappy)
 
 
 class TestIntegrateYS:
