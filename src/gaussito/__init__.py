@@ -1,7 +1,7 @@
 """Numerical verification of a jump-aware stochastic calculus for centered
 Gaussian processes with fixed-time discontinuities.
 
-Layers: regulated functions and time grids (``regulated``), the adaptive
+Layers: regulated functions (``regulated``), the adaptive
 Stieltjes integrals and the two-variable chain rule (``stieltjes``),
 the Gaussian smoothing semigroup with growth-certified test functions
 (``heatkernel``), the closed-form process catalog with exact simulation
@@ -37,7 +37,7 @@ from .itoverify import (
     s_transform,
     simple_skorokhod_mc,
 )
-from .regulated import Jump, Partition, RegulatedFunction, sigma2
+from .regulated import Jump, RegulatedFunction
 from .stieltjes import ScalarField, chain_rule, integrate_ls, integrate_ys
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "Jump",
     "McReport",
     "Observable",
-    "Partition",
     "ProcessSpec",
     "RegulatedFunction",
     "ScalarField",
@@ -70,7 +69,6 @@ __all__ = [
     "planar_qv_sum",
     "psi",
     "s_transform",
-    "sigma2",
     "simple_skorokhod_mc",
     "simulate_paths",
     "test_function",

@@ -29,6 +29,7 @@ from functools import partial
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from . import __version__
 from .gaussproc import (
@@ -52,7 +53,6 @@ from .itoverify import (
     mc_s_transform,
     simple_skorokhod_mc,
 )
-from .regulated import Partition
 
 ENV_OUT_DIR = "GAUSSITO_OUT"
 REPORT_SCHEMA_VERSION = 1
@@ -191,13 +191,24 @@ def _resolve_scenario(arg) -> Path:
     raise ConfigError(f"scenario not found: {arg} (no such file or bundled scenario)")
 
 
+def _finite(parse):
+    # json reads NaN, Infinity and literals beyond the float range (1e999, or
+    # an integer of 400 digits), and the schema takes each for a number
+    def checked(token: str):
+        if not math.isfinite(float(token)):
+            raise ConfigError(f"scenario holds a non-finite number: {token}")
+        return parse(token)
+
+    return checked
+
+
 def _load_scenario(path: Path) -> dict:
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
     try:
-        scenario = json.loads(raw)
+        scenario = json.loads(raw, parse_float=_finite(float), parse_int=_finite(int), parse_constant=_finite(float))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
@@ -353,7 +364,7 @@ def _plan_cases(scenario, seed):
         def thunk(cids=cids):
             depth = int(mc_cfg["grid_depth"])
             depths = (depth - 2, depth - 1, depth)
-            grids = [Partition.uniform(0.0, spec.horizon, 2**d) for d in depths]
+            grids = [np.linspace(0.0, spec.horizon, 2**d + 1) for d in depths]
             records = []
             for cid, reports in zip(cids, martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000)):
                 rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
@@ -400,7 +411,7 @@ def _plan_cases(scenario, seed):
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k)))
 
     if "path_qv" in checks and spec.pathwise_qv_cont is not None:
-        grid = Partition.uniform(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]))
+        grid = np.linspace(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]) + 1)
         pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000)))
 
     if "simple_skorokhod" in checks:

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .regulated import Jump, Partition, RegulatedFunction
+from .regulated import Jump, RegulatedFunction
 
 __all__ = [
     "CameronMartinElement",
@@ -213,13 +213,21 @@ def _one_sided_cov_matrix(spec: ProcessSpec, ta: np.ndarray, sa: int, tb: np.nda
     return M
 
 
-def planar_qv_sum(spec: ProcessSpec, pi: Partition) -> float:
+def _grid_times(grid) -> np.ndarray:
+    """A time grid as a float array, checked to be 1-D, non-empty and strictly increasing."""
+    pts = np.asarray(grid, dtype=float)
+    if pts.ndim != 1 or not pts.size or not np.all(np.diff(pts) > 0):
+        raise ValueError("grid must be a 1-D array of at least one time, strictly increasing")
+    return pts
+
+
+def planar_qv_sum(spec: ProcessSpec, grid) -> float:
     """Double sum of squared covariances of one-sided-limit increments.
 
     The increments are X_{t_i-} - X_{t_{i-1}+}; vanishing of this sum under
     refinement is the covariance-level quadratic-variation regularity test.
     """
-    pts = np.asarray(pi.points, dtype=float)
+    pts = _grid_times(grid)
     tm, tp = pts[1:], pts[:-1]
     mm = _one_sided_cov_matrix(spec, tm, -1, tm, -1)
     mp = _one_sided_cov_matrix(spec, tm, -1, tp, +1)
@@ -387,9 +395,7 @@ def prepare_sampler(spec: ProcessSpec, grid) -> PreparedSampler:
     """Do the per-grid work of ``simulate_paths`` once: the joined grid and
     columns of an exact construction, or the factorized Gram matrix, with an
     escalating diagonal jitter."""
-    pts = np.asarray(grid.points if isinstance(grid, Partition) else grid, dtype=float)
-    if not pts.size or np.any(np.diff(pts) <= 0):
-        raise ValueError("grid must hold at least one time, strictly increasing")
+    pts = _grid_times(grid)
     prepare = spec.sampler if spec.sampler is not None else partial(_gram_sampler, spec)
     return PreparedSampler(spec, pts, prepare(pts))
 
@@ -398,8 +404,8 @@ def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.
     """Exact Gaussian draws of X on the grid; jump variables drawn jointly.
 
     Deterministic given the seed (an integer or a ``SeedSequence``).  ``grid``
-    is a ``Partition``, an array of times, or a ``prepare_sampler`` result for
-    ``spec``, whose per-grid work is then reused.
+    is an array of times or a ``prepare_sampler`` result for ``spec``, whose
+    per-grid work is then reused.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")

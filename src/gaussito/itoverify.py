@@ -49,7 +49,7 @@ from .gaussproc import (
     simulate_batches,
 )
 from .heatkernel import TestFunction, psi
-from .regulated import Partition, RegulatedFunction
+from .regulated import RegulatedFunction
 from .stieltjes import ChainRuleTerms, ScalarField, _atom_sum, chain_rule
 
 __all__ = [
@@ -364,9 +364,7 @@ def martingale_ito_mc(
     for tf in tfs:
         tf.check_growth(spec.lam)
     records = np.asarray(spec.record_times(), dtype=float)
-    levels = [
-        np.union1d(np.asarray(g.points if isinstance(g, Partition) else g, dtype=float), records) for g in grids
-    ]
+    levels = [np.union1d(np.asarray(g, dtype=float), records) for g in grids]
     if not levels:
         raise ValueError("need at least one grid")
     fine = max(levels, key=len)

@@ -6,18 +6,10 @@ as a continuous base evaluator together with finitely many jumps
 
     u(s)  = u(s-) + d_minus(s),        u(s+) = u(s) + d_plus(s),
     u(0-) = u(0),                      u(T+) = u(T).
-
-The quadratic jump functional is exact over the finite jump list:
-
-    sigma2(u) = sum_{s in (0,T]} d_minus(s)^2 + sum_{s in [0,T)} d_plus(s)^2.
-
-Beside the representation, ``Partition`` holds the strictly increasing time
-grids of path simulation and of the covariance sums.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,9 +18,7 @@ import numpy as np
 __all__ = [
     "DomainError",
     "Jump",
-    "Partition",
     "RegulatedFunction",
-    "sigma2",
 ]
 
 
@@ -45,26 +35,6 @@ class Jump:
     delta_plus: float = 0.0
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Strictly increasing grid of times."""
-
-    points: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValueError("partition needs at least 2 points")
-        arr = np.asarray(self.points, dtype=float)
-        if not np.all(np.diff(arr) > 0.0):
-            raise ValueError("partition points must be strictly increasing")
-
-    @classmethod
-    def uniform(cls, a: float, b: float, n: int) -> "Partition":
-        if n < 1:
-            raise ValueError("need at least one subinterval")
-        return cls(tuple(np.linspace(a, b, n + 1)))
-
-
 def _as_float_array(ts) -> tuple[np.ndarray, bool]:
     arr = np.asarray(ts, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -76,9 +46,6 @@ class RegulatedFunction:
     ``base`` must accept numpy arrays (constants returning scalars are fine).
     ``breakpoints`` marks kink locations of the base so integration engines
     can pin them; it carries no semantics for evaluation.
-    ``bounded_variation`` declares whether the base is of bounded variation
-    (piecewise monotone / piecewise C^1); measure-style integration refuses
-    integrators without it.
     """
 
     def __init__(
@@ -87,7 +54,6 @@ class RegulatedFunction:
         jumps: Sequence[Jump] = (),
         domain: tuple[float, float] = (0.0, 1.0),
         breakpoints: Sequence[float] = (),
-        bounded_variation: bool = True,
     ):
         t0, t1 = float(domain[0]), float(domain[1])
         if not t0 < t1:
@@ -106,7 +72,6 @@ class RegulatedFunction:
         self.base = base
         self.jumps = jumps
         self.domain = (t0, t1)
-        self.bounded_variation = bool(bounded_variation)
         self.breakpoints = tuple(sorted({float(b) for b in breakpoints if t0 < b < t1}))
         self._jt = np.array(times, dtype=float)
         self._dm = np.array([j.delta_minus for j in jumps], dtype=float)
@@ -121,7 +86,6 @@ class RegulatedFunction:
         jumps: Sequence[Jump] = (),
         domain: tuple[float, float] = (0.0, 1.0),
         breakpoints: Sequence[float] = (),
-        bounded_variation: bool = True,
     ) -> "RegulatedFunction":
         """Build from a pointwise-exact evaluator whose jumps are known.
 
@@ -134,7 +98,7 @@ class RegulatedFunction:
             arr, _ = _as_float_array(ts)
             return np.asarray(exact(arr), dtype=float) - probe._offsets_value(arr)
 
-        return cls(base, jumps, domain, breakpoints, bounded_variation)
+        return cls(base, jumps, domain, breakpoints)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -177,9 +141,6 @@ class RegulatedFunction:
         out = self._base_at(arr)
         return out[0] if scalar else out
 
-    def __call__(self, ts):
-        return self.values(ts)
-
     def one_sided(self, t: float) -> tuple[float, float, float]:
         """(u(t-), u(t), u(t+)) with the endpoint conventions; t must lie in the domain."""
         t = float(t)
@@ -207,16 +168,9 @@ class RegulatedFunction:
         return 0.0
 
     def without_jumps(self) -> "RegulatedFunction":
-        return RegulatedFunction(self.base, (), self.domain, self.breakpoints, self.bounded_variation)
+        return RegulatedFunction(self.base, (), self.domain, self.breakpoints)
 
     def pinned_points(self) -> tuple[float, ...]:
         """Jump times and base kinks, for partition pinning."""
         return tuple(sorted(set(self.jump_times) | set(self.breakpoints)))
 
-
-def sigma2(u: RegulatedFunction) -> float:
-    """Exact quadratic jump functional over the finite jump list."""
-    t0, t1 = u.domain
-    left = math.fsum(j.delta_minus**2 for j in u.jumps if j.time > t0)
-    right = math.fsum(j.delta_plus**2 for j in u.jumps if j.time < t1)
-    return left + right

@@ -32,7 +32,6 @@ __all__ = [
     "ChainRuleTerms",
     "IntegralResult",
     "ScalarField",
-    "UnsupportedIntegratorError",
     "chain_rule",
     "integrate_ls",
     "integrate_ys",
@@ -42,10 +41,6 @@ __all__ = [
 _MIN_CELLS = 16
 # cells this narrow, relative to their position, are never split again
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
-
-
-class UnsupportedIntegratorError(ValueError):
-    """The integrator's base is not declared of bounded variation."""
 
 
 def _as_vector_fn(u) -> Callable[[np.ndarray], np.ndarray]:
@@ -203,13 +198,6 @@ def _adaptive_continuous(
     return math.fsum(value), total_err, converged, len(a)
 
 
-def _collect_knots(u, r: RegulatedFunction, extra_knots: Sequence[float]) -> list[float]:
-    knots = list(r.pinned_points()) + [float(k) for k in extra_knots]
-    if isinstance(u, RegulatedFunction):
-        knots += list(u.pinned_points())
-    return knots
-
-
 def integrate_ys(
     u,
     r: RegulatedFunction,
@@ -219,7 +207,7 @@ def integrate_ys(
 ) -> IntegralResult:
     """Young-Stieltjes integral of u against r by adaptive refinement.
 
-    Jump times of r (and of u, when u is a RegulatedFunction) are pinned as
+    ``u`` is a vectorized callable.  Jump times of r are pinned as
     partition points, so the atom terms are refinement-invariant and only the
     interior midpoint sums are refined.  ``converged`` is False when
     ``max_refine`` bisections, or cells refined down to the width floor, left
@@ -229,7 +217,7 @@ def integrate_ys(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     atoms = _atom_sum(u, r)
-    value, err, ok, n = _adaptive_continuous(u, r, tol, max_refine, _collect_knots(u, r, extra_knots))
+    value, err, ok, n = _adaptive_continuous(u, r, tol, max_refine, r.pinned_points() + tuple(extra_knots))
     return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 
@@ -245,12 +233,9 @@ def integrate_ls(
     Atoms carry mass r(s+) - r(s-) with the integrand evaluated at s; the
     continuous part integrates u against the base of r.
     """
-    if not r.bounded_variation:
-        raise UnsupportedIntegratorError("integrator base is not of bounded variation")
     atoms = _atom_sum(u, r)
     base = r.without_jumps()
-    knots = _collect_knots(u, r, extra_knots) + list(r.jump_times)
-    value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, knots)
+    value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, r.pinned_points() + tuple(extra_knots))
     return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 

@@ -26,7 +26,7 @@ from gaussito.itoverify import (
     martingale_ito_mc,
     mc_s_transform,
 )
-from gaussito.regulated import Jump, Partition, RegulatedFunction
+from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import ScalarField, chain_rule
 
 F_NAMES = ("x", "x2", "x3", "sin", "exp")
@@ -216,11 +216,11 @@ def test_criterion_4_heat_identity():
 def test_criterion_5_martingale_mc():
     start = time.perf_counter()
     spec = catalog("jump_bm", jumps=[(0.5, 0.25)])
-    grids = [Partition.uniform(0.0, 1.0, 2**depth) for depth in (8, 9, 10)]
+    grids = [np.linspace(0.0, 1.0, 2**depth + 1) for depth in (8, 9, 10)]
     (reports,) = martingale_ito_mc(spec, [make_tf("x2", spec.lam)], grids, 20000, seed=31415)
     rels = [rep.estimate for rep in reports]
     ((linear,),) = martingale_ito_mc(
-        spec, [make_tf("x", spec.lam)], [Partition.uniform(0.0, 1.0, 2**10)], 20000, seed=31415
+        spec, [make_tf("x", spec.lam)], [np.linspace(0.0, 1.0, 2**10 + 1)], 20000, seed=31415
     )
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(rels, rels[1:]))
@@ -277,9 +277,9 @@ def test_criterion_6_s_transform_mc():
 
 def test_criterion_7_planar_qv():
     brownian = catalog("brownian")
-    exact = all(planar_qv_sum(brownian, Partition.uniform(0.0, 1.0, n)) == 1.0 / n for n in (2, 4, 8, 16))
+    exact = all(planar_qv_sum(brownian, np.linspace(0.0, 1.0, n + 1)) == 1.0 / n for n in (2, 4, 8, 16))
     spec = catalog("jump_bm", jumps=[(0.5, 0.25)])
-    rep = path_qv_mc(spec, Partition.uniform(0.0, 1.0, 256), 10000, seed=2718)
+    rep = path_qv_mc(spec, np.linspace(0.0, 1.0, 257), 10000, seed=2718)
     within = abs(rep.estimate - rep.reference) <= 4.0 * rep.standard_error
     ok = exact and rep.reference == 1.25 and within
     assert announce(

@@ -156,6 +156,27 @@ class TestRun:
         out = capsys.readouterr().out
         assert "[FAIL] ito:brownian:x2:h0 residual=nan" in out
 
+    @pytest.mark.parametrize(
+        "token, overrides",
+        [
+            ("1e999", {"tolerances": {"polynomial": "@"}, "mutations": {"drop_dv_integral": True}}),
+            ("Infinity", {"tolerances": {"polynomial": "@"}, "mutations": {"drop_dv_integral": True}}),
+            ("Infinity", {"model": {"id": "brownian", "params": {"horizon": "@"}}}),
+            ("1" + "0" * 400, {"tolerances": {"polynomial": "@"}, "mutations": {"drop_dv_integral": True}}),
+            ("NaN", {"cm_elements": [[["@", 1.0]]]}),
+            ("NaN", {"model": {"id": "jump_bm", "params": {"jumps": [[0.5, "@"]]}}}),
+            ("-Infinity", {"test_functions": [{"poly": [0.0, "@", 1.0]}]}),
+        ],
+        ids=["tolerance_1e999", "tolerance_inf", "horizon_inf", "tolerance_big_int", "cm_nan", "jump_variance_nan", "poly_neg_inf"],
+    )
+    def test_non_finite_scenario_number_exit_2(self, tmp_path, capsys, token, overrides):
+        # json and the schema both take these for numbers; each must stop the run before planning
+        scen = write_scenario(tmp_path, **overrides)
+        scen.write_text(scen.read_text().replace('"@"', token))
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_schema_violation_exit_2_with_paths(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 1, "name": "x", "model": {"id": "brownian"}, "oops": 1}))

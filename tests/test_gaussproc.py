@@ -21,7 +21,6 @@ from gaussito.gaussproc import (
     simulate_paths,
 )
 from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _one_sided_cov_matrix
-from gaussito.regulated import Partition
 
 
 class TestCatalog:
@@ -165,15 +164,15 @@ class TestCameronMartin:
 class TestPlanarSums:
     def test_brownian_quadratic_exact(self, brownian):
         for n in (2, 4, 8, 16):
-            assert planar_qv_sum(brownian, Partition.uniform(0, 1, n)) == 1.0 / n
+            assert planar_qv_sum(brownian, np.linspace(0, 1, n + 1)) == 1.0 / n
 
     def test_decreasing_under_refinement(self, brownian):
-        vals = [planar_qv_sum(brownian, Partition.uniform(0, 1, n)) for n in (2, 4, 8, 16, 32)]
+        vals = [planar_qv_sum(brownian, np.linspace(0, 1, n + 1)) for n in (2, 4, 8, 16, 32)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_fbm_half_equals_brownian(self, brownian):
         spec = catalog("fbm", hurst=0.5)
-        pi = Partition.uniform(0, 1, 8)
+        pi = np.linspace(0, 1, 9)
         assert planar_qv_sum(spec, pi) == pytest.approx(planar_qv_sum(brownian, pi), abs=1e-15)
 
     def test_one_sided_jump_increments(self, jump_bm):
@@ -181,13 +180,13 @@ class TestPlanarSums:
         m = _one_sided_cov_matrix(jump_bm, np.array([0.5]), -1, np.array([1.0]), 0)
         assert m[0, 0] == pytest.approx(0.5)
         # left-limit increments across the jump have no jump mass
-        pi = Partition((0.0, 0.5, 1.0))
+        pi = np.array([0.0, 0.5, 1.0])
         assert planar_qv_sum(jump_bm, pi) == pytest.approx(0.5**2 + 0.5**2)
 
 
 class TestSimulation:
     def test_brownian_sample_covariance(self, brownian):
-        sim = simulate_paths(brownian, Partition((0.0, 0.5, 1.0)), 100000, seed=1234)
+        sim = simulate_paths(brownian, np.array([0.0, 0.5, 1.0]), 100000, seed=1234)
         cov = sample_covariance(sim.paths)
         target = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 1.0]])
         # 4 * SE with SE ~ sqrt((v_ii v_jj + v_ij^2) / n)
@@ -197,25 +196,25 @@ class TestSimulation:
                 assert abs(cov[i, j] - target[i, j]) < 4 * se
 
     def test_zero_paths(self, brownian):
-        sim = simulate_paths(brownian, Partition((0.0, 1.0)), 0, seed=1)
+        sim = simulate_paths(brownian, np.array([0.0, 1.0]), 0, seed=1)
         assert sim.paths.shape == (0, 2)
 
     def test_jump_variance(self, jump_bm):
-        sim = simulate_paths(jump_bm, Partition((0.0, 0.5, 1.0)), 100000, seed=7)
+        sim = simulate_paths(jump_bm, np.array([0.0, 0.5, 1.0]), 100000, seed=7)
         var = float(np.mean(sim.jump_draws[:, 0] ** 2))
         se = math.sqrt(2 * 0.25**2 / 100000)
         assert abs(var - 0.25) < 4 * se
 
     def test_jump_consistency_with_paths(self, jump_bm):
         # path minus jump indicator reproduces a continuous-martingale increment
-        sim = simulate_paths(jump_bm, Partition((0.0, 0.4, 0.5, 1.0)), 50000, seed=3)
+        sim = simulate_paths(jump_bm, np.array([0.0, 0.4, 0.5, 1.0]), 50000, seed=3)
         left = sim.paths[:, 2] - sim.jump_draws[:, 0]
         inc = left - sim.paths[:, 1]  # Brownian increment over [0.4, 0.5]
         assert abs(float(np.mean(inc**2)) - 0.1) < 4 * math.sqrt(2 * 0.1**2 / 50000)
 
     def test_deterministic_given_seed(self, coupled):
-        a = simulate_paths(coupled, Partition((0.0, 0.5, 1.0)), 100, seed=11)
-        b = simulate_paths(coupled, Partition((0.0, 0.5, 1.0)), 100, seed=11)
+        a = simulate_paths(coupled, np.array([0.0, 0.5, 1.0]), 100, seed=11)
+        b = simulate_paths(coupled, np.array([0.0, 0.5, 1.0]), 100, seed=11)
         assert np.array_equal(a.paths, b.paths)
         assert np.array_equal(a.jump_draws, b.jump_draws)
 
@@ -303,11 +302,20 @@ class TestSimulation:
         with pytest.raises(ValueError, match="another model"):
             simulate_paths(jump_bm, prepare_sampler(brownian, np.array([0.5, 1.0])), 10, seed=1)
 
-    def test_empty_grid_raises(self, brownian):
+    @pytest.mark.parametrize(
+        "grid",
+        [np.array([]), np.array([0.0, 0.5, 0.5, 1.0]), np.array([0.0, 0.6, 0.3]), np.array([[0.0, 0.5], [0.7, 1.0]])],
+        ids=["empty", "repeated", "decreasing", "2d"],
+    )
+    def test_empty_grid_raises(self, brownian, grid):
         with pytest.raises(ValueError, match="at least one time"):
-            next(simulate_batches(brownian, np.array([]), 10, seed=1))
+            simulate_paths(brownian, grid, 10, seed=1)
         with pytest.raises(ValueError, match="at least one time"):
-            mc_estimate(brownian, np.array([]), lambda sim: sim.paths.sum(axis=1), 0.0, 10, seed=1)
+            next(simulate_batches(brownian, grid, 10, seed=1))
+        with pytest.raises(ValueError, match="at least one time"):
+            mc_estimate(brownian, grid, lambda sim: sim.paths.sum(axis=1), 0.0, 10, seed=1)
+        with pytest.raises(ValueError, match="at least one time"):
+            planar_qv_sum(brownian, grid)
 
 
 class TestGramSampler:
@@ -319,8 +327,8 @@ class TestGramSampler:
 
     def test_prepared_sampler_holds_one_matrix(self):
         spec = catalog("fbm", hurst=0.5)
-        grid = Partition.uniform(0, 1, 2**10)
-        matrix = len(grid.points) ** 2 * 8
+        grid = np.linspace(0, 1, 2**10 + 1)
+        matrix = len(grid) ** 2 * 8
         tracemalloc.start()
         try:
             prepared = prepare_sampler(spec, grid)
@@ -333,8 +341,8 @@ class TestGramSampler:
 
     def test_gram_limit_raises_before_allocating(self):
         spec = catalog("fbm", hurst=0.5)
-        grid = Partition.uniform(0, 1, 2**14)  # schema-valid; one Gram matrix is 2 GiB
-        assert len(grid.points) ** 2 * 8 > _GRAM_BYTES
+        grid = np.linspace(0, 1, 2**14 + 1)  # schema-valid; one Gram matrix is 2 GiB
+        assert len(grid) ** 2 * 8 > _GRAM_BYTES
         tracemalloc.start()
         try:
             with pytest.raises(UnsupportedModelError, match="Gram limit"):
@@ -364,22 +372,22 @@ class TestJitterLadder:
 
 class TestPathQv:
     def test_jump_bm_reference(self, jump_bm):
-        rep = path_qv_mc(jump_bm, Partition.uniform(0, 1, 256), 10000, seed=21)
+        rep = path_qv_mc(jump_bm, np.linspace(0, 1, 257), 10000, seed=21)
         assert rep.reference == pytest.approx(1.25)
         assert abs(rep.estimate - rep.reference) < 4 * rep.standard_error
 
     def test_single_path_raises(self, brownian):
         # like every other pairing check: one path has no standard error
         with pytest.raises(ValueError):
-            path_qv_mc(brownian, Partition((0.0, 1.0)), 1, seed=2)
+            path_qv_mc(brownian, np.array([0.0, 1.0]), 1, seed=2)
 
     def test_unsupported_for_evanescent(self, evanescent):
         with pytest.raises(UnsupportedModelError):
-            path_qv_mc(evanescent, Partition.uniform(0, 1, 16), 100, seed=1)
+            path_qv_mc(evanescent, np.linspace(0, 1, 17), 100, seed=1)
 
     @pytest.mark.parametrize("model", ["jump_bm", "fbm_h05", "pairing"])
     def test_memory_bounded_by_batch(self, model, jump_bm):
-        grid = Partition.uniform(0, 1, 2**10)
+        grid = np.linspace(0, 1, 2**10 + 1)
         fbm = catalog("fbm", hurst=0.5)
         # a Wick-weighted pairing sample, as the z-gated checks hand to mc_estimate
         pairing = lambda sim: np.exp(sim.paths[:, -1] - 0.5 * jump_bm.lam) * sim.paths[:, 512]
@@ -416,16 +424,16 @@ class TestPathQv:
         monkeypatch.setattr(gp, "_chol_with_jitter", counting_chol)
         monkeypatch.setattr(gp, "simulate_paths", counting_simulate)
         # 4000 paths on 1025 points are 8 batches of at most 511 rows
-        rep = path_qv_mc(spec, Partition.uniform(0, 1, 2**10), 4000, seed=9)
+        rep = path_qv_mc(spec, np.linspace(0, 1, 2**10 + 1), 4000, seed=9)
         assert counts == {"chol": 1, "draws": 8}
         assert abs(rep.z_score) < 4
 
     def test_batched_moments_match_the_whole_sample(self, jump_bm):
-        grid = Partition.uniform(0, 1, 2**10)
+        grid = np.linspace(0, 1, 2**10 + 1)
         n_paths, seed = 3000, 12
         # the batches the estimator must read: rows per batch from the batch
         # size, batch b seeded by the b-th spawned stream
-        rows = _BATCH_ELEMENTS // len(grid.points)
+        rows = _BATCH_ELEMENTS // len(grid)
         streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
         # the quadratic sum, and a pairing-style sample through mc_estimate
         product = lambda sim: sim.paths[:, -1] * sim.jump_draws[:, 0]

@@ -34,7 +34,7 @@ from gaussito.itoverify import (
     skorokhod_sample,
     wick_exponential_paths,
 )
-from gaussito.regulated import Jump, Partition, RegulatedFunction
+from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import ChainRuleTerms
 
 
@@ -261,24 +261,24 @@ class TestForwardJump:
 class TestMartingaleItoMc:
     def test_square_discretization_error(self, jump_bm):
         tfs = [make_tf("x2", jump_bm.lam)]
-        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 2**8)], 4000, seed=5)
+        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 2**8 + 1)], 4000, seed=5)
         assert 0.0 < rep.estimate < 0.1
 
     def test_linear_telescopes(self, jump_bm):
         tfs = [make_tf("x", jump_bm.lam)]
-        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 2**8)], 2000, seed=5)
+        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 2**8 + 1)], 2000, seed=5)
         assert rep.estimate < 1e-12
 
     def test_non_nested_grids_raise(self, jump_bm):
         tfs = [make_tf("x2", jump_bm.lam)]
         with pytest.raises(ValueError, match="nested"):
-            martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 16), Partition.uniform(0, 1, 24)], 100, seed=1)
+            martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.linspace(0, 1, 25)], 100, seed=1)
         with pytest.raises(ValueError, match="span"):
-            martingale_ito_mc(jump_bm, tfs, [Partition.uniform(0, 1, 16), Partition((0.0, 0.5))], 100, seed=1)
+            martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.array([0.0, 0.5])], 100, seed=1)
 
     def test_coarser_grids_leave_finest_level_unchanged(self, jump_bm):
         tfs = [make_tf("sin", jump_bm.lam)]
-        grids = [Partition.uniform(0, 1, 2**d) for d in (6, 7, 8)]
+        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
         # 3000 paths on 257 points are two batches
         ((alone,),) = martingale_ito_mc(jump_bm, tfs, grids[-1:], 3000, seed=9)
         (reports,) = martingale_ito_mc(jump_bm, tfs, grids, 3000, seed=9)
@@ -291,7 +291,7 @@ class TestMartingaleItoMc:
     def test_memory_bounded_by_batch(self, jump_bm):
         one = [make_tf("sin", jump_bm.lam)]
         three = one + [make_tf("x2", jump_bm.lam), make_tf("exp", jump_bm.lam)]
-        grids = [Partition.uniform(0, 1, 2**d) for d in (9, 10, 11)]
+        grids = [np.linspace(0, 1, 2**d + 1) for d in (9, 10, 11)]
         peaks = {}
         for n_paths in (2000, 8000):
             for tfs in (one, three):
@@ -330,16 +330,16 @@ class TestMartingaleItoMc:
 
     def test_requires_martingale(self, coupled):
         with pytest.raises(UnsupportedModelError):
-            martingale_ito_mc(coupled, [make_tf("x2", coupled.lam)], [Partition.uniform(0, 1, 16)], 100, seed=1)
+            martingale_ito_mc(coupled, [make_tf("x2", coupled.lam)], [np.linspace(0, 1, 17)], 100, seed=1)
 
     def test_requires_paths(self, jump_bm):
         with pytest.raises(ValueError):
-            martingale_ito_mc(jump_bm, [make_tf("x2", jump_bm.lam)], [Partition.uniform(0, 1, 16)], 0, seed=1)
+            martingale_ito_mc(jump_bm, [make_tf("x2", jump_bm.lam)], [np.linspace(0, 1, 17)], 0, seed=1)
 
     def test_requires_admissible_test_functions(self, jump_bm):
         from gaussito.heatkernel import GrowthBound, GrowthBoundError
 
-        grids = [Partition.uniform(0, 1, 16)]
+        grids = [np.linspace(0, 1, 17)]
         with pytest.raises(ValueError, match="test function"):
             martingale_ito_mc(jump_bm, [], grids, 100, seed=1)
         tf = make_tf("exp", jump_bm.lam)
@@ -352,7 +352,7 @@ class TestMartingaleItoMc:
 
         spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
         tfs = [make_tf(name, spec.lam) for name in ("x", "x2", "sin")]
-        grids = [Partition.uniform(0, 1, 2**d) for d in (6, 7, 8)]
+        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
         calls = []
         original = gaussito.gaussproc.simulate_paths
 
@@ -518,16 +518,23 @@ def test_public_names_resolve():
     assert hasattr(gaussito, "__all__") and "McReport" in gaussito.__all__
     # removed surface stays removed: no deleted name resolves from the package or its layer
     removed = {
-        "regulated": ("p_variation", "W2StarResult", "w2star_criterion"),
-        "stieltjes": ("TaggedCell", "tagged_partition", "hk_riemann_sum", "young_stieltjes_sum"),
+        "regulated": ("p_variation", "W2StarResult", "w2star_criterion", "Partition", "sigma2"),
+        "stieltjes": (
+            "TaggedCell",
+            "tagged_partition",
+            "hk_riemann_sum",
+            "young_stieltjes_sum",
+            "UnsupportedIntegratorError",
+        ),
         "gaussproc": ("planar_variation_sum",),
     }
     for layer, names in removed.items():
         module = importlib.import_module(f"gaussito.{layer}")
         resolved = [attr for attr in names if hasattr(gaussito, attr) or hasattr(module, attr)]
         assert not resolved, f"removed names resolve again from gaussito.{layer}: {resolved}"
-    assert not [attr for attr in ("a", "b", "mesh", "refined_with", "bisected") if hasattr(Partition, attr)]
     assert not hasattr(Jump, "delta")
+    u = RegulatedFunction(lambda ts: ts)
+    assert not hasattr(u, "bounded_variation") and not callable(u)
 
 
 class TestMcReportInvariants:

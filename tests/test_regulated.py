@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gaussito.regulated import DomainError, Jump, RegulatedFunction, sigma2
+from gaussito.regulated import DomainError, Jump, RegulatedFunction
 
 
 def identity(domain=(0.0, 1.0), jumps=()):
@@ -71,25 +71,3 @@ class TestOneSidedLimits:
             scale = 1.0 + abs(left) + abs(value) + abs(right)
             assert abs(value - left - j.delta_minus) <= 1e-12 * scale
             assert abs(right - value - j.delta_plus) <= 1e-12 * scale
-
-
-class TestSigma2:
-    def test_single_left_jump(self):
-        assert sigma2(heaviside(size=0.5)) == pytest.approx(0.25)
-
-    def test_continuous_is_zero(self):
-        assert sigma2(identity()) == 0.0
-
-    def test_mixed_sides(self):
-        # 0.3^2 + 0.4^2 = 0.25
-        u = RegulatedFunction(lambda t: 0.0, [Jump(0.2, 0.3, 0.0), Jump(0.7, 0.0, 0.4)], (0.0, 1.0))
-        assert sigma2(u) == pytest.approx(0.25)
-
-    @given(regulated_functions())
-    def test_nonnegative_and_zero_iff_no_jumps(self, u):
-        s2 = sigma2(u)
-        assert s2 >= 0.0
-        if not u.jumps:
-            assert s2 == 0.0
-        if s2 == 0.0:
-            assert all(j.delta_minus == 0.0 and j.delta_plus == 0.0 for j in u.jumps)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import (
     ScalarField,
-    UnsupportedIntegratorError,
     chain_rule,
     integrate_ls,
     integrate_ys,
@@ -105,11 +104,6 @@ class TestIntegrateLS:
         # continuous 0.5 plus atom 0.5 * 0.25
         v = identity(jumps=[Jump(0.5, 0.25, 0.0)])
         assert integrate_ls(lambda t: t, v).value == pytest.approx(0.625, abs=1e-11)
-
-    def test_unsupported_integrator(self):
-        rough = RegulatedFunction(lambda t: np.asarray(t, float), (), (0.0, 1.0), bounded_variation=False)
-        with pytest.raises(UnsupportedIntegratorError):
-            integrate_ls(const_one, rough)
 
     def test_linear_in_integrator(self):
         r1 = identity(jumps=[Jump(0.5, 0.25, 0.0)])
