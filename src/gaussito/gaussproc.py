@@ -17,7 +17,7 @@ jump variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
@@ -87,18 +87,27 @@ class DiscontinuityRecord:
     e_xleft_dminus: float
 
 
+def _no_jump_cov(ts, _k):
+    return np.zeros_like(np.asarray(ts, dtype=float))
+
+
+def _point_knots(t):
+    return (float(t),)
+
+
 @dataclass(eq=False)
 class ProcessSpec:
-    """A centered Gaussian model: closed-form covariance plus jump data.
+    """A centered Gaussian model: its covariance, its variance V and one
+    ``DiscontinuityRecord`` per discontinuity time.
 
     ``jump_cov_left(ts, k)`` returns E[X_t (X_{s_k} - X_{s_k-})] vectorized
-    over ts (``jump_cov_right`` the forward analogue); ``jump_gram_left`` is
-    the Gram matrix of the left-jump variables (``jump_gram_right`` of the
-    forward ones; left and right jump variables are uncorrelated in every
-    model).  ``section_knots(t)``
-    enumerates the kink locations of R(., t) so integration partitions can
-    pin them.  ``sampler(grid)``, for models with an exact construction, does
-    the per-grid work once and returns ``draw(n_paths, rng)``, which makes one
+    over ts (``jump_cov_right`` the forward analogue).  Jump variables at
+    distinct times, and the left and right ones at one time, are
+    uncorrelated, so their Gram matrices are the diagonals of the records'
+    ``e_dminus_sq`` and ``e_dplus_sq``.  ``section_knots(t)`` enumerates the
+    kink locations of R(., t) so integration partitions can pin them.
+    ``sampler(grid)``, for models with an exact construction, does the
+    per-grid work once and returns ``draw(n_paths, rng)``, which makes one
     ``(paths, jump_draws)`` batch on the grid; without it the Gram matrix is
     factorized.
     """
@@ -110,47 +119,14 @@ class ProcessSpec:
     cov: Callable
     variance: RegulatedFunction
     records: tuple[DiscontinuityRecord, ...] = ()
-    jump_cov_left: Callable = None
-    jump_cov_right: Callable = None
-    jump_gram_left: np.ndarray = None
-    jump_gram_right: np.ndarray = None
-    section_knots: Callable = None
+    jump_cov_left: Callable = _no_jump_cov
+    jump_cov_right: Callable = _no_jump_cov
+    section_knots: Callable = _point_knots
     sampler: Callable = None
     pathwise_qv_cont: float | None = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        k = len(self.records)
-        zeros_fn = lambda ts, _k: np.zeros_like(np.asarray(ts, dtype=float))
-        if self.jump_cov_left is None:
-            self.jump_cov_left = zeros_fn
-        if self.jump_cov_right is None:
-            self.jump_cov_right = zeros_fn
-        if self.jump_gram_left is None:
-            self.jump_gram_left = np.zeros((k, k))
-        if self.jump_gram_right is None:
-            self.jump_gram_right = np.zeros((k, k))
-        if self.section_knots is None:
-            self.section_knots = lambda t: (float(t),)
-
-    # -- variance access ------------------------------------------------------
-
-    def v(self, t: float) -> float:
-        return float(self.variance.values(t))
 
     def record_times(self) -> tuple[float, ...]:
         return tuple(r.time for r in self.records)
-
-    def record_index(self, t: float) -> int:
-        for k, r in enumerate(self.records):
-            if r.time == t:
-                return k
-        raise KeyError(f"no discontinuity record at t={t}")
-
-    def e_x_dplus(self, k: int) -> float:
-        """E[X_s (X_{s+} - X_s)], recovered from the record and V(s)."""
-        rec = self.records[k]
-        return 0.5 * (rec.v_plus - self.v(rec.time) - rec.e_dplus_sq)
 
     # -- consistency ----------------------------------------------------------
 
@@ -187,29 +163,17 @@ def _one_sided_cov_matrix(spec: ProcessSpec, ta: np.ndarray, sa: int, tb: np.nda
     ta = np.asarray(ta, dtype=float)
     tb = np.asarray(tb, dtype=float)
     M = np.array(spec.cov(ta[:, None], tb[None, :]), dtype=float, copy=True)
-    if not spec.records:
-        return M
     for k, rec in enumerate(spec.records):
-        if sa:
-            rows = np.flatnonzero(ta == rec.time)
-            if rows.size:
-                term = spec.jump_cov_left(tb, k) if sa < 0 else spec.jump_cov_right(tb, k)
-                M[rows, :] += sa * term[None, :]
-        if sb:
-            cols = np.flatnonzero(tb == rec.time)
-            if cols.size:
-                term = spec.jump_cov_left(ta, k) if sb < 0 else spec.jump_cov_right(ta, k)
-                M[:, cols] += sb * term[:, None]
-    if sa and sa == sb:  # left and right jump variables are uncorrelated
-        gram = spec.jump_gram_left if sa < 0 else spec.jump_gram_right
-        for k, rk in enumerate(spec.records):
-            rows = np.flatnonzero(ta == rk.time)
-            if not rows.size:
-                continue
-            for l, rl in enumerate(spec.records):
-                cols = np.flatnonzero(tb == rl.time)
-                if cols.size:
-                    M[np.ix_(rows, cols)] += gram[k, l]
+        rows = np.flatnonzero(ta == rec.time) if sa else ()
+        cols = np.flatnonzero(tb == rec.time) if sb else ()
+        if len(rows):
+            term = spec.jump_cov_left(tb, k) if sa < 0 else spec.jump_cov_right(tb, k)
+            M[rows, :] += sa * term[None, :]
+        if len(cols):
+            term = spec.jump_cov_left(ta, k) if sb < 0 else spec.jump_cov_right(ta, k)
+            M[:, cols] += sb * term[:, None]
+        if sa == sb and len(rows) and len(cols):  # the jump variable's own variance
+            M[np.ix_(rows, cols)] += rec.e_dminus_sq if sa < 0 else rec.e_dplus_sq
     return M
 
 
@@ -353,7 +317,7 @@ def _chol_with_jitter(G: np.ndarray, scale: float) -> np.ndarray:
 def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
     """Draws of X from its factorized Gram matrix; the left-jump variables are zero."""
     n, K = len(grid), len(spec.records)
-    if np.any(spec.jump_gram_left):
+    if any(rec.e_dminus_sq for rec in spec.records):
         raise UnsupportedModelError(f"{spec.name}: left-jump variables need the model's own sampler")
     if n * n * 8 > _GRAM_BYTES:
         raise UnsupportedModelError(f"{spec.name}: a {n}-point Gram matrix exceeds the Gram limit of {_GRAM_BYTES >> 30} GiB")
@@ -485,25 +449,8 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
 
 
 def _brownian_spec(horizon: float = 1.0) -> ProcessSpec:
-    T = float(horizon)
-    if T <= 0:
-        raise CatalogError("horizon must be positive")
-
-    def sampler(grid):
-        sd = _increment_sd(grid)
-        return lambda n_paths, rng: (_brownian_increments(sd, n_paths, rng), np.zeros((n_paths, 0)))
-
-    return ProcessSpec(
-        name="brownian",
-        kind="martingale",
-        horizon=T,
-        lam=T,
-        cov=lambda t, s: np.minimum(t, s),
-        variance=RegulatedFunction(lambda ts: np.asarray(ts, dtype=float), (), (0.0, T)),
-        sampler=sampler,
-        pathwise_qv_cont=T,
-        params={"horizon": T},
-    )
+    """Standard Brownian motion: the jump-free case of ``jump_bm``."""
+    return _bm_plus_jumps("brownian", [], horizon)
 
 
 def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
@@ -528,17 +475,21 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
         cov=cov,
         variance=RegulatedFunction(lambda ts: np.asarray(ts, dtype=float) ** two_h, (), (0.0, T)),
         pathwise_qv_cont=T if H == 0.5 else None,
-        params={"hurst": H, "horizon": T},
     )
 
 
 def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) -> ProcessSpec:
+    if not len(jumps):
+        raise CatalogError("jump_bm needs at least one jump")
+    return _bm_plus_jumps("jump_bm", jumps, horizon)
+
+
+def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: float) -> ProcessSpec:
+    """Brownian motion plus independent centered Gaussian jumps at fixed interior times."""
     T = float(horizon)
     if T <= 0:
         raise CatalogError("horizon must be positive")
     pairs = [(float(s), float(v)) for s, v in jumps]
-    if not pairs:
-        raise CatalogError("jump_bm needs at least one jump")
     times = [s for s, _ in pairs]
     if sorted(set(times)) != times:
         raise CatalogError("jump times must be strictly increasing")
@@ -598,7 +549,7 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
         return draw
 
     return ProcessSpec(
-        name="jump_bm",
+        name=name,
         kind="martingale",
         horizon=T,
         lam=T + float(np.sum(v_arr)),
@@ -606,10 +557,8 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
         variance=variance,
         records=records,
         jump_cov_left=jump_cov_left,
-        jump_gram_left=np.diag(v_arr),
         sampler=sampler,
         pathwise_qv_cont=T,
-        params={"jumps": [[s, v] for s, v in pairs], "horizon": T},
     )
 
 
@@ -671,11 +620,9 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         variance=variance,
         records=(record,),
         jump_cov_left=jump_cov_left,
-        jump_gram_left=np.array([[c * c * s0]]),
         section_knots=lambda t: (float(t), s0),
         sampler=sampler,
         pathwise_qv_cont=T,
-        params={"c": c, "s0": s0, "horizon": T},
     )
 
 
@@ -741,67 +688,59 @@ def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
         cov=cov,
         variance=variance,
         records=(record,),
-        jump_gram_left=np.array([[0.0]]),
         section_knots=section_knots,
         pathwise_qv_cont=None,
-        params={"s0": s0, "horizon": T},
     )
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     model_id: str
+    build: Callable
     params_doc: str
     description: str
     exercises: str
 
 
-_CATALOG: dict[str, tuple[Callable, CatalogEntry]] = {
-    "brownian": (
-        _brownian_spec,
+_CATALOG = {
+    entry.model_id: entry
+    for entry in (
         CatalogEntry(
             "brownian",
+            _brownian_spec,
             "horizon=1.0",
             "standard Brownian motion",
             "continuous baseline: jump sums degenerate, pathwise and deterministic checks coincide",
         ),
-    ),
-    "fbm": (
-        _fbm_spec,
         CatalogEntry(
             "fbm",
+            _fbm_spec,
             "hurst in (0,1), horizon=1.0",
             "fractional Brownian motion",
             "stochastically continuous non-martingale; regularity lives in the covariance sections",
         ),
-    ),
-    "jump_bm": (
-        _jump_bm_spec,
         CatalogEntry(
             "jump_bm",
+            _jump_bm_spec,
             "jumps=[[time, variance], ...] interior times, horizon=1.0",
             "Brownian motion plus independent fixed-time Gaussian jumps",
             "discontinuous martingale: Monte Carlo pathwise identity and the right-continuous reduction",
         ),
-    ),
-    "coupled_jump_bm": (
-        _coupled_jump_bm_spec,
         CatalogEntry(
             "coupled_jump_bm",
+            _coupled_jump_bm_spec,
             "c != 0, 0 < s0 < horizon, horizon=1.0",
             "Brownian motion with a level-coupled jump at s0",
             "non-martingale right-continuous case: the left-limit/jump correlation term is active",
         ),
-    ),
-    "evanescent": (
-        _evanescent_spec,
         CatalogEntry(
             "evanescent",
+            _evanescent_spec,
             "0 < s0 < horizon, horizon=1.0",
             "rotating-coordinate construction that fades weakly to 0 at s0",
             "weak one-sided limit with variance drop (V-(s0)=0 < V(s0-)=1): jump terms beyond the right-continuous form",
         ),
-    ),
+    )
 }
 
 
@@ -809,9 +748,8 @@ def catalog(model_id: str, **params) -> ProcessSpec:
     """Instantiate a catalog model and validate its analytic record data."""
     if model_id not in _CATALOG:
         raise CatalogError(f"unknown model id {model_id!r}; known: {sorted(_CATALOG)}")
-    builder, _ = _CATALOG[model_id]
     try:
-        spec = builder(**params)
+        spec = _CATALOG[model_id].build(**params)
     except TypeError as exc:
         raise CatalogError(f"bad parameters for {model_id!r}: {exc}") from exc
     spec.validate()
@@ -819,4 +757,4 @@ def catalog(model_id: str, **params) -> ProcessSpec:
 
 
 def catalog_entries() -> list[CatalogEntry]:
-    return [entry for _, entry in _CATALOG.values()]
+    return list(_CATALOG.values())

@@ -41,6 +41,7 @@ from .gaussproc import (
     ProcessSpec,
     SimulationResult,
     UnsupportedModelError,
+    _grid_times,
     _merge_moments,
     _moments,
     cm_element,
@@ -70,8 +71,6 @@ __all__ = [
     "skorokhod_sample",
     "wick_exponential_paths",
 ]
-
-MUTATIONS = ("drop_left_jump_sum", "drop_right_jump_sum", "drop_dv_integral", "drop_xleft_correction")
 
 
 @dataclass(frozen=True)
@@ -150,12 +149,15 @@ def s_transform(obs: Observable, case: ItoCase) -> float:
 
 # -- deterministic residuals ----------------------------------------------------
 
-# mutation flag -> the right-hand term it knocks out of the residual
+# mutation flag -> the right-hand term it knocks out of the residual; these
+# are the general form's flags
 _DROPPED_TERM = {
     "drop_dv_integral": "integral_dv_half",
     "drop_left_jump_sum": "left_jump_sum",
     "drop_right_jump_sum": "right_jump_sum",
 }
+# the right-continuous form has no right jump sum, and its own correction term
+_RCLL_MUTATIONS = frozenset({"drop_left_jump_sum", "drop_dv_integral", "drop_xleft_correction"})
 
 
 @dataclass(frozen=True)
@@ -197,11 +199,11 @@ class ItoResidual(ChainRuleTerms):
         }
 
 
-def _check_mutations(drop) -> frozenset:
+def _check_mutations(drop, allowed, form: str) -> frozenset:
     drop = frozenset(drop)
-    unknown = drop - set(MUTATIONS)
+    unknown = drop.difference(allowed)
     if unknown:
-        raise ValueError(f"unknown mutation flags {sorted(unknown)}")
+        raise ValueError(f"mutation flags {sorted(unknown)} do not apply to the {form} form")
     return drop
 
 
@@ -214,9 +216,10 @@ def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
     Jump terms use exact stored jump sizes of V and hbar, are accumulated with
     compensated summation (so they are invariant under reordering of the
     discontinuity list), and can be knocked out selectively via ``drop`` for
-    sensitivity checks.
+    sensitivity checks: ``drop_left_jump_sum``, ``drop_right_jump_sum`` and
+    ``drop_dv_integral``; any other flag raises ``ValueError``.
     """
-    drop = _check_mutations(drop)
+    drop = _check_mutations(drop, _DROPPED_TERM, "general")
     tf = case.test_function
     G = ScalarField(
         value=lambda x1, x2: psi(tf, x2, x1),
@@ -239,10 +242,11 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
     jump sum.  There the E[X_{s-} (X_s - X_{s-})] pairing of the jump term
     cancels the Ito integral's trace term; only
     ``drop={"drop_xleft_correction"}`` makes it appear, to measure its weight.
-    The general result's own ``drop`` is ignored.  Only meaningful for
-    martingale/rcll models.
+    ``drop`` also takes ``drop_left_jump_sum`` and ``drop_dv_integral``; any
+    other flag raises ``ValueError``.  The general result's own ``drop`` is
+    ignored.  Only meaningful for martingale/rcll models.
     """
-    drop = _check_mutations(drop)
+    drop = _check_mutations(drop, _RCLL_MUTATIONS, "right-continuous")
     spec, tf = general.case.spec, general.case.test_function
     if spec.kind not in ("martingale", "rcll"):
         raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs kind martingale/rcll")
@@ -364,7 +368,7 @@ def martingale_ito_mc(
     for tf in tfs:
         tf.check_growth(spec.lam)
     records = np.asarray(spec.record_times(), dtype=float)
-    levels = [np.union1d(np.asarray(g, dtype=float), records) for g in grids]
+    levels = [np.union1d(_grid_times(g), records) for g in grids]
     if not levels:
         raise ValueError("need at least one grid")
     fine = max(levels, key=len)
@@ -537,7 +541,7 @@ def auto_cm_battery(spec: ProcessSpec) -> list[CameronMartinElement]:
     """
     T = spec.horizon
     if spec.name == "evanescent":
-        s0 = spec.params["s0"]
+        s0 = spec.records[0].time
         combos = [
             [(1.0, 0.6 * s0)],
             [(0.8, 0.875 * s0)],

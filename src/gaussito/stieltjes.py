@@ -198,6 +198,15 @@ def _adaptive_continuous(
     return math.fsum(value), total_err, converged, len(a)
 
 
+def _integrate(u, r: RegulatedFunction, continuous: RegulatedFunction, tol, max_refine, extra_knots) -> IntegralResult:
+    """Atoms of r plus the adaptive integral of u against ``continuous``, knots pinned."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    atoms = _atom_sum(u, r)
+    value, err, ok, n = _adaptive_continuous(u, continuous, tol, max_refine, r.pinned_points() + tuple(extra_knots))
+    return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
+
+
 def integrate_ys(
     u,
     r: RegulatedFunction,
@@ -212,13 +221,9 @@ def integrate_ys(
     interior midpoint sums are refined.  ``converged`` is False when
     ``max_refine`` bisections, or cells refined down to the width floor, left
     the error estimate at or above ``tol``; the last estimate is still
-    returned.
+    returned.  ``tol <= 0`` raises ``ValueError``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    atoms = _atom_sum(u, r)
-    value, err, ok, n = _adaptive_continuous(u, r, tol, max_refine, r.pinned_points() + tuple(extra_knots))
-    return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
+    return _integrate(u, r, r, tol, max_refine, extra_knots)
 
 
 def integrate_ls(
@@ -231,12 +236,10 @@ def integrate_ls(
     """Lebesgue-Stieltjes integral of u against a bounded-variation r.
 
     Atoms carry mass r(s+) - r(s-) with the integrand evaluated at s; the
-    continuous part integrates u against the base of r.
+    continuous part integrates u against the base of r.  Refinement, flags
+    and the ``tol`` check are those of ``integrate_ys``.
     """
-    atoms = _atom_sum(u, r)
-    base = r.without_jumps()
-    value, err, ok, n = _adaptive_continuous(u, base, tol, max_refine, r.pinned_points() + tuple(extra_knots))
-    return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
+    return _integrate(u, r, r.without_jumps(), tol, max_refine, extra_knots)
 
 
 @dataclass(frozen=True)

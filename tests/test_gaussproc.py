@@ -35,14 +35,14 @@ class TestCatalog:
 
     def test_coupled_record_values(self, coupled):
         rec = coupled.records[0]
-        assert coupled.v(0.5) == pytest.approx(2.0)
+        assert float(coupled.variance.values(0.5)) == pytest.approx(2.0)
         assert rec.v_left == pytest.approx(0.5)
         assert rec.e_dminus_sq == pytest.approx(0.5)
         assert rec.e_xleft_dminus == pytest.approx(0.5)
         # jump of the variance via the moment identity
         delta_v = 2.0 * (rec.e_xleft_dminus + rec.e_dminus_sq) - rec.e_dminus_sq
         assert delta_v == pytest.approx(1.5)
-        assert coupled.v(0.5) - rec.v_left == pytest.approx(1.5)
+        assert float(coupled.variance.values(0.5)) - rec.v_left == pytest.approx(1.5)
 
     def test_unknown_model(self):
         with pytest.raises(CatalogError):
@@ -74,14 +74,10 @@ class TestCatalog:
     def test_record_moment_identities(self, all_specs):
         for spec in all_specs:
             for rec in spec.records:
-                v_here = spec.v(rec.time)
+                v_here = float(spec.variance.values(rec.time))
                 assert rec.v_minus <= rec.v_left + 1e-12
                 assert rec.v_plus <= rec.v_right + 1e-12
                 assert 2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + rec.v_minus == pytest.approx(v_here, abs=1e-12)
-                # forward-jump mirror, with E[X_s (X_{s+} - X_s)] recovered from the record
-                k = spec.record_index(rec.time)
-                lhs = 2.0 * spec.e_x_dplus(k) + rec.e_dplus_sq + (rec.v_right - rec.v_plus)
-                assert lhs == pytest.approx(rec.v_right - v_here, abs=1e-12)
 
     def test_summability_condition_finite(self, all_specs):
         for spec in all_specs:
@@ -98,10 +94,10 @@ class TestCatalog:
 
 class TestEvanescent:
     def test_variance_profile(self, evanescent):
-        assert evanescent.v(0.3) == 1.0
-        assert evanescent.v(0.499) == 1.0
-        assert evanescent.v(0.5) == 0.0
-        assert evanescent.v(0.9) == 0.0
+        assert float(evanescent.variance.values(0.3)) == 1.0
+        assert float(evanescent.variance.values(0.499)) == 1.0
+        assert float(evanescent.variance.values(0.5)) == 0.0
+        assert float(evanescent.variance.values(0.9)) == 0.0
 
     def test_weak_limit_record(self, evanescent):
         rec = evanescent.records[0]
@@ -182,6 +178,15 @@ class TestPlanarSums:
         # left-limit increments across the jump have no jump mass
         pi = np.array([0.0, 0.5, 1.0])
         assert planar_qv_sum(jump_bm, pi) == pytest.approx(0.5**2 + 0.5**2)
+
+    def test_two_jump_one_sided_gram(self):
+        # X = B + xi_1 1{t >= 0.3} + xi_2 1{t >= 0.7}, Var xi = 0.2, 0.3
+        spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
+        ts = np.array([0.3, 0.7])
+        left = _one_sided_cov_matrix(spec, ts, -1, ts, -1)
+        np.testing.assert_allclose(left, [[0.3, 0.3], [0.3, 0.9]], rtol=0, atol=1e-15)
+        right = _one_sided_cov_matrix(spec, ts, +1, ts, +1)
+        np.testing.assert_allclose(right, [[0.5, 0.5], [0.5, 1.2]], rtol=0, atol=1e-15)
 
 
 class TestSimulation:

@@ -126,9 +126,15 @@ class TestGeneralResidual:
         mutated = replace(res, drop=frozenset({"drop_left_jump_sum"}))
         assert mutated.residual != ChainRuleTerms.residual.fget(mutated)
 
-    def test_unknown_mutation_rejected(self, brownian):
+    def test_unknown_mutation_rejected(self, brownian, jump_bm):
         with pytest.raises(ValueError):
             ito_stransform_residual(make_case(brownian, "x2", [(1.0, 1.0)]), drop={"bogus"})
+        # a flag the form has no term for is refused, not ignored
+        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
+        with pytest.raises(ValueError, match="drop_xleft_correction.*general"):
+            ito_stransform_residual(case, drop={"drop_xleft_correction"})
+        with pytest.raises(ValueError, match="drop_right_jump_sum.*right-continuous"):
+            ito_rcll_residual(ito_stransform_residual(case), drop={"drop_right_jump_sum"})
 
     def test_rough_pairing_flags_are_honest(self):
         # a 0.2-Hoelder cusp cannot be refined to 1e-11 before the bisection
@@ -226,7 +232,6 @@ def forward_jump_spec(var=0.16, s0=0.4, horizon=1.0):
         variance=variance,
         records=(record,),
         jump_cov_right=lambda ts, k: var * (np.asarray(ts, dtype=float) > s0),
-        jump_gram_right=np.array([[var]]),
     )
     spec.validate()
     return spec
@@ -275,6 +280,10 @@ class TestMartingaleItoMc:
             martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.linspace(0, 1, 25)], 100, seed=1)
         with pytest.raises(ValueError, match="span"):
             martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.array([0.0, 0.5])], 100, seed=1)
+        # a 2-D or a decreasing grid is refused like everywhere else, not flattened or sorted
+        for grid in (np.linspace(0, 1, 17).reshape(1, 17), np.linspace(1, 0, 17)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                martingale_ito_mc(jump_bm, tfs, [grid], 100, seed=1)
 
     def test_coarser_grids_leave_finest_level_unchanged(self, jump_bm):
         tfs = [make_tf("sin", jump_bm.lam)]
@@ -535,6 +544,10 @@ def test_public_names_resolve():
     assert not hasattr(Jump, "delta")
     u = RegulatedFunction(lambda ts: ts)
     assert not hasattr(u, "bounded_variation") and not callable(u)
+    # a model states its jump Gram matrices and parameters once, in its records
+    spec = catalog("jump_bm", jumps=[[0.5, 0.25]])
+    gone = ("v", "record_index", "e_x_dplus", "params", "jump_gram_left", "jump_gram_right")
+    assert not [attr for attr in gone if hasattr(spec, attr)]
 
 
 class TestMcReportInvariants:

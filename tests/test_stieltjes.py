@@ -92,6 +92,13 @@ class TestIntegrateYS:
         assert res.value == pytest.approx(float(r.values(1.0) - r.values(0.0)), abs=1e-11)
 
 
+@pytest.mark.parametrize("integrate", [integrate_ys, integrate_ls])
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_non_positive_tol_raises(integrate, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        integrate(np.cos, identity(), tol=tol)
+
+
 class TestIntegrateLS:
     def test_total_mass(self):
         assert integrate_ls(const_one, identity()).value == pytest.approx(1.0, abs=1e-12)
