@@ -251,37 +251,28 @@ def _build_battery(scenario, spec):
     return [cm_element(spec, [(a, t) for a, t in combo], label=f"h{k}") for k, combo in enumerate(cfg)]
 
 
-def _det_record(case_id, residual, tolerance, ok, lhs, terms):
-    return {
-        "case_id": case_id,
-        "kind": "deterministic",
-        "pass": bool(ok),
-        "residual": residual,
-        "tolerance": tolerance,
-        "lhs": lhs,
-        "terms": terms,
-        "mc": None,
-    }
-
-
-def _mc_record(case_id, report, ok, tolerance, z_score=None, terms=None):
-    """A Monte Carlo case; ``z_score`` only for the z-gated checks, whose verdict reads it."""
-    return {
-        "case_id": case_id,
-        "kind": "mc",
-        "pass": bool(ok),
-        "residual": None,
-        "tolerance": tolerance,
-        "lhs": None,
-        "terms": terms or {},
-        "mc": {
+def _case_record(case_id, ok, tolerance, terms, residual=None, lhs=None, report=None, z_score=None):
+    """A deterministic case, or a Monte Carlo one when ``report`` is given;
+    ``z_score`` only for the z-gated checks, whose verdict reads it."""
+    mc = None
+    if report is not None:
+        mc = {
             "estimate": report.estimate,
             "standard_error": report.standard_error,
             "reference": report.reference,
             "z_score": z_score,
             "n_paths": report.n_paths,
             "seed": report.seed,
-        },
+        }
+    return {
+        "case_id": case_id,
+        "kind": "deterministic" if report is None else "mc",
+        "pass": bool(ok),
+        "residual": residual,
+        "tolerance": tolerance,
+        "lhs": lhs,
+        "terms": terms,
+        "mc": mc,
     }
 
 
@@ -346,13 +337,13 @@ def _plan_cases(scenario, seed):
                 records = []
                 if do_ito:
                     ok = general.converged and abs(general.residual) < tol_f
-                    records.append(_det_record(ito_id, general.residual, tol_f, ok, general.lhs, general.terms()))
+                    records.append(_case_record(ito_id, ok, tol_f, general.terms(), general.residual, general.lhs))
                 if do_rcll:
                     res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
                     ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
                     terms = res.terms()
                     terms["agreement_delta"] = res.agreement_delta
-                    records.append(_det_record(rcll_id, res.residual, tol_f, ok, res.lhs, terms))
+                    records.append(_case_record(rcll_id, ok, tol_f, terms, res.residual, res.lhs))
                 return records
 
             plans.append((([ito_id] if do_ito else []) + ([rcll_id] if do_rcll else []), thunk))
@@ -373,7 +364,7 @@ def _plan_cases(scenario, seed):
                 # there is no discretization error left to decay
                 decay = all(b < a for a, b in zip(vals, vals[1:]) if a > 1e-12)
                 ok = vals[-1] < tol["mc_rel_residual"] and decay
-                records.append(_mc_record(cid, reports[-1], ok, tol["mc_rel_residual"], terms=rels))
+                records.append(_case_record(cid, ok, tol["mc_rel_residual"], rels, report=reports[-1]))
             return records
 
         plans.append((cids, thunk))
@@ -428,7 +419,8 @@ def _plan_cases(scenario, seed):
 
         def thunk(cid=cid, estimate=estimate):
             report = estimate()
-            return [_mc_record(cid, report, report.within(tol["z_max"]), tol["z_max"], z_score=report.z_score)]
+            ok = report.within(tol["z_max"])
+            return [_case_record(cid, ok, tol["z_max"], {}, report=report, z_score=report.z_score)]
 
         plans.append(([cid], thunk))
 

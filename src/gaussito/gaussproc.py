@@ -231,10 +231,6 @@ def cm_element(spec: ProcessSpec, coeffs: Sequence[tuple[float, float]], label: 
     ws = np.array([a for a, _ in pairs], dtype=float)
     ts = np.array([t for _, t in pairs], dtype=float)
 
-    if len(pairs) == 0:
-        hbar = RegulatedFunction(lambda arr: np.zeros_like(np.asarray(arr, dtype=float)), (), (0.0, T))
-        return CameronMartinElement(coeffs=pairs, hbar=hbar, norm_sq=0.0, label=label)
-
     def exact(arr):
         return np.asarray(spec.cov(np.asarray(arr, dtype=float)[:, None], ts[None, :]), dtype=float) @ ws
 
@@ -257,8 +253,6 @@ def cm_element(spec: ProcessSpec, coeffs: Sequence[tuple[float, float]], label: 
 
 def cm_inner(spec: ProcessSpec, g: CameronMartinElement, h: CameronMartinElement) -> float:
     """E[g h] from the closed-form covariance."""
-    if len(g.coeffs) == 0 or len(h.coeffs) == 0:
-        return 0.0
     M = np.asarray(spec.cov(g.times[:, None], h.times[None, :]), dtype=float)
     return float(g.weights @ M @ h.weights)
 
@@ -448,11 +442,6 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
 # -- catalog -------------------------------------------------------------------
 
 
-def _brownian_spec(horizon: float = 1.0) -> ProcessSpec:
-    """Standard Brownian motion: the jump-free case of ``jump_bm``."""
-    return _bm_plus_jumps("brownian", [], horizon)
-
-
 def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
     T = float(horizon)
     H = float(hurst)
@@ -484,7 +473,37 @@ def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) ->
     return _bm_plus_jumps("jump_bm", jumps, horizon)
 
 
-def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: float) -> ProcessSpec:
+def _jump_sampler(times: np.ndarray, jumps: Callable) -> Callable:
+    """Exact sampler of Brownian motion with one jump variable added from each of ``times`` on.
+
+    ``jumps(B, cols, rng)`` returns the (paths, K) jump variables, given the
+    Brownian paths ``B`` on the grid joined with ``times`` and the columns
+    ``cols`` of ``times`` in it.  Columns before a jump are left as drawn.
+    """
+
+    def sampler(grid):
+        full = np.union1d(grid, times)
+        sd, cols = _increment_sd(full), np.searchsorted(full, times)
+        pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
+
+        def draw(n_paths, rng):
+            B = _brownian_increments(sd, n_paths, rng)
+            xi = jumps(B, cols, rng)
+            for k, col in enumerate(cols):
+                B[:, col:] += xi[:, k : k + 1]
+            return (B if pick is None else B[:, pick]), xi
+
+        return draw
+
+    return sampler
+
+
+def _left_jump_record(time: float, e_dminus_sq: float, v_left: float, v_right: float, e_xleft_dminus: float = 0.0):
+    """Record of a left jump with strong one-sided limits: the weak limits' variances are V's."""
+    return DiscontinuityRecord(time, e_dminus_sq, 0.0, v_left, v_right, v_left, v_right, e_xleft_dminus)
+
+
+def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: float = 1.0) -> ProcessSpec:
     """Brownian motion plus independent centered Gaussian jumps at fixed interior times."""
     T = float(horizon)
     if T <= 0:
@@ -518,35 +537,14 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: flo
 
     before = np.concatenate([[0.0], np.cumsum(v_arr)])[:-1]
     records = tuple(
-        DiscontinuityRecord(
-            time=sk,
-            e_dminus_sq=vk,
-            e_dplus_sq=0.0,
-            v_left=sk + float(before[k]),
-            v_right=sk + float(before[k]) + vk,
-            v_minus=sk + float(before[k]),
-            v_plus=sk + float(before[k]) + vk,
-            e_xleft_dminus=0.0,
-        )
-        for k, (sk, vk) in enumerate(pairs)
+        _left_jump_record(sk, vk, sk + float(before[k]), sk + float(before[k]) + vk) for k, (sk, vk) in enumerate(pairs)
     )
 
     def jump_cov_left(ts, k):
         return v_arr[k] * (np.asarray(ts, dtype=float) >= s_arr[k])
 
-    def sampler(grid):
-        full = np.union1d(grid, s_arr)
-        sd, cols = _increment_sd(full), np.searchsorted(full, s_arr)
-        pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
-
-        def draw(n_paths, rng):
-            B = _brownian_increments(sd, n_paths, rng)
-            xi = rng.standard_normal((n_paths, len(pairs))) * np.sqrt(v_arr)
-            for k, col in enumerate(cols):
-                B[:, col:] += xi[:, k : k + 1]
-            return (B if pick is None else B[:, pick]), xi
-
-        return draw
+    def draw_jumps(B, cols, rng):
+        return rng.standard_normal((B.shape[0], len(pairs))) * np.sqrt(v_arr)
 
     return ProcessSpec(
         name=name,
@@ -557,7 +555,7 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: flo
         variance=variance,
         records=records,
         jump_cov_left=jump_cov_left,
-        sampler=sampler,
+        sampler=_jump_sampler(s_arr, draw_jumps),
         pathwise_qv_cont=T,
     )
 
@@ -583,33 +581,11 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         return ts + (c * (2.0 + c) * s0) * (ts >= s0)
 
     variance = RegulatedFunction.from_exact(v_exact, [Jump(s0, c * (2.0 + c) * s0, 0.0)], (0.0, T))
-    record = DiscontinuityRecord(
-        time=s0,
-        e_dminus_sq=c * c * s0,
-        e_dplus_sq=0.0,
-        v_left=s0,
-        v_right=s0 + c * (2.0 + c) * s0,
-        v_minus=s0,
-        v_plus=s0 + c * (2.0 + c) * s0,
-        e_xleft_dminus=c * s0,
-    )
+    record = _left_jump_record(s0, c * c * s0, s0, s0 + c * (2.0 + c) * s0, c * s0)
 
     def jump_cov_left(ts, k):
         ts = np.asarray(ts, dtype=float)
         return c * np.minimum(ts, s0) + (c * c * s0) * (ts >= s0)
-
-    def sampler(grid):
-        full = np.union1d(grid, [s0])
-        sd, i0, after = _increment_sd(full), int(np.searchsorted(full, s0)), full[None, :] >= s0
-        pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
-
-        def draw(n_paths, rng):
-            B = _brownian_increments(sd, n_paths, rng)
-            jump = c * B[:, i0]
-            B += jump[:, None] * after
-            return (B if pick is None else B[:, pick]), jump[:, None]
-
-        return draw
 
     return ProcessSpec(
         name="coupled_jump_bm",
@@ -621,7 +597,7 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         records=(record,),
         jump_cov_left=jump_cov_left,
         section_knots=lambda t: (float(t), s0),
-        sampler=sampler,
+        sampler=_jump_sampler(np.array([s0]), lambda B, cols, rng: c * B[:, cols]),
         pathwise_qv_cont=T,
     )
 
@@ -707,7 +683,7 @@ _CATALOG = {
     for entry in (
         CatalogEntry(
             "brownian",
-            _brownian_spec,
+            partial(_bm_plus_jumps, "brownian", ()),
             "horizon=1.0",
             "standard Brownian motion",
             "continuous baseline: jump sums degenerate, pathwise and deterministic checks coincide",

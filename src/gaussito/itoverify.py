@@ -126,7 +126,10 @@ def _pairing(obs: Observable, case: ItoCase):
         side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
         order = {"f1": 1, "f2": 2}.get(obs.kind, 0)
         fn = (tf.f, tf.f1, tf.f2)[order]
-        closed = psi(tf, _at(spec.variance, t, side), _at(h.hbar, t, side), order)
+        # at a discontinuity a one-sided limit is the weak one, with the record's variance
+        rec = next((r for r in spec.records if side and r.time == t), None)
+        var = _at(spec.variance, t, side) if rec is None else (rec.v_minus if side < 0 else rec.v_plus)
+        closed = psi(tf, var, _at(h.hbar, t, side), order)
         return closed, (t,), weighted(lambda sim: fn(_one_sided_paths(spec, sim, t, side)))
     if obs.kind == "wick_exp":
         closed = math.exp(cm_inner(spec, obs.g, h))
@@ -298,9 +301,9 @@ def _first_chaos(sim: SimulationResult, h: CameronMartinElement) -> np.ndarray:
 
 def wick_exponential_paths(sim: SimulationResult, h: CameronMartinElement) -> np.ndarray:
     """exp{h - E[h^2]/2} per path, with the exact first-chaos norm."""
-    if len(h.coeffs) == 0:
-        return np.ones(sim.paths.shape[0])
-    return np.exp(_first_chaos(sim, h) - 0.5 * h.norm_sq)
+    x = _first_chaos(sim, h)
+    x -= 0.5 * h.norm_sq
+    return np.exp(x, out=x)
 
 
 def _one_sided_paths(spec: ProcessSpec, sim: SimulationResult, t: float, side: int) -> np.ndarray:

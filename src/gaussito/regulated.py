@@ -40,6 +40,14 @@ def _as_float_array(ts) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _vector_call(fn: Callable, arr: np.ndarray) -> np.ndarray:
+    """``fn(arr)`` as a float array of ``arr``'s shape; a scalar result is broadcast."""
+    out = np.asarray(fn(arr), dtype=float)
+    if out.shape != arr.shape:
+        out = np.broadcast_to(out, arr.shape).copy()
+    return out
+
+
 class RegulatedFunction:
     """Continuous base + finite jump list on a closed interval.
 
@@ -90,56 +98,53 @@ class RegulatedFunction:
         """Build from a pointwise-exact evaluator whose jumps are known.
 
         The continuous base is reconstructed as exact(t) minus the cumulated
-        jump offsets, so ``values`` reproduces ``exact`` bit-for-bit.
+        jump offsets.  ``values`` therefore reproduces ``exact`` bit-for-bit
+        before the first jump; after it, to within one rounding of the base
+        plus the offsets.
         """
-        probe = cls(lambda ts: np.zeros_like(np.asarray(ts, dtype=float)), jumps, domain, breakpoints)
+        u = cls(exact, jumps, domain, breakpoints)
 
         def base(ts):
             arr, _ = _as_float_array(ts)
-            return np.asarray(exact(arr), dtype=float) - probe._offsets_value(arr)
+            return np.asarray(exact(arr), dtype=float) - u._offsets(arr, 0)
 
-        return cls(base, jumps, domain, breakpoints)
+        u.base = base
+        return u
 
     # -- evaluation ---------------------------------------------------------
 
-    def _base_at(self, arr: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.base(arr), dtype=float)
-        if out.shape != arr.shape:
-            out = np.broadcast_to(out, arr.shape).copy()
-        return out
-
-    def _offsets_value(self, arr: np.ndarray) -> np.ndarray:
-        if len(self._jt) == 0:
+    def _offsets(self, arr: np.ndarray, side: int) -> np.ndarray:
+        """Cumulated jumps in u(t-), u(t) or u(t+) for side -1, 0, +1."""
+        n = len(self._jt)
+        if n == 0:
             return np.zeros(arr.shape)
-        idx = np.searchsorted(self._jt, arr, side="left")
+        idx = np.searchsorted(self._jt, arr, side="right" if side > 0 else "left")
         off = self._csum[idx]
-        hit = (idx < len(self._jt)) & (self._jt[np.minimum(idx, len(self._jt) - 1)] == arr)
-        if np.any(hit):
-            off = off + np.where(hit, self._dm[np.minimum(idx, len(self._jt) - 1)], 0.0)
+        if side == 0:
+            hit = (idx < n) & (self._jt[np.minimum(idx, n - 1)] == arr)
+            if np.any(hit):
+                off = off + np.where(hit, self._dm[np.minimum(idx, n - 1)], 0.0)
         return off
 
-    def values(self, ts) -> np.ndarray:
+    def _evaluate(self, ts, side: int | None) -> np.ndarray:
         arr, scalar = _as_float_array(ts)
-        out = self._base_at(arr) + self._offsets_value(arr)
+        out = _vector_call(self.base, arr)
+        if side is not None:
+            out = out + self._offsets(arr, side)
         return out[0] if scalar else out
+
+    def values(self, ts) -> np.ndarray:
+        return self._evaluate(ts, 0)
 
     def left_values(self, ts) -> np.ndarray:
-        arr, scalar = _as_float_array(ts)
-        idx = np.searchsorted(self._jt, arr, side="left") if len(self._jt) else np.zeros(arr.shape, dtype=int)
-        out = self._base_at(arr) + self._csum[idx]
-        return out[0] if scalar else out
+        return self._evaluate(ts, -1)
 
     def right_values(self, ts) -> np.ndarray:
-        arr, scalar = _as_float_array(ts)
-        idx = np.searchsorted(self._jt, arr, side="right") if len(self._jt) else np.zeros(arr.shape, dtype=int)
-        out = self._base_at(arr) + self._csum[idx]
-        return out[0] if scalar else out
+        return self._evaluate(ts, 1)
 
     def base_values(self, ts) -> np.ndarray:
         """Continuous part of u (the base), sharing u's evaluator conventions."""
-        arr, scalar = _as_float_array(ts)
-        out = self._base_at(arr)
-        return out[0] if scalar else out
+        return self._evaluate(ts, None)
 
     def one_sided(self, t: float) -> tuple[float, float, float]:
         """(u(t-), u(t), u(t+)) with the endpoint conventions; t must lie in the domain."""
@@ -155,17 +160,15 @@ class RegulatedFunction:
     def jump_times(self) -> tuple[float, ...]:
         return tuple(self._jt)
 
-    def delta_minus_at(self, t: float) -> float:
+    def _delta_at(self, deltas: np.ndarray, t: float) -> float:
         k = np.searchsorted(self._jt, t)
-        if k < len(self._jt) and self._jt[k] == t:
-            return float(self._dm[k])
-        return 0.0
+        return float(deltas[k]) if k < len(self._jt) and self._jt[k] == t else 0.0
+
+    def delta_minus_at(self, t: float) -> float:
+        return self._delta_at(self._dm, t)
 
     def delta_plus_at(self, t: float) -> float:
-        k = np.searchsorted(self._jt, t)
-        if k < len(self._jt) and self._jt[k] == t:
-            return float(self._dp[k])
-        return 0.0
+        return self._delta_at(self._dp, t)
 
     def without_jumps(self) -> "RegulatedFunction":
         return RegulatedFunction(self.base, (), self.domain, self.breakpoints)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regulated import RegulatedFunction
+from .regulated import RegulatedFunction, _vector_call
 
 __all__ = [
     "ChainRuleTerms",
@@ -41,16 +41,6 @@ __all__ = [
 _MIN_CELLS = 16
 # cells this narrow, relative to their position, are never split again
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
-
-
-def _as_vector_fn(u) -> Callable[[np.ndarray], np.ndarray]:
-    def call(ts: np.ndarray) -> np.ndarray:
-        out = np.asarray(u(ts), dtype=float)
-        if out.shape != ts.shape:
-            out = np.broadcast_to(out, ts.shape).copy()
-        return out
-
-    return call
 
 
 @dataclass(frozen=True)
@@ -73,7 +63,7 @@ def _atom_sum(u, r: RegulatedFunction) -> float:
     if not r.jump_times:
         return 0.0
     jt = np.asarray(r.jump_times)
-    uj = _as_vector_fn(u)(jt)
+    uj = _vector_call(u, jt)
     terms = []
     for k, s in enumerate(jt):
         if s > t0:
@@ -99,7 +89,6 @@ def _adaptive_continuous(
     so all interior evaluation points are continuity points of r.
     """
     t0, t1 = r.domain
-    uf = _as_vector_fn(u)
     eps = np.finfo(float).eps
     pts = sorted({t0, t1} | {float(k) for k in knots if t0 < float(k) < t1})
 
@@ -128,7 +117,7 @@ def _adaptive_continuous(
         cuts = np.stack([a + 0.125 * h * k for k in (2, 4, 6)])  # quarter, mid, three-quarter
         r_cuts = r.values(cuts.ravel()).reshape(cuts.shape)
         tags = np.stack([a + 0.125 * h * k for k in (4, 2, 6, 1, 3, 5, 7)])
-        ut = uf(tags.ravel()).reshape(tags.shape)
+        ut = _vector_call(u, tags.ravel()).reshape(tags.shape)
         m1 = ut[0] * (rb - ra)
         m2 = ut[1] * (r_cuts[1] - ra) + ut[2] * (rb - r_cuts[1])
         m4 = (

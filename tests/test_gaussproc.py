@@ -21,6 +21,7 @@ from gaussito.gaussproc import (
     simulate_paths,
 )
 from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _one_sided_cov_matrix
+from gaussito.itoverify import wick_exponential_paths
 
 
 class TestCatalog:
@@ -60,6 +61,7 @@ class TestCatalog:
             ("coupled_jump_bm", {"c": 1.0, "s0": 1.5}),
             ("evanescent", {"s0": 2.0}),
             ("brownian", {"horizon": -1.0}),
+            ("brownian", {"jumps": [(0.5, 0.1)]}),
         ],
     )
     def test_invalid_params(self, model_id, params):
@@ -135,10 +137,16 @@ class TestCameronMartin:
         assert h.hbar.delta_minus_at(0.5) == pytest.approx(0.25)
         assert h.norm_sq == pytest.approx(1.25)
 
-    def test_empty_element(self, jump_bm):
-        h = cm_element(jump_bm, [])
-        assert h.norm_sq == 0.0
-        assert float(h.hbar.values(0.7)) == 0.0
+    def test_empty_element(self, all_specs):
+        # the empty element takes the general path: zero-width covariance arrays
+        for spec in all_specs:
+            h = cm_element(spec, [])
+            assert h.norm_sq == 0.0
+            assert not h.hbar.jumps
+            assert np.all(h.hbar.values(np.linspace(0.0, spec.horizon, 33)) == 0.0)
+            assert cm_inner(spec, h, cm_element(spec, [(1.0, 0.3)])) == 0.0
+            sim = simulate_paths(spec, np.array([0.3, spec.horizon]), 20, seed=3)
+            assert np.array_equal(wick_exponential_paths(sim, h), np.ones(20))
 
     def test_linearity_pointwise(self, coupled):
         a = cm_element(coupled, [(0.7, 0.4)])
@@ -249,9 +257,8 @@ class TestSimulation:
         else:
             full = np.union1d(grid, [0.5])
             B = brownian(full)
-            draws = 1.0 * B[:, int(np.searchsorted(full, 0.5))]
-            paths = (B + draws[:, None] * (full[None, :] >= 0.5))[:, np.searchsorted(full, grid)]
-            draws = draws[:, None]
+            draws = 1.0 * B[:, [int(np.searchsorted(full, 0.5))]]
+            paths = np.where(full >= 0.5, B + draws, B)[:, np.searchsorted(full, grid)]
         sim = simulate_paths(spec, grid, 50, seed=13)
         for new, old in ((sim.paths, paths), (sim.jump_draws, draws)):
             assert np.array_equal(new, old)

@@ -63,11 +63,15 @@ class TestSTransform:
             obs = Observable(kind="process", t=t)
             assert s_transform(obs, scaled) == pytest.approx(2.5 * s_transform(obs, base), abs=1e-14)
 
-    def test_one_sided_forms(self, jump_bm):
+    def test_one_sided_forms(self, jump_bm, evanescent):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         # psi(V(0.5-), hbar(0.5-)) = 0.5^2 + 0.5 and psi(V(0.5), hbar(0.5)) right limit
         assert s_transform(Observable(kind="f_left", t=0.5), case) == pytest.approx(0.75)
         assert s_transform(Observable(kind="f_right", t=0.5), case) == pytest.approx(0.75**2 + 0.75)
+        # evanescent's weak limits at s0 are 0 (v_minus = v_plus = 0), though V(s0-) = 1
+        case = make_case(evanescent, "x2", [(1.0, 0.3)])
+        assert s_transform(Observable(kind="f_left", t=0.5), case) == 0.0
+        assert s_transform(Observable(kind="f_right", t=0.5), case) == 0.0
 
     def test_growth_guard_at_case_build(self, brownian):
         from gaussito.heatkernel import GrowthBound, GrowthBoundError
@@ -406,6 +410,14 @@ class TestMcSTransform:
         rep = mc_s_transform(case, Observable(kind="f_left", t=0.5), 50000, seed=45)
         assert rep.reference == pytest.approx(0.75)
         assert abs(rep.z_score) < 4
+
+    @pytest.mark.parametrize("tf,reference", [("x2", 0.0), ("exp", 1.0)])
+    def test_weak_left_limit_observable(self, evanescent, tf, reference):
+        # X_{s0-} is the weak limit 0, so the pairing is F(hbar(s0-)) = F(0)
+        case = make_case(evanescent, tf, [(1.0, 0.3)])
+        rep = mc_s_transform(case, Observable(kind="f_left", t=0.5), 20000, seed=46)
+        assert rep.reference == pytest.approx(reference, abs=1e-15)
+        assert rep.within(4)
 
     def test_wick_exponential_product_identity(self, jump_bm):
         # exp<>(h) exp<>(g) = e^{E[gh]} exp<>(g + h), exact per path
