@@ -477,6 +477,11 @@ def _write_reports(out_dir: Path, report: dict, timings: dict | None) -> tuple[P
 
 def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, echo=print) -> int:
     """Execute a scenario file or bundled scenario name; returns the exit code."""
+    # the schema's mc.seed >= 0 rule holds for an overriding seed too
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     scenario = _load_scenario(_resolve_scenario(scenario_path))
     out = Path(
         out_dir

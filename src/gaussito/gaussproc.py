@@ -526,14 +526,7 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: flo
             out += vk * (m >= sk)
         return out
 
-    def v_exact(ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.array(ts, dtype=float, copy=True)
-        for sk, vk in pairs:
-            out += vk * (ts >= sk)
-        return out
-
-    variance = RegulatedFunction.from_exact(v_exact, [Jump(sk, vk, 0.0) for sk, vk in pairs], (0.0, T))
+    variance = RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(sk, vk, 0.0) for sk, vk in pairs], (0.0, T))
 
     before = np.concatenate([[0.0], np.cumsum(v_arr)])[:-1]
     records = tuple(
@@ -576,11 +569,7 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         js = s >= s0
         return np.minimum(t, s) + c * np.minimum(s, s0) * it + c * np.minimum(t, s0) * js + (c * c * s0) * (it & js)
 
-    def v_exact(ts):
-        ts = np.asarray(ts, dtype=float)
-        return ts + (c * (2.0 + c) * s0) * (ts >= s0)
-
-    variance = RegulatedFunction.from_exact(v_exact, [Jump(s0, c * (2.0 + c) * s0, 0.0)], (0.0, T))
+    variance = RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(s0, c * (2.0 + c) * s0, 0.0)], (0.0, T))
     record = _left_jump_record(s0, c * c * s0, s0, s0 + c * (2.0 + c) * s0, c * s0)
 
     def jump_cov_left(ts, k):
@@ -634,9 +623,7 @@ def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
         )
         return np.where(inside, val, 0.0)
 
-    variance = RegulatedFunction.from_exact(
-        lambda ts: 1.0 * (np.asarray(ts, dtype=float) < s0), [Jump(s0, -1.0, 0.0)], (0.0, T)
-    )
+    variance = RegulatedFunction(lambda ts: 1.0, [Jump(s0, -1.0, 0.0)], (0.0, T))
     record = DiscontinuityRecord(
         time=s0,
         e_dminus_sq=0.0,

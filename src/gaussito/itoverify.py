@@ -81,7 +81,6 @@ class ItoCase:
     test_function: TestFunction
     h: CameronMartinElement
     ys_tol: float = 1e-11
-    max_refine: int = 60000
     label: str = ""
 
     def __post_init__(self):
@@ -95,10 +94,10 @@ class ItoCase:
 class Observable:
     """Closed-form-pairable functionals of the process.
 
-    kinds: "process" (X_t), "f"/"f1"/"f2" (F and derivatives at X_t),
-    "f_left"/"f_right" (F at the weak one-sided limits), "wick_exp"
-    (exp-wick of g), "jump_pairing" ((e^{c J - c^2 var/2} - 1) J for the
-    left-jump variable J at a record, paired with its own exponential).
+    kinds: "process" (X_t), "f" (F at X_t), "f_left"/"f_right" (F at the
+    weak one-sided limits), "wick_exp" (exp-wick of g), "jump_pairing"
+    ((e^{c J - c^2 var/2} - 1) J for the left-jump variable J at a record,
+    paired with its own exponential).
     """
 
     kind: str
@@ -122,15 +121,13 @@ def _pairing(obs: Observable, case: ItoCase):
 
     if obs.kind == "process":
         return _at(h.hbar, t, 0), (t,), weighted(lambda sim: _one_sided_paths(spec, sim, t, 0))
-    if obs.kind in ("f", "f1", "f2", "f_left", "f_right"):
+    if obs.kind in ("f", "f_left", "f_right"):
         side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
-        order = {"f1": 1, "f2": 2}.get(obs.kind, 0)
-        fn = (tf.f, tf.f1, tf.f2)[order]
         # at a discontinuity a one-sided limit is the weak one, with the record's variance
         rec = next((r for r in spec.records if side and r.time == t), None)
         var = _at(spec.variance, t, side) if rec is None else (rec.v_minus if side < 0 else rec.v_plus)
-        closed = psi(tf, var, _at(h.hbar, t, side), order)
-        return closed, (t,), weighted(lambda sim: fn(_one_sided_paths(spec, sim, t, side)))
+        closed = psi(tf, var, _at(h.hbar, t, side))
+        return closed, (t,), weighted(lambda sim: tf.f(_one_sided_paths(spec, sim, t, side)))
     if obs.kind == "wick_exp":
         closed = math.exp(cm_inner(spec, obs.g, h))
         return closed, tuple(obs.g.times), weighted(lambda sim: wick_exponential_paths(sim, obs.g))
@@ -230,7 +227,7 @@ def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
         d2=lambda x1, x2: 0.5 * psi(tf, x2, x1, 2),
         name=f"psi_{tf.name}",
     )
-    chain = chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol, max_refine=case.max_refine)
+    chain = chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol)
     return ItoResidual(**vars(chain), case=case, drop=drop)
 
 

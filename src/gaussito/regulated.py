@@ -170,9 +170,6 @@ class RegulatedFunction:
     def delta_plus_at(self, t: float) -> float:
         return self._delta_at(self._dp, t)
 
-    def without_jumps(self) -> "RegulatedFunction":
-        return RegulatedFunction(self.base, (), self.domain, self.breakpoints)
-
     def pinned_points(self) -> tuple[float, ...]:
         """Jump times and base kinks, for partition pinning."""
         return tuple(sorted(set(self.jump_times) | set(self.breakpoints)))

@@ -1,15 +1,17 @@
 """Stieltjes-type integration against regulated integrators.
 
-Two integrals share one adaptive core, ``_adaptive_continuous``, which
-refines the continuous part by bisection with a per-cell two-level
-Richardson estimate, while jump times and declared kinks stay pinned as
-partition points and the atoms are summed exactly:
+Both integrals split a regulated integrator r into its continuous base and
+its jumps: the atoms are summed exactly, and one adaptive core,
+``_adaptive_continuous``, integrates u against the base by bisection with a
+per-cell two-level Richardson estimate, with jump times and declared kinks
+pinned as partition points.  One budget, ``_MAX_REFINE`` bisections, bounds
+every refinement.
 
 * ``integrate_ys`` is the Young-Stieltjes integral.  Its atoms are the
   one-sided jump terms u(s) d-r(s) + u(s) d+r(s).  Convergence in this
   refinement mode is the computational stand-in for gauge-based integration.
 * ``integrate_ls`` integrates against a bounded-variation integrator as a
-  measure: the continuous base plus atom terms u(s) * (r(s+) - r(s-)).
+  measure, with atom terms u(s) * (r(s+) - r(s-)): the same sum.
 
 The chain rule for G(u1, u2) with u1 regulated (finite quadratic jump part)
 and u2 of bounded variation combines both integrals with the left/right jump
@@ -41,6 +43,8 @@ __all__ = [
 _MIN_CELLS = 16
 # cells this narrow, relative to their position, are never split again
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
+# most bisections one integral may make
+_MAX_REFINE = 60000
 
 
 @dataclass(frozen=True)
@@ -73,20 +77,14 @@ def _atom_sum(u, r: RegulatedFunction) -> float:
     return math.fsum(terms)
 
 
-def _adaptive_continuous(
-    u,
-    r: RegulatedFunction,
-    tol: float,
-    max_refine: int,
-    knots: Sequence[float],
-) -> tuple[float, float, bool, int]:
-    """Adaptive midpoint-Stieltjes value of the continuous part of int u dr.
+def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[float]) -> tuple[float, float, bool, int]:
+    """Adaptive midpoint-Stieltjes value of int u d(base of r).
 
     Per cell, midpoint sums at three dyadic levels are extrapolated twice
     (cell-local Romberg); the difference of the two extrapolants drives
     refinement and, clamped at roundoff scale, forms the error estimate.
-    Assumes every jump time of r appears in ``knots`` (callers guarantee it),
-    so all interior evaluation points are continuity points of r.
+    ``knots`` are partition points from the start: the integrand jumps or
+    kinks there, and a cell that straddles such a point converges slowly.
     """
     t0, t1 = r.domain
     eps = np.finfo(float).eps
@@ -101,8 +99,8 @@ def _adaptive_continuous(
         b_list.append(edges[1:])
     a = np.concatenate(a_list)
     b = np.concatenate(b_list)
-    ra = r.right_values(a)
-    rb = r.left_values(b)
+    ra = r.base_values(a)
+    rb = r.base_values(b)
 
     def levels(a, b, ra, rb):
         """Midpoint sums over 1, 2 and 4 subcells, then Romberg columns.
@@ -115,7 +113,7 @@ def _adaptive_continuous(
         """
         h = b - a
         cuts = np.stack([a + 0.125 * h * k for k in (2, 4, 6)])  # quarter, mid, three-quarter
-        r_cuts = r.values(cuts.ravel()).reshape(cuts.shape)
+        r_cuts = r.base_values(cuts.ravel()).reshape(cuts.shape)
         tags = np.stack([a + 0.125 * h * k for k in (4, 2, 6, 1, 3, 5, 7)])
         ut = _vector_call(u, tags.ravel()).reshape(tags.shape)
         m1 = ut[0] * (rb - ra)
@@ -148,7 +146,7 @@ def _adaptive_continuous(
             break
         # floored cells are never split again, so once their error alone
         # reaches tol no refinement can bring the total under it
-        if splits >= max_refine or float(np.sum(err[at_floor])) >= tol:
+        if splits >= _MAX_REFINE or float(np.sum(err[at_floor])) >= tol:
             converged = False
             break
         eligible = ~at_floor & (err > 0.0)
@@ -159,7 +157,7 @@ def _adaptive_continuous(
         if not np.any(sel):
             sel = np.zeros(len(a), dtype=bool)
             sel[int(np.argmax(np.where(eligible, err, -1.0)))] = True
-        budget = max_refine - splits
+        budget = _MAX_REFINE - splits
         if int(np.sum(sel)) > budget:
             order = np.argsort(err[sel])[::-1]
             idx = np.flatnonzero(sel)[order[:budget]]
@@ -169,7 +167,7 @@ def _adaptive_continuous(
 
         ka, kb = a[sel], b[sel]
         kmid = 0.5 * (ka + kb)
-        rm = r.values(kmid)
+        rm = r.base_values(kmid)
         ca = np.concatenate([ka, kmid])
         cb = np.concatenate([kmid, kb])
         cra = np.concatenate([ra[sel], rm])
@@ -187,48 +185,35 @@ def _adaptive_continuous(
     return math.fsum(value), total_err, converged, len(a)
 
 
-def _integrate(u, r: RegulatedFunction, continuous: RegulatedFunction, tol, max_refine, extra_knots) -> IntegralResult:
-    """Atoms of r plus the adaptive integral of u against ``continuous``, knots pinned."""
+def _integrate(u, r: RegulatedFunction, tol, extra_knots) -> IntegralResult:
+    """Atoms of r plus the adaptive integral of u against r's base, r's knots pinned."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     atoms = _atom_sum(u, r)
-    value, err, ok, n = _adaptive_continuous(u, continuous, tol, max_refine, r.pinned_points() + tuple(extra_knots))
+    value, err, ok, n = _adaptive_continuous(u, r, tol, r.pinned_points() + tuple(extra_knots))
     return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
 
 
-def integrate_ys(
-    u,
-    r: RegulatedFunction,
-    tol: float = 1e-10,
-    max_refine: int = 40000,
-    extra_knots: Sequence[float] = (),
-) -> IntegralResult:
+def integrate_ys(u, r: RegulatedFunction, tol: float = 1e-10, extra_knots: Sequence[float] = ()) -> IntegralResult:
     """Young-Stieltjes integral of u against r by adaptive refinement.
 
-    ``u`` is a vectorized callable.  Jump times of r are pinned as
-    partition points, so the atom terms are refinement-invariant and only the
-    interior midpoint sums are refined.  ``converged`` is False when
-    ``max_refine`` bisections, or cells refined down to the width floor, left
-    the error estimate at or above ``tol``; the last estimate is still
-    returned.  ``tol <= 0`` raises ``ValueError``.
+    ``u`` is a vectorized callable.  The atom terms are exact; only the
+    integral against r's continuous base is refined.  ``converged`` is False
+    when ``_MAX_REFINE`` bisections, or cells refined down to the width
+    floor, left the error estimate at or above ``tol``; the last estimate is
+    still returned.  ``tol <= 0`` raises ``ValueError``.
     """
-    return _integrate(u, r, r, tol, max_refine, extra_knots)
+    return _integrate(u, r, tol, extra_knots)
 
 
-def integrate_ls(
-    u,
-    r: RegulatedFunction,
-    tol: float = 1e-10,
-    max_refine: int = 40000,
-    extra_knots: Sequence[float] = (),
-) -> IntegralResult:
+def integrate_ls(u, r: RegulatedFunction, tol: float = 1e-10, extra_knots: Sequence[float] = ()) -> IntegralResult:
     """Lebesgue-Stieltjes integral of u against a bounded-variation r.
 
-    Atoms carry mass r(s+) - r(s-) with the integrand evaluated at s; the
-    continuous part integrates u against the base of r.  Refinement, flags
-    and the ``tol`` check are those of ``integrate_ys``.
+    Atoms carry mass r(s+) - r(s-) with the integrand evaluated at s, which
+    is ``integrate_ys``'s atom sum; the continuous part, refinement, flags
+    and the ``tol`` check are ``integrate_ys``'s too.
     """
-    return _integrate(u, r, r.without_jumps(), tol, max_refine, extra_knots)
+    return _integrate(u, r, tol, extra_knots)
 
 
 @dataclass(frozen=True)
@@ -272,13 +257,7 @@ class ChainRuleTerms:
         return self.int_u1.converged and self.int_u2.converged
 
 
-def chain_rule(
-    G: ScalarField,
-    u1: RegulatedFunction,
-    u2: RegulatedFunction,
-    tol: float = 1e-9,
-    max_refine: int = 40000,
-) -> ChainRuleTerms:
+def chain_rule(G: ScalarField, u1: RegulatedFunction, u2: RegulatedFunction, tol: float = 1e-9) -> ChainRuleTerms:
     """Two-variable change-of-variables check for regulated u1 and BV u2.
 
     Computes G(u(T)) - G(u(0)) against the Young-Stieltjes integral of
@@ -299,8 +278,8 @@ def chain_rule(
     def integrand2(ts):
         return G.d2(u1.values(ts), u2.values(ts))
 
-    r1 = integrate_ys(integrand1, u1, tol=tol, max_refine=max_refine, extra_knots=u2.pinned_points())
-    r2 = integrate_ls(integrand2, u2, tol=tol, max_refine=max_refine, extra_knots=u1.pinned_points())
+    r1 = integrate_ys(integrand1, u1, tol=tol, extra_knots=u2.pinned_points())
+    r2 = integrate_ls(integrand2, u2, tol=tol, extra_knots=u1.pinned_points())
 
     left_terms, right_terms = [], []
     for s in sorted({float(t) for t in u1.jump_times + u2.jump_times}):

@@ -177,6 +177,19 @@ class TestRun:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario, seed", [("full_jump_bm", "-3000"), ("smoke", "-1")])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, scenario, seed):
+        # the schema's mc.seed >= 0 rule holds for an overriding --seed too
+        assert main(["run", scenario, "--seed", seed, "--out", str(tmp_path / "out")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        assert main(["run", "smoke", "--jobs", jobs, "--out", str(tmp_path / "out")]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_schema_violation_exit_2_with_paths(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 1, "name": "x", "model": {"id": "brownian"}, "oops": 1}))

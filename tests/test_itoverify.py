@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -55,6 +56,10 @@ class TestSTransform:
     def test_smoothed_square(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
         assert s_transform(Observable(kind="f", t=1.0), case) == pytest.approx(2.0)
+        # the derivative kinds had no caller and are gone
+        for kind in ("f1", "f2"):
+            with pytest.raises(ValueError, match="unknown observable kind"):
+                s_transform(Observable(kind=kind, t=1.0), case)
 
     def test_scaling_in_h(self, jump_bm):
         base = make_case(jump_bm, "x2", [(1.0, 1.0)])
@@ -147,7 +152,7 @@ class TestGeneralResidual:
 
         spec = catalog("fbm", hurst=0.1)
         h = cm_element(spec, [(0.8, 0.4)])
-        tight = ito_stransform_residual(ItoCase(spec, make_tf("x2", spec.lam), h, max_refine=2000))
+        tight = ito_stransform_residual(ItoCase(spec, make_tf("x2", spec.lam), h))
         assert not tight.converged
         loose = ito_stransform_residual(ItoCase(spec, make_tf("x2", spec.lam), h, ys_tol=1e-5))
         assert loose.converged
@@ -560,6 +565,20 @@ def test_public_names_resolve():
     spec = catalog("jump_bm", jumps=[[0.5, 0.25]])
     gone = ("v", "record_index", "e_x_dplus", "params", "jump_gram_left", "jump_gram_right")
     assert not [attr for attr in gone if hasattr(spec, attr)]
+    # both Stieltjes integrals refine the integrator's base under one budget
+    from gaussito import stieltjes
+
+    assert not hasattr(RegulatedFunction, "without_jumps")
+    assert "continuous" not in inspect.signature(stieltjes._integrate).parameters
+    refining = (
+        ItoCase,
+        stieltjes.chain_rule,
+        stieltjes.integrate_ys,
+        stieltjes.integrate_ls,
+        stieltjes._integrate,
+        stieltjes._adaptive_continuous,
+    )
+    assert not [fn for fn in refining if "max_refine" in inspect.signature(fn).parameters]
 
 
 class TestMcReportInvariants:

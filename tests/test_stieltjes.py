@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_regulated import regulated_functions
 
+from gaussito import stieltjes
 from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import (
     ScalarField,
@@ -47,9 +49,12 @@ class TestIntegrateYS:
         assert res.converged
         assert res.value == pytest.approx(math.sin(1.0), abs=1e-11)
 
-    def test_non_convergence_flag(self):
-        res = integrate_ys(lambda t: np.cos(40 * t), identity(), tol=1e-14, max_refine=2)
+    def test_non_convergence_flag(self, monkeypatch):
+        # two bisections cannot resolve cos(40 t) to 1e-14: the budget exit
+        monkeypatch.setattr(stieltjes, "_MAX_REFINE", 2)
+        res = integrate_ys(lambda t: np.cos(40 * t), identity(), tol=1e-14)
         assert not res.converged
+        assert res.n_cells == 16 + 2
 
     def test_stops_once_floored_cells_exceed_tol(self):
         # a 0.2-Hoelder cusp floors cells whose error alone exceeds tol; the
@@ -125,16 +130,22 @@ class TestIntegrateLS:
         parts = integrate_ls(u, r1, tol=1e-11).value + integrate_ls(u, r2, tol=1e-11).value
         assert total == pytest.approx(parts, abs=1e-9)
 
-    def test_agrees_with_ys_for_continuous_integrand(self):
-        r = RegulatedFunction(
+    @given(regulated_functions())
+    @example(
+        RegulatedFunction(
             np.polynomial.Polynomial([0.0, 1.0, -0.4]),
             [Jump(0.25, 0.3, 0.0), Jump(0.6, 0.0, -0.2)],
             (0.0, 1.0),
         )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_ys_for_continuous_integrand(self, r):
+        # both integrals are the exact atom sum beside one refinement of r's base
         u = lambda t: np.sin(3 * np.asarray(t))
-        a = integrate_ys(u, r, tol=1e-11).value
-        b = integrate_ls(u, r, tol=1e-11).value
-        assert a == pytest.approx(b, abs=1e-9)
+        a = integrate_ys(u, r, tol=1e-11)
+        b = integrate_ls(u, r, tol=1e-11)
+        assert a.value == pytest.approx(b.value, abs=1e-9)
+        assert a == b
 
 
 def field_product():
