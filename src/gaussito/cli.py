@@ -326,7 +326,7 @@ def _plan_cases(scenario, seed):
 
     # one chain-rule run per case serves both deterministic checks
     do_ito = "ito_stransform" in checks
-    do_rcll = "ito_rcll" in checks and spec.kind in ("martingale", "rcll")
+    do_rcll = "ito_rcll" in checks and spec.rcll
     if do_ito or do_rcll:
         for case in cases:
             ito_id, rcll_id = f"ito:{spec.name}:{case.label}", f"rcll:{spec.name}:{case.label}"
@@ -348,7 +348,7 @@ def _plan_cases(scenario, seed):
 
             plans.append((([ito_id] if do_ito else []) + ([rcll_id] if do_rcll else []), thunk))
 
-    if "martingale_ito" in checks and spec.kind == "martingale":
+    if "martingale_ito" in checks and spec.martingale:
         # one coupled draw serves every test function
         cids = [f"mc_ito:{spec.name}:{tf.name}" for tf in tfs]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -63,28 +63,27 @@ class SimulationError(RuntimeError):
 
 
 class UnsupportedModelError(ValueError):
-    """Operation not defined for this model kind."""
+    """Operation not defined for this model: not right-continuous, not a martingale, or beyond its sampler."""
 
 
 @dataclass(frozen=True)
 class DiscontinuityRecord:
-    """Analytic data of one fixed-time discontinuity.
+    """What the variance V cannot tell of one fixed-time discontinuity.
 
-    ``v_left``/``v_right`` are the one-sided limits of the variance function,
-    ``v_minus``/``v_plus`` the variances of the weak one-sided limits of the
-    process; the latter may be strictly smaller.  ``e_xleft_dminus`` is
-    E[X_{s-} (X_s - X_{s-})], the left-limit/jump correlation that feeds the
-    right-continuous reduction of the jump terms.
+    ``e_dminus_sq``/``e_dplus_sq`` are the mean-square left and right jumps,
+    ``e_xleft_dminus`` is E[X_{s-} (X_s - X_{s-})], the left-limit/jump
+    correlation that feeds the right-continuous reduction of the jump terms.
+    The weak one-sided limits of the process have variances V(s-) -
+    ``lost_minus`` and V(s+) - ``lost_plus``: a weak limit may lose variance
+    against V's limits, never gain it.
     """
 
     time: float
     e_dminus_sq: float
-    e_dplus_sq: float
-    v_left: float
-    v_right: float
-    v_minus: float
-    v_plus: float
-    e_xleft_dminus: float
+    e_dplus_sq: float = 0.0
+    e_xleft_dminus: float = 0.0
+    lost_minus: float = 0.0
+    lost_plus: float = 0.0
 
 
 def _no_jump_cov(ts, _k):
@@ -109,13 +108,12 @@ class ProcessSpec:
     ``sampler(grid)``, for models with an exact construction, does the
     per-grid work once and returns ``draw(n_paths, rng)``, which makes one
     ``(paths, jump_draws)`` batch on the grid; without it the Gram matrix is
-    factorized.
+    factorized.  ``martingale`` marks Brownian motion plus independent jumps,
+    the models of the pathwise check.
     """
 
     name: str
-    kind: str  # "martingale" | "rcll" | "general"
     horizon: float
-    lam: float
     cov: Callable
     variance: RegulatedFunction
     records: tuple[DiscontinuityRecord, ...] = ()
@@ -124,9 +122,25 @@ class ProcessSpec:
     section_knots: Callable = _point_knots
     sampler: Callable = None
     pathwise_qv_cont: float | None = None
+    martingale: bool = False
 
     def record_times(self) -> tuple[float, ...]:
         return tuple(r.time for r in self.records)
+
+    @cached_property
+    def lam(self) -> float:
+        """sup of V: its value at the horizon and its one-sided values at each
+        jump, exact for a non-decreasing base (``validate`` checks the probes)."""
+        V = self.variance
+        return max([float(V.values(self.horizon)), *(v for s in V.jump_times for v in V.one_sided(s))])
+
+    @property
+    def rcll(self) -> bool:
+        """True when the jump terms reduce to the right-continuous form: no weak
+        limit loses variance and there is no forward jump of X or of V."""
+        return not any(
+            r.lost_minus or r.lost_plus or r.e_dplus_sq or self.variance.delta_plus_at(r.time) for r in self.records
+        )
 
     # -- consistency ----------------------------------------------------------
 
@@ -141,15 +155,15 @@ class ProcessSpec:
         scale = max(1.0, self.lam)
         if np.max(np.abs(diag - vv)) > 1e-12 * scale:
             raise CatalogError(f"{self.name}: variance function disagrees with covariance diagonal")
+        if np.max(vv) > self.lam + 1e-12 * scale:
+            raise CatalogError(f"{self.name}: variance function exceeds its derived sup lam={self.lam:g}")
         for rec in self.records:
-            v_l, v_here, v_r = self.variance.one_sided(rec.time)
+            v_l, v_here, _ = self.variance.one_sided(rec.time)
             checks = [
-                abs(rec.v_left - v_l),
-                abs(rec.v_right - v_r),
-                max(0.0, rec.v_minus - rec.v_left),
-                max(0.0, rec.v_plus - rec.v_right),
+                -rec.lost_minus,
+                -rec.lost_plus,
                 # Gaussian moment identity tying the left record to V(s)
-                abs(2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + rec.v_minus - v_here),
+                abs(2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + (v_l - rec.lost_minus) - v_here),
             ]
             if max(checks) > _RECORD_TOL * scale:
                 raise CatalogError(f"{self.name}: inconsistent discontinuity record at t={rec.time}")
@@ -428,7 +442,7 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
     mean-square jumps; only models whose paths have a deterministic continuous
     quadratic variation support this check.
     """
-    if spec.pathwise_qv_cont is None or spec.kind not in ("martingale", "rcll"):
+    if spec.pathwise_qv_cont is None or not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
 
     def quadratic_sum(sim):
@@ -458,9 +472,7 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
 
     return ProcessSpec(
         name="fbm",
-        kind="rcll",
         horizon=T,
-        lam=T**two_h,
         cov=cov,
         variance=RegulatedFunction(lambda ts: np.asarray(ts, dtype=float) ** two_h, (), (0.0, T)),
         pathwise_qv_cont=T if H == 0.5 else None,
@@ -498,11 +510,6 @@ def _jump_sampler(times: np.ndarray, jumps: Callable) -> Callable:
     return sampler
 
 
-def _left_jump_record(time: float, e_dminus_sq: float, v_left: float, v_right: float, e_xleft_dminus: float = 0.0):
-    """Record of a left jump with strong one-sided limits: the weak limits' variances are V's."""
-    return DiscontinuityRecord(time, e_dminus_sq, 0.0, v_left, v_right, v_left, v_right, e_xleft_dminus)
-
-
 def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: float = 1.0) -> ProcessSpec:
     """Brownian motion plus independent centered Gaussian jumps at fixed interior times."""
     T = float(horizon)
@@ -528,11 +535,6 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: flo
 
     variance = RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(sk, vk, 0.0) for sk, vk in pairs], (0.0, T))
 
-    before = np.concatenate([[0.0], np.cumsum(v_arr)])[:-1]
-    records = tuple(
-        _left_jump_record(sk, vk, sk + float(before[k]), sk + float(before[k]) + vk) for k, (sk, vk) in enumerate(pairs)
-    )
-
     def jump_cov_left(ts, k):
         return v_arr[k] * (np.asarray(ts, dtype=float) >= s_arr[k])
 
@@ -541,15 +543,14 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: flo
 
     return ProcessSpec(
         name=name,
-        kind="martingale",
         horizon=T,
-        lam=T + float(np.sum(v_arr)),
         cov=cov,
         variance=variance,
-        records=records,
+        records=tuple(DiscontinuityRecord(sk, vk) for sk, vk in pairs),
         jump_cov_left=jump_cov_left,
         sampler=_jump_sampler(s_arr, draw_jumps),
         pathwise_qv_cont=T,
+        martingale=True,
     )
 
 
@@ -570,7 +571,6 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
         return np.minimum(t, s) + c * np.minimum(s, s0) * it + c * np.minimum(t, s0) * js + (c * c * s0) * (it & js)
 
     variance = RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(s0, c * (2.0 + c) * s0, 0.0)], (0.0, T))
-    record = _left_jump_record(s0, c * c * s0, s0, s0 + c * (2.0 + c) * s0, c * s0)
 
     def jump_cov_left(ts, k):
         ts = np.asarray(ts, dtype=float)
@@ -578,12 +578,10 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
 
     return ProcessSpec(
         name="coupled_jump_bm",
-        kind="rcll",
         horizon=T,
-        lam=T + c * (2.0 + c) * s0,
         cov=cov,
         variance=variance,
-        records=(record,),
+        records=(DiscontinuityRecord(s0, c * c * s0, e_xleft_dminus=c * s0),),
         jump_cov_left=jump_cov_left,
         section_knots=lambda t: (float(t), s0),
         sampler=_jump_sampler(np.array([s0]), lambda B, cols, rng: c * B[:, cols]),
@@ -624,16 +622,6 @@ def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
         return np.where(inside, val, 0.0)
 
     variance = RegulatedFunction(lambda ts: 1.0, [Jump(s0, -1.0, 0.0)], (0.0, T))
-    record = DiscontinuityRecord(
-        time=s0,
-        e_dminus_sq=0.0,
-        e_dplus_sq=0.0,
-        v_left=1.0,
-        v_right=0.0,
-        v_minus=0.0,
-        v_plus=0.0,
-        e_xleft_dminus=0.0,
-    )
 
     def section_knots(t):
         t = float(t)
@@ -645,12 +633,11 @@ def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
 
     return ProcessSpec(
         name="evanescent",
-        kind="general",
         horizon=T,
-        lam=1.0,
         cov=cov,
         variance=variance,
-        records=(record,),
+        # the weak limit at s0 is 0: it loses all of V(s0-) = 1
+        records=(DiscontinuityRecord(s0, 0.0, lost_minus=1.0),),
         section_knots=section_knots,
         pathwise_qv_cont=None,
     )

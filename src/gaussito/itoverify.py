@@ -123,10 +123,10 @@ def _pairing(obs: Observable, case: ItoCase):
         return _at(h.hbar, t, 0), (t,), weighted(lambda sim: _one_sided_paths(spec, sim, t, 0))
     if obs.kind in ("f", "f_left", "f_right"):
         side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
-        # at a discontinuity a one-sided limit is the weak one, with the record's variance
+        # at a discontinuity a one-sided limit is the weak one, which may lose variance against V
         rec = next((r for r in spec.records if side and r.time == t), None)
-        var = _at(spec.variance, t, side) if rec is None else (rec.v_minus if side < 0 else rec.v_plus)
-        closed = psi(tf, var, _at(h.hbar, t, side))
+        lost = 0.0 if rec is None else (rec.lost_minus if side < 0 else rec.lost_plus)
+        closed = psi(tf, _at(spec.variance, t, side) - lost, _at(h.hbar, t, side))
         return closed, (t,), weighted(lambda sim: tf.f(_one_sided_paths(spec, sim, t, side)))
     if obs.kind == "wick_exp":
         closed = math.exp(cm_inner(spec, obs.g, h))
@@ -244,16 +244,16 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
     ``drop={"drop_xleft_correction"}`` makes it appear, to measure its weight.
     ``drop`` also takes ``drop_left_jump_sum`` and ``drop_dv_integral``; any
     other flag raises ``ValueError``.  The general result's own ``drop`` is
-    ignored.  Only meaningful for martingale/rcll models.
+    ignored.  Only meaningful for right-continuous models (``spec.rcll``).
     """
     drop = _check_mutations(drop, _RCLL_MUTATIONS, "right-continuous")
     spec, tf = general.case.spec, general.case.test_function
-    if spec.kind not in ("martingale", "rcll"):
-        raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs kind martingale/rcll")
+    if not spec.rcll:
+        raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs a right-continuous model")
     hbar, V = general.case.h.hbar, spec.variance
     for rec in spec.records:
-        if rec.e_dplus_sq or rec.v_plus != rec.v_right or hbar.delta_plus_at(rec.time) or V.delta_plus_at(rec.time):
-            raise UnsupportedModelError(f"{spec.name}: forward jump data present at t={rec.time}")
+        if hbar.delta_plus_at(rec.time):
+            raise UnsupportedModelError(f"{spec.name}: forward jump of hbar at t={rec.time}")
 
     # no forward jumps, so only left atoms carry mass
     atoms = _atom_sum(lambda ts: psi(tf, V.left_values(ts), hbar.left_values(ts), 1), hbar)
@@ -360,7 +360,7 @@ def martingale_ito_mc(
     is the relative L2 residual (discretization error; halves roughly like
     the square root of the step).
     """
-    if spec.kind != "martingale":
+    if not spec.martingale:
         raise UnsupportedModelError(f"{spec.name}: pathwise identity needs a martingale model")
     tfs = tuple(test_functions)
     if not tfs:

@@ -88,7 +88,7 @@ def test_criterion_1_deterministic_battery(catalog_specs):
 
 
 def test_criterion_2_rcll_reduction(catalog_specs):
-    reducible = [s for s in catalog_specs if s.kind in ("martingale", "rcll")]
+    reducible = [s for s in catalog_specs if s.rcll]
     worst = 0.0
     for spec in reducible:
         battery = auto_cm_battery(spec)

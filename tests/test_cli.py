@@ -124,10 +124,21 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"] == {"total": 8, "passed": 8, "failed": 0}
 
-    def test_growth_violation_exit_2(self, tmp_path, capsys):
-        scen = write_scenario(tmp_path, test_functions=[{"id": "exp", "a": 0.5}])
+    @pytest.mark.parametrize(
+        ("model", "bound"),
+        [
+            ({"id": "jump_bm", "params": {"jumps": [[0.5, 0.25]], "horizon": 1.0}}, "0.2"),
+            # a downward jump: sup V = V(s0-) = 0.8, above V(T) = 0.4
+            ({"id": "coupled_jump_bm", "params": {"c": -0.5, "s0": 0.8}}, "0.3125"),
+        ],
+        ids=["jump_bm", "coupled_downward_jump"],
+    )
+    def test_growth_violation_exit_2(self, tmp_path, capsys, model, bound):
+        scen = write_scenario(tmp_path, model=model, test_functions=[{"id": "exp", "a": 0.5}])
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
-        assert "growth" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "growth" in err
+        assert f"1/(4*lambda)={bound}" in err
 
     @pytest.mark.parametrize(
         ("horizon", "tf", "lam"),

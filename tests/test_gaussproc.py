@@ -8,6 +8,8 @@ import pytest
 from conftest import sample_covariance
 from gaussito.gaussproc import (
     CatalogError,
+    DiscontinuityRecord,
+    ProcessSpec,
     UnsupportedModelError,
     catalog,
     catalog_entries,
@@ -22,6 +24,7 @@ from gaussito.gaussproc import (
 )
 from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _one_sided_cov_matrix
 from gaussito.itoverify import wick_exponential_paths
+from gaussito.regulated import Jump, RegulatedFunction
 
 
 class TestCatalog:
@@ -36,14 +39,15 @@ class TestCatalog:
 
     def test_coupled_record_values(self, coupled):
         rec = coupled.records[0]
+        v_left = float(coupled.variance.left_values(rec.time)) - rec.lost_minus
         assert float(coupled.variance.values(0.5)) == pytest.approx(2.0)
-        assert rec.v_left == pytest.approx(0.5)
+        assert v_left == pytest.approx(0.5)
         assert rec.e_dminus_sq == pytest.approx(0.5)
         assert rec.e_xleft_dminus == pytest.approx(0.5)
         # jump of the variance via the moment identity
         delta_v = 2.0 * (rec.e_xleft_dminus + rec.e_dminus_sq) - rec.e_dminus_sq
         assert delta_v == pytest.approx(1.5)
-        assert float(coupled.variance.values(0.5)) - rec.v_left == pytest.approx(1.5)
+        assert float(coupled.variance.values(0.5)) - v_left == pytest.approx(1.5)
 
     def test_unknown_model(self):
         with pytest.raises(CatalogError):
@@ -76,15 +80,16 @@ class TestCatalog:
     def test_record_moment_identities(self, all_specs):
         for spec in all_specs:
             for rec in spec.records:
-                v_here = float(spec.variance.values(rec.time))
-                assert rec.v_minus <= rec.v_left + 1e-12
-                assert rec.v_plus <= rec.v_right + 1e-12
-                assert 2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + rec.v_minus == pytest.approx(v_here, abs=1e-12)
+                v_left, v_here, _ = spec.variance.one_sided(rec.time)
+                assert rec.lost_minus >= 0.0
+                assert rec.lost_plus >= 0.0
+                v_minus = v_left - rec.lost_minus
+                assert 2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + v_minus == pytest.approx(v_here, abs=1e-12)
 
     def test_summability_condition_finite(self, all_specs):
         for spec in all_specs:
             total = sum(
-                r.e_dplus_sq + (r.v_right - r.v_plus) + r.e_dminus_sq + (r.v_left - r.v_minus)
+                r.e_dplus_sq + r.lost_plus + r.e_dminus_sq + r.lost_minus
                 for r in spec.records
             )
             assert math.isfinite(total)
@@ -92,6 +97,78 @@ class TestCatalog:
     def test_catalog_listing(self):
         ids = {e.model_id for e in catalog_entries()}
         assert ids == {"brownian", "fbm", "jump_bm", "coupled_jump_bm", "evanescent"}
+
+    @pytest.mark.parametrize(
+        "model_id,params",
+        [
+            ("brownian", {"horizon": 2.0}),
+            ("fbm", {"hurst": 0.3, "horizon": 2.0}),
+            ("fbm", {"hurst": 0.7}),
+            ("jump_bm", {"jumps": [(0.2, 0.04), (0.5, 0.25), (0.8, 0.09)]}),
+            ("coupled_jump_bm", {"c": 1.0, "s0": 0.5}),
+            ("coupled_jump_bm", {"c": -0.5, "s0": 0.8}),
+            ("coupled_jump_bm", {"c": -1.0, "s0": 0.9}),
+            ("coupled_jump_bm", {"c": -2.5, "s0": 0.4}),
+            ("evanescent", {"s0": 0.5}),
+        ],
+    )
+    def test_lam_is_sup_of_variance(self, model_id, params):
+        spec = catalog(model_id, **params)
+        V = spec.variance
+        limits = [v for s in V.jump_times for v in V.one_sided(s)]
+        assert spec.lam == max([float(np.max(V.values(np.linspace(0.0, spec.horizon, 4097)))), *limits])
+
+    def test_lam_after_a_downward_jump(self):
+        # V(s0-) = 0.9 drops to V(s0) = 0.9 - 0.9 = 0 and grows to V(1) = 0.1
+        assert catalog("coupled_jump_bm", c=-1.0, s0=0.9).lam == 0.9
+
+
+def _quarter_jump_cov(t, s):
+    m = np.minimum(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    return m + 0.25 * (m >= 0.5)
+
+
+def _quarter_jump_variance():
+    return RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(0.5, 0.25)])
+
+
+class TestValidate:
+    """Each of ``ProcessSpec.validate``'s refusals, on a spec built by hand."""
+
+    def test_accepts_consistent_spec(self):
+        ProcessSpec("quarter_jump", 1.0, _quarter_jump_cov, _quarter_jump_variance(), (DiscontinuityRecord(0.5, 0.25),)).validate()
+
+    def test_diagonal_disagrees_with_variance(self):
+        cov = lambda t, s: np.minimum(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        spec = ProcessSpec("twice_bm", 1.0, cov, RegulatedFunction(lambda ts: 2.0 * np.asarray(ts, dtype=float)))
+        with pytest.raises(CatalogError, match="disagrees with covariance diagonal"):
+            spec.validate()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            DiscontinuityRecord(0.5, 0.3),  # E[dX^2] + V(s-) = 0.8 != V(s) = 0.75
+            DiscontinuityRecord(0.5, 0.15, lost_minus=-0.1),  # moment identity holds, lost < 0
+            DiscontinuityRecord(0.5, 0.25, lost_plus=-0.1),
+        ],
+        ids=["moment_identity", "negative_lost_minus", "negative_lost_plus"],
+    )
+    def test_inconsistent_record(self, record):
+        spec = ProcessSpec("quarter_jump", 1.0, _quarter_jump_cov, _quarter_jump_variance(), (record,))
+        with pytest.raises(CatalogError, match="inconsistent discontinuity record"):
+            spec.validate()
+
+    def test_variance_above_lam(self):
+        # X_t = (1 - t) Z: a decreasing V, so V(T) = 0 is not its sup
+        spec = ProcessSpec(
+            "fading",
+            1.0,
+            lambda t, s: (1.0 - np.asarray(t, dtype=float)) * (1.0 - np.asarray(s, dtype=float)),
+            RegulatedFunction(lambda ts: (1.0 - np.asarray(ts, dtype=float)) ** 2),
+        )
+        assert spec.lam == 0.0
+        with pytest.raises(CatalogError, match="exceeds its derived sup"):
+            spec.validate()
 
 
 class TestEvanescent:
@@ -103,7 +180,7 @@ class TestEvanescent:
 
     def test_weak_limit_record(self, evanescent):
         rec = evanescent.records[0]
-        assert rec.v_left == 1.0 and rec.v_minus == 0.0
+        assert float(evanescent.variance.left_values(rec.time)) == 1.0 and rec.lost_minus == 1.0
         assert rec.e_dminus_sq == 0.0 and rec.e_xleft_dminus == 0.0
 
     def test_covariance_vanishes_across_two_windows(self, evanescent):

@@ -73,7 +73,7 @@ class TestSTransform:
         # psi(V(0.5-), hbar(0.5-)) = 0.5^2 + 0.5 and psi(V(0.5), hbar(0.5)) right limit
         assert s_transform(Observable(kind="f_left", t=0.5), case) == pytest.approx(0.75)
         assert s_transform(Observable(kind="f_right", t=0.5), case) == pytest.approx(0.75**2 + 0.75)
-        # evanescent's weak limits at s0 are 0 (v_minus = v_plus = 0), though V(s0-) = 1
+        # evanescent's weak limits at s0 are 0 (lost_minus = V(s0-) = 1, V(s0+) = 0)
         case = make_case(evanescent, "x2", [(1.0, 0.3)])
         assert s_transform(Observable(kind="f_left", t=0.5), case) == 0.0
         assert s_transform(Observable(kind="f_right", t=0.5), case) == 0.0
@@ -222,28 +222,23 @@ def forward_jump_spec(var=0.16, s0=0.4, horizon=1.0):
         [Jump(s0, 0.0, var)],
         (0.0, horizon),
     )
-    record = DiscontinuityRecord(
-        time=s0,
-        e_dminus_sq=0.0,
-        e_dplus_sq=var,
-        v_left=s0,
-        v_right=s0 + var,
-        v_minus=s0,
-        v_plus=s0 + var,
-        e_xleft_dminus=0.0,
-    )
     spec = ProcessSpec(
         name="forward_jump_bm",
-        kind="general",
         horizon=horizon,
-        lam=horizon + var,
         cov=cov,
         variance=variance,
-        records=(record,),
+        records=(DiscontinuityRecord(s0, 0.0, e_dplus_sq=var),),
         jump_cov_right=lambda ts, k: var * (np.asarray(ts, dtype=float) > s0),
     )
     spec.validate()
     return spec
+
+
+def test_flags_reproduce_model_classification(all_specs):
+    by_name = {spec.name: spec for spec in all_specs}
+    by_name["forward_jump_bm"] = forward_jump_spec()
+    assert {name for name, spec in by_name.items() if spec.rcll} == {"brownian", "fbm", "jump_bm", "coupled_jump_bm"}
+    assert {name for name, spec in by_name.items() if spec.martingale} == {"brownian", "jump_bm"}
 
 
 class TestForwardJump:
