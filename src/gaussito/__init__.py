@@ -34,7 +34,6 @@ from .itoverify import (
     ito_stransform_residual,
     martingale_ito_mc,
     mc_s_transform,
-    s_transform,
     simple_skorokhod_mc,
 )
 from .regulated import Jump, RegulatedFunction
@@ -68,7 +67,6 @@ __all__ = [
     "path_qv_mc",
     "planar_qv_sum",
     "psi",
-    "s_transform",
     "simple_skorokhod_mc",
     "simulate_paths",
     "test_function",

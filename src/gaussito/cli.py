@@ -251,10 +251,17 @@ def _build_battery(scenario, spec):
     return [cm_element(spec, [(a, t) for a, t in combo], label=f"h{k}") for k, combo in enumerate(cfg)]
 
 
-def _case_record(case_id, ok, tolerance, terms, residual=None, lhs=None, report=None, z_score=None):
-    """A deterministic case, or a Monte Carlo one when ``report`` is given;
-    ``z_score`` only for the z-gated checks, whose verdict reads it."""
-    mc = None
+def _case_record(case_id, ok, tolerance, terms, result=None, report=None, z_score=None):
+    """A deterministic case from its ``result``, or a Monte Carlo one from its
+    ``report``; ``z_score`` only for the z-gated checks, whose verdict reads it."""
+    mc = residual = lhs = diagnostics = None
+    if result is not None:
+        residual, lhs = result.residual, result.lhs
+        # n_cells counts the partition the cases of one pairing element share
+        diagnostics = {
+            name: {"converged": r.converged, "error_estimate": r.error_estimate, "n_cells": r.n_cells}
+            for name, r in (("integral_dhbar", result.int_u1), ("integral_dv_half", result.int_u2))
+        }
     if report is not None:
         mc = {
             "estimate": report.estimate,
@@ -273,6 +280,7 @@ def _case_record(case_id, ok, tolerance, terms, residual=None, lhs=None, report=
         "lhs": lhs,
         "terms": terms,
         "mc": mc,
+        "diagnostics": diagnostics,
     }
 
 
@@ -311,10 +319,9 @@ def _plan_cases(scenario, seed):
     try:
         tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
         battery = _build_battery(scenario, spec)
-        cases = [
-            ItoCase(spec, tf, h, ys_tol=tol["ys_tol"], label=f"{tf.name}:{h.label}")
-            for tf in tfs
-            for h in battery
+        # the deterministic cases, grouped by pairing element
+        elements = [
+            [ItoCase(spec, tf, h, ys_tol=tol["ys_tol"], label=f"{tf.name}:{h.label}") for tf in tfs] for h in battery
         ]
     except (GrowthBoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -324,29 +331,28 @@ def _plan_cases(scenario, seed):
     def det_tol(tf):
         return tol["polynomial"] if tf.kind == "polynomial" else tol["transcendental"]
 
-    # one chain-rule run per case serves both deterministic checks
-    do_ito = "ito_stransform" in checks
-    do_rcll = "ito_rcll" in checks and spec.rcll
-    if do_ito or do_rcll:
-        for case in cases:
-            ito_id, rcll_id = f"ito:{spec.name}:{case.label}", f"rcll:{spec.name}:{case.label}"
+    # one chain-rule run per pairing element serves every test function and
+    # both deterministic checks
+    kinds = (["ito"] if "ito_stransform" in checks else []) + (["rcll"] if "ito_rcll" in checks and spec.rcll else [])
+    if kinds:
+        for element in elements:
 
-            def thunk(case=case, ito_id=ito_id, rcll_id=rcll_id):
-                tol_f = det_tol(case.test_function)
-                general = ito_stransform_residual(case, drop=frozenset(drop))
+            def thunk(element=element):
                 records = []
-                if do_ito:
-                    ok = general.converged and abs(general.residual) < tol_f
-                    records.append(_case_record(ito_id, ok, tol_f, general.terms(), general.residual, general.lhs))
-                if do_rcll:
-                    res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
-                    ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
-                    terms = res.terms()
-                    terms["agreement_delta"] = res.agreement_delta
-                    records.append(_case_record(rcll_id, ok, tol_f, terms, res.residual, res.lhs))
+                for case, general in zip(element, ito_stransform_residual(element, drop=frozenset(drop))):
+                    tol_f, cid = det_tol(case.test_function), f"{spec.name}:{case.label}"
+                    if "ito" in kinds:
+                        ok = general.converged and abs(general.residual) < tol_f
+                        records.append(_case_record(f"ito:{cid}", ok, tol_f, general.terms(), general))
+                    if "rcll" in kinds:
+                        res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
+                        ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
+                        terms = res.terms()
+                        terms["agreement_delta"] = res.agreement_delta
+                        records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res))
                 return records
 
-            plans.append((([ito_id] if do_ito else []) + ([rcll_id] if do_rcll else []), thunk))
+            plans.append(([f"{kind}:{spec.name}:{case.label}" for case in element for kind in kinds], thunk))
 
     if "martingale_ito" in checks and spec.martingale:
         # one coupled draw serves every test function

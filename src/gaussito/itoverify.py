@@ -10,14 +10,15 @@ smooth deterministic functions,
 
 which is the two-variable chain rule of ``stieltjes.chain_rule`` for
 G(x1, x2) = psi_F(x2, x1) along (hbar, V).  That one engine evaluates every
-term; the two forms here are adapters over its result.  The general form
-reports the engine's terms, with chosen terms knocked out on purpose
-(mutation sensitivity).  The right-continuous reduction is a function of
-the general result, not a second engine run: it keeps the continuous
-integrals and lhs, takes the dhbar atoms at left-limit integrands,
-moves the variance atoms into a single jump sum, and reports how far its
-residual lies from the general one; its left-limit/jump correlation term can
-be knocked out on purpose too.
+term; the two forms here are adapters over its result.  V and hbar do not
+depend on F, so the general form runs the engine once per pairing element,
+with G stacked over the test functions.  It reports the engine's terms per
+case, with chosen terms knocked out on purpose (mutation sensitivity).  The
+right-continuous reduction is a function of the general result, not a
+second engine run: it keeps the continuous integrals and lhs, takes the
+dhbar atoms at left-limit integrands, moves the variance atoms into a single
+jump sum, and reports how far its residual lies from the general one; its
+left-limit/jump correlation term can be knocked out on purpose too.
 
 Monte Carlo side: pathwise checks in the martingale case, sample pairings
 against Wick exponentials with exact first-chaos norms, simple Wick-Stieltjes
@@ -65,7 +66,6 @@ __all__ = [
     "ito_stransform_residual",
     "martingale_ito_mc",
     "mc_s_transform",
-    "s_transform",
     "simple_skorokhod_mc",
     "skorokhod_s_transform",
     "skorokhod_sample",
@@ -142,11 +142,6 @@ def _pairing(obs: Observable, case: ItoCase):
     raise ValueError(f"unknown observable kind {obs.kind!r}")
 
 
-def s_transform(obs: Observable, case: ItoCase) -> float:
-    """Deterministic pairing value of the observable against exp-wick of case.h."""
-    return _pairing(obs, case)[0]
-
-
 # -- deterministic residuals ----------------------------------------------------
 
 # mutation flag -> the right-hand term it knocks out of the residual; these
@@ -165,10 +160,11 @@ class ItoResidual(ChainRuleTerms):
     """Term-by-term breakdown of one case; residual = lhs - (right-hand terms not dropped).
 
     The two integrals (``int_u1`` in dhbar, ``int_u2`` the half-weighted dV
-    one) are the engine's results, with their convergence flags and error
-    estimates.  ``agreement_delta`` is, for the right-continuous form, the
-    distance of its residual from the unmutated general residual of the same
-    case.
+    one) are the case's component of the engine's results: its own values,
+    convergence flags and error estimates, the cell counts its pairing
+    element's cases share.  ``agreement_delta`` is, for the right-continuous
+    form, the distance of its residual from the unmutated general residual
+    of the same case.
     """
 
     case: ItoCase
@@ -207,12 +203,15 @@ def _check_mutations(drop, allowed, form: str) -> frozenset:
     return drop
 
 
-def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
-    """Residual of the general deterministic identity for one case.
+def ito_stransform_residual(cases, drop=frozenset()) -> tuple[ItoResidual, ...]:
+    """Residuals of the general deterministic identity for the cases of one pairing element.
 
     The identity is the chain rule for G(x1, x2) = psi_F(x2, x1) along
     (u1, u2) = (hbar, V): d1 G = psi_{F'} and d2 G = (1/2) psi_{F''} by the
     heat identities, so the chain rule's terms are the identity's terms.
+    The cases must share spec, h and ys_tol (``ValueError`` otherwise): G
+    stacks their test functions, so one chain-rule run, one partition per
+    integral, serves them all; one result per case comes back, in order.
     Jump terms use exact stored jump sizes of V and hbar, are accumulated with
     compensated summation (so they are invariant under reordering of the
     discontinuity list), and can be knocked out selectively via ``drop`` for
@@ -220,15 +219,19 @@ def ito_stransform_residual(case: ItoCase, drop=frozenset()) -> ItoResidual:
     ``drop_dv_integral``; any other flag raises ``ValueError``.
     """
     drop = _check_mutations(drop, _DROPPED_TERM, "general")
-    tf = case.test_function
+    cases = tuple(cases)
+    first = cases[0] if cases else None
+    if not cases or any(c.spec is not first.spec or c.h is not first.h or c.ys_tol != first.ys_tol for c in cases):
+        raise ValueError("need one or more cases that share spec, h and ys_tol")
+    tfs = [case.test_function for case in cases]
     G = ScalarField(
-        value=lambda x1, x2: psi(tf, x2, x1),
-        d1=lambda x1, x2: psi(tf, x2, x1, 1),
-        d2=lambda x1, x2: 0.5 * psi(tf, x2, x1, 2),
-        name=f"psi_{tf.name}",
+        value=lambda x1, x2: np.stack([psi(tf, x2, x1) for tf in tfs]),
+        d1=lambda x1, x2: np.stack([psi(tf, x2, x1, 1) for tf in tfs]),
+        d2=lambda x1, x2: 0.5 * np.stack([psi(tf, x2, x1, 2) for tf in tfs]),
+        name="psi_" + ",".join(tf.name for tf in tfs),
     )
-    chain = chain_rule(G, case.h.hbar, case.spec.variance, tol=case.ys_tol)
-    return ItoResidual(**vars(chain), case=case, drop=drop)
+    chains = chain_rule(G, first.h.hbar, first.spec.variance, tol=first.ys_tol)
+    return tuple(ItoResidual(**vars(chain), case=case, drop=drop) for chain, case in zip(chains, cases))
 
 
 def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
@@ -256,7 +259,7 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
             raise UnsupportedModelError(f"{spec.name}: forward jump of hbar at t={rec.time}")
 
     # no forward jumps, so only left atoms carry mass
-    atoms = _atom_sum(lambda ts: psi(tf, V.left_values(ts), hbar.left_values(ts), 1), hbar)
+    atoms = float(_atom_sum(lambda ts: psi(tf, V.left_values(ts), hbar.left_values(ts), 1), hbar))
 
     jump_terms = []
     for rec in spec.records:

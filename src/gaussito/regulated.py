@@ -40,14 +40,6 @@ def _as_float_array(ts) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _vector_call(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """``fn(arr)`` as a float array of ``arr``'s shape; a scalar result is broadcast."""
-    out = np.asarray(fn(arr), dtype=float)
-    if out.shape != arr.shape:
-        out = np.broadcast_to(out, arr.shape).copy()
-    return out
-
-
 class RegulatedFunction:
     """Continuous base + finite jump list on a closed interval.
 
@@ -128,7 +120,9 @@ class RegulatedFunction:
 
     def _evaluate(self, ts, side: int | None) -> np.ndarray:
         arr, scalar = _as_float_array(ts)
-        out = _vector_call(self.base, arr)
+        out = np.asarray(self.base(arr), dtype=float)
+        if out.shape != arr.shape:  # a constant base may return a scalar
+            out = np.broadcast_to(out, arr.shape).copy()
         if side is not None:
             out = out + self._offsets(arr, side)
         return out[0] if scalar else out

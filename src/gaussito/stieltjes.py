@@ -5,7 +5,8 @@ its jumps: the atoms are summed exactly, and one adaptive core,
 ``_adaptive_continuous``, integrates u against the base by bisection with a
 per-cell two-level Richardson estimate, with jump times and declared kinks
 pinned as partition points.  One budget, ``_MAX_REFINE`` bisections, bounds
-every refinement.
+every refinement.  An integrand with a leading component axis has its k
+components integrated on one shared partition, each converging on its own.
 
 * ``integrate_ys`` is the Young-Stieltjes integral.  Its atoms are the
   one-sided jump terms u(s) d-r(s) + u(s) d+r(s).  Convergence in this
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .regulated import RegulatedFunction, _vector_call
+from .regulated import RegulatedFunction
 
 __all__ = [
     "ChainRuleTerms",
@@ -43,48 +44,69 @@ __all__ = [
 _MIN_CELLS = 16
 # cells this narrow, relative to their position, are never split again
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
-# most bisections one integral may make
+# most bisections one integral, stacked or not, may make
 _MAX_REFINE = 60000
 
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Adaptively refined continuous part beside the exact atom sum."""
+    """Adaptively refined continuous part beside the exact atom sum.
 
-    continuous: float
-    atoms: float
-    error_estimate: float
-    converged: bool
+    A stacked integrand gives arrays over its components, except ``n_cells``,
+    the shared partition's, and ``converged``, true when every component is.
+    """
+
+    continuous: float | np.ndarray
+    atoms: float | np.ndarray
+    error_estimate: float | np.ndarray
+    component_converged: bool | np.ndarray
     n_cells: int
 
     @property
-    def value(self) -> float:
+    def converged(self) -> bool:
+        return bool(np.all(self.component_converged))
+
+    @property
+    def value(self) -> float | np.ndarray:
         return self.continuous + self.atoms
 
+    def component(self, i) -> IntegralResult:
+        """Component ``i`` of a stacked result, as floats."""
+        c, a, e, ok = (x[i] for x in (self.continuous, self.atoms, self.error_estimate, self.component_converged))
+        return IntegralResult(float(c), float(a), float(e), bool(ok), self.n_cells)
 
-def _atom_sum(u, r: RegulatedFunction) -> float:
+
+def _on_times(values, n: int) -> np.ndarray:
+    """An integrand's values with a trailing time axis of length n, any leading component axis kept."""
+    values = np.asarray(values, dtype=float)
+    return np.broadcast_to(values, values.shape[:-1] + (n,))
+
+
+def _atom_sum(u, r: RegulatedFunction):
+    """Exact sum of u(s) d-r(s) + u(s) d+r(s) over r's jump times, per component of u."""
     t0, t1 = r.domain
     if not r.jump_times:
         return 0.0
     jt = np.asarray(r.jump_times)
-    uj = _vector_call(u, jt)
-    terms = []
-    for k, s in enumerate(jt):
-        if s > t0:
-            terms.append(uj[k] * r.delta_minus_at(s))
-        if s < t1:
-            terms.append(uj[k] * r.delta_plus_at(s))
-    return math.fsum(terms)
+    uj = _on_times(u(jt), len(jt))
+    terms = [uj[..., k] * r.delta_minus_at(s) for k, s in enumerate(jt) if s > t0]
+    terms += [uj[..., k] * r.delta_plus_at(s) for k, s in enumerate(jt) if s < t1]
+    return np.apply_along_axis(math.fsum, -1, np.stack(terms, axis=-1))
 
 
-def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[float]) -> tuple[float, float, bool, int]:
-    """Adaptive midpoint-Stieltjes value of int u d(base of r).
+def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[float]):
+    """Adaptive midpoint-Stieltjes value of int u d(base of r), per component of u.
 
     Per cell, midpoint sums at three dyadic levels are extrapolated twice
     (cell-local Romberg); the difference of the two extrapolants drives
     refinement and, clamped at roundoff scale, forms the error estimate.
     ``knots`` are partition points from the start: the integrand jumps or
     kinks there, and a cell that straddles such a point converges slowly.
+
+    The components of u share one partition.  A component converges once its
+    error sum is below ``tol``, and is stuck once its error on cells at the
+    width floor, which are never split again, reaches ``tol``.  Cells are
+    ranked by the largest error of the components neither converged nor stuck.
     """
     t0, t1 = r.domain
     eps = np.finfo(float).eps
@@ -115,14 +137,15 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
         cuts = np.stack([a + 0.125 * h * k for k in (2, 4, 6)])  # quarter, mid, three-quarter
         r_cuts = r.base_values(cuts.ravel()).reshape(cuts.shape)
         tags = np.stack([a + 0.125 * h * k for k in (4, 2, 6, 1, 3, 5, 7)])
-        ut = _vector_call(u, tags.ravel()).reshape(tags.shape)
-        m1 = ut[0] * (rb - ra)
-        m2 = ut[1] * (r_cuts[1] - ra) + ut[2] * (rb - r_cuts[1])
+        ut = _on_times(u(tags.ravel()), tags.size)
+        ut = ut.reshape(ut.shape[:-1] + tags.shape)
+        m1 = ut[..., 0, :] * (rb - ra)
+        m2 = ut[..., 1, :] * (r_cuts[1] - ra) + ut[..., 2, :] * (rb - r_cuts[1])
         m4 = (
-            ut[3] * (r_cuts[0] - ra)
-            + ut[4] * (r_cuts[1] - r_cuts[0])
-            + ut[5] * (r_cuts[2] - r_cuts[1])
-            + ut[6] * (rb - r_cuts[2])
+            ut[..., 3, :] * (r_cuts[0] - ra)
+            + ut[..., 4, :] * (r_cuts[1] - r_cuts[0])
+            + ut[..., 5, :] * (r_cuts[2] - r_cuts[1])
+            + ut[..., 6, :] * (rb - r_cuts[2])
         )
         d1 = m2 - m1
         d2 = m4 - m2
@@ -140,26 +163,22 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
     splits = 0
     while True:
         at_floor = (b - a) <= _WIDTH_FLOOR * np.maximum(1.0, np.abs(b))
-        total_err = float(np.sum(err))
-        if total_err < tol:
-            converged = True
+        total_err = np.sum(err, axis=-1)
+        stuck = np.sum(err[..., at_floor], axis=-1) >= tol
+        still_open = np.ravel((total_err >= tol) & ~stuck)
+        if splits >= _MAX_REFINE or not np.any(still_open):
             break
-        # floored cells are never split again, so once their error alone
-        # reaches tol no refinement can bring the total under it
-        if splits >= _MAX_REFINE or float(np.sum(err[at_floor])) >= tol:
-            converged = False
-            break
-        eligible = ~at_floor & (err > 0.0)
+        worst = np.max(err.reshape(-1, len(a))[still_open], axis=0)
+        eligible = ~at_floor & (worst > 0.0)
         if not np.any(eligible):
-            converged = False  # floored cells keep their error on the books
-            break
-        sel = eligible & (err > tol / (2.0 * len(a)))
+            break  # floored cells keep their error on the books
+        sel = eligible & (worst > tol / (2.0 * len(a)))
         if not np.any(sel):
             sel = np.zeros(len(a), dtype=bool)
-            sel[int(np.argmax(np.where(eligible, err, -1.0)))] = True
+            sel[int(np.argmax(np.where(eligible, worst, -1.0)))] = True
         budget = _MAX_REFINE - splits
         if int(np.sum(sel)) > budget:
-            order = np.argsort(err[sel])[::-1]
+            order = np.argsort(worst[sel])[::-1]
             idx = np.flatnonzero(sel)[order[:budget]]
             sel = np.zeros(len(a), dtype=bool)
             sel[idx] = True
@@ -179,29 +198,31 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
         b = np.concatenate([b[keep], cb])
         ra = np.concatenate([ra[keep], cra])
         rb = np.concatenate([rb[keep], crb])
-        value = np.concatenate([value[keep], cval])
-        err = np.concatenate([err[keep], cerr])
+        value = np.concatenate([value[..., keep], cval], axis=-1)
+        err = np.concatenate([err[..., keep], cerr], axis=-1)
 
-    return math.fsum(value), total_err, converged, len(a)
+    return np.apply_along_axis(math.fsum, -1, value), total_err, total_err < tol, len(a)
 
 
 def _integrate(u, r: RegulatedFunction, tol, extra_knots) -> IntegralResult:
     """Atoms of r plus the adaptive integral of u against r's base, r's knots pinned."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    atoms = _atom_sum(u, r)
     value, err, ok, n = _adaptive_continuous(u, r, tol, r.pinned_points() + tuple(extra_knots))
-    return IntegralResult(continuous=value, atoms=atoms, error_estimate=err, converged=ok, n_cells=n)
+    res = IntegralResult(value, np.broadcast_to(_atom_sum(u, r), value.shape), err, ok, n)
+    # a plain integrand has no component axis: its result is its one component
+    return res if value.ndim else res.component(())
 
 
 def integrate_ys(u, r: RegulatedFunction, tol: float = 1e-10, extra_knots: Sequence[float] = ()) -> IntegralResult:
     """Young-Stieltjes integral of u against r by adaptive refinement.
 
-    ``u`` is a vectorized callable.  The atom terms are exact; only the
-    integral against r's continuous base is refined.  ``converged`` is False
-    when ``_MAX_REFINE`` bisections, or cells refined down to the width
-    floor, left the error estimate at or above ``tol``; the last estimate is
-    still returned.  ``tol <= 0`` raises ``ValueError``.
+    ``u`` is a vectorized callable; a leading component axis in its values
+    stacks integrands on one partition.  The atom terms are exact; only the
+    integral against r's continuous base is refined.  A component has not
+    converged when ``_MAX_REFINE`` bisections, or cells refined down to the
+    width floor, left its error estimate at or above ``tol``; the last
+    estimate is still returned.  ``tol <= 0`` raises ``ValueError``.
     """
     return _integrate(u, r, tol, extra_knots)
 
@@ -218,7 +239,11 @@ def integrate_ls(u, r: RegulatedFunction, tol: float = 1e-10, extra_knots: Seque
 
 @dataclass(frozen=True)
 class ScalarField:
-    """C^1 scalar field G(x1, x2) with vectorized partial derivatives."""
+    """C^1 scalar field G(x1, x2) with vectorized partial derivatives.
+
+    ``value``, ``d1`` and ``d2`` may each return a leading component axis,
+    of the same length k for all three: k fields evaluated together.
+    """
 
     value: Callable
     d1: Callable
@@ -257,7 +282,9 @@ class ChainRuleTerms:
         return self.int_u1.converged and self.int_u2.converged
 
 
-def chain_rule(G: ScalarField, u1: RegulatedFunction, u2: RegulatedFunction, tol: float = 1e-9) -> ChainRuleTerms:
+def chain_rule(
+    G: ScalarField, u1: RegulatedFunction, u2: RegulatedFunction, tol: float = 1e-9
+) -> tuple[ChainRuleTerms, ...]:
     """Two-variable change-of-variables check for regulated u1 and BV u2.
 
     Computes G(u(T)) - G(u(0)) against the Young-Stieltjes integral of
@@ -265,43 +292,48 @@ def chain_rule(G: ScalarField, u1: RegulatedFunction, u2: RegulatedFunction, tol
     the left/right jump correction terms at each time of the union of jump
     times.  The caller asserts G's regularity on the range box; the residual
     reports how well the identity closes.
+
+    Returns one ``ChainRuleTerms`` per component of G, whose integrals share
+    one partition each; a G without a component axis is the case k = 1.
     """
     if u1.domain != u2.domain:
         raise ValueError("u1 and u2 must share a domain")
     t0, t1 = u1.domain
 
-    lhs = float(G.value(u1.values(t1), u2.values(t1)) - G.value(u1.values(t0), u2.values(t0)))
+    def at(f, x1, x2):  # the k components of f at one point
+        return np.reshape(np.asarray(f(x1, x2), dtype=float), -1)
 
-    def integrand1(ts):
-        return G.d1(u1.values(ts), u2.values(ts))
+    def integrand(f):
+        return lambda ts: _on_times(f(u1.values(ts), u2.values(ts)), len(ts)).reshape(-1, len(ts))
 
-    def integrand2(ts):
-        return G.d2(u1.values(ts), u2.values(ts))
-
-    r1 = integrate_ys(integrand1, u1, tol=tol, extra_knots=u2.pinned_points())
-    r2 = integrate_ls(integrand2, u2, tol=tol, extra_knots=u1.pinned_points())
+    lhs = at(G.value, u1.values(t1), u2.values(t1)) - at(G.value, u1.values(t0), u2.values(t0))
+    r1 = integrate_ys(integrand(G.d1), u1, tol=tol, extra_knots=u2.pinned_points())
+    r2 = integrate_ls(integrand(G.d2), u2, tol=tol, extra_knots=u1.pinned_points())
 
     left_terms, right_terms = [], []
     for s in sorted({float(t) for t in u1.jump_times + u2.jump_times}):
         x1, x2 = float(u1.values(s)), float(u2.values(s))
-        g_here = float(G.value(x1, x2))
-        d1_here = float(G.d1(x1, x2))
-        d2_here = float(G.d2(x1, x2))
+        g_here = at(G.value, x1, x2)
+        d1_here = at(G.d1, x1, x2)
+        d2_here = at(G.d2, x1, x2)
         if s > t0:
-            g_left = float(G.value(u1.left_values(s), u2.left_values(s)))
+            g_left = at(G.value, u1.left_values(s), u2.left_values(s))
             left_terms.append(
                 (s, g_here - g_left - d1_here * u1.delta_minus_at(s) - d2_here * u2.delta_minus_at(s))
             )
         if s < t1:
-            g_right = float(G.value(u1.right_values(s), u2.right_values(s)))
+            g_right = at(G.value, u1.right_values(s), u2.right_values(s))
             right_terms.append(
                 (s, g_right - g_here - d1_here * u1.delta_plus_at(s) - d2_here * u2.delta_plus_at(s))
             )
 
-    return ChainRuleTerms(
-        lhs=lhs,
-        int_u1=r1,
-        int_u2=r2,
-        left_jump_terms=tuple(left_terms),
-        right_jump_terms=tuple(right_terms),
+    return tuple(
+        ChainRuleTerms(
+            lhs=float(lhs[i]),
+            int_u1=r1.component(i),
+            int_u2=r2.component(i),
+            left_jump_terms=tuple((s, float(v[i])) for s, v in left_terms),
+            right_jump_terms=tuple((s, float(v[i])) for s, v in right_terms),
+        )
+        for i in range(len(lhs))
     )

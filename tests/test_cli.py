@@ -251,7 +251,7 @@ class TestRun:
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"]["total"] == 4
-        # one engine run per case serves both checks: 2 cases
+        # one engine run per pairing element serves both checks: 2 elements
         assert len(calls) == 2
 
     def test_rcll_only_check_runs_the_engine_once_per_case(self, tmp_path, capsys, monkeypatch):
@@ -281,6 +281,41 @@ class TestRun:
         rcll = cases["mutated"]["rcll:jump_bm:x2:h0"]
         assert rcll == cases["clean"]["rcll:jump_bm:x2:h0"]
         assert rcll["pass"] and "agreement_delta" in rcll["terms"]
+
+    def test_one_engine_run_per_pairing_element(self, tmp_path, capsys, monkeypatch):
+        calls = count_engine_runs(monkeypatch)
+        elements = [[[1.0, 1.0]], [[0.7, 0.5], [0.4, 0.8]], [[0.5, 0.3], [-0.6, 0.5]]]
+        tfs = ["x", "x2", "x3", "sin", "exp"]
+        scen = write_scenario(tmp_path, test_functions=tfs, cm_elements=elements, checks=["ito_stransform", "ito_rcll"])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
+        # every test function of an element is integrated on the element's one partition
+        assert len(calls) == len(elements)
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert len(cases) == 2 * len(tfs) * len(elements)
+        for k in range(len(elements)):
+            diags = [c["diagnostics"] for c in cases if c["case_id"].endswith(f":h{k}")]
+            for name in ("integral_dhbar", "integral_dv_half"):
+                assert len({d[name]["n_cells"] for d in diags}) == 1
+                assert all(d[name]["converged"] and d[name]["error_estimate"] < 1e-11 for d in diags)
+
+    def test_diagnostics_carry_each_case_flag(self, tmp_path, capsys):
+        scen = write_scenario(
+            tmp_path,
+            model={"id": "fbm", "params": {"hurst": 0.2}},
+            test_functions=["x2", "x3"],
+            cm_elements="auto",
+            checks=["ito_stransform", "s_transform_mc"],
+            mc={"n_paths": 200},
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+        cases = {c["case_id"]: c for c in json.loads((tmp_path / "out" / "report.json").read_text())["cases"]}
+        x2, x3 = cases["ito:fbm:x2:h0"], cases["ito:fbm:x3:h0"]
+        assert x2["pass"] and not x3["pass"]
+        assert x2["diagnostics"]["integral_dhbar"]["converged"]
+        assert not x3["diagnostics"]["integral_dhbar"]["converged"]
+        assert x3["diagnostics"]["integral_dhbar"]["error_estimate"] >= 1e-11
+        assert x2["diagnostics"]["integral_dhbar"]["n_cells"] == x3["diagnostics"]["integral_dhbar"]["n_cells"]
+        assert all(c["diagnostics"] is None for cid, c in cases.items() if cid.startswith("mc_"))
 
     def test_shared_plan_item_timings(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks=["ito_stransform", "ito_rcll"])

@@ -23,13 +23,13 @@ from gaussito.itoverify import (
     ItoCase,
     Observable,
     SimpleWickIntegrand,
+    _pairing,
     auto_cm_battery,
     hermite_p2_identity_mc,
     ito_rcll_residual,
     ito_stransform_residual,
     martingale_ito_mc,
     mc_s_transform,
-    s_transform,
     simple_skorokhod_mc,
     skorokhod_s_transform,
     skorokhod_sample,
@@ -46,37 +46,37 @@ def make_case(spec, fname, coeffs, **kw):
 class TestSTransform:
     def test_process_value(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
-        assert s_transform(Observable(kind="process", t=0.5), case) == pytest.approx(0.5)
+        assert _pairing(Observable(kind="process", t=0.5), case)[0] == pytest.approx(0.5)
 
     def test_wick_exponential_self_pairing(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
         obs = Observable(kind="wick_exp", g=case.h)
-        assert s_transform(obs, case) == pytest.approx(math.e)
+        assert _pairing(obs, case)[0] == pytest.approx(math.e)
 
     def test_smoothed_square(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
-        assert s_transform(Observable(kind="f", t=1.0), case) == pytest.approx(2.0)
+        assert _pairing(Observable(kind="f", t=1.0), case)[0] == pytest.approx(2.0)
         # the derivative kinds had no caller and are gone
         for kind in ("f1", "f2"):
             with pytest.raises(ValueError, match="unknown observable kind"):
-                s_transform(Observable(kind=kind, t=1.0), case)
+                _pairing(Observable(kind=kind, t=1.0), case)
 
     def test_scaling_in_h(self, jump_bm):
         base = make_case(jump_bm, "x2", [(1.0, 1.0)])
         scaled = make_case(jump_bm, "x2", [(2.5, 1.0)])
         for t in (0.3, 0.5, 0.9):
             obs = Observable(kind="process", t=t)
-            assert s_transform(obs, scaled) == pytest.approx(2.5 * s_transform(obs, base), abs=1e-14)
+            assert _pairing(obs, scaled)[0] == pytest.approx(2.5 * _pairing(obs, base)[0], abs=1e-14)
 
     def test_one_sided_forms(self, jump_bm, evanescent):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         # psi(V(0.5-), hbar(0.5-)) = 0.5^2 + 0.5 and psi(V(0.5), hbar(0.5)) right limit
-        assert s_transform(Observable(kind="f_left", t=0.5), case) == pytest.approx(0.75)
-        assert s_transform(Observable(kind="f_right", t=0.5), case) == pytest.approx(0.75**2 + 0.75)
+        assert _pairing(Observable(kind="f_left", t=0.5), case)[0] == pytest.approx(0.75)
+        assert _pairing(Observable(kind="f_right", t=0.5), case)[0] == pytest.approx(0.75**2 + 0.75)
         # evanescent's weak limits at s0 are 0 (lost_minus = V(s0-) = 1, V(s0+) = 0)
         case = make_case(evanescent, "x2", [(1.0, 0.3)])
-        assert s_transform(Observable(kind="f_left", t=0.5), case) == 0.0
-        assert s_transform(Observable(kind="f_right", t=0.5), case) == 0.0
+        assert _pairing(Observable(kind="f_left", t=0.5), case)[0] == 0.0
+        assert _pairing(Observable(kind="f_right", t=0.5), case)[0] == 0.0
 
     def test_growth_guard_at_case_build(self, brownian):
         from gaussito.heatkernel import GrowthBound, GrowthBoundError
@@ -87,9 +87,50 @@ class TestSTransform:
             ItoCase(brownian, bad, cm_element(brownian, [(1.0, 1.0)]))
 
 
+class TestStackedEngine:
+    FIVE = ("x", "x2", "x3", "sin", "exp")
+
+    def test_each_component_matches_its_own_run(self, all_specs):
+        for spec in all_specs:
+            battery = auto_cm_battery(spec)
+            for h in (battery[0], battery[-1]):
+                cases = [ItoCase(spec, make_tf(name, spec.lam), h) for name in self.FIVE]
+                stacked = ito_stransform_residual(cases)
+                assert [r.case for r in stacked] == cases
+                assert len({(r.int_u1.n_cells, r.int_u2.n_cells) for r in stacked}) == 1
+                for res, case in zip(stacked, cases):
+                    (alone,) = ito_stransform_residual([case])
+                    assert res.converged == alone.converged
+                    for term, value in alone.terms().items():
+                        moved = abs(res.terms()[term] - value)
+                        assert moved <= 1e-12 * max(1.0, abs(value)), (spec.name, case.label, term)
+                    assert [s for s, _ in res.left_jump_terms] == [s for s, _ in alone.left_jump_terms]
+
+    def test_flags_stay_per_component(self):
+        # fbm's t^{2H} cusp at H = 0.2 leaves x3 unresolved at h0, and x2 not
+        spec = catalog("fbm", hurst=0.2)
+        h = auto_cm_battery(spec)[0]
+        x2, x3 = ito_stransform_residual([ItoCase(spec, make_tf(name, spec.lam), h) for name in ("x2", "x3")])
+        assert x2.converged and not x3.converged
+        assert x3.int_u1.error_estimate >= 1e-11 > x2.int_u1.error_estimate
+        assert x2.int_u1.n_cells == x3.int_u1.n_cells
+
+    def test_cases_must_share_the_pairing_element(self, brownian, jump_bm):
+        case = make_case(brownian, "x2", [(1.0, 1.0)])
+        for other in (
+            make_case(brownian, "x3", [(1.0, 1.0)]),
+            make_case(jump_bm, "x3", [(1.0, 1.0)]),
+            replace(case, ys_tol=1e-9),
+        ):
+            with pytest.raises(ValueError, match="share spec, h and ys_tol"):
+                ito_stransform_residual([case, other])
+        with pytest.raises(ValueError, match="one or more cases"):
+            ito_stransform_residual([])
+
+
 class TestGeneralResidual:
     def test_brownian_square_terms(self, brownian):
-        res = ito_stransform_residual(make_case(brownian, "x2", [(1.0, 1.0)]))
+        res = ito_stransform_residual([make_case(brownian, "x2", [(1.0, 1.0)])])[0]
         assert res.lhs == pytest.approx(2.0)
         assert res.integral_dhbar == pytest.approx(1.0, abs=1e-10)
         assert res.integral_dv_half == pytest.approx(1.0, abs=1e-10)
@@ -100,7 +141,7 @@ class TestGeneralResidual:
     def test_jump_bm_hand_breakdown(self, jump_bm):
         # hand-evaluated closed forms: lhs = 1.5625 + 1.25, dhbar integral
         # 1.25 + 0.375, variance integral 1.25, left jump term -0.0625
-        res = ito_stransform_residual(make_case(jump_bm, "x2", [(1.0, 1.0)]))
+        res = ito_stransform_residual([make_case(jump_bm, "x2", [(1.0, 1.0)])])[0]
         assert res.lhs == pytest.approx(2.8125)
         assert res.integral_dhbar == pytest.approx(1.625, abs=1e-10)
         assert res.integral_dv_half == pytest.approx(1.25, abs=1e-11)
@@ -110,7 +151,7 @@ class TestGeneralResidual:
     def test_evanescent_exp_jump_term(self, evanescent):
         # induced functions vanish at s0, so the left term is
         # e^0 - e^{1/2} - 0 - (1/2) e^0 (0 - 1) = 1.5 - sqrt(e)
-        res = ito_stransform_residual(make_case(evanescent, "exp", [(1.0, 0.3)]))
+        res = ito_stransform_residual([make_case(evanescent, "exp", [(1.0, 0.3)])])[0]
         s, val = res.left_jump_terms[0]
         assert s == 0.5
         assert val == pytest.approx(1.5 - math.exp(0.5), abs=1e-12)
@@ -118,18 +159,18 @@ class TestGeneralResidual:
 
     def test_mutation_jump_sum_sensitivity(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        clean = ito_stransform_residual(case)
-        mutated = ito_stransform_residual(case, drop={"drop_left_jump_sum"})
+        clean = ito_stransform_residual([case])[0]
+        mutated = ito_stransform_residual([case], drop={"drop_left_jump_sum"})[0]
         assert mutated.residual - clean.residual == pytest.approx(-0.0625, abs=1e-12)
 
     def test_mutation_dv_sensitivity(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
-        mutated = ito_stransform_residual(case, drop={"drop_dv_integral"})
+        mutated = ito_stransform_residual([case], drop={"drop_dv_integral"})[0]
         assert mutated.residual == pytest.approx(1.0, abs=1e-9)
 
     def test_unmutated_residual_is_the_engine_residual(self, jump_bm):
         # the general result is the engine's terms plus case, drop and agreement_delta
-        res = ito_stransform_residual(make_case(jump_bm, "sin", [(0.7, 0.5), (0.4, 0.9)]))
+        res = ito_stransform_residual([make_case(jump_bm, "sin", [(0.7, 0.5), (0.4, 0.9)])])[0]
         assert isinstance(res, ChainRuleTerms)
         assert res.residual == ChainRuleTerms.residual.fget(res)
         mutated = replace(res, drop=frozenset({"drop_left_jump_sum"}))
@@ -137,13 +178,13 @@ class TestGeneralResidual:
 
     def test_unknown_mutation_rejected(self, brownian, jump_bm):
         with pytest.raises(ValueError):
-            ito_stransform_residual(make_case(brownian, "x2", [(1.0, 1.0)]), drop={"bogus"})
+            ito_stransform_residual([make_case(brownian, "x2", [(1.0, 1.0)])], drop={"bogus"})
         # a flag the form has no term for is refused, not ignored
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         with pytest.raises(ValueError, match="drop_xleft_correction.*general"):
-            ito_stransform_residual(case, drop={"drop_xleft_correction"})
+            ito_stransform_residual([case], drop={"drop_xleft_correction"})
         with pytest.raises(ValueError, match="drop_right_jump_sum.*right-continuous"):
-            ito_rcll_residual(ito_stransform_residual(case), drop={"drop_right_jump_sum"})
+            ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_right_jump_sum"})
 
     def test_rough_pairing_flags_are_honest(self):
         # a 0.2-Hoelder cusp cannot be refined to 1e-11 before the bisection
@@ -152,9 +193,9 @@ class TestGeneralResidual:
 
         spec = catalog("fbm", hurst=0.1)
         h = cm_element(spec, [(0.8, 0.4)])
-        tight = ito_stransform_residual(ItoCase(spec, make_tf("x2", spec.lam), h))
+        tight = ito_stransform_residual([ItoCase(spec, make_tf("x2", spec.lam), h)])[0]
         assert not tight.converged
-        loose = ito_stransform_residual(ItoCase(spec, make_tf("x2", spec.lam), h, ys_tol=1e-5))
+        loose = ito_stransform_residual([ItoCase(spec, make_tf("x2", spec.lam), h, ys_tol=1e-5)])[0]
         assert loose.converged
         assert abs(loose.residual) < 1e-5
 
@@ -163,12 +204,12 @@ class TestGeneralResidual:
 
         spec = catalog("jump_bm", jumps=[(0.2, 0.04), (0.5, 0.25), (0.8, 0.09)])
         case = make_case(spec, "x3", [(0.8, 0.5), (-0.4, 1.0)])
-        base = ito_stransform_residual(case)
+        base = ito_stransform_residual([case])[0]
         rng = np.random.default_rng(0)
         for _ in range(5):
             perm = tuple(spec.records[i] for i in rng.permutation(len(spec.records)))
             spec.records = perm
-            res = ito_stransform_residual(case)
+            res = ito_stransform_residual([case])[0]
             assert abs(res.left_jump_sum - base.left_jump_sum) < 1e-14
             assert abs(res.residual - base.residual) < 1e-14
 
@@ -177,8 +218,8 @@ class TestRcllResidual:
     def test_agrees_with_general(self, jump_bm):
         for fname in ("x2", "sin"):
             case = make_case(jump_bm, fname, [(0.7, 0.5), (0.3, 1.0)])
-            general = ito_stransform_residual(case)
-            reduced = ito_rcll_residual(ito_stransform_residual(case))
+            general = ito_stransform_residual([case])[0]
+            reduced = ito_rcll_residual(ito_stransform_residual([case])[0])
             assert reduced.agreement_delta == abs(general.residual - reduced.residual)
             assert abs(general.residual - reduced.residual) < 1e-10
             assert abs(reduced.residual) < 1e-9
@@ -187,24 +228,24 @@ class TestRcllResidual:
         # dropping the left-limit/jump correlation term shifts the residual by
         # psi_{F''} * E[X_{s-} dX] = 2 * 0.5 = 1 for F = x^2, h = X_T
         case = make_case(coupled, "x2", [(1.0, 1.0)])
-        clean = ito_rcll_residual(ito_stransform_residual(case))
-        mutated = ito_rcll_residual(ito_stransform_residual(case), drop={"drop_xleft_correction"})
+        clean = ito_rcll_residual(ito_stransform_residual([case])[0])
+        mutated = ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_xleft_correction"})
         assert abs(clean.residual) < 1e-10
         assert mutated.residual - clean.residual == pytest.approx(1.0, abs=1e-8)
 
     def test_martingale_correction_is_free(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        clean = ito_rcll_residual(ito_stransform_residual(case))
-        mutated = ito_rcll_residual(ito_stransform_residual(case), drop={"drop_xleft_correction"})
+        clean = ito_rcll_residual(ito_stransform_residual([case])[0])
+        mutated = ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_xleft_correction"})
         assert mutated.residual == pytest.approx(clean.residual, abs=1e-14)
 
     def test_rejects_general_kind(self, evanescent):
         with pytest.raises(UnsupportedModelError):
-            ito_rcll_residual(ito_stransform_residual(make_case(evanescent, "x2", [(1.0, 0.3)])))
+            ito_rcll_residual(ito_stransform_residual([make_case(evanescent, "x2", [(1.0, 0.3)])])[0])
 
     def test_brownian_degenerates_to_continuous_form(self, brownian):
         case = make_case(brownian, "sin", [(1.0, 1.0)])
-        res = ito_rcll_residual(ito_stransform_residual(case))
+        res = ito_rcll_residual(ito_stransform_residual([case])[0])
         assert res.left_jump_sum == 0.0
         assert abs(res.residual) < 1e-9
 
@@ -245,7 +286,7 @@ class TestForwardJump:
     def test_right_jump_terms_active(self):
         spec = forward_jump_spec()
         case = make_case(spec, "x2", [(1.0, 1.0)])
-        res = ito_stransform_residual(case)
+        res = ito_stransform_residual([case])[0]
         assert res.right_jump_terms and res.right_jump_terms[0][1] != 0.0
         assert res.left_jump_sum == 0.0
         assert abs(res.residual) < 1e-10
@@ -253,8 +294,8 @@ class TestForwardJump:
     def test_right_jump_mutation_sensitivity(self):
         spec = forward_jump_spec()
         case = make_case(spec, "x2", [(1.0, 1.0)])
-        clean = ito_stransform_residual(case)
-        mutated = ito_stransform_residual(case, drop={"drop_right_jump_sum"})
+        clean = ito_stransform_residual([case])[0]
+        mutated = ito_stransform_residual([case], drop={"drop_right_jump_sum"})[0]
         assert mutated.residual - clean.residual == pytest.approx(
             clean.right_jump_sum, abs=1e-12
         )
@@ -263,7 +304,7 @@ class TestForwardJump:
     def test_transcendental_residual(self):
         spec = forward_jump_spec()
         case = make_case(spec, "sin", [(0.6, 0.4), (0.4, 0.9)])
-        res = ito_stransform_residual(case)
+        res = ito_stransform_residual([case])[0]
         assert abs(res.residual) < 1e-8
 
 
@@ -548,6 +589,7 @@ def test_public_names_resolve():
             "UnsupportedIntegratorError",
         ),
         "gaussproc": ("planar_variation_sum",),
+        "itoverify": ("s_transform",),
     }
     for layer, names in removed.items():
         module = importlib.import_module(f"gaussito.{layer}")

@@ -97,6 +97,28 @@ class TestIntegrateYS:
         assert res.value == pytest.approx(float(r.values(1.0) - r.values(0.0)), abs=1e-11)
 
 
+class TestStackedIntegrand:
+    def test_components_share_one_partition(self):
+        r = identity(jumps=[Jump(0.5, 0.25, -0.1)])
+        parts = (np.cos, lambda t: t**2, lambda t: np.exp(-t))
+        res = integrate_ys(lambda t: np.stack([f(t) for f in parts]), r, tol=1e-12)
+        assert res.value.shape == (3,) and res.converged
+        for i, f in enumerate(parts):
+            alone, mine = integrate_ys(f, r, tol=1e-12), res.component(i)
+            assert isinstance(mine.value, float) and mine.component_converged
+            assert mine.n_cells == res.n_cells
+            assert mine.atoms == alone.atoms
+            assert mine.value == pytest.approx(alone.value, abs=1e-12)
+
+    def test_one_budget_and_per_component_flags(self, monkeypatch):
+        # the constant component is exact on any partition; cos(40 t) cannot
+        # reach 1e-14 in two bisections, which the stack shares
+        monkeypatch.setattr(stieltjes, "_MAX_REFINE", 2)
+        res = integrate_ys(lambda t: np.stack([const_one(t), np.cos(40 * t)]), identity(), tol=1e-14)
+        assert list(res.component_converged) == [True, False]
+        assert not res.converged and res.n_cells == 16 + 2
+
+
 @pytest.mark.parametrize("integrate", [integrate_ys, integrate_ls])
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_non_positive_tol_raises(integrate, tol):
@@ -160,7 +182,7 @@ def field_square():
 class TestChainRule:
     def test_product_rule_continuous(self):
         u = identity()
-        res = chain_rule(field_product(), u, u, tol=1e-10)
+        (res,) = chain_rule(field_product(), u, u, tol=1e-10)
         assert res.lhs == pytest.approx(1.0)
         assert res.int_u1.value == pytest.approx(0.5, abs=1e-9)
         assert res.int_u2.value == pytest.approx(0.5, abs=1e-9)
@@ -171,7 +193,7 @@ class TestChainRule:
         # hand expansion: lhs = 4, int_u1 = 5, left jump term = 2.25 - 0.25 - 3 = -1
         u1 = identity(jumps=[Jump(0.5, 1.0, 0.0)])
         u2 = RegulatedFunction(lambda t: 0.0, (), (0.0, 1.0))
-        res = chain_rule(field_square(), u1, u2, tol=1e-10)
+        (res,) = chain_rule(field_square(), u1, u2, tol=1e-10)
         assert res.lhs == pytest.approx(4.0)
         assert res.int_u1.value == pytest.approx(5.0, abs=1e-9)
         assert res.left_jump_sum == pytest.approx(-1.0, abs=1e-12)
@@ -181,20 +203,20 @@ class TestChainRule:
         zero = lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
         G = ScalarField(value=lambda x, y: np.sin(x), d1=lambda x, y: np.cos(x), d2=zero, name="sin(x1)")
         u2 = RegulatedFunction(lambda t: 0.0, (), (0.0, 1.0))
-        res = chain_rule(G, identity(), u2, tol=1e-10)
+        (res,) = chain_rule(G, identity(), u2, tol=1e-10)
         assert abs(res.residual) < 1e-8
 
     def test_right_jump_terms(self):
         u1 = identity(jumps=[Jump(0.4, 0.0, 0.5)])
         u2 = identity(jumps=[Jump(0.7, 0.0, -0.25)])
-        res = chain_rule(field_product(), u1, u2, tol=1e-10)
+        (res,) = chain_rule(field_product(), u1, u2, tol=1e-10)
         assert res.right_jump_sum != 0.0
         assert abs(res.residual) < 1e-8
 
     def test_terms_beside_sums(self):
         u1 = identity(jumps=[Jump(0.3, 0.4, -0.2), Jump(0.7, 0.0, 0.3)])
         u2 = RegulatedFunction(np.polynomial.Polynomial([0.0, 0.0, 1.0]), [Jump(0.7, 0.0, 0.5)], (0.0, 1.0))
-        res = chain_rule(field_product(), u1, u2, tol=1e-10)
+        (res,) = chain_rule(field_product(), u1, u2, tol=1e-10)
         assert [s for s, _ in res.left_jump_terms] == [0.3, 0.7]
         assert [s for s, _ in res.right_jump_terms] == [0.3, 0.7]
         assert res.left_jump_sum == math.fsum(v for _, v in res.left_jump_terms)
