@@ -11,6 +11,8 @@ the Gaussian smoothing semigroup with growth-certified test functions
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .gaussproc import (
     CameronMartinElement,
     DiscontinuityRecord,
@@ -39,35 +41,5 @@ from .itoverify import (
 from .regulated import Jump, RegulatedFunction
 from .stieltjes import ScalarField, chain_rule, integrate_ls, integrate_ys
 
-__all__ = [
-    "CameronMartinElement",
-    "DiscontinuityRecord",
-    "ItoCase",
-    "Jump",
-    "McReport",
-    "Observable",
-    "ProcessSpec",
-    "RegulatedFunction",
-    "ScalarField",
-    "SimpleWickIntegrand",
-    "TestFunction",
-    "auto_cm_battery",
-    "catalog",
-    "chain_rule",
-    "cm_element",
-    "cm_inner",
-    "heat_identity_residual",
-    "hermite_p2_identity_mc",
-    "integrate_ls",
-    "integrate_ys",
-    "ito_rcll_residual",
-    "ito_stransform_residual",
-    "martingale_ito_mc",
-    "mc_s_transform",
-    "path_qv_mc",
-    "planar_qv_sum",
-    "psi",
-    "simple_skorokhod_mc",
-    "simulate_paths",
-    "test_function",
-]
+# the names imported above are the public API
+__all__ = sorted(k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _types.ModuleType))

@@ -271,6 +271,9 @@ def _case_record(case_id, ok, tolerance, terms, result=None, report=None, z_scor
             "n_paths": report.n_paths,
             "seed": report.seed,
         }
+        # records that read one draw show the same seed and counts
+        points, batches = report.grid_points, report.batches
+        diagnostics = {"grid_points": points, "batches": batches, "path_points": report.n_paths * points}
     return {
         "case_id": case_id,
         "kind": "deterministic" if report is None else "mc",
@@ -328,9 +331,6 @@ def _plan_cases(scenario, seed):
 
     plans = []
 
-    def det_tol(tf):
-        return tol["polynomial"] if tf.kind == "polynomial" else tol["transcendental"]
-
     # one chain-rule run per pairing element serves every test function and
     # both deterministic checks
     kinds = (["ito"] if "ito_stransform" in checks else []) + (["rcll"] if "ito_rcll" in checks and spec.rcll else [])
@@ -340,7 +340,8 @@ def _plan_cases(scenario, seed):
             def thunk(element=element):
                 records = []
                 for case, general in zip(element, ito_stransform_residual(element, drop=frozenset(drop))):
-                    tol_f, cid = det_tol(case.test_function), f"{spec.name}:{case.label}"
+                    # a test function's kind names its tolerance
+                    tol_f, cid = tol[case.test_function.kind], f"{spec.name}:{case.label}"
                     if "ito" in kinds:
                         ok = general.converged and abs(general.residual) < tol_f
                         records.append(_case_record(f"ito:{cid}", ok, tol_f, general.terms(), general))
@@ -354,16 +355,24 @@ def _plan_cases(scenario, seed):
 
             plans.append(([f"{kind}:{spec.name}:{case.label}" for case in element for kind in kinds], thunk))
 
-    if "martingale_ito" in checks and spec.martingale:
-        # one coupled draw serves every test function
+    def z_gated(cid, report):
+        return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
+
+    mc_ito = "martingale_ito" in checks and spec.martingale
+    qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
+    if mc_ito:
+        # one coupled draw serves every test function, and the quadratic-variation check
         cids = [f"mc_ito:{spec.name}:{tf.name}" for tf in tfs]
+        qv_cids = [f"mc_qv:{spec.name}"] if qv else []
 
         def thunk(cids=cids):
             depth = int(mc_cfg["grid_depth"])
             depths = (depth - 2, depth - 1, depth)
             grids = [np.linspace(0.0, spec.horizon, 2**d + 1) for d in depths]
+            out = martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000, qv=qv)
+            per_tf, qv_report = out if qv else (out, None)
             records = []
-            for cid, reports in zip(cids, martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000)):
+            for cid, reports in zip(cids, per_tf):
                 rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
                 vals = list(rels.values())
                 # below roundoff scale the identity holds exactly per path and
@@ -371,9 +380,9 @@ def _plan_cases(scenario, seed):
                 decay = all(b < a for a, b in zip(vals, vals[1:]) if a > 1e-12)
                 ok = vals[-1] < tol["mc_rel_residual"] and decay
                 records.append(_case_record(cid, ok, tol["mc_rel_residual"], rels, report=reports[-1]))
-            return records
+            return records + [z_gated(cid, qv_report) for cid in qv_cids]
 
-        plans.append((cids, thunk))
+        plans.append((cids + qv_cids, thunk))
 
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the
@@ -407,7 +416,7 @@ def _plan_cases(scenario, seed):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k)))
 
-    if "path_qv" in checks and spec.pathwise_qv_cont is not None:
+    if qv and not mc_ito:
         grid = np.linspace(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]) + 1)
         pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000)))
 
@@ -422,13 +431,7 @@ def _plan_cases(scenario, seed):
         pairings.append((f"mc_sk:{spec.name}", partial(simple_skorokhod_mc, spec, z, mild, n_paths, base_seed + 5000)))
 
     for cid, estimate in pairings:
-
-        def thunk(cid=cid, estimate=estimate):
-            report = estimate()
-            ok = report.within(tol["z_max"])
-            return [_case_record(cid, ok, tol["z_max"], {}, report=report, z_score=report.z_score)]
-
-        plans.append(([cid], thunk))
+        plans.append(([cid], lambda cid=cid, estimate=estimate: [z_gated(cid, estimate())]))
 
     # checks a model cannot run are skipped; a scenario left with none verifies nothing
     if not plans:

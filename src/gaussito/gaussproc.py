@@ -283,13 +283,16 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class McReport:
-    """One Monte Carlo check: sample mean and its standard error against the exact value."""
+    """One Monte Carlo check: sample mean and its standard error against the exact
+    value, from ``n_paths`` paths on ``grid_points`` times in ``batches`` batches."""
 
     estimate: float
     standard_error: float
     reference: float
     n_paths: int
     seed: int
+    grid_points: int
+    batches: int
     label: str = ""
 
     @property
@@ -421,6 +424,12 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
+def _mc_report(acc: tuple, reference: float, n_paths: int, seed, grid_points: int, batches: int, label: str):
+    """McReport of the merged (count, mean, M2) moments ``acc`` of a sample."""
+    se = math.sqrt(acc[2] / (n_paths - 1)) / math.sqrt(n_paths)
+    return McReport(float(acc[1]), se, reference, n_paths, seed, grid_points, batches, label)
+
+
 def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "") -> McReport:
     """Sample mean and standard error of ``sample(sim)`` against its closed form.
 
@@ -429,10 +438,21 @@ def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int,
     batch by batch, so memory is bounded by the batch whatever ``n_paths``.
     """
     acc = (0, 0.0, 0.0)
-    for sim in simulate_batches(spec, grid, n_paths, seed):
+    for b, sim in enumerate(simulate_batches(spec, grid, n_paths, seed), 1):
         acc = _merge_moments(acc, _moments(sample(sim)))
-    _, mean, m2 = acc
-    return McReport(float(mean), math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths), reference, n_paths, seed, label)
+    return _mc_report(acc, reference, n_paths, seed, len(sim.times), b, label)
+
+
+def _qv_reference(spec: ProcessSpec) -> float:
+    if spec.pathwise_qv_cont is None or not spec.rcll:
+        raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
+    return spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
+
+
+def _quadratic_sum(sim: SimulationResult) -> np.ndarray:
+    """Sum of squared increments along each path."""
+    d = np.diff(sim.paths, axis=1)
+    return np.sum(np.square(d, out=d), axis=1)
 
 
 def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
@@ -440,17 +460,11 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
 
     The reference is the continuous quadratic variation plus the summed
     mean-square jumps; only models whose paths have a deterministic continuous
-    quadratic variation support this check.
+    quadratic variation support this check.  ``itoverify.martingale_ito_mc``
+    with ``qv=True`` makes this report from its own draw: on its finest grid
+    and at its seed the two are bit-identical.
     """
-    if spec.pathwise_qv_cont is None or not spec.rcll:
-        raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
-
-    def quadratic_sum(sim):
-        d = np.diff(sim.paths, axis=1)
-        return np.sum(np.square(d, out=d), axis=1)
-
-    reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
-    return mc_estimate(spec, grid, quadratic_sum, reference, n_paths, seed, "path_qv")
+    return mc_estimate(spec, grid, _quadratic_sum, _qv_reference(spec), n_paths, seed, "path_qv")
 
 
 # -- catalog -------------------------------------------------------------------

@@ -25,8 +25,9 @@ against Wick exponentials with exact first-chaos norms, simple Wick-Stieltjes
 integrals with closed-form Wick products, and the degree-two Hermite inner
 product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing check hands a
 support grid, a per-path sample and its closed form to
-``gaussproc.mc_estimate``; only the martingale check keeps its own coupled
-estimator over ``gaussproc.simulate_batches``.
+``gaussproc.mc_estimate``.  The martingale check keeps its own coupled
+estimator over ``gaussproc.simulate_batches``, and its draw can also serve
+the pathwise quadratic-variation check.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ from .gaussproc import (
     SimulationResult,
     UnsupportedModelError,
     _grid_times,
+    _mc_report,
     _merge_moments,
     _moments,
+    _quadratic_sum,
+    _qv_reference,
     cm_element,
     cm_inner,
     mc_estimate,
@@ -341,9 +345,7 @@ def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dBs):
     return [increment**2, *resid2]
 
 
-def martingale_ito_mc(
-    spec: ProcessSpec, test_functions, grids, n_paths: int, seed: int
-) -> tuple[tuple[McReport, ...], ...]:
+def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, seed: int, qv: bool = False):
     """Pathwise check of the discontinuous-martingale identity on nested grids.
 
     Each grid is joined with the discontinuity times, and every joined grid
@@ -353,7 +355,10 @@ def martingale_ito_mc(
     function reads the same batch.  The levels and the test functions are
     therefore coupled, as in multilevel Monte Carlo, and memory is bounded by
     the batch whatever ``n_paths``.  Only the evaluations of F, F' and F'' are made per test
-    function; the rest of a batch is made once.
+    function; the rest of a batch is made once.  With ``qv=True`` each batch
+    also feeds the pathwise quadratic sum, and the result is ``(reports,
+    qv_report)``: ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc``
+    on the finest joined grid at ``seed``, with no second draw.
 
     Per path and grid: forward Riemann sums of F'(X) against the Brownian
     increments, exact jump handling with the jointly drawn jump variables
@@ -365,6 +370,7 @@ def martingale_ito_mc(
     """
     if not spec.martingale:
         raise UnsupportedModelError(f"{spec.name}: pathwise identity needs a martingale model")
+    qv_reference = _qv_reference(spec) if qv else None
     tfs = tuple(test_functions)
     if not tfs:
         raise ValueError("need at least one test function")
@@ -392,9 +398,12 @@ def martingale_ito_mc(
         for pts in levels
     ]
 
-    acc = (0, 0.0, 0.0)  # moments of every test function's rows, row by row
-    for sim in simulate_batches(spec, fine, n_paths, seed):
+    acc = qv_acc = (0, 0.0, 0.0)  # moments of the rows, row by row, and of the quadratic sum
+    for batches, sim in enumerate(simulate_batches(spec, fine, n_paths, seed), 1):
         X, xi = sim.paths, sim.jump_draws
+        if qv:
+            # before the rows, so that its temporary is freed before theirs are made
+            qv_acc = _merge_moments(qv_acc, _moments(_quadratic_sum(sim)))
         # what every test function shares: increments net of the jump draws,
         # and the values and left limits at the discontinuities
         dBs = []
@@ -417,8 +426,10 @@ def martingale_ito_mc(
             se_r2 = math.sqrt(m2_r2 / (n_paths - 1)) / math.sqrt(n_paths)
             se_rel = se_r2 / (2.0 * rms) / max(scale, 1e-300) if rms > 0 else 0.0
             label = f"martingale_ito[{spec.name},{tf.name},n={len(pts) - 1}]"
-            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, label))
+            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, len(fine), batches, label))
         reports.append(tuple(per_grid))
+    if qv:
+        return tuple(reports), _mc_report(qv_acc, qv_reference, n_paths, seed, len(fine), batches, "path_qv")
     return tuple(reports)
 
 

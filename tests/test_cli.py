@@ -2,6 +2,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaussito.cli import ENV_OUT_DIR, main
@@ -315,7 +316,13 @@ class TestRun:
         assert not x3["diagnostics"]["integral_dhbar"]["converged"]
         assert x3["diagnostics"]["integral_dhbar"]["error_estimate"] >= 1e-11
         assert x2["diagnostics"]["integral_dhbar"]["n_cells"] == x3["diagnostics"]["integral_dhbar"]["n_cells"]
-        assert all(c["diagnostics"] is None for cid, c in cases.items() if cid.startswith("mc_"))
+        # a Monte Carlo record counts what it drew: 200 paths on its support grid, one batch
+        mc = [c for cid, c in cases.items() if cid.startswith("mc_")]
+        assert mc
+        for c in mc:
+            d = c["diagnostics"]
+            assert set(d) == {"grid_points", "batches", "path_points"}
+            assert d["batches"] == 1 and d["grid_points"] >= 1 and d["path_points"] == 200 * d["grid_points"]
 
     def test_shared_plan_item_timings(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks=["ito_stransform", "ito_rcll"])
@@ -332,6 +339,71 @@ class TestRun:
         # one coupled draw for every test function, seeded as the first one's was
         assert {c["runtime_ms"] for c in cases} == {cases[0]["runtime_ms"]}
         assert {c["mc"]["seed"] for c in cases} == {20250809 + 1000}
+
+    @pytest.mark.parametrize(
+        "model",
+        [{"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}}, {"id": "brownian"}],
+        ids=lambda m: m["id"],
+    )
+    def test_martingale_and_path_qv_read_one_draw(self, model, tmp_path, capsys, monkeypatch):
+        import gaussito.gaussproc
+        from gaussito.gaussproc import catalog, path_qv_mc
+
+        calls = []
+        original = gaussito.gaussproc.simulate_paths
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # the batch loop lives in gaussproc.simulate_batches
+        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
+        seed, n_paths, depth = 7, 2000, 9
+        mc = {"seed": seed, "n_paths": n_paths, "grid_depth": depth}
+        checks = ["martingale_ito", "path_qv"]
+        scen = write_scenario(tmp_path, model=model, test_functions=["x2", "sin"], checks=checks, mc=mc)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--timings"]) == 0
+        monkeypatch.undo()
+        spec = catalog(model["id"], **model.get("params", {}))
+        fine = np.union1d(np.linspace(0.0, 1.0, 2**depth + 1), spec.record_times())
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert [c["case_id"] for c in cases] == [f"mc_ito:{spec.name}:{tf}" for tf in ("sin", "x2")] + [f"mc_qv:{spec.name}"]
+        # one plan item, one draw on the pathwise check's finest grid at its seed
+        diagnostics = {"grid_points": len(fine), "batches": 2, "path_points": n_paths * len(fine)}
+        assert len(calls) == diagnostics["batches"]
+        assert all(c["diagnostics"] == diagnostics and c["mc"]["seed"] == seed + 1000 for c in cases)
+        assert len({c["runtime_ms"] for c in cases}) == 1
+        # the quadratic-variation record is the standalone estimator's on that grid, bit for bit
+        expected = path_qv_mc(spec, fine, n_paths, seed + 1000)
+        assert cases[-1]["mc"] == {
+            "estimate": expected.estimate,
+            "standard_error": expected.standard_error,
+            "reference": expected.reference,
+            "z_score": expected.z_score,
+            "n_paths": n_paths,
+            "seed": seed + 1000,
+        }
+
+    @pytest.mark.parametrize(
+        "model",
+        [{"id": "fbm", "params": {"hurst": 0.5}}, {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}}],
+        ids=lambda m: m["id"],
+    )
+    def test_path_qv_keeps_its_own_draw_without_the_pathwise_check(self, model, tmp_path, capsys):
+        from gaussito.gaussproc import catalog, path_qv_mc
+
+        seed, n_paths, depth = 7, 1000, 8
+        mc = {"seed": seed, "n_paths": n_paths, "grid_depth": depth}
+        scen = write_scenario(tmp_path, model=model, checks=["martingale_ito", "path_qv"], mc=mc)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        (case,) = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        # the dyadic grid and the seed of the standalone check, as before the shared draw
+        grid = np.linspace(0.0, 1.0, 2**depth + 1)
+        expected = path_qv_mc(catalog(model["id"], **model["params"]), grid, n_paths, seed + 4000)
+        assert case["case_id"] == f"mc_qv:{model['id']}"
+        assert (case["mc"]["estimate"], case["mc"]["standard_error"]) == (expected.estimate, expected.standard_error)
+        assert case["mc"]["seed"] == seed + 4000
+        assert case["diagnostics"] == {"grid_points": len(grid), "batches": 1, "path_points": n_paths * len(grid)}
 
     def test_martingale_records_carry_no_z_score(self, tmp_path, capsys):
         # the martingale verdict is the relative residual and its decay; a

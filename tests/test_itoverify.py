@@ -426,6 +426,32 @@ class TestMartingaleItoMc:
         for k, tf in enumerate(tfs):
             assert shared[k] == martingale_ito_mc(spec, [tf], grids, 3000, seed=11)[0]
 
+    def test_quadratic_variation_reads_the_same_draw(self, monkeypatch):
+        import gaussito.gaussproc
+        from gaussito.gaussproc import path_qv_mc
+
+        spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
+        tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
+        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
+        alone = martingale_ito_mc(spec, tfs, grids, 3000, seed=11)
+        calls = []
+        original = gaussito.gaussproc.simulate_paths
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
+        reports, qv = martingale_ito_mc(spec, tfs, grids, 3000, seed=11, qv=True)
+        # one draw of two batches on the 259 points of the finest joined grid
+        assert len(calls) == 2
+        assert reports == alone
+        assert (qv.grid_points, qv.batches) == (259, 2)
+        assert {(r.grid_points, r.batches, r.seed) for reps in reports for r in reps} == {(259, 2, 11)}
+        monkeypatch.undo()
+        # bit-identical to the standalone estimator on that grid at that seed
+        assert qv == path_qv_mc(spec, np.union1d(grids[-1], [0.3, 0.7]), 3000, seed=11)
+
 
 class TestMcSTransform:
     def test_process_pairing(self, brownian):
