@@ -26,7 +26,6 @@ from .gaussproc import (
 )
 from .heatkernel import TestFunction, heat_identity_residual, psi, test_function
 from .itoverify import (
-    ItoCase,
     McReport,
     Observable,
     SimpleWickIntegrand,

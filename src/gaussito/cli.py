@@ -42,7 +42,6 @@ from .gaussproc import (
 )
 from .heatkernel import GrowthBound, GrowthBoundError, TEST_FUNCTION_IDS, test_function
 from .itoverify import (
-    ItoCase,
     Observable,
     SimpleWickIntegrand,
     auto_cm_battery,
@@ -66,6 +65,15 @@ CHECK_IDS = (
     "path_qv",
     "simple_skorokhod",
 )
+
+_DEFAULT_TOLERANCES = {
+    "polynomial": 1e-8,
+    "transcendental": 1e-6,
+    "ys_tol": 1e-11,
+    "rcll_agreement": 1e-10,
+    "z_max": 4.0,
+    "mc_rel_residual": 0.05,
+}
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -128,14 +136,7 @@ SCENARIO_SCHEMA = {
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "polynomial": {"type": "number", "exclusiveMinimum": 0},
-                "transcendental": {"type": "number", "exclusiveMinimum": 0},
-                "ys_tol": {"type": "number", "exclusiveMinimum": 0},
-                "rcll_agreement": {"type": "number", "exclusiveMinimum": 0},
-                "z_max": {"type": "number", "exclusiveMinimum": 0},
-                "mc_rel_residual": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {name: {"type": "number", "exclusiveMinimum": 0} for name in _DEFAULT_TOLERANCES},
         },
         "mc": {
             "type": "object",
@@ -161,15 +162,6 @@ SCENARIO_SCHEMA = {
             "properties": {"dir": {"type": "string"}},
         },
     },
-}
-
-_DEFAULT_TOLERANCES = {
-    "polynomial": 1e-8,
-    "transcendental": 1e-6,
-    "ys_tol": 1e-11,
-    "rcll_agreement": 1e-10,
-    "z_max": 4.0,
-    "mc_rel_residual": 0.05,
 }
 
 
@@ -240,6 +232,8 @@ def _build_test_functions(entries, lam: float):
         seen[tf.name] = n + 1
         if n:
             tf = replace(tf, name=f"{tf.name}#{n + 1}")
+        # every check's test functions, checked once, before any work starts
+        tf.check_growth(lam)
         out.append(tf)
     return out
 
@@ -297,7 +291,7 @@ def effective_seed(scenario: dict, seed=None) -> int:
 
 
 def _plan_cases(scenario, seed):
-    """Build (case_ids, thunk) pairs; each thunk returns the report-case dicts of its case ids, in order."""
+    """Zero-argument thunks; each returns the report-case dicts of the work it runs."""
     model = scenario["model"]
     try:
         spec = catalog(model["id"], **model.get("params", {}))
@@ -322,10 +316,6 @@ def _plan_cases(scenario, seed):
     try:
         tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
         battery = _build_battery(scenario, spec)
-        # the deterministic cases, grouped by pairing element
-        elements = [
-            [ItoCase(spec, tf, h, ys_tol=tol["ys_tol"], label=f"{tf.name}:{h.label}") for tf in tfs] for h in battery
-        ]
     except (GrowthBoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -334,26 +324,25 @@ def _plan_cases(scenario, seed):
     # one chain-rule run per pairing element serves every test function and
     # both deterministic checks
     kinds = (["ito"] if "ito_stransform" in checks else []) + (["rcll"] if "ito_rcll" in checks and spec.rcll else [])
+
+    def deterministic(h):
+        records = []
+        generals = ito_stransform_residual(spec, h, tfs, ys_tol=tol["ys_tol"], drop=frozenset(drop))
+        for tf, general in zip(tfs, generals):
+            # a test function's kind names its tolerance
+            tol_f, cid = tol[tf.kind], f"{spec.name}:{tf.name}:{h.label}"
+            if "ito" in kinds:
+                ok = general.converged and abs(general.residual) < tol_f
+                records.append(_case_record(f"ito:{cid}", ok, tol_f, general.terms(), general))
+            if "rcll" in kinds:
+                res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
+                ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
+                terms = {**res.terms(), "agreement_delta": res.agreement_delta}
+                records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res))
+        return records
+
     if kinds:
-        for element in elements:
-
-            def thunk(element=element):
-                records = []
-                for case, general in zip(element, ito_stransform_residual(element, drop=frozenset(drop))):
-                    # a test function's kind names its tolerance
-                    tol_f, cid = tol[case.test_function.kind], f"{spec.name}:{case.label}"
-                    if "ito" in kinds:
-                        ok = general.converged and abs(general.residual) < tol_f
-                        records.append(_case_record(f"ito:{cid}", ok, tol_f, general.terms(), general))
-                    if "rcll" in kinds:
-                        res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
-                        ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
-                        terms = res.terms()
-                        terms["agreement_delta"] = res.agreement_delta
-                        records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res))
-                return records
-
-            plans.append(([f"{kind}:{spec.name}:{case.label}" for case in element for kind in kinds], thunk))
+        plans += [partial(deterministic, h) for h in battery]
 
     def z_gated(cid, report):
         return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
@@ -362,27 +351,25 @@ def _plan_cases(scenario, seed):
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
     if mc_ito:
         # one coupled draw serves every test function, and the quadratic-variation check
-        cids = [f"mc_ito:{spec.name}:{tf.name}" for tf in tfs]
-        qv_cids = [f"mc_qv:{spec.name}"] if qv else []
-
-        def thunk(cids=cids):
+        def thunk():
             depth = int(mc_cfg["grid_depth"])
             depths = (depth - 2, depth - 1, depth)
             grids = [np.linspace(0.0, spec.horizon, 2**d + 1) for d in depths]
             out = martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000, qv=qv)
             per_tf, qv_report = out if qv else (out, None)
             records = []
-            for cid, reports in zip(cids, per_tf):
+            for tf, reports in zip(tfs, per_tf):
                 rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
                 vals = list(rels.values())
                 # below roundoff scale the identity holds exactly per path and
                 # there is no discretization error left to decay
                 decay = all(b < a for a, b in zip(vals, vals[1:]) if a > 1e-12)
                 ok = vals[-1] < tol["mc_rel_residual"] and decay
+                cid = f"mc_ito:{spec.name}:{tf.name}"
                 records.append(_case_record(cid, ok, tol["mc_rel_residual"], rels, report=reports[-1]))
-            return records + [z_gated(cid, qv_report) for cid in qv_cids]
+            return records + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
 
-        plans.append((cids + qv_cids, thunk))
+        plans.append(thunk)
 
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the
@@ -400,13 +387,12 @@ def _plan_cases(scenario, seed):
         for h in battery[:3]:
             obs_list.append((h, Observable(kind="process", t=0.6 * spec.horizon, label="X_t")))
             obs_list.append((scaled_to(h, 1.0), Observable(kind="wick_exp", g=g_mild, label="wick_exp")))
-        obs_list.append((battery[0], Observable(kind="f", t=0.7 * spec.horizon, label="f")))
+        obs_list.append((battery[0], Observable(kind="f", t=0.7 * spec.horizon, label="f", test_function=tfs[0])))
         if spec.records and float(spec.records[0].e_dminus_sq) > 0:
             obs_list.append((battery[0], Observable(kind="jump_pairing", jump_index=0, coeff=0.8, label="jump_pairing")))
         for k, (h, obs) in enumerate(obs_list):
-            case = ItoCase(spec, tfs[0], h, ys_tol=tol["ys_tol"])
             cid = f"mc_st:{spec.name}:{k}:{obs.label}:{h.label}"
-            pairings.append((cid, partial(mc_s_transform, case, obs, n_paths, base_seed + 2000 + k)))
+            pairings.append((cid, partial(mc_s_transform, spec, h, obs, n_paths, base_seed + 2000 + k)))
 
     if "hermite_p2" in checks:
         pairs = [(battery[0], battery[0])]
@@ -430,8 +416,7 @@ def _plan_cases(scenario, seed):
         )
         pairings.append((f"mc_sk:{spec.name}", partial(simple_skorokhod_mc, spec, z, mild, n_paths, base_seed + 5000)))
 
-    for cid, estimate in pairings:
-        plans.append(([cid], lambda cid=cid, estimate=estimate: [z_gated(cid, estimate())]))
+    plans += [lambda cid=cid, estimate=estimate: [z_gated(cid, estimate())] for cid, estimate in pairings]
 
     # checks a model cannot run are skipped; a scenario left with none verifies nothing
     if not plans:
@@ -502,8 +487,7 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
     results: dict[str, dict] = {}
     clocks: dict[str, float] = {}
 
-    def execute(item):
-        _, thunk = item
+    def execute(thunk):
         t0 = time.perf_counter()
         try:
             records = thunk()
@@ -515,7 +499,7 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(execute, plans))
     else:
-        outcomes = [execute(item) for item in plans]
+        outcomes = [execute(thunk) for thunk in plans]
     # every record of a plan item gets the item's whole runtime
     for records, ms in outcomes:
         for record in records:

@@ -59,7 +59,6 @@ from .regulated import RegulatedFunction
 from .stieltjes import ChainRuleTerms, ScalarField, _atom_sum, chain_rule
 
 __all__ = [
-    "ItoCase",
     "ItoResidual",
     "McReport",
     "Observable",
@@ -77,20 +76,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ItoCase:
-    """One deterministic verification case: model, test function, pairing element."""
-
-    spec: ProcessSpec
-    test_function: TestFunction
-    h: CameronMartinElement
-    ys_tol: float = 1e-11
-    label: str = ""
-
-    def __post_init__(self):
-        self.test_function.check_growth(self.spec.lam)
-
-
 # -- S-transform closed forms ---------------------------------------------------
 
 
@@ -98,10 +83,10 @@ class ItoCase:
 class Observable:
     """Closed-form-pairable functionals of the process.
 
-    kinds: "process" (X_t), "f" (F at X_t), "f_left"/"f_right" (F at the
-    weak one-sided limits), "wick_exp" (exp-wick of g), "jump_pairing"
-    ((e^{c J - c^2 var/2} - 1) J for the left-jump variable J at a record,
-    paired with its own exponential).
+    kinds: "process" (X_t), "f" (F at X_t, for F the ``test_function``),
+    "f_left"/"f_right" (F at the weak one-sided limits), "wick_exp"
+    (exp-wick of g), "jump_pairing" ((e^{c J - c^2 var/2} - 1) J for the
+    left-jump variable J at a record, paired with its own exponential).
     """
 
     kind: str
@@ -110,15 +95,26 @@ class Observable:
     jump_index: int = 0
     coeff: float = 1.0
     label: str = ""
+    test_function: TestFunction | None = None
 
 
-def _pairing(obs: Observable, case: ItoCase):
-    """(closed form, support times, per-path sample) of E[exp-wick(case.h) * observable].
+def _admitted(spec: ProcessSpec, test_functions) -> tuple[TestFunction, ...]:
+    """The test functions, each checked against the model's growth bound; ``ValueError`` if none."""
+    tfs = tuple(test_functions)
+    if not tfs:
+        raise ValueError("need at least one test function")
+    for tf in tfs:
+        tf.check_growth(spec.lam)
+    return tfs
+
+
+def _pairing(spec: ProcessSpec, h: CameronMartinElement, obs: Observable):
+    """(closed form, support times, per-path sample) of E[exp-wick(h) * observable].
 
     The sample maps a simulation whose grid holds the support times and
-    case.h's times to one value per path; its mean estimates the closed form.
+    h's times to one value per path; its mean estimates the closed form.
     """
-    spec, tf, h, t = case.spec, case.test_function, case.h, obs.t
+    t = obs.t
 
     def weighted(observable):
         return lambda sim: wick_exponential_paths(sim, h) * observable(sim)
@@ -126,6 +122,8 @@ def _pairing(obs: Observable, case: ItoCase):
     if obs.kind == "process":
         return _at(h.hbar, t, 0), (t,), weighted(lambda sim: _one_sided_paths(spec, sim, t, 0))
     if obs.kind in ("f", "f_left", "f_right"):
+        tf = obs.test_function
+        tf.check_growth(spec.lam)
         side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
         # at a discontinuity a one-sided limit is the weak one, which may lose variance against V
         rec = next((r for r in spec.records if side and r.time == t), None)
@@ -161,7 +159,8 @@ _RCLL_MUTATIONS = frozenset({"drop_left_jump_sum", "drop_dv_integral", "drop_xle
 
 @dataclass(frozen=True)
 class ItoResidual(ChainRuleTerms):
-    """Term-by-term breakdown of one case; residual = lhs - (right-hand terms not dropped).
+    """Term-by-term breakdown of one case, a test function of a model at a pairing
+    element h; residual = lhs - (right-hand terms not dropped).
 
     The two integrals (``int_u1`` in dhbar, ``int_u2`` the half-weighted dV
     one) are the case's component of the engine's results: its own values,
@@ -171,7 +170,9 @@ class ItoResidual(ChainRuleTerms):
     of the same case.
     """
 
-    case: ItoCase
+    spec: ProcessSpec
+    h: CameronMartinElement
+    test_function: TestFunction
     drop: frozenset = frozenset()
     agreement_delta: float = 0.0
 
@@ -207,15 +208,17 @@ def _check_mutations(drop, allowed, form: str) -> frozenset:
     return drop
 
 
-def ito_stransform_residual(cases, drop=frozenset()) -> tuple[ItoResidual, ...]:
-    """Residuals of the general deterministic identity for the cases of one pairing element.
+def ito_stransform_residual(spec, h, test_functions, ys_tol=1e-11, drop=frozenset()) -> tuple[ItoResidual, ...]:
+    """Residuals of the general deterministic identity at one pairing element h.
 
     The identity is the chain rule for G(x1, x2) = psi_F(x2, x1) along
     (u1, u2) = (hbar, V): d1 G = psi_{F'} and d2 G = (1/2) psi_{F''} by the
     heat identities, so the chain rule's terms are the identity's terms.
-    The cases must share spec, h and ys_tol (``ValueError`` otherwise): G
-    stacks their test functions, so one chain-rule run, one partition per
-    integral, serves them all; one result per case comes back, in order.
+    G stacks the test functions, so one chain-rule run, one partition per
+    integral refined to ``ys_tol``, serves them all; one result per test
+    function comes back, in order.  Each test function must meet the
+    model's growth bound (``GrowthBoundError``), and an empty list raises
+    ``ValueError``.
     Jump terms use exact stored jump sizes of V and hbar, are accumulated with
     compensated summation (so they are invariant under reordering of the
     discontinuity list), and can be knocked out selectively via ``drop`` for
@@ -223,19 +226,17 @@ def ito_stransform_residual(cases, drop=frozenset()) -> tuple[ItoResidual, ...]:
     ``drop_dv_integral``; any other flag raises ``ValueError``.
     """
     drop = _check_mutations(drop, _DROPPED_TERM, "general")
-    cases = tuple(cases)
-    first = cases[0] if cases else None
-    if not cases or any(c.spec is not first.spec or c.h is not first.h or c.ys_tol != first.ys_tol for c in cases):
-        raise ValueError("need one or more cases that share spec, h and ys_tol")
-    tfs = [case.test_function for case in cases]
+    tfs = _admitted(spec, test_functions)
     G = ScalarField(
         value=lambda x1, x2: np.stack([psi(tf, x2, x1) for tf in tfs]),
         d1=lambda x1, x2: np.stack([psi(tf, x2, x1, 1) for tf in tfs]),
         d2=lambda x1, x2: 0.5 * np.stack([psi(tf, x2, x1, 2) for tf in tfs]),
         name="psi_" + ",".join(tf.name for tf in tfs),
     )
-    chains = chain_rule(G, first.h.hbar, first.spec.variance, tol=first.ys_tol)
-    return tuple(ItoResidual(**vars(chain), case=case, drop=drop) for chain, case in zip(chains, cases))
+    chains = chain_rule(G, h.hbar, spec.variance, tol=ys_tol)
+    return tuple(
+        ItoResidual(**vars(chain), spec=spec, h=h, test_function=tf, drop=drop) for chain, tf in zip(chains, tfs)
+    )
 
 
 def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
@@ -254,10 +255,10 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
     ignored.  Only meaningful for right-continuous models (``spec.rcll``).
     """
     drop = _check_mutations(drop, _RCLL_MUTATIONS, "right-continuous")
-    spec, tf = general.case.spec, general.case.test_function
+    spec, tf = general.spec, general.test_function
     if not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs a right-continuous model")
-    hbar, V = general.case.h.hbar, spec.variance
+    hbar, V = general.h.hbar, spec.variance
     for rec in spec.records:
         if hbar.delta_plus_at(rec.time):
             raise UnsupportedModelError(f"{spec.name}: forward jump of hbar at t={rec.time}")
@@ -371,11 +372,7 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     if not spec.martingale:
         raise UnsupportedModelError(f"{spec.name}: pathwise identity needs a martingale model")
     qv_reference = _qv_reference(spec) if qv else None
-    tfs = tuple(test_functions)
-    if not tfs:
-        raise ValueError("need at least one test function")
-    for tf in tfs:
-        tf.check_growth(spec.lam)
+    tfs = _admitted(spec, test_functions)
     records = np.asarray(spec.record_times(), dtype=float)
     levels = [np.union1d(_grid_times(g), records) for g in grids]
     if not levels:
@@ -433,11 +430,10 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     return tuple(reports)
 
 
-def mc_s_transform(case: ItoCase, obs: Observable, n_paths: int, seed: int) -> McReport:
+def mc_s_transform(spec: ProcessSpec, h: CameronMartinElement, obs: Observable, n_paths: int, seed: int) -> McReport:
     """Monte Carlo pairing E[exp-wick(h) * observable] against the closed form."""
-    spec = case.spec
-    reference, support, sample = _pairing(obs, case)
-    times = set(case.h.times) | set(spec.record_times()) | set(support)
+    reference, support, sample = _pairing(spec, h, obs)
+    times = set(h.times) | set(spec.record_times()) | set(support)
     grid = np.array(sorted(times)) if times else np.array([spec.horizon])
     return mc_estimate(spec, grid, sample, reference, n_paths, seed, obs.label or obs.kind)
 

@@ -17,7 +17,6 @@ from gaussito.gaussproc import catalog, cm_element, path_qv_mc, planar_qv_sum
 from gaussito.heatkernel import heat_identity_residual
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
-    ItoCase,
     Observable,
     auto_cm_battery,
     hermite_p2_identity_mc,
@@ -51,6 +50,7 @@ def catalog_specs():
 
 
 def build_cases(specs):
+    """(label, spec, h, F) per case."""
     cases = []
     for spec in specs:
         battery = auto_cm_battery(spec)
@@ -59,7 +59,7 @@ def build_cases(specs):
             tf = make_tf(fname, spec.lam)
             tf.check_growth(spec.lam)  # the exp-with-a admissibility check
             for h in battery:
-                cases.append(ItoCase(spec, tf, h, label=f"{spec.name}:{fname}:{h.label}"))
+                cases.append((f"{spec.name}:{fname}:{h.label}", spec, h, tf))
     return cases
 
 
@@ -68,13 +68,13 @@ def test_criterion_1_deterministic_battery(catalog_specs):
     cases = build_cases(catalog_specs)
     worst = ("", 0.0)
     failures = []
-    for case in cases:
-        res = ito_stransform_residual([case])[0]
-        tol = POLY_TOL if case.test_function.kind == "polynomial" else TRANSCENDENTAL_TOL
+    for label, spec, h, tf in cases:
+        res = ito_stransform_residual(spec, h, [tf])[0]
+        tol = POLY_TOL if tf.kind == "polynomial" else TRANSCENDENTAL_TOL
         if abs(res.residual) > abs(worst[1]):
-            worst = (case.label, res.residual)
+            worst = (label, res.residual)
         if not (res.converged and abs(res.residual) < tol):
-            failures.append((case.label, res.residual, res.converged))
+            failures.append((label, res.residual, res.converged))
     elapsed = time.perf_counter() - start
     ok = not failures and len(cases) >= 60 and elapsed < 30.0
     assert announce(
@@ -95,13 +95,13 @@ def test_criterion_2_rcll_reduction(catalog_specs):
         for fname in F_NAMES:
             tf = make_tf(fname, spec.lam)
             for h in battery:
-                general = ito_stransform_residual([ItoCase(spec, tf, h)])[0]
+                general = ito_stransform_residual(spec, h, [tf])[0]
                 delta = abs(ito_rcll_residual(general).residual - general.residual)
                 worst = max(worst, delta)
     coupled = next(s for s in catalog_specs if s.name == "coupled_jump_bm")
-    case = ItoCase(coupled, make_tf("x2", coupled.lam), cm_element(coupled, [(1.0, 1.0)]))
-    clean = ito_rcll_residual(ito_stransform_residual([case])[0]).residual
-    mutated = ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_xleft_correction"}).residual
+    case = (coupled, cm_element(coupled, [(1.0, 1.0)]), [make_tf("x2", coupled.lam)])
+    clean = ito_rcll_residual(ito_stransform_residual(*case)[0]).residual
+    mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_xleft_correction"}).residual
     shift = mutated - clean
     ok = worst < 1e-10 and abs(shift - 1.0) < 1e-8
     assert announce(
@@ -244,21 +244,21 @@ def test_criterion_6_s_transform_mc():
     for i in range(100):
         spec, battery = specs[i % 3], batteries[i % 3]
         h = battery[i % len(battery)]
-        case = ItoCase(spec, make_tf("x2", spec.lam), h)
+        tf = make_tf("x2", spec.lam)
         seed = 600 + i
         mode = i % 5
         if mode == 0:
-            rep = mc_s_transform(case, Observable(kind="process", t=0.6 * spec.horizon), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="process", t=0.6 * spec.horizon), n_paths, seed)
         elif mode == 1:
-            rep = mc_s_transform(case, Observable(kind="wick_exp", g=battery[0]), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="wick_exp", g=battery[0]), n_paths, seed)
         elif mode == 2:
-            rep = mc_s_transform(case, Observable(kind="f", t=0.7 * spec.horizon), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="f", t=0.7 * spec.horizon, test_function=tf), n_paths, seed)
         elif mode == 3:
             rep = hermite_p2_identity_mc(spec, battery[0], h, n_paths, seed)
         elif spec.records:
-            rep = mc_s_transform(case, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), n_paths, seed)
         else:
-            rep = mc_s_transform(case, Observable(kind="process", t=0.35), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="process", t=0.35), n_paths, seed)
         zs.append(rep.z_score)
     zs = np.asarray(zs)
     max_z = float(np.max(np.abs(zs)))
@@ -294,14 +294,14 @@ def test_criterion_7_planar_qv():
 
 def test_criterion_8_permutation_invariance():
     spec = catalog("jump_bm", jumps=[(0.2, 0.04), (0.5, 0.25), (0.8, 0.09)])
-    case = ItoCase(spec, make_tf("x3", spec.lam), cm_element(spec, [(0.8, 0.5), (-0.4, 1.0)]))
-    base = ito_stransform_residual([case])[0]
+    case = (spec, cm_element(spec, [(0.8, 0.5), (-0.4, 1.0)]), [make_tf("x3", spec.lam)])
+    base = ito_stransform_residual(*case)[0]
     rng = np.random.default_rng(123)
     records = list(spec.records)
     worst = 0.0
     for _ in range(8):
         spec.records = tuple(records[i] for i in rng.permutation(len(records)))
-        res = ito_stransform_residual([case])[0]
+        res = ito_stransform_residual(*case)[0]
         worst = max(
             worst,
             abs(res.left_jump_sum - base.left_jump_sum),

@@ -78,6 +78,19 @@ class TestRun:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
         assert (tmp_path / "a" / "terms.csv").read_bytes() == (tmp_path / "b" / "terms.csv").read_bytes()
+        # every tolerance set to its default decides every case as no tolerances block does
+        from gaussito.cli import _DEFAULT_TOLERANCES
+
+        defaults = write_scenario(
+            tmp_path,
+            "defaults.json",
+            checks=["ito_stransform", "s_transform_mc", "hermite_p2"],
+            mc={"seed": 7, "n_paths": 2000},
+            tolerances=dict(_DEFAULT_TOLERANCES),
+        )
+        assert main(["run", str(defaults), "--out", str(tmp_path / "c")]) == 0
+        c = json.loads((tmp_path / "c" / "report.json").read_text())
+        assert c["cases"] == json.loads(a)["cases"]
 
     def test_seed_changes_mc_results(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, checks=["s_transform_mc"], mc={"seed": 7, "n_paths": 2000})
@@ -125,21 +138,27 @@ class TestRun:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"] == {"total": 8, "passed": 8, "failed": 0}
 
+    JUMP_BM = {"id": "jump_bm", "params": {"jumps": [[0.5, 0.25]], "horizon": 1.0}}
+
     @pytest.mark.parametrize(
-        ("model", "bound"),
+        ("model", "bound", "checks"),
         [
-            ({"id": "jump_bm", "params": {"jumps": [[0.5, 0.25]], "horizon": 1.0}}, "0.2"),
+            (JUMP_BM, "0.2", ["ito_stransform"]),
             # a downward jump: sup V = V(s0-) = 0.8, above V(T) = 0.4
-            ({"id": "coupled_jump_bm", "params": {"c": -0.5, "s0": 0.8}}, "0.3125"),
+            ({"id": "coupled_jump_bm", "params": {"c": -0.5, "s0": 0.8}}, "0.3125", ["ito_stransform"]),
+            # a scenario with no deterministic check is refused at plan time too
+            (JUMP_BM, "0.2", ["s_transform_mc"]),
+            (JUMP_BM, "0.2", ["martingale_ito"]),
         ],
-        ids=["jump_bm", "coupled_downward_jump"],
+        ids=["jump_bm", "coupled_downward_jump", "jump_bm_s_transform_mc_only", "jump_bm_martingale_ito_only"],
     )
-    def test_growth_violation_exit_2(self, tmp_path, capsys, model, bound):
-        scen = write_scenario(tmp_path, model=model, test_functions=[{"id": "exp", "a": 0.5}])
+    def test_growth_violation_exit_2(self, tmp_path, capsys, model, bound, checks):
+        scen = write_scenario(tmp_path, model=model, test_functions=[{"id": "exp", "a": 0.5}], checks=checks)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "growth" in err
         assert f"1/(4*lambda)={bound}" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         ("horizon", "tf", "lam"),
@@ -208,6 +227,12 @@ class TestRun:
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "$" in err and "oops" in err
+        # the tolerance names are the defaults' keys; any other is refused by name
+        scen = write_scenario(tmp_path, tolerances={"polynomial": 1e-8, "ys_tolerance": 1e-9})
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "$.tolerances" in err and "ys_tolerance" in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_model_exit_2(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, model={"id": "unknown_model"})
@@ -239,7 +264,7 @@ class TestRun:
 
         scenario = _load_scenario(_resolve_scenario("full_jump_bm"))
         plans = _plan_cases(scenario, seed=None)
-        ids = [cid for cids, _ in plans for cid in cids]
+        ids = [record["case_id"] for thunk in plans for record in thunk()]
         assert len(ids) == len(set(ids)) and len(ids) >= 25
         kinds = {cid.split(":")[0] for cid in ids}
         assert {"ito", "rcll", "mc_ito", "mc_st", "mc_p2", "mc_qv", "mc_sk"} <= kinds

@@ -20,7 +20,6 @@ from gaussito.gaussproc import (
 from gaussito.gaussproc import _merge_moments, _moments
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
-    ItoCase,
     Observable,
     SimpleWickIntegrand,
     _pairing,
@@ -39,52 +38,62 @@ from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import ChainRuleTerms
 
 
-def make_case(spec, fname, coeffs, **kw):
-    return ItoCase(spec, make_tf(fname, spec.lam), cm_element(spec, coeffs), **kw)
+def make_case(spec, fname, coeffs):
+    """(spec, h, [F]): the arguments of the general residual of one case."""
+    return spec, cm_element(spec, coeffs), [make_tf(fname, spec.lam)]
+
+
+def f_obs(spec, kind, t, fname="x2"):
+    return Observable(kind=kind, t=t, test_function=make_tf(fname, spec.lam))
 
 
 class TestSTransform:
     def test_process_value(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        assert _pairing(Observable(kind="process", t=0.5), case)[0] == pytest.approx(0.5)
+        h = cm_element(brownian, [(1.0, 1.0)])
+        assert _pairing(brownian, h, Observable(kind="process", t=0.5))[0] == pytest.approx(0.5)
 
     def test_wick_exponential_self_pairing(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        obs = Observable(kind="wick_exp", g=case.h)
-        assert _pairing(obs, case)[0] == pytest.approx(math.e)
+        h = cm_element(brownian, [(1.0, 1.0)])
+        obs = Observable(kind="wick_exp", g=h)
+        assert _pairing(brownian, h, obs)[0] == pytest.approx(math.e)
 
     def test_smoothed_square(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        assert _pairing(Observable(kind="f", t=1.0), case)[0] == pytest.approx(2.0)
+        h = cm_element(brownian, [(1.0, 1.0)])
+        assert _pairing(brownian, h, f_obs(brownian, "f", 1.0))[0] == pytest.approx(2.0)
         # the derivative kinds had no caller and are gone
         for kind in ("f1", "f2"):
             with pytest.raises(ValueError, match="unknown observable kind"):
-                _pairing(Observable(kind=kind, t=1.0), case)
+                _pairing(brownian, h, f_obs(brownian, kind, 1.0))
 
     def test_scaling_in_h(self, jump_bm):
-        base = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        scaled = make_case(jump_bm, "x2", [(2.5, 1.0)])
+        base = cm_element(jump_bm, [(1.0, 1.0)])
+        scaled = cm_element(jump_bm, [(2.5, 1.0)])
         for t in (0.3, 0.5, 0.9):
             obs = Observable(kind="process", t=t)
-            assert _pairing(obs, scaled)[0] == pytest.approx(2.5 * _pairing(obs, base)[0], abs=1e-14)
+            assert _pairing(jump_bm, scaled, obs)[0] == pytest.approx(2.5 * _pairing(jump_bm, base, obs)[0], abs=1e-14)
 
     def test_one_sided_forms(self, jump_bm, evanescent):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
+        h = cm_element(jump_bm, [(1.0, 1.0)])
         # psi(V(0.5-), hbar(0.5-)) = 0.5^2 + 0.5 and psi(V(0.5), hbar(0.5)) right limit
-        assert _pairing(Observable(kind="f_left", t=0.5), case)[0] == pytest.approx(0.75)
-        assert _pairing(Observable(kind="f_right", t=0.5), case)[0] == pytest.approx(0.75**2 + 0.75)
+        assert _pairing(jump_bm, h, f_obs(jump_bm, "f_left", 0.5))[0] == pytest.approx(0.75)
+        assert _pairing(jump_bm, h, f_obs(jump_bm, "f_right", 0.5))[0] == pytest.approx(0.75**2 + 0.75)
         # evanescent's weak limits at s0 are 0 (lost_minus = V(s0-) = 1, V(s0+) = 0)
-        case = make_case(evanescent, "x2", [(1.0, 0.3)])
-        assert _pairing(Observable(kind="f_left", t=0.5), case)[0] == 0.0
-        assert _pairing(Observable(kind="f_right", t=0.5), case)[0] == 0.0
+        h = cm_element(evanescent, [(1.0, 0.3)])
+        assert _pairing(evanescent, h, f_obs(evanescent, "f_left", 0.5))[0] == 0.0
+        assert _pairing(evanescent, h, f_obs(evanescent, "f_right", 0.5))[0] == 0.0
 
     def test_growth_guard_at_case_build(self, brownian):
         from gaussito.heatkernel import GrowthBound, GrowthBoundError
 
         tf = make_tf("exp", brownian.lam)
         bad = replace(tf, growth=GrowthBound(scale=tf.growth.scale, rate=1.0))
+        h = cm_element(brownian, [(1.0, 1.0)])
+        # each engine that reads F refuses one beyond the model's growth bound
         with pytest.raises(GrowthBoundError):
-            ItoCase(brownian, bad, cm_element(brownian, [(1.0, 1.0)]))
+            ito_stransform_residual(brownian, h, [make_tf("x2", brownian.lam), bad])
+        for kind in ("f", "f_left", "f_right"):
+            with pytest.raises(GrowthBoundError):
+                mc_s_transform(brownian, h, Observable(kind=kind, t=0.5, test_function=bad), 100, seed=0)
 
 
 class TestStackedEngine:
@@ -94,43 +103,36 @@ class TestStackedEngine:
         for spec in all_specs:
             battery = auto_cm_battery(spec)
             for h in (battery[0], battery[-1]):
-                cases = [ItoCase(spec, make_tf(name, spec.lam), h) for name in self.FIVE]
-                stacked = ito_stransform_residual(cases)
-                assert [r.case for r in stacked] == cases
+                tfs = [make_tf(name, spec.lam) for name in self.FIVE]
+                stacked = ito_stransform_residual(spec, h, tfs)
+                assert [(r.spec, r.h, r.test_function) for r in stacked] == [(spec, h, tf) for tf in tfs]
                 assert len({(r.int_u1.n_cells, r.int_u2.n_cells) for r in stacked}) == 1
-                for res, case in zip(stacked, cases):
-                    (alone,) = ito_stransform_residual([case])
+                for res, tf in zip(stacked, tfs):
+                    (alone,) = ito_stransform_residual(spec, h, [tf])
                     assert res.converged == alone.converged
                     for term, value in alone.terms().items():
                         moved = abs(res.terms()[term] - value)
-                        assert moved <= 1e-12 * max(1.0, abs(value)), (spec.name, case.label, term)
+                        assert moved <= 1e-12 * max(1.0, abs(value)), (spec.name, tf.name, h.label, term)
                     assert [s for s, _ in res.left_jump_terms] == [s for s, _ in alone.left_jump_terms]
 
     def test_flags_stay_per_component(self):
         # fbm's t^{2H} cusp at H = 0.2 leaves x3 unresolved at h0, and x2 not
         spec = catalog("fbm", hurst=0.2)
         h = auto_cm_battery(spec)[0]
-        x2, x3 = ito_stransform_residual([ItoCase(spec, make_tf(name, spec.lam), h) for name in ("x2", "x3")])
+        x2, x3 = ito_stransform_residual(spec, h, [make_tf(name, spec.lam) for name in ("x2", "x3")])
         assert x2.converged and not x3.converged
         assert x3.int_u1.error_estimate >= 1e-11 > x2.int_u1.error_estimate
         assert x2.int_u1.n_cells == x3.int_u1.n_cells
 
-    def test_cases_must_share_the_pairing_element(self, brownian, jump_bm):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        for other in (
-            make_case(brownian, "x3", [(1.0, 1.0)]),
-            make_case(jump_bm, "x3", [(1.0, 1.0)]),
-            replace(case, ys_tol=1e-9),
-        ):
-            with pytest.raises(ValueError, match="share spec, h and ys_tol"):
-                ito_stransform_residual([case, other])
-        with pytest.raises(ValueError, match="one or more cases"):
-            ito_stransform_residual([])
+    def test_cases_must_share_the_pairing_element(self, brownian):
+        # one call is one pairing element, so its cases share it by construction
+        with pytest.raises(ValueError, match="at least one test function"):
+            ito_stransform_residual(brownian, cm_element(brownian, [(1.0, 1.0)]), [])
 
 
 class TestGeneralResidual:
     def test_brownian_square_terms(self, brownian):
-        res = ito_stransform_residual([make_case(brownian, "x2", [(1.0, 1.0)])])[0]
+        res = ito_stransform_residual(*make_case(brownian, "x2", [(1.0, 1.0)]))[0]
         assert res.lhs == pytest.approx(2.0)
         assert res.integral_dhbar == pytest.approx(1.0, abs=1e-10)
         assert res.integral_dv_half == pytest.approx(1.0, abs=1e-10)
@@ -141,7 +143,7 @@ class TestGeneralResidual:
     def test_jump_bm_hand_breakdown(self, jump_bm):
         # hand-evaluated closed forms: lhs = 1.5625 + 1.25, dhbar integral
         # 1.25 + 0.375, variance integral 1.25, left jump term -0.0625
-        res = ito_stransform_residual([make_case(jump_bm, "x2", [(1.0, 1.0)])])[0]
+        res = ito_stransform_residual(*make_case(jump_bm, "x2", [(1.0, 1.0)]))[0]
         assert res.lhs == pytest.approx(2.8125)
         assert res.integral_dhbar == pytest.approx(1.625, abs=1e-10)
         assert res.integral_dv_half == pytest.approx(1.25, abs=1e-11)
@@ -151,7 +153,7 @@ class TestGeneralResidual:
     def test_evanescent_exp_jump_term(self, evanescent):
         # induced functions vanish at s0, so the left term is
         # e^0 - e^{1/2} - 0 - (1/2) e^0 (0 - 1) = 1.5 - sqrt(e)
-        res = ito_stransform_residual([make_case(evanescent, "exp", [(1.0, 0.3)])])[0]
+        res = ito_stransform_residual(*make_case(evanescent, "exp", [(1.0, 0.3)]))[0]
         s, val = res.left_jump_terms[0]
         assert s == 0.5
         assert val == pytest.approx(1.5 - math.exp(0.5), abs=1e-12)
@@ -159,18 +161,18 @@ class TestGeneralResidual:
 
     def test_mutation_jump_sum_sensitivity(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        clean = ito_stransform_residual([case])[0]
-        mutated = ito_stransform_residual([case], drop={"drop_left_jump_sum"})[0]
+        clean = ito_stransform_residual(*case)[0]
+        mutated = ito_stransform_residual(*case, drop={"drop_left_jump_sum"})[0]
         assert mutated.residual - clean.residual == pytest.approx(-0.0625, abs=1e-12)
 
     def test_mutation_dv_sensitivity(self, brownian):
         case = make_case(brownian, "x2", [(1.0, 1.0)])
-        mutated = ito_stransform_residual([case], drop={"drop_dv_integral"})[0]
+        mutated = ito_stransform_residual(*case, drop={"drop_dv_integral"})[0]
         assert mutated.residual == pytest.approx(1.0, abs=1e-9)
 
     def test_unmutated_residual_is_the_engine_residual(self, jump_bm):
-        # the general result is the engine's terms plus case, drop and agreement_delta
-        res = ito_stransform_residual([make_case(jump_bm, "sin", [(0.7, 0.5), (0.4, 0.9)])])[0]
+        # the general result is the engine's terms plus spec, h, test_function, drop and agreement_delta
+        res = ito_stransform_residual(*make_case(jump_bm, "sin", [(0.7, 0.5), (0.4, 0.9)]))[0]
         assert isinstance(res, ChainRuleTerms)
         assert res.residual == ChainRuleTerms.residual.fget(res)
         mutated = replace(res, drop=frozenset({"drop_left_jump_sum"}))
@@ -178,13 +180,13 @@ class TestGeneralResidual:
 
     def test_unknown_mutation_rejected(self, brownian, jump_bm):
         with pytest.raises(ValueError):
-            ito_stransform_residual([make_case(brownian, "x2", [(1.0, 1.0)])], drop={"bogus"})
+            ito_stransform_residual(*make_case(brownian, "x2", [(1.0, 1.0)]), drop={"bogus"})
         # a flag the form has no term for is refused, not ignored
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         with pytest.raises(ValueError, match="drop_xleft_correction.*general"):
-            ito_stransform_residual([case], drop={"drop_xleft_correction"})
+            ito_stransform_residual(*case, drop={"drop_xleft_correction"})
         with pytest.raises(ValueError, match="drop_right_jump_sum.*right-continuous"):
-            ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_right_jump_sum"})
+            ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_right_jump_sum"})
 
     def test_rough_pairing_flags_are_honest(self):
         # a 0.2-Hoelder cusp cannot be refined to 1e-11 before the bisection
@@ -193,9 +195,9 @@ class TestGeneralResidual:
 
         spec = catalog("fbm", hurst=0.1)
         h = cm_element(spec, [(0.8, 0.4)])
-        tight = ito_stransform_residual([ItoCase(spec, make_tf("x2", spec.lam), h)])[0]
+        tight = ito_stransform_residual(spec, h, [make_tf("x2", spec.lam)])[0]
         assert not tight.converged
-        loose = ito_stransform_residual([ItoCase(spec, make_tf("x2", spec.lam), h, ys_tol=1e-5)])[0]
+        loose = ito_stransform_residual(spec, h, [make_tf("x2", spec.lam)], ys_tol=1e-5)[0]
         assert loose.converged
         assert abs(loose.residual) < 1e-5
 
@@ -204,12 +206,12 @@ class TestGeneralResidual:
 
         spec = catalog("jump_bm", jumps=[(0.2, 0.04), (0.5, 0.25), (0.8, 0.09)])
         case = make_case(spec, "x3", [(0.8, 0.5), (-0.4, 1.0)])
-        base = ito_stransform_residual([case])[0]
+        base = ito_stransform_residual(*case)[0]
         rng = np.random.default_rng(0)
         for _ in range(5):
             perm = tuple(spec.records[i] for i in rng.permutation(len(spec.records)))
             spec.records = perm
-            res = ito_stransform_residual([case])[0]
+            res = ito_stransform_residual(*case)[0]
             assert abs(res.left_jump_sum - base.left_jump_sum) < 1e-14
             assert abs(res.residual - base.residual) < 1e-14
 
@@ -218,8 +220,8 @@ class TestRcllResidual:
     def test_agrees_with_general(self, jump_bm):
         for fname in ("x2", "sin"):
             case = make_case(jump_bm, fname, [(0.7, 0.5), (0.3, 1.0)])
-            general = ito_stransform_residual([case])[0]
-            reduced = ito_rcll_residual(ito_stransform_residual([case])[0])
+            general = ito_stransform_residual(*case)[0]
+            reduced = ito_rcll_residual(ito_stransform_residual(*case)[0])
             assert reduced.agreement_delta == abs(general.residual - reduced.residual)
             assert abs(general.residual - reduced.residual) < 1e-10
             assert abs(reduced.residual) < 1e-9
@@ -228,24 +230,24 @@ class TestRcllResidual:
         # dropping the left-limit/jump correlation term shifts the residual by
         # psi_{F''} * E[X_{s-} dX] = 2 * 0.5 = 1 for F = x^2, h = X_T
         case = make_case(coupled, "x2", [(1.0, 1.0)])
-        clean = ito_rcll_residual(ito_stransform_residual([case])[0])
-        mutated = ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_xleft_correction"})
+        clean = ito_rcll_residual(ito_stransform_residual(*case)[0])
+        mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_xleft_correction"})
         assert abs(clean.residual) < 1e-10
         assert mutated.residual - clean.residual == pytest.approx(1.0, abs=1e-8)
 
     def test_martingale_correction_is_free(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        clean = ito_rcll_residual(ito_stransform_residual([case])[0])
-        mutated = ito_rcll_residual(ito_stransform_residual([case])[0], drop={"drop_xleft_correction"})
+        clean = ito_rcll_residual(ito_stransform_residual(*case)[0])
+        mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_xleft_correction"})
         assert mutated.residual == pytest.approx(clean.residual, abs=1e-14)
 
     def test_rejects_general_kind(self, evanescent):
         with pytest.raises(UnsupportedModelError):
-            ito_rcll_residual(ito_stransform_residual([make_case(evanescent, "x2", [(1.0, 0.3)])])[0])
+            ito_rcll_residual(ito_stransform_residual(*make_case(evanescent, "x2", [(1.0, 0.3)]))[0])
 
     def test_brownian_degenerates_to_continuous_form(self, brownian):
         case = make_case(brownian, "sin", [(1.0, 1.0)])
-        res = ito_rcll_residual(ito_stransform_residual([case])[0])
+        res = ito_rcll_residual(ito_stransform_residual(*case)[0])
         assert res.left_jump_sum == 0.0
         assert abs(res.residual) < 1e-9
 
@@ -286,7 +288,7 @@ class TestForwardJump:
     def test_right_jump_terms_active(self):
         spec = forward_jump_spec()
         case = make_case(spec, "x2", [(1.0, 1.0)])
-        res = ito_stransform_residual([case])[0]
+        res = ito_stransform_residual(*case)[0]
         assert res.right_jump_terms and res.right_jump_terms[0][1] != 0.0
         assert res.left_jump_sum == 0.0
         assert abs(res.residual) < 1e-10
@@ -294,8 +296,8 @@ class TestForwardJump:
     def test_right_jump_mutation_sensitivity(self):
         spec = forward_jump_spec()
         case = make_case(spec, "x2", [(1.0, 1.0)])
-        clean = ito_stransform_residual([case])[0]
-        mutated = ito_stransform_residual([case], drop={"drop_right_jump_sum"})[0]
+        clean = ito_stransform_residual(*case)[0]
+        mutated = ito_stransform_residual(*case, drop={"drop_right_jump_sum"})[0]
         assert mutated.residual - clean.residual == pytest.approx(
             clean.right_jump_sum, abs=1e-12
         )
@@ -304,7 +306,7 @@ class TestForwardJump:
     def test_transcendental_residual(self):
         spec = forward_jump_spec()
         case = make_case(spec, "sin", [(0.6, 0.4), (0.4, 0.9)])
-        res = ito_stransform_residual([case])[0]
+        res = ito_stransform_residual(*case)[0]
         assert abs(res.residual) < 1e-8
 
 
@@ -455,34 +457,34 @@ class TestMartingaleItoMc:
 
 class TestMcSTransform:
     def test_process_pairing(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        rep = mc_s_transform(case, Observable(kind="process", t=0.5), 50000, seed=42)
+        h = cm_element(brownian, [(1.0, 1.0)])
+        rep = mc_s_transform(brownian, h, Observable(kind="process", t=0.5), 50000, seed=42)
         assert rep.reference == pytest.approx(0.5)
         assert abs(rep.z_score) < 4
 
     def test_wick_pairing(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        rep = mc_s_transform(case, Observable(kind="wick_exp", g=case.h), 50000, seed=43)
+        h = cm_element(brownian, [(1.0, 1.0)])
+        rep = mc_s_transform(brownian, h, Observable(kind="wick_exp", g=h), 50000, seed=43)
         assert rep.reference == pytest.approx(math.e)
         assert abs(rep.z_score) < 4
 
     def test_jump_pairing_reference(self, jump_bm):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        rep = mc_s_transform(case, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), 50000, seed=44)
+        h = cm_element(jump_bm, [(1.0, 1.0)])
+        rep = mc_s_transform(jump_bm, h, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), 50000, seed=44)
         assert rep.reference == pytest.approx(0.8 * 0.25)
         assert abs(rep.z_score) < 4
 
     def test_left_limit_observable(self, jump_bm):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        rep = mc_s_transform(case, Observable(kind="f_left", t=0.5), 50000, seed=45)
+        h = cm_element(jump_bm, [(1.0, 1.0)])
+        rep = mc_s_transform(jump_bm, h, f_obs(jump_bm, "f_left", 0.5), 50000, seed=45)
         assert rep.reference == pytest.approx(0.75)
         assert abs(rep.z_score) < 4
 
     @pytest.mark.parametrize("tf,reference", [("x2", 0.0), ("exp", 1.0)])
     def test_weak_left_limit_observable(self, evanescent, tf, reference):
         # X_{s0-} is the weak limit 0, so the pairing is F(hbar(s0-)) = F(0)
-        case = make_case(evanescent, tf, [(1.0, 0.3)])
-        rep = mc_s_transform(case, Observable(kind="f_left", t=0.5), 20000, seed=46)
+        h = cm_element(evanescent, [(1.0, 0.3)])
+        rep = mc_s_transform(evanescent, h, f_obs(evanescent, "f_left", 0.5, tf), 20000, seed=46)
         assert rep.reference == pytest.approx(reference, abs=1e-15)
         assert rep.within(4)
 
@@ -581,8 +583,7 @@ class TestDegenerateObservables:
         # X_t for t past the fading time is almost surely 0: the factorization
         # jitter must not leak into it and inflate the z-score
         h = cm_element(evanescent, [(1.0, 0.3)])
-        case = make_case(evanescent, "x2", [(1.0, 0.3)])
-        rep = mc_s_transform(case, Observable(kind="f", t=0.7), 2000, seed=3)
+        rep = mc_s_transform(evanescent, h, f_obs(evanescent, "f", 0.7), 2000, seed=3)
         assert rep.reference == 0.0
         assert rep.estimate == 0.0
         assert rep.z_score == 0.0
@@ -634,7 +635,7 @@ def test_public_names_resolve():
     assert not hasattr(RegulatedFunction, "without_jumps")
     assert "continuous" not in inspect.signature(stieltjes._integrate).parameters
     refining = (
-        ItoCase,
+        ito_stransform_residual,
         stieltjes.chain_rule,
         stieltjes.integrate_ys,
         stieltjes.integrate_ls,
@@ -646,8 +647,8 @@ def test_public_names_resolve():
 
 class TestMcReportInvariants:
     def test_standard_error_and_z(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        rep = mc_s_transform(case, Observable(kind="process", t=0.5), 1000, seed=99)
+        h = cm_element(brownian, [(1.0, 1.0)])
+        rep = mc_s_transform(brownian, h, Observable(kind="process", t=0.5), 1000, seed=99)
         assert rep.standard_error > 0.0
         assert rep.z_score == pytest.approx((rep.estimate - rep.reference) / rep.standard_error)
         assert rep.n_paths == 1000 and rep.seed == 99
@@ -667,9 +668,9 @@ class TestMcReportInvariants:
         assert not mc_estimate(brownian, grid, const(np.nan), 0.0, 100, 0, "nan").within(4.0)
 
     def test_too_few_paths(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
+        h = cm_element(brownian, [(1.0, 1.0)])
         with pytest.raises(ValueError):
-            mc_s_transform(case, Observable(kind="process", t=0.5), 1, seed=99)
+            mc_s_transform(brownian, h, Observable(kind="process", t=0.5), 1, seed=99)
 
 
 class TestBattery:
