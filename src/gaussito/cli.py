@@ -50,6 +50,7 @@ from .itoverify import (
     ito_stransform_residual,
     martingale_ito_mc,
     mc_s_transform,
+    pathwise_decay,
     simple_skorokhod_mc,
 )
 
@@ -72,7 +73,13 @@ _DEFAULT_TOLERANCES = {
     "ys_tol": 1e-11,
     "rcll_agreement": 1e-10,
     "z_max": 4.0,
-    "mc_rel_residual": 0.05,
+}
+
+# schema mutation flag -> the engine flags it sets; drop_xleft_correction is the right-continuous form's
+_MUTATIONS = {
+    "drop_jump_sum": {"drop_left_jump_sum", "drop_right_jump_sum"},
+    "drop_dv_integral": {"drop_dv_integral"},
+    "drop_xleft_correction": {"drop_xleft_correction"},
 }
 
 SCENARIO_SCHEMA = {
@@ -150,11 +157,7 @@ SCENARIO_SCHEMA = {
         "mutations": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "drop_jump_sum": {"type": "boolean"},
-                "drop_dv_integral": {"type": "boolean"},
-                "drop_xleft_correction": {"type": "boolean"},
-            },
+            "properties": {name: {"type": "boolean"} for name in _MUTATIONS},
         },
         "output": {
             "type": "object",
@@ -305,13 +308,8 @@ def _plan_cases(scenario, seed):
     n_paths = int(mc_cfg["n_paths"])
     base_seed = effective_seed(scenario, seed)
     checks = scenario.get("checks", ["ito_stransform"])
-    mutations = scenario.get("mutations", {})
-    drop = set()
-    if mutations.get("drop_jump_sum"):
-        drop |= {"drop_left_jump_sum", "drop_right_jump_sum"}
-    if mutations.get("drop_dv_integral"):
-        drop.add("drop_dv_integral")
-    rcll_drop = {"drop_xleft_correction"} if mutations.get("drop_xleft_correction") else set()
+    flags = {flag for name, on in scenario.get("mutations", {}).items() if on for flag in _MUTATIONS[name]}
+    drop, rcll_drop = flags - {"drop_xleft_correction"}, flags & {"drop_xleft_correction"}
 
     try:
         tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
@@ -347,26 +345,32 @@ def _plan_cases(scenario, seed):
     def z_gated(cid, report):
         return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
 
-    mc_ito = "martingale_ito" in checks and spec.martingale
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
+    depth = int(mc_cfg["grid_depth"])
+    depths = (depth - 2, depth - 1, depth)
+    grids = [np.linspace(0.0, spec.horizon, 2**d + 1) for d in depths]
+    mc_ito = "martingale_ito" in checks
+    try:
+        # half the expected decay; a model the check cannot decay on is skipped, as ito_rcll is
+        required = 0.5 * pathwise_decay(spec, grids[-1]) if mc_ito else None
+    except UnsupportedModelError:
+        mc_ito = False
     if mc_ito:
         # one coupled draw serves every test function, and the quadratic-variation check
         def thunk():
-            depth = int(mc_cfg["grid_depth"])
-            depths = (depth - 2, depth - 1, depth)
-            grids = [np.linspace(0.0, spec.horizon, 2**d + 1) for d in depths]
             out = martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000, qv=qv)
             per_tf, qv_report = out if qv else (out, None)
             records = []
             for tf, reports in zip(tfs, per_tf):
                 rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
-                vals = list(rels.values())
+                # least-squares slope of -log2(rel) over the depths; not finite, so failing, if a level is NaN, 0 or inf
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    decay = float(np.dot([0.5, 0.0, -0.5], np.log2(list(rels.values()))))
                 # below roundoff scale the identity holds exactly per path and
                 # there is no discretization error left to decay
-                decay = all(b < a for a, b in zip(vals, vals[1:]) if a > 1e-12)
-                ok = vals[-1] < tol["mc_rel_residual"] and decay
-                cid = f"mc_ito:{spec.name}:{tf.name}"
-                records.append(_case_record(cid, ok, tol["mc_rel_residual"], rels, report=reports[-1]))
+                ok = all(r < 1e-12 for r in rels.values()) or required <= decay < math.inf
+                terms = {**rels, "log2_decay": decay}
+                records.append(_case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=reports[-1]))
             return records + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
 
         plans.append(thunk)
@@ -403,8 +407,7 @@ def _plan_cases(scenario, seed):
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k)))
 
     if qv and not mc_ito:
-        grid = np.linspace(0.0, spec.horizon, 2 ** int(mc_cfg["grid_depth"]) + 1)
-        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000)))
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grids[-1], n_paths, base_seed + 4000)))
 
     if "simple_skorokhod" in checks:
         zero = cm_element(spec, [], label="one")
@@ -525,7 +528,7 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
         else:
             mc = case["mc"]
             if mc["z_score"] is None:
-                verdict = f"rel={mc['estimate']:.6g} tol={case['tolerance']:.2g}"
+                verdict = f"rel={mc['estimate']:.6g} log2_decay={case['terms']['log2_decay']:.3g} tol={case['tolerance']:.3g}"
             else:
                 verdict = f"estimate={mc['estimate']:.6g} ref={mc['reference']:.6g} z={mc['z_score']:.2f}"
             echo(f"[{tag}] {case['case_id']} {verdict} ({clocks[case['case_id']]:.0f} ms)")

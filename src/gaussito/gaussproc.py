@@ -63,7 +63,7 @@ class SimulationError(RuntimeError):
 
 
 class UnsupportedModelError(ValueError):
-    """Operation not defined for this model: not right-continuous, not a martingale, or beyond its sampler."""
+    """Operation not defined for this model: not right-continuous, too rough for the pathwise check, or beyond its sampler."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ class ProcessSpec:
     ``sampler(grid)``, for models with an exact construction, does the
     per-grid work once and returns ``draw(n_paths, rng)``, which makes one
     ``(paths, jump_draws)`` batch on the grid; without it the Gram matrix is
-    factorized.  ``martingale`` marks Brownian motion plus independent jumps,
-    the models of the pathwise check.
+    factorized.
     """
 
     name: str
@@ -122,7 +121,6 @@ class ProcessSpec:
     section_knots: Callable = _point_knots
     sampler: Callable = None
     pathwise_qv_cont: float | None = None
-    martingale: bool = False
 
     def record_times(self) -> tuple[float, ...]:
         return tuple(r.time for r in self.records)
@@ -564,7 +562,6 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: flo
         jump_cov_left=jump_cov_left,
         sampler=_jump_sampler(s_arr, draw_jumps),
         pathwise_qv_cont=T,
-        martingale=True,
     )
 
 
@@ -681,28 +678,28 @@ _CATALOG = {
             _fbm_spec,
             "hurst in (0,1), horizon=1.0",
             "fractional Brownian motion",
-            "stochastically continuous non-martingale; regularity lives in the covariance sections",
+            "stochastically continuous non-martingale: covariance-section regularity; pathwise check for H >= 0.3",
         ),
         CatalogEntry(
             "jump_bm",
             _jump_bm_spec,
             "jumps=[[time, variance], ...] interior times, horizon=1.0",
             "Brownian motion plus independent fixed-time Gaussian jumps",
-            "discontinuous martingale: Monte Carlo pathwise identity and the right-continuous reduction",
+            "discontinuous martingale: pathwise check with zero Wick weights, right-continuous reduction",
         ),
         CatalogEntry(
             "coupled_jump_bm",
             _coupled_jump_bm_spec,
             "c != 0, 0 < s0 < horizon, horizon=1.0",
             "Brownian motion with a level-coupled jump at s0",
-            "non-martingale right-continuous case: the left-limit/jump correlation term is active",
+            "right-continuous non-martingale: active left-limit/jump correlation term, pathwise check",
         ),
         CatalogEntry(
             "evanescent",
             _evanescent_spec,
             "0 < s0 < horizon, horizon=1.0",
             "rotating-coordinate construction that fades weakly to 0 at s0",
-            "weak one-sided limit with variance drop (V-(s0)=0 < V(s0-)=1): jump terms beyond the right-continuous form",
+            "weak one-sided limit with variance drop (V-(s0)=0 < V(s0-)=1): jump terms beyond the right-continuous form; no pathwise check",
         ),
     )
 }

@@ -20,12 +20,12 @@ dhbar atoms at left-limit integrands, moves the variance atoms into a single
 jump sum, and reports how far its residual lies from the general one; its
 left-limit/jump correlation term can be knocked out on purpose too.
 
-Monte Carlo side: pathwise checks in the martingale case, sample pairings
-against Wick exponentials with exact first-chaos norms, simple Wick-Stieltjes
-integrals with closed-form Wick products, and the degree-two Hermite inner
-product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing check hands a
-support grid, a per-path sample and its closed form to
-``gaussproc.mc_estimate``.  The martingale check keeps its own coupled
+Monte Carlo side: the identity path by path as Wick-Riemann sums, sample
+pairings against Wick exponentials with exact first-chaos norms, simple
+Wick-Stieltjes integrals with closed-form Wick products, and the degree-two
+Hermite inner product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing
+check hands a support grid, a per-path sample and its closed form to
+``gaussproc.mc_estimate``.  The pathwise check keeps its own coupled
 estimator over ``gaussproc.simulate_batches``, and its draw can also serve
 the pathwise quadratic-variation check.
 """
@@ -69,6 +69,7 @@ __all__ = [
     "ito_stransform_residual",
     "martingale_ito_mc",
     "mc_s_transform",
+    "pathwise_decay",
     "simple_skorokhod_mc",
     "skorokhod_s_transform",
     "skorokhod_sample",
@@ -177,14 +178,6 @@ class ItoResidual(ChainRuleTerms):
     agreement_delta: float = 0.0
 
     @property
-    def integral_dhbar(self) -> float:
-        return self.int_u1.value
-
-    @property
-    def integral_dv_half(self) -> float:
-        return self.int_u2.value
-
-    @property
     def residual(self) -> float:
         dropped = {_DROPPED_TERM.get(flag) for flag in self.drop}
         rhs = [v for k, v in self.terms().items() if k != "lhs" and k not in dropped]
@@ -193,8 +186,8 @@ class ItoResidual(ChainRuleTerms):
     def terms(self) -> dict[str, float]:
         return {
             "lhs": self.lhs,
-            "integral_dhbar": self.integral_dhbar,
-            "integral_dv_half": self.integral_dv_half,
+            "integral_dhbar": self.int_u1.value,
+            "integral_dv_half": self.int_u2.value,
             "left_jump_sum": self.left_jump_sum,
             "right_jump_sum": self.right_jump_sum,
         }
@@ -328,7 +321,7 @@ def _at(r: RegulatedFunction, t: float, side: int) -> float:
     return float((r.left_values, r.values, r.right_values)[side + 1](t))
 
 
-def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dBs):
+def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs):
     """Squared increment, then squared residual per level, of one test function on one batch."""
     f1, f2 = tf.f1(X[:, :-1]), tf.f2(X[:, :-1])
     f1_left = tf.f1(x_left)
@@ -336,18 +329,44 @@ def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dBs):
     jump = np.sum(tf.f(x_jump) - tf.f(x_left) - f1_left * xi, axis=1)
     increment = tf.f(X[:, -1]) - tf.f(X[:, 0])
     resid2 = []
-    for (cols, _, dvc), dB in zip(plan, dBs):
+    for (cols, _, weights), dX in zip(plan, dXs):
         # np.take makes a C-ordered copy, several times faster to make and to
         # reduce than the Fortran-ordered one of f1[:, idx]
         f1l, f2l = (f1, f2) if cols is None else (np.take(f1, cols[:-1], axis=1), np.take(f2, cols[:-1], axis=1))
-        ito = np.einsum("ij,ij->i", f1l, dB) + jump_ito
-        quad = 0.5 * np.einsum("ij,j->i", f2l, dvc)
+        ito = np.einsum("ij,ij->i", f1l, dX) + jump_ito
+        quad = 0.5 * np.einsum("ij,j->i", f2l, weights)
         resid2.append((increment - ito - quad - jump) ** 2)
     return [increment**2, *resid2]
 
 
+def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
+    """dV^c_i - 2 c_i per cell of a grid holding the discontinuity times, with the Wick weight
+    c_i = E[X_{t_i} (X_{t_{i+1}-} - X_{t_i})] (0 on a martingale): the mean square of X_{t_{i+1}-} - X_{t_i}."""
+    a = pts[:-1]
+    c = spec.cov(a, pts[1:]) - spec.cov(a, a)
+    for k, j in enumerate(np.searchsorted(pts, spec.record_times()) - 1):
+        c[j] -= spec.jump_cov_left(a[j], k)
+    return np.diff(spec.variance.base_values(pts)) - 2.0 * c
+
+
+def pathwise_decay(spec: ProcessSpec, grid) -> float:
+    """min(alpha - 1/2, 1), the expected log2 decay of the pathwise residual per halving of the step, for
+    E[dX^2] ~ step^alpha read from the cell weights on the grid joined with the discontinuity times and on
+    every other point of it; ``UnsupportedModelError`` on a weak one-sided limit and below alpha = 0.6."""
+    if not spec.rcll:
+        raise UnsupportedModelError(f"{spec.name}: pathwise check needs a right-continuous model, without weak one-sided limits")
+    fine = np.union1d(_grid_times(grid), spec.record_times())
+    if len(fine) < 3:
+        raise ValueError("the pathwise check needs a grid of at least two cells")
+    w1, w2 = (_cell_weights(spec, pts) for pts in (np.union1d(fine[::2], [*spec.record_times(), fine[-1]]), fine))
+    alpha = round(math.log(w1.mean() / w2.mean()) / math.log(len(w2) / len(w1)), 3)
+    if not alpha >= 0.6:
+        raise UnsupportedModelError(f"{spec.name}: alpha={alpha:g} is below 0.6: the pathwise residual decays by under 0.1 per level")
+    return min(alpha - 0.5, 1.0)
+
+
 def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, seed: int, qv: bool = False):
-    """Pathwise check of the discontinuous-martingale identity on nested grids.
+    """Pathwise check of the Gaussian identity, Wick-Riemann sums on nested grids.
 
     Each grid is joined with the discontinuity times, and every joined grid
     must be a subset of the finest one (``ValueError`` otherwise).  Paths are
@@ -361,17 +380,16 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     qv_report)``: ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc``
     on the finest joined grid at ``seed``, with no second draw.
 
-    Per path and grid: forward Riemann sums of F'(X) against the Brownian
+    Per path and grid: forward Riemann sums of F'(X) against the continuous
     increments, exact jump handling with the jointly drawn jump variables
     (the same on every grid, since every grid pins the discontinuity times),
-    and the continuous-variance quadrature term.  Returns, per test function
-    in the order given, one report per grid in the order given; its estimate
-    is the relative L2 residual (discretization error; halves roughly like
-    the square root of the step).
+    and (1/2) sum F''(X_{t_i}) (dV^c_i - 2 c_i): F'(X_t) wick dX = F'(X_t) dX
+    - F''(X_t) E[X_t dX] for Gaussian X, so the Wick weights c_i turn Ito sums
+    into Skorokhod sums, on any model ``pathwise_decay`` admits.  Returns,
+    per test function in the order given, one report per grid in the order
+    given; its estimate is the relative L2 residual (discretization error,
+    decaying by about ``pathwise_decay`` per halving of the step).
     """
-    if not spec.martingale:
-        raise UnsupportedModelError(f"{spec.name}: pathwise identity needs a martingale model")
-    qv_reference = _qv_reference(spec) if qv else None
     tfs = _admitted(spec, test_functions)
     records = np.asarray(spec.record_times(), dtype=float)
     levels = [np.union1d(_grid_times(g), records) for g in grids]
@@ -383,14 +401,16 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
             raise ValueError("grid must span [0, horizon]")
         if not np.all(np.isin(pts, fine)):
             raise ValueError("grids must be nested: each must be a subset of the finest")
+    pathwise_decay(spec, fine)
+    qv_reference = _qv_reference(spec) if qv else None
     jcols = np.searchsorted(fine, records)
     # per level: fine columns (None for the finest), the interval ending at
-    # each discontinuity, and the continuous-variance increments
+    # each discontinuity, and the cell weights
     plan = [
         (
             None if len(pts) == len(fine) else np.searchsorted(fine, pts),
             np.searchsorted(pts, records) - 1,
-            np.diff(spec.variance.base_values(pts)),
+            _cell_weights(spec, pts),
         )
         for pts in levels
     ]
@@ -403,14 +423,14 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
             qv_acc = _merge_moments(qv_acc, _moments(_quadratic_sum(sim)))
         # what every test function shares: increments net of the jump draws,
         # and the values and left limits at the discontinuities
-        dBs = []
+        dXs = []
         for cols, jpos, _ in plan:
-            dB = np.diff(X if cols is None else np.take(X, cols, axis=1), axis=1)
-            dB[:, jpos] -= xi
-            dBs.append(dB)
+            dX = np.diff(X if cols is None else np.take(X, cols, axis=1), axis=1)
+            dX[:, jpos] -= xi
+            dXs.append(dX)
         x_jump = X[:, jcols]
         x_left = x_jump - xi
-        rows = [row for tf in tfs for row in _level_residuals(tf, X, xi, x_jump, x_left, plan, dBs)]
+        rows = [row for tf in tfs for row in _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs)]
         acc = _merge_moments(acc, _moments(np.stack(rows)))
 
     _, means, m2s = acc

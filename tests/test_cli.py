@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,11 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "model",
-        [{"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}}, {"id": "brownian"}],
+        [
+            {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}},
+            {"id": "brownian"},
+            {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}},
+        ],
         ids=lambda m: m["id"],
     )
     def test_martingale_and_path_qv_read_one_draw(self, model, tmp_path, capsys, monkeypatch):
@@ -409,17 +414,13 @@ class TestRun:
             "seed": seed + 1000,
         }
 
-    @pytest.mark.parametrize(
-        "model",
-        [{"id": "fbm", "params": {"hurst": 0.5}}, {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}}],
-        ids=lambda m: m["id"],
-    )
+    @pytest.mark.parametrize("model", [{"id": "fbm", "params": {"hurst": 0.5}}], ids=lambda m: m["id"])
     def test_path_qv_keeps_its_own_draw_without_the_pathwise_check(self, model, tmp_path, capsys):
         from gaussito.gaussproc import catalog, path_qv_mc
 
         seed, n_paths, depth = 7, 1000, 8
         mc = {"seed": seed, "n_paths": n_paths, "grid_depth": depth}
-        scen = write_scenario(tmp_path, model=model, checks=["martingale_ito", "path_qv"], mc=mc)
+        scen = write_scenario(tmp_path, model=model, checks=["path_qv"], mc=mc)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
         (case,) = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
         # the dyadic grid and the seed of the standalone check, as before the shared draw
@@ -431,7 +432,7 @@ class TestRun:
         assert case["diagnostics"] == {"grid_points": len(grid), "batches": 1, "path_points": n_paths * len(grid)}
 
     def test_martingale_records_carry_no_z_score(self, tmp_path, capsys):
-        # the martingale verdict is the relative residual and its decay; a
+        # the pathwise verdict is the decay of the relative residual; a
         # z-score against 0 would read as a failure
         scen = write_scenario(
             tmp_path, test_functions=["x2"], checks=["martingale_ito", "path_qv"], mc={"n_paths": 1000, "grid_depth": 9}
@@ -446,9 +447,59 @@ class TestRun:
         assert [r for r in rows if r.startswith("mc_qv:") and ",z_score," in r]
         out = capsys.readouterr().out
         (line,) = [ln for ln in out.splitlines() if "mc_ito:jump_bm:x2" in ln]
-        assert f"rel={ito['estimate']:.6g} tol=0.05 " in line and "z=" not in line
+        decay = report["cases"][0]["terms"]["log2_decay"]
+        assert f"rel={ito['estimate']:.6g} log2_decay={decay:.3g} tol=0.25 " in line and "z=" not in line
         (line,) = [ln for ln in out.splitlines() if "mc_qv:jump_bm" in ln]
         assert f"z={qv['z_score']:.2f}" in line
+
+    PATHWISE_MODELS = [
+        {"id": "brownian"},
+        {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}},
+        {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}},
+        {"id": "fbm", "params": {"hurst": 0.3}},
+        {"id": "fbm", "params": {"hurst": 0.5}},
+        {"id": "fbm", "params": {"hurst": 0.7}},
+    ]
+
+    @pytest.mark.parametrize("model", PATHWISE_MODELS, ids=["brownian", "jump_bm", "coupled_jump_bm", "fbm_h03", "fbm_h05", "fbm_h07"])
+    def test_pathwise_check_gates_on_the_decay(self, model, tmp_path, capsys, monkeypatch):
+        import gaussito.cli
+
+        mc = {"n_paths": 4000, "grid_depth": 8}
+        scen = write_scenario(tmp_path, model=model, test_functions=["x", "x2", "sin"], checks=["martingale_ito"], mc=mc)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert [c["case_id"].split(":")[0] for c in cases] == ["mc_ito"] * 3
+        for c in cases:
+            if not c["case_id"].endswith(":x"):
+                assert c["terms"]["log2_decay"] >= c["tolerance"] > 0.0
+        original = gaussito.cli.martingale_ito_mc
+
+        def flat(*args, **kwargs):
+            # every level at the finest level's residual: a slope of 0
+            out = original(*args, **kwargs)
+            return tuple(tuple(replace(r, estimate=reports[-1].estimate) for r in reports) for reports in out)
+
+        monkeypatch.setattr(gaussito.cli, "martingale_ito_mc", flat)
+        assert main(["run", str(scen), "--out", str(tmp_path / "flat")]) == 1
+        flat_cases = {c["case_id"]: c for c in json.loads((tmp_path / "flat" / "report.json").read_text())["cases"]}
+        # F = x is exact to roundoff and passes without decay; every other case fails
+        assert [cid for cid, c in flat_cases.items() if c["pass"]] == [f"mc_ito:{model['id']}:x"]
+        assert all(c["terms"]["log2_decay"] == 0.0 for c in flat_cases.values())
+
+    @pytest.mark.parametrize("hurst", [0.4, 0.7])
+    def test_wick_weight_knockout_fails_fbm(self, hurst, tmp_path, capsys, monkeypatch):
+        import gaussito.itoverify
+
+        # the Ito weights dV^c_i of the martingale case, without the Wick weights c_i
+        monkeypatch.setattr(gaussito.itoverify, "_cell_weights", lambda spec, pts: np.diff(spec.variance.base_values(pts)))
+        model = {"id": "fbm", "params": {"hurst": hurst}}
+        mc = {"n_paths": 4000, "grid_depth": 8}
+        scen = write_scenario(tmp_path, model=model, test_functions=["x2", "sin"], checks=["martingale_ito"], mc=mc)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        assert [c["pass"] for c in cases] == [False, False]
+        assert all(c["terms"]["log2_decay"] < 0.0 for c in cases)
 
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "from-env"))
@@ -487,8 +538,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "model, checks",
         [
-            ({"id": "fbm", "params": {"hurst": 0.7}}, ["martingale_ito", "path_qv"]),
+            # too rough for the pathwise check, and no pathwise quadratic variation
+            ({"id": "fbm", "params": {"hurst": 0.2}}, ["martingale_ito", "path_qv"]),
             ({"id": "evanescent", "params": {"s0": 0.5}}, ["ito_rcll"]),
+            # a weak one-sided limit: no pathwise left limit to sample
+            ({"id": "evanescent", "params": {"s0": 0.5}}, ["martingale_ito"]),
         ],
         ids=lambda v: v["id"] if isinstance(v, dict) else "+".join(v),
     )
@@ -511,14 +565,13 @@ class TestRun:
         ids=lambda m: m["id"],
     )
     def test_all_models_through_every_check(self, model, tmp_path, capsys):
-        # martingale_ito is exercised separately at its prescribed depth;
-        # everything else must pass on every catalog model end to end
+        # every check a catalog model admits must pass on it end to end
         scen = write_scenario(
             tmp_path,
             model=model,
             test_functions=["x2", "sin"],
             cm_elements="auto",
-            checks=["ito_stransform", "ito_rcll", "s_transform_mc", "hermite_p2", "path_qv", "simple_skorokhod"],
+            checks=["ito_stransform", "ito_rcll", "martingale_ito", "s_transform_mc", "hermite_p2", "path_qv", "simple_skorokhod"],
             mc={"seed": 7, "n_paths": 4000, "grid_depth": 8},
         )
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0

@@ -22,6 +22,7 @@ from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
     Observable,
     SimpleWickIntegrand,
+    _cell_weights,
     _pairing,
     auto_cm_battery,
     hermite_p2_identity_mc,
@@ -29,6 +30,7 @@ from gaussito.itoverify import (
     ito_stransform_residual,
     martingale_ito_mc,
     mc_s_transform,
+    pathwise_decay,
     simple_skorokhod_mc,
     skorokhod_s_transform,
     skorokhod_sample,
@@ -134,8 +136,8 @@ class TestGeneralResidual:
     def test_brownian_square_terms(self, brownian):
         res = ito_stransform_residual(*make_case(brownian, "x2", [(1.0, 1.0)]))[0]
         assert res.lhs == pytest.approx(2.0)
-        assert res.integral_dhbar == pytest.approx(1.0, abs=1e-10)
-        assert res.integral_dv_half == pytest.approx(1.0, abs=1e-10)
+        assert res.terms()["integral_dhbar"] == pytest.approx(1.0, abs=1e-10)
+        assert res.terms()["integral_dv_half"] == pytest.approx(1.0, abs=1e-10)
         assert res.left_jump_sum == 0.0 and res.right_jump_sum == 0.0
         assert abs(res.residual) < 1e-10
         assert res.converged
@@ -145,8 +147,8 @@ class TestGeneralResidual:
         # 1.25 + 0.375, variance integral 1.25, left jump term -0.0625
         res = ito_stransform_residual(*make_case(jump_bm, "x2", [(1.0, 1.0)]))[0]
         assert res.lhs == pytest.approx(2.8125)
-        assert res.integral_dhbar == pytest.approx(1.625, abs=1e-10)
-        assert res.integral_dv_half == pytest.approx(1.25, abs=1e-11)
+        assert res.terms()["integral_dhbar"] == pytest.approx(1.625, abs=1e-10)
+        assert res.terms()["integral_dv_half"] == pytest.approx(1.25, abs=1e-11)
         assert res.left_jump_sum == pytest.approx(-0.0625, abs=1e-12)
         assert abs(res.residual) < 1e-10
 
@@ -281,7 +283,6 @@ def test_flags_reproduce_model_classification(all_specs):
     by_name = {spec.name: spec for spec in all_specs}
     by_name["forward_jump_bm"] = forward_jump_spec()
     assert {name for name, spec in by_name.items() if spec.rcll} == {"brownian", "fbm", "jump_bm", "coupled_jump_bm"}
-    assert {name for name, spec in by_name.items() if spec.martingale} == {"brownian", "jump_bm"}
 
 
 class TestForwardJump:
@@ -327,6 +328,9 @@ class TestMartingaleItoMc:
             martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.linspace(0, 1, 25)], 100, seed=1)
         with pytest.raises(ValueError, match="span"):
             martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.array([0.0, 0.5])], 100, seed=1)
+        # a single cell has no coarser level to read the expected decay from
+        with pytest.raises(ValueError, match="two cells"):
+            martingale_ito_mc(catalog("brownian"), tfs, [np.array([0.0, 1.0])], 100, seed=1)
         # a 2-D or a decreasing grid is refused like everywhere else, not flattened or sorted
         for grid in (np.linspace(0, 1, 17).reshape(1, 17), np.linspace(1, 0, 17)):
             with pytest.raises(ValueError, match="strictly increasing"):
@@ -384,9 +388,54 @@ class TestMartingaleItoMc:
         assert mean == pytest.approx(np.mean(values, axis=-1), rel=1e-12, abs=1e-9)
         assert m2 / (n - 1) == pytest.approx(np.var(values, axis=-1, ddof=1), rel=1e-9, abs=1e-9)
 
-    def test_requires_martingale(self, coupled):
-        with pytest.raises(UnsupportedModelError):
-            martingale_ito_mc(coupled, [make_tf("x2", coupled.lam)], [np.linspace(0, 1, 17)], 100, seed=1)
+    @pytest.mark.parametrize(
+        "model, params, reason",
+        [("evanescent", {"s0": 0.5}, "weak one-sided limit"), ("fbm", {"hurst": 0.2}, "alpha=0.4 is below 0.6")],
+        ids=["evanescent", "fbm_h02"],
+    )
+    def test_requires_a_measurable_decay(self, model, params, reason):
+        # the planner skips the check on these models, and the engine names why
+        from gaussito.cli import _plan_cases
+
+        spec = catalog(model, **params)
+        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
+        with pytest.raises(UnsupportedModelError, match=reason):
+            martingale_ito_mc(spec, [make_tf("x2", spec.lam)], grids, 100, seed=1)
+        with pytest.raises(UnsupportedModelError, match=reason):
+            pathwise_decay(spec, grids[-1])
+        scenario = {"name": "t", "model": {"id": model, "params": params}, "checks": ["martingale_ito", "ito_stransform"]}
+        plans = _plan_cases({**scenario, "cm_elements": [[[1.0, 0.3]]]}, seed=None)
+        assert [r["case_id"].split(":")[0] for thunk in plans for r in thunk()] == ["ito"]
+
+    @pytest.mark.parametrize(
+        "model, params, decay",
+        [
+            ("brownian", {}, 0.5),
+            ("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}, 0.5),
+            ("coupled_jump_bm", {"c": -0.7, "s0": 0.3}, 0.5),
+            ("fbm", {"hurst": 0.3}, 0.1),
+            ("fbm", {"hurst": 0.5}, 0.5),
+            ("fbm", {"hurst": 0.7}, 0.9),
+            ("fbm", {"hurst": 0.9}, 1.0),
+        ],
+    )
+    def test_expected_decay_from_the_increments(self, model, params, decay):
+        # alpha - 1/2, capped at 1: 1/2 on Brownian-driven models, 2H - 1/2 on fbm
+        spec = catalog(model, **params)
+        for depth in (2, 8, 12):
+            assert pathwise_decay(spec, np.linspace(0, 1, 2**depth + 1)) == pytest.approx(decay, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [("brownian", {}), ("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}), ("coupled_jump_bm", {"c": -0.7, "s0": 0.3})],
+    )
+    def test_wick_weights_vanish_on_brownian_driven_models(self, model, params):
+        # E[X_{t_i} (X_{t_{i+1}-} - X_{t_i})] is exactly 0 there, so the cell
+        # weights are the variance increments bit for bit
+        spec = catalog(model, **params)
+        for depth in range(4, 11):
+            pts = np.union1d(np.linspace(0, 1, 2**depth + 1), spec.record_times())
+            assert np.array_equal(_cell_weights(spec, pts), np.diff(spec.variance.base_values(pts)))
 
     def test_requires_paths(self, jump_bm):
         with pytest.raises(ValueError):
