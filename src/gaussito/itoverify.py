@@ -84,7 +84,7 @@ __all__ = [
 class Observable:
     """Closed-form-pairable functionals of the process.
 
-    kinds: "process" (X_t), "f" (F at X_t, for F the ``test_function``),
+    kinds: "f" (F at X_t, for F the ``test_function``; F = x gives X_t),
     "f_left"/"f_right" (F at the weak one-sided limits), "wick_exp"
     (exp-wick of g), "jump_pairing" ((e^{c J - c^2 var/2} - 1) J for the
     left-jump variable J at a record, paired with its own exponential).
@@ -120,8 +120,6 @@ def _pairing(spec: ProcessSpec, h: CameronMartinElement, obs: Observable):
     def weighted(observable):
         return lambda sim: wick_exponential_paths(sim, h) * observable(sim)
 
-    if obs.kind == "process":
-        return _at(h.hbar, t, 0), (t,), weighted(lambda sim: _one_sided_paths(spec, sim, t, 0))
     if obs.kind in ("f", "f_left", "f_right"):
         tf = obs.test_function
         tf.check_growth(spec.lam)
@@ -374,7 +372,7 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     coarser grid reads its columns from the same draw, and every test
     function reads the same batch.  The levels and the test functions are
     therefore coupled, as in multilevel Monte Carlo, and memory is bounded by
-    the batch whatever ``n_paths``.  Only the evaluations of F, F' and F'' are made per test
+    the batch whatever ``n_paths``.  Only F, F' and F'' are evaluated per test
     function; the rest of a batch is made once.  With ``qv=True`` each batch
     also feeds the pathwise quadratic sum, and the result is ``(reports,
     qv_report)``: ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc``
@@ -386,9 +384,9 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     and (1/2) sum F''(X_{t_i}) (dV^c_i - 2 c_i): F'(X_t) wick dX = F'(X_t) dX
     - F''(X_t) E[X_t dX] for Gaussian X, so the Wick weights c_i turn Ito sums
     into Skorokhod sums, on any model ``pathwise_decay`` admits.  Returns,
-    per test function in the order given, one report per grid in the order
-    given; its estimate is the relative L2 residual (discretization error,
-    decaying by about ``pathwise_decay`` per halving of the step).
+    per test function in order, one report per grid in order (the CLI hands
+    two: ``grid_depth - 2`` and ``grid_depth``), whose estimate is the relative
+    L2 residual, decaying by about ``pathwise_decay`` per halving of the step.
     """
     tfs = _admitted(spec, test_functions)
     records = np.asarray(spec.record_times(), dtype=float)

@@ -244,11 +244,11 @@ def test_criterion_6_s_transform_mc():
     for i in range(100):
         spec, battery = specs[i % 3], batteries[i % 3]
         h = battery[i % len(battery)]
-        tf = make_tf("x2", spec.lam)
+        tf, x = make_tf("x2", spec.lam), make_tf("x", spec.lam)
         seed = 600 + i
         mode = i % 5
         if mode == 0:
-            rep = mc_s_transform(spec, h, Observable(kind="process", t=0.6 * spec.horizon), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="f", t=0.6 * spec.horizon, test_function=x), n_paths, seed)
         elif mode == 1:
             rep = mc_s_transform(spec, h, Observable(kind="wick_exp", g=battery[0]), n_paths, seed)
         elif mode == 2:
@@ -258,7 +258,7 @@ def test_criterion_6_s_transform_mc():
         elif spec.records:
             rep = mc_s_transform(spec, h, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), n_paths, seed)
         else:
-            rep = mc_s_transform(spec, h, Observable(kind="process", t=0.35), n_paths, seed)
+            rep = mc_s_transform(spec, h, Observable(kind="f", t=0.35, test_function=x), n_paths, seed)
         zs.append(rep.z_score)
     zs = np.asarray(zs)
     max_z = float(np.max(np.abs(zs)))

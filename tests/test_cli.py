@@ -467,13 +467,26 @@ class TestRun:
 
         mc = {"n_paths": 4000, "grid_depth": 8}
         scen = write_scenario(tmp_path, model=model, test_functions=["x", "x2", "sin"], checks=["martingale_ito"], mc=mc)
+        original = gaussito.cli.martingale_ito_mc
+        handed = []
+
+        def capture(spec, tfs, grids, *args, **kwargs):
+            handed.append(grids)
+            return original(spec, tfs, grids, *args, **kwargs)
+
+        monkeypatch.setattr(gaussito.cli, "martingale_ito_mc", capture)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        # the gate reads two levels, grid_depth - 2 and grid_depth, and only those are computed
+        ((coarse, fine),) = handed
+        assert (len(coarse), len(fine)) == (2**6 + 1, 2**8 + 1)
         cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
         assert [c["case_id"].split(":")[0] for c in cases] == ["mc_ito"] * 3
         for c in cases:
+            terms = c["terms"]
+            assert sorted(terms) == ["log2_decay", "rel_l2_depth6", "rel_l2_depth8"]
+            assert terms["log2_decay"] == np.dot([0.5, -0.5], np.log2([terms["rel_l2_depth6"], terms["rel_l2_depth8"]]))
             if not c["case_id"].endswith(":x"):
-                assert c["terms"]["log2_decay"] >= c["tolerance"] > 0.0
-        original = gaussito.cli.martingale_ito_mc
+                assert terms["log2_decay"] >= c["tolerance"] > 0.0
 
         def flat(*args, **kwargs):
             # every level at the finest level's residual: a slope of 0

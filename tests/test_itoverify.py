@@ -52,7 +52,7 @@ def f_obs(spec, kind, t, fname="x2"):
 class TestSTransform:
     def test_process_value(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        assert _pairing(brownian, h, Observable(kind="process", t=0.5))[0] == pytest.approx(0.5)
+        assert _pairing(brownian, h, f_obs(brownian, "f", 0.5, "x"))[0] == pytest.approx(0.5)
 
     def test_wick_exponential_self_pairing(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
@@ -62,8 +62,8 @@ class TestSTransform:
     def test_smoothed_square(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
         assert _pairing(brownian, h, f_obs(brownian, "f", 1.0))[0] == pytest.approx(2.0)
-        # the derivative kinds had no caller and are gone
-        for kind in ("f1", "f2"):
+        # the derivative kinds had no caller, and X_t is F = x at t: those kinds are gone
+        for kind in ("f1", "f2", "process"):
             with pytest.raises(ValueError, match="unknown observable kind"):
                 _pairing(brownian, h, f_obs(brownian, kind, 1.0))
 
@@ -71,7 +71,7 @@ class TestSTransform:
         base = cm_element(jump_bm, [(1.0, 1.0)])
         scaled = cm_element(jump_bm, [(2.5, 1.0)])
         for t in (0.3, 0.5, 0.9):
-            obs = Observable(kind="process", t=t)
+            obs = f_obs(jump_bm, "f", t, "x")
             assert _pairing(jump_bm, scaled, obs)[0] == pytest.approx(2.5 * _pairing(jump_bm, base, obs)[0], abs=1e-14)
 
     def test_one_sided_forms(self, jump_bm, evanescent):
@@ -347,6 +347,8 @@ class TestMartingaleItoMc:
         assert reports[0].estimate > reports[1].estimate > reports[2].estimate
         # reports follow the order the grids are given in
         assert martingale_ito_mc(jump_bm, tfs, grids[::-1], 3000, seed=9)[0] == reports[::-1]
+        # nor does a middle level move the outer two, the only levels the planner hands it
+        assert martingale_ito_mc(jump_bm, tfs, grids[::2], 3000, seed=9)[0] == (reports[0], reports[-1])
 
     def test_memory_bounded_by_batch(self, jump_bm):
         one = [make_tf("sin", jump_bm.lam)]
@@ -507,7 +509,7 @@ class TestMartingaleItoMc:
 class TestMcSTransform:
     def test_process_pairing(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        rep = mc_s_transform(brownian, h, Observable(kind="process", t=0.5), 50000, seed=42)
+        rep = mc_s_transform(brownian, h, f_obs(brownian, "f", 0.5, "x"), 50000, seed=42)
         assert rep.reference == pytest.approx(0.5)
         assert abs(rep.z_score) < 4
 
@@ -697,7 +699,7 @@ def test_public_names_resolve():
 class TestMcReportInvariants:
     def test_standard_error_and_z(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        rep = mc_s_transform(brownian, h, Observable(kind="process", t=0.5), 1000, seed=99)
+        rep = mc_s_transform(brownian, h, f_obs(brownian, "f", 0.5, "x"), 1000, seed=99)
         assert rep.standard_error > 0.0
         assert rep.z_score == pytest.approx((rep.estimate - rep.reference) / rep.standard_error)
         assert rep.n_paths == 1000 and rep.seed == 99
@@ -719,7 +721,7 @@ class TestMcReportInvariants:
     def test_too_few_paths(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
         with pytest.raises(ValueError):
-            mc_s_transform(brownian, h, Observable(kind="process", t=0.5), 1, seed=99)
+            mc_s_transform(brownian, h, f_obs(brownian, "f", 0.5, "x"), 1, seed=99)
 
 
 class TestBattery:
