@@ -105,10 +105,10 @@ class ProcessSpec:
     uncorrelated, so their Gram matrices are the diagonals of the records'
     ``e_dminus_sq`` and ``e_dplus_sq``.  ``section_knots(t)`` enumerates the
     kink locations of R(., t) so integration partitions can pin them.
-    ``sampler(grid)``, for models with an exact construction, does the
-    per-grid work once and returns ``draw(n_paths, rng)``, which makes one
-    ``(paths, jump_draws)`` batch on the grid; without it the Gram matrix is
-    factorized.
+    ``sampler(grid)``, the exact Brownian-jump construction of
+    ``_bm_plus_jumps``, does the per-grid work once and returns
+    ``draw(n_paths, rng)``, which makes one ``(paths, jump_draws)`` batch on
+    the grid; without it the Gram matrix is factorized.
     """
 
     name: str
@@ -494,16 +494,22 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
 def _jump_bm_spec(jumps: Sequence[tuple[float, float]], horizon: float = 1.0) -> ProcessSpec:
     if not len(jumps):
         raise CatalogError("jump_bm needs at least one jump")
-    return _bm_plus_jumps("jump_bm", jumps, horizon)
+    # unpacking refuses a third entry: a jump_bm jump is never coupled
+    return _bm_plus_jumps("jump_bm", [(s, v, 0.0) for s, v in jumps], horizon)
 
 
-def _jump_sampler(times: np.ndarray, jumps: Callable) -> Callable:
-    """Exact sampler of Brownian motion with one jump variable added from each of ``times`` on.
+def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessSpec:
+    T, c, s0 = float(horizon), float(c), float(s0)
+    if T <= 0 or not 0.0 < s0 < T:
+        raise CatalogError("need 0 < s0 < horizon")
+    if c == 0.0:
+        raise CatalogError("coupling c must be nonzero")
+    return _bm_plus_jumps("coupled_jump_bm", [(s0, 0.0, c)], T)
 
-    ``jumps(B, cols, rng)`` returns the (paths, K) jump variables, given the
-    Brownian paths ``B`` on the grid joined with ``times`` and the columns
-    ``cols`` of ``times`` in it.  Columns before a jump are left as drawn.
-    """
+
+def _jump_sampler(times: np.ndarray, couplings: np.ndarray, sds: np.ndarray) -> Callable:
+    """Exact sampler of Brownian motion B plus xi_k = couplings_k B(times_k) + sds_k Z_k from times_k on: B on
+    the grid joined with ``times``, then the normals Z from the same generator; columns before a jump stay as drawn."""
 
     def sampler(grid):
         full = np.union1d(grid, times)
@@ -512,7 +518,7 @@ def _jump_sampler(times: np.ndarray, jumps: Callable) -> Callable:
 
         def draw(n_paths, rng):
             B = _brownian_increments(sd, n_paths, rng)
-            xi = jumps(B, cols, rng)
+            xi = B[:, cols] * couplings + rng.standard_normal((n_paths, len(cols))) * sds
             for k, col in enumerate(cols):
                 B[:, col:] += xi[:, k : k + 1]
             return (B if pick is None else B[:, pick]), xi
@@ -522,80 +528,49 @@ def _jump_sampler(times: np.ndarray, jumps: Callable) -> Callable:
     return sampler
 
 
-def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float]], horizon: float = 1.0) -> ProcessSpec:
-    """Brownian motion plus independent centered Gaussian jumps at fixed interior times."""
+def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float, float]], horizon: float = 1.0) -> ProcessSpec:
+    """Brownian motion B plus xi_k = a_k B(s_k) + sqrt(v_k) Z_k from s_k on, Z_k independent standard normals.
+
+    Every fact derives from the triples (s_k, v_k, a_k): E[xi^2] = a^2 s + v, E[X_{s-} xi] = a s, and V jumps
+    by a (2 + a) s + v.  Precondition: at most one a_k is non-zero, so the jumps have no cross terms."""
     T = float(horizon)
     if T <= 0:
         raise CatalogError("horizon must be positive")
-    pairs = [(float(s), float(v)) for s, v in jumps]
-    times = [s for s, _ in pairs]
+    jumps = [(float(s), float(v), float(a)) for s, v, a in jumps]
+    times = [s for s, _, _ in jumps]
     if sorted(set(times)) != times:
         raise CatalogError("jump times must be strictly increasing")
     if any(not 0.0 < s < T for s in times):
         raise CatalogError("jump times must be interior")
-    if any(v <= 0.0 for _, v in pairs):
+    if any(v < 0.0 or v == a == 0.0 for _, v, a in jumps):
         raise CatalogError("jump variances must be positive")
-    s_arr = np.array(times)
-    v_arr = np.array([v for _, v in pairs])
+    e_sq = [a * a * s + v for s, v, a in jumps]
 
     def cov(t, s):
-        m = np.minimum(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        m = np.minimum(t, s)
         out = np.array(m, dtype=float, copy=True)
-        for sk, vk in pairs:
-            out += vk * (m >= sk)
+        for (sk, _, ak), ek in zip(jumps, e_sq):
+            if ak:
+                out += ak * np.minimum(s, sk) * (t >= sk)
+                out += ak * np.minimum(t, sk) * (s >= sk)
+            out += ek * (m >= sk)
         return out
 
-    variance = RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(sk, vk, 0.0) for sk, vk in pairs], (0.0, T))
-
     def jump_cov_left(ts, k):
-        return v_arr[k] * (np.asarray(ts, dtype=float) >= s_arr[k])
+        ts, (sk, _, ak) = np.asarray(ts, dtype=float), jumps[k]
+        return (ak * np.minimum(ts, sk) if ak else 0.0) + e_sq[k] * (ts >= sk)
 
-    def draw_jumps(B, cols, rng):
-        return rng.standard_normal((B.shape[0], len(pairs))) * np.sqrt(v_arr)
-
+    coupled = tuple(s for s, _, a in jumps if a)
     return ProcessSpec(
         name=name,
         horizon=T,
         cov=cov,
-        variance=variance,
-        records=tuple(DiscontinuityRecord(sk, vk) for sk, vk in pairs),
+        variance=RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(s, a * (2.0 + a) * s + v) for s, v, a in jumps], (0.0, T)),
+        records=tuple(DiscontinuityRecord(s, e, e_xleft_dminus=a * s) for (s, _, a), e in zip(jumps, e_sq)),
         jump_cov_left=jump_cov_left,
-        sampler=_jump_sampler(s_arr, draw_jumps),
-        pathwise_qv_cont=T,
-    )
-
-
-def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessSpec:
-    T = float(horizon)
-    c = float(c)
-    s0 = float(s0)
-    if T <= 0 or not 0.0 < s0 < T:
-        raise CatalogError("need 0 < s0 < horizon")
-    if c == 0.0:
-        raise CatalogError("coupling c must be nonzero")
-
-    def cov(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        it = t >= s0
-        js = s >= s0
-        return np.minimum(t, s) + c * np.minimum(s, s0) * it + c * np.minimum(t, s0) * js + (c * c * s0) * (it & js)
-
-    variance = RegulatedFunction(lambda ts: np.array(ts, dtype=float), [Jump(s0, c * (2.0 + c) * s0, 0.0)], (0.0, T))
-
-    def jump_cov_left(ts, k):
-        ts = np.asarray(ts, dtype=float)
-        return c * np.minimum(ts, s0) + (c * c * s0) * (ts >= s0)
-
-    return ProcessSpec(
-        name="coupled_jump_bm",
-        horizon=T,
-        cov=cov,
-        variance=variance,
-        records=(DiscontinuityRecord(s0, c * c * s0, e_xleft_dminus=c * s0),),
-        jump_cov_left=jump_cov_left,
-        section_knots=lambda t: (float(t), s0),
-        sampler=_jump_sampler(np.array([s0]), lambda B, cols, rng: c * B[:, cols]),
+        section_knots=lambda t: (float(t), *coupled),
+        sampler=_jump_sampler(np.array(times), np.array([a for *_, a in jumps]), np.sqrt([v for _, v, _ in jumps])),
         pathwise_qv_cont=T,
     )
 
@@ -711,7 +686,9 @@ def catalog(model_id: str, **params) -> ProcessSpec:
         raise CatalogError(f"unknown model id {model_id!r}; known: {sorted(_CATALOG)}")
     try:
         spec = _CATALOG[model_id].build(**params)
-    except TypeError as exc:
+    except CatalogError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise CatalogError(f"bad parameters for {model_id!r}: {exc}") from exc
     spec.validate()
     return spec

@@ -235,9 +235,23 @@ class TestRun:
         assert "$.tolerances" in err and "ys_tolerance" in err
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_model_exit_2(self, tmp_path, capsys):
-        scen = write_scenario(tmp_path, model={"id": "unknown_model"})
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"id": "unknown_model"},
+            # schema-valid, with malformed parameters
+            {"id": "jump_bm", "params": {"jumps": [[0.5]]}},
+            {"id": "jump_bm", "params": {"jumps": [[0.5, 0.25, 0.1]]}},
+            {"id": "jump_bm", "params": {"jumps": [[0.5, "x"]]}},
+            {"id": "fbm", "params": {"hurst": "abc"}},
+            {"id": "evanescent", "params": {"s0": "x"}},
+        ],
+        ids=["unknown", "jump_pair_short", "jump_triple", "jump_variance_str", "hurst_str", "s0_str"],
+    )
+    def test_unknown_model_exit_2(self, tmp_path, capsys, model):
+        scen = write_scenario(tmp_path, model=model)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2

@@ -66,11 +66,24 @@ class TestCatalog:
             ("evanescent", {"s0": 2.0}),
             ("brownian", {"horizon": -1.0}),
             ("brownian", {"jumps": [(0.5, 0.1)]}),
+            # malformed values: the builder's ValueError becomes a CatalogError
+            ("jump_bm", {"jumps": [[0.5]]}),
+            # a third entry is refused, never read as a coupling
+            ("jump_bm", {"jumps": [[0.5, 0.25, 0.1]]}),
+            ("jump_bm", {"jumps": [[0.5, "x"]]}),
+            ("fbm", {"hurst": "abc"}),
+            ("evanescent", {"s0": "x"}),
         ],
     )
     def test_invalid_params(self, model_id, params):
         with pytest.raises(CatalogError):
             catalog(model_id, **params)
+
+    def test_builder_errors_keep_their_messages(self):
+        with pytest.raises(CatalogError, match="^jump variances must be positive$"):
+            catalog("jump_bm", jumps=[[0.5, 0.0]])
+        with pytest.raises(CatalogError, match="^bad parameters for 'jump_bm': too many values"):
+            catalog("jump_bm", jumps=[[0.5, 0.25, 0.1]])
 
     def test_variance_matches_covariance_diagonal(self, all_specs):
         for spec in all_specs:
@@ -405,6 +418,79 @@ class TestSimulation:
             mc_estimate(brownian, grid, lambda sim: sim.paths.sum(axis=1), 0.0, 10, seed=1)
         with pytest.raises(ValueError, match="at least one time"):
             planar_qv_sum(brownian, grid)
+
+
+# the Brownian-driven models: brownian, jump_bm with two jumps, and
+# coupled_jump_bm with an upward, a negative and a downward variance jump
+BROWNIAN_JUMP_MODELS = [
+    ("brownian", {}),
+    ("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}),
+    ("coupled_jump_bm", {"c": 1.0, "s0": 0.5}),
+    ("coupled_jump_bm", {"c": -0.7, "s0": 0.3}),
+    ("coupled_jump_bm", {"c": -0.5, "s0": 0.8}),
+]
+BROWNIAN_JUMP_IDS = ["brownian", "jump_bm", "coupled", "coupled_neg", "coupled_down"]
+
+
+def _assert_same_bits(new, ref):
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    assert new.shape == ref.shape
+    assert new.tobytes() == ref.tobytes()  # equal values and equal signs of zero
+
+
+class TestBrownianJumps:
+    @pytest.mark.parametrize("model_id,params", BROWNIAN_JUMP_MODELS, ids=BROWNIAN_JUMP_IDS)
+    def test_sampler_agrees_with_derived_facts(self, model_id, params):
+        # second moments of (paths, jump draws) against cov, jump_cov_left and
+        # the records' e_dminus_sq, on a grid that holds every jump time
+        spec = catalog(model_id, **params)
+        grid = np.arange(1, 11) / 10.0
+        n = 60000
+        sim = simulate_paths(spec, grid, n, seed=23)
+        K = len(spec.records)
+        target = np.zeros((len(grid) + K, len(grid) + K))
+        target[: len(grid), : len(grid)] = spec.cov(grid[:, None], grid[None, :])
+        for k, rec in enumerate(spec.records):
+            target[: len(grid), len(grid) + k] = target[len(grid) + k, : len(grid)] = spec.jump_cov_left(grid, k)
+            target[len(grid) + k, len(grid) + k] = rec.e_dminus_sq
+        cov = sample_covariance(np.hstack([sim.paths, sim.jump_draws]))
+        se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n) + 1e-9
+        assert np.all(np.abs(cov - target) < 4.5 * se)
+
+    @pytest.mark.parametrize("model_id,params", BROWNIAN_JUMP_MODELS, ids=BROWNIAN_JUMP_IDS)
+    def test_derived_facts_match_the_hand_written_formulas(self, model_id, params):
+        # reference closed forms written out per model: the values the builder
+        # derives from the jump coefficients have the same bits, signs of zero too
+        spec = catalog(model_id, **params)
+        ts = np.array([0.0, 0.1, 0.25, 0.3, 0.45, 0.5, 0.55, 0.7, 0.8, 0.95, 1.0])
+        t, s = ts[:, None], ts[None, :]
+        if model_id == "coupled_jump_bm":
+            c, s0 = params["c"], params["s0"]
+            it, js = t >= s0, s >= s0
+            cov = np.minimum(t, s) + c * np.minimum(s, s0) * it + c * np.minimum(t, s0) * js + (c * c * s0) * (it & js)
+            jump_cov_left = [c * np.minimum(ts, s0) + (c * c * s0) * (ts >= s0)]
+            jumps = [(s0, c * (2.0 + c) * s0, 0.0)]
+            records = [DiscontinuityRecord(s0, c * c * s0, e_xleft_dminus=c * s0)]
+            knots = (0.25, s0)
+        else:
+            pairs = params.get("jumps", [])
+            m = np.minimum(t, s)
+            cov = np.array(m, copy=True)
+            for sk, vk in pairs:
+                cov += vk * (m >= sk)
+            jump_cov_left = [np.float64(vk) * (ts >= sk) for sk, vk in pairs]
+            jumps = [(sk, vk, 0.0) for sk, vk in pairs]
+            records = [DiscontinuityRecord(sk, vk) for sk, vk in pairs]
+            knots = (0.25,)
+        _assert_same_bits(spec.cov(t, s), cov)
+        for k, ref in enumerate(jump_cov_left):
+            _assert_same_bits(spec.jump_cov_left(ts, k), ref)
+        new_jumps = [(j.time, j.delta_minus, j.delta_plus) for j in spec.variance.jumps]
+        _assert_same_bits(np.reshape(new_jumps, (-1, 3)), np.reshape(jumps, (-1, 3)))
+        assert list(spec.records) == records
+        for rec in spec.records:
+            assert all(type(getattr(rec, f)) is float for f in ("time", "e_dminus_sq", "e_xleft_dminus"))
+        assert spec.section_knots(0.25) == knots
 
 
 class TestGramSampler:
