@@ -75,11 +75,12 @@ _DEFAULT_TOLERANCES = {
     "z_max": 4.0,
 }
 
-# schema mutation flag -> the engine flags it sets; drop_xleft_correction is the right-continuous form's
+# schema mutation flag -> what it knocks out: terms of the general residual,
+# or the right-continuous form's xleft correction, which sits inside its jump term
 _MUTATIONS = {
-    "drop_jump_sum": {"drop_left_jump_sum", "drop_right_jump_sum"},
-    "drop_dv_integral": {"drop_dv_integral"},
-    "drop_xleft_correction": {"drop_xleft_correction"},
+    "drop_jump_sum": ("left_jump_sum", "right_jump_sum"),
+    "drop_dv_integral": ("integral_dv_half",),
+    "drop_xleft_correction": ("xleft_correction",),
 }
 
 SCENARIO_SCHEMA = {
@@ -248,12 +249,12 @@ def _build_battery(scenario, spec):
     return [cm_element(spec, [(a, t) for a, t in combo], label=f"h{k}") for k, combo in enumerate(cfg)]
 
 
-def _case_record(case_id, ok, tolerance, terms, result=None, report=None, z_score=None):
-    """A deterministic case from its ``result``, or a Monte Carlo one from its
+def _case_record(case_id, ok, tolerance, terms, result=None, residual=None, report=None, z_score=None):
+    """A deterministic case from its ``result`` and ``residual``, or a Monte Carlo one from its
     ``report``; ``z_score`` only for the z-gated checks, whose verdict reads it."""
-    mc = residual = lhs = diagnostics = None
+    mc = lhs = diagnostics = None
     if result is not None:
-        residual, lhs = result.residual, result.lhs
+        lhs = result.lhs
         # n_cells counts the partition the cases of one pairing element share
         diagnostics = {
             name: {"converged": r.converged, "error_estimate": r.error_estimate, "n_cells": r.n_cells}
@@ -308,8 +309,7 @@ def _plan_cases(scenario, seed):
     n_paths = int(mc_cfg["n_paths"])
     base_seed = effective_seed(scenario, seed)
     checks = scenario.get("checks", ["ito_stransform"])
-    flags = {flag for name, on in scenario.get("mutations", {}).items() if on for flag in _MUTATIONS[name]}
-    drop, rcll_drop = flags - {"drop_xleft_correction"}, flags & {"drop_xleft_correction"}
+    dropped = {term for name, on in scenario.get("mutations", {}).items() if on for term in _MUTATIONS[name]}
 
     try:
         tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
@@ -325,18 +325,21 @@ def _plan_cases(scenario, seed):
 
     def deterministic(h):
         records = []
-        generals = ito_stransform_residual(spec, h, tfs, ys_tol=tol["ys_tol"], drop=frozenset(drop))
+        generals = ito_stransform_residual(spec, h, tfs, ys_tol=tol["ys_tol"])
         for tf, general in zip(tfs, generals):
             # a test function's kind names its tolerance
             tol_f, cid = tol[tf.kind], f"{spec.name}:{tf.name}:{h.label}"
             if "ito" in kinds:
-                ok = general.converged and abs(general.residual) < tol_f
-                records.append(_case_record(f"ito:{cid}", ok, tol_f, general.terms(), general))
+                terms = general.terms()
+                residual = terms["lhs"] - math.fsum(v for k, v in terms.items() if k != "lhs" and k not in dropped)
+                ok = general.converged and abs(residual) < tol_f
+                records.append(_case_record(f"ito:{cid}", ok, tol_f, terms, general, residual))
             if "rcll" in kinds:
-                res = ito_rcll_residual(general, drop=frozenset(rcll_drop))
-                ok = res.converged and abs(res.residual) < tol_f and res.agreement_delta < tol["rcll_agreement"]
-                terms = {**res.terms(), "agreement_delta": res.agreement_delta}
-                records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res))
+                res = ito_rcll_residual(general, drop_xleft_correction="xleft_correction" in dropped)
+                delta = abs(res.residual - general.residual)
+                ok = res.converged and abs(res.residual) < tol_f and delta < tol["rcll_agreement"]
+                terms = {**res.terms(), "agreement_delta": delta}
+                records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res, res.residual))
         return records
 
     if kinds:

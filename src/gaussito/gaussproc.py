@@ -680,10 +680,20 @@ _CATALOG = {
 }
 
 
+def _holds_text_or_bool(value) -> bool:
+    """Whether ``value``, or an entry of it at any depth, is a bool or a str, each of which float() reads."""
+    if isinstance(value, (bool, np.bool_, str)):
+        return True
+    return isinstance(value, (list, tuple)) and any(_holds_text_or_bool(v) for v in value)
+
+
 def catalog(model_id: str, **params) -> ProcessSpec:
     """Instantiate a catalog model and validate its analytic record data."""
     if model_id not in _CATALOG:
         raise CatalogError(f"unknown model id {model_id!r}; known: {sorted(_CATALOG)}")
+    for name, value in params.items():
+        if _holds_text_or_bool(value):
+            raise CatalogError(f"bad parameters for {model_id!r}: {name!r} holds a bool or a string, not a number")
     try:
         spec = _CATALOG[model_id].build(**params)
     except CatalogError:

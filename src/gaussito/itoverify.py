@@ -13,12 +13,12 @@ G(x1, x2) = psi_F(x2, x1) along (hbar, V).  That one engine evaluates every
 term; the two forms here are adapters over its result.  V and hbar do not
 depend on F, so the general form runs the engine once per pairing element,
 with G stacked over the test functions.  It reports the engine's terms per
-case, with chosen terms knocked out on purpose (mutation sensitivity).  The
-right-continuous reduction is a function of the general result, not a
-second engine run: it keeps the continuous integrals and lhs, takes the
-dhbar atoms at left-limit integrands, moves the variance atoms into a single
-jump sum, and reports how far its residual lies from the general one; its
-left-limit/jump correlation term can be knocked out on purpose too.
+case.  The right-continuous reduction is a function of the general result,
+not a second engine run: it keeps the continuous integrals and lhs, takes
+the dhbar atoms at left-limit integrands and moves the variance atoms into a
+single jump sum.  The engines compute the identity only, and
+``cli._MUTATIONS`` says which terms a mutation knocks out; the one knock-out
+here sits inside the reduction's jump term, its left-limit/jump correlation.
 
 Monte Carlo side: the identity path by path as Wick-Riemann sums, sample
 pairings against Wick exponentials with exact first-chaos norms, simple
@@ -145,41 +145,21 @@ def _pairing(spec: ProcessSpec, h: CameronMartinElement, obs: Observable):
 
 # -- deterministic residuals ----------------------------------------------------
 
-# mutation flag -> the right-hand term it knocks out of the residual; these
-# are the general form's flags
-_DROPPED_TERM = {
-    "drop_dv_integral": "integral_dv_half",
-    "drop_left_jump_sum": "left_jump_sum",
-    "drop_right_jump_sum": "right_jump_sum",
-}
-# the right-continuous form has no right jump sum, and its own correction term
-_RCLL_MUTATIONS = frozenset({"drop_left_jump_sum", "drop_dv_integral", "drop_xleft_correction"})
-
 
 @dataclass(frozen=True)
 class ItoResidual(ChainRuleTerms):
     """Term-by-term breakdown of one case, a test function of a model at a pairing
-    element h; residual = lhs - (right-hand terms not dropped).
+    element h; residual = lhs - (every right-hand term), the engine's.
 
     The two integrals (``int_u1`` in dhbar, ``int_u2`` the half-weighted dV
     one) are the case's component of the engine's results: its own values,
     convergence flags and error estimates, the cell counts its pairing
-    element's cases share.  ``agreement_delta`` is, for the right-continuous
-    form, the distance of its residual from the unmutated general residual
-    of the same case.
+    element's cases share.
     """
 
     spec: ProcessSpec
     h: CameronMartinElement
     test_function: TestFunction
-    drop: frozenset = frozenset()
-    agreement_delta: float = 0.0
-
-    @property
-    def residual(self) -> float:
-        dropped = {_DROPPED_TERM.get(flag) for flag in self.drop}
-        rhs = [v for k, v in self.terms().items() if k != "lhs" and k not in dropped]
-        return self.lhs - math.fsum(rhs)
 
     def terms(self) -> dict[str, float]:
         return {
@@ -191,15 +171,7 @@ class ItoResidual(ChainRuleTerms):
         }
 
 
-def _check_mutations(drop, allowed, form: str) -> frozenset:
-    drop = frozenset(drop)
-    unknown = drop.difference(allowed)
-    if unknown:
-        raise ValueError(f"mutation flags {sorted(unknown)} do not apply to the {form} form")
-    return drop
-
-
-def ito_stransform_residual(spec, h, test_functions, ys_tol=1e-11, drop=frozenset()) -> tuple[ItoResidual, ...]:
+def ito_stransform_residual(spec, h, test_functions, ys_tol=1e-11) -> tuple[ItoResidual, ...]:
     """Residuals of the general deterministic identity at one pairing element h.
 
     The identity is the chain rule for G(x1, x2) = psi_F(x2, x1) along
@@ -210,13 +182,10 @@ def ito_stransform_residual(spec, h, test_functions, ys_tol=1e-11, drop=frozense
     function comes back, in order.  Each test function must meet the
     model's growth bound (``GrowthBoundError``), and an empty list raises
     ``ValueError``.
-    Jump terms use exact stored jump sizes of V and hbar, are accumulated with
-    compensated summation (so they are invariant under reordering of the
-    discontinuity list), and can be knocked out selectively via ``drop`` for
-    sensitivity checks: ``drop_left_jump_sum``, ``drop_right_jump_sum`` and
-    ``drop_dv_integral``; any other flag raises ``ValueError``.
+    Jump terms use exact stored jump sizes of V and hbar, and are accumulated
+    with compensated summation (so they are invariant under reordering of the
+    discontinuity list).
     """
-    drop = _check_mutations(drop, _DROPPED_TERM, "general")
     tfs = _admitted(spec, test_functions)
     G = ScalarField(
         value=lambda x1, x2: np.stack([psi(tf, x2, x1) for tf in tfs]),
@@ -226,11 +195,11 @@ def ito_stransform_residual(spec, h, test_functions, ys_tol=1e-11, drop=frozense
     )
     chains = chain_rule(G, h.hbar, spec.variance, tol=ys_tol)
     return tuple(
-        ItoResidual(**vars(chain), spec=spec, h=h, test_function=tf, drop=drop) for chain, tf in zip(chains, tfs)
+        ItoResidual(**vars(chain), spec=spec, h=h, test_function=tf) for chain, tf in zip(chains, tfs)
     )
 
 
-def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
+def ito_rcll_residual(general: ItoResidual, drop_xleft_correction: bool = False) -> ItoResidual:
     """Residual of the right-continuous reduction (left-limit integrands,
     continuous-variance integral, single jump sum) of a general result.
 
@@ -239,13 +208,11 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
     the continuous parts of both integrals and the lhs carry over.  The dhbar
     atoms take the left-limit integrand, the variance atoms move into the
     jump sum.  There the E[X_{s-} (X_s - X_{s-})] pairing of the jump term
-    cancels the Ito integral's trace term; only
-    ``drop={"drop_xleft_correction"}`` makes it appear, to measure its weight.
-    ``drop`` also takes ``drop_left_jump_sum`` and ``drop_dv_integral``; any
-    other flag raises ``ValueError``.  The general result's own ``drop`` is
-    ignored.  Only meaningful for right-continuous models (``spec.rcll``).
+    cancels the Ito integral's trace term; only ``drop_xleft_correction``
+    makes it appear, to measure its weight.  Its residual lies within
+    roundoff of the general one.  Only meaningful for right-continuous
+    models (``spec.rcll``).
     """
-    drop = _check_mutations(drop, _RCLL_MUTATIONS, "right-continuous")
     spec, tf = general.spec, general.test_function
     if not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: right-continuous reduction needs a right-continuous model")
@@ -265,19 +232,17 @@ def ito_rcll_residual(general: ItoResidual, drop=frozenset()) -> ItoResidual:
         vl, vv, _ = V.one_sided(s)
         hl, hh, _ = hbar.one_sided(s)
         val = psi(tf, vv, hh) - psi(tf, vl, hl) - psi(tf, vl, hl, 1) * hbar.delta_minus_at(s)
-        if "drop_xleft_correction" in drop:
+        if drop_xleft_correction:
             val -= psi(tf, vl, hl, 2) * rec.e_xleft_dminus
         jump_terms.append((s, val))
 
-    res = replace(
+    return replace(
         general,
         int_u1=replace(general.int_u1, atoms=atoms),
         int_u2=replace(general.int_u2, atoms=0.0),
         left_jump_terms=tuple(jump_terms),
         right_jump_terms=(),
-        drop=drop,
     )
-    return replace(res, agreement_delta=abs(res.residual - replace(general, drop=frozenset()).residual))
 
 
 # -- Monte Carlo engines ----------------------------------------------------------

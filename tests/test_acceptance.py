@@ -101,7 +101,7 @@ def test_criterion_2_rcll_reduction(catalog_specs):
     coupled = next(s for s in catalog_specs if s.name == "coupled_jump_bm")
     case = (coupled, cm_element(coupled, [(1.0, 1.0)]), [make_tf("x2", coupled.lam)])
     clean = ito_rcll_residual(ito_stransform_residual(*case)[0]).residual
-    mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_xleft_correction"}).residual
+    mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop_xleft_correction=True).residual
     shift = mutated - clean
     ok = worst < 1e-10 and abs(shift - 1.0) < 1e-8
     assert announce(

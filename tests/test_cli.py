@@ -233,6 +233,11 @@ class TestRun:
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "$.tolerances" in err and "ys_tolerance" in err
+        # so are the mutation flags the keys of cli._MUTATIONS
+        scen = write_scenario(tmp_path, mutations={"drop_left_jump_sum": True})
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "$.mutations" in err and "drop_left_jump_sum" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -245,8 +250,9 @@ class TestRun:
             {"id": "jump_bm", "params": {"jumps": [[0.5, "x"]]}},
             {"id": "fbm", "params": {"hurst": "abc"}},
             {"id": "evanescent", "params": {"s0": "x"}},
+            {"id": "jump_bm", "params": {"jumps": [[0.5, True]]}},
         ],
-        ids=["unknown", "jump_pair_short", "jump_triple", "jump_variance_str", "hurst_str", "s0_str"],
+        ids=["unknown", "jump_pair_short", "jump_triple", "jump_variance_str", "hurst_str", "s0_str", "jump_variance_bool"],
     )
     def test_unknown_model_exit_2(self, tmp_path, capsys, model):
         scen = write_scenario(tmp_path, model=model)
@@ -322,6 +328,37 @@ class TestRun:
         rcll = cases["mutated"]["rcll:jump_bm:x2:h0"]
         assert rcll == cases["clean"]["rcll:jump_bm:x2:h0"]
         assert rcll["pass"] and "agreement_delta" in rcll["terms"]
+
+    def test_xleft_correction_mutation_fails_only_rcll_records(self, tmp_path, capsys):
+        checks = ["ito_stransform", "ito_rcll"]
+        common = {"checks": checks, "test_functions": ["x2", "sin"], "cm_elements": "auto"}
+        models = {
+            "coupled": {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}},
+            "martingale": {"id": "jump_bm", "params": {"jumps": [[0.5, 0.25]]}},
+        }
+        runs = {}
+        for name, model in models.items():
+            for mutations in ({}, {"drop_xleft_correction": True}):
+                tag = f"{name}{'_mutated' if mutations else ''}"
+                scen = write_scenario(tmp_path, f"{tag}.json", model=model, mutations=mutations, **common)
+                code = main(["run", str(scen), "--out", str(tmp_path / tag)])
+                report = json.loads((tmp_path / tag / "report.json").read_text())
+                runs[tag] = code, report, (tmp_path / tag / "terms.csv").read_bytes()
+        # E[X_{s-} xi] = c s0 = 0.5: the right-continuous form fails without its correction,
+        # and the general form, which has no such term, is left as it was
+        code, report, _ = runs["coupled_mutated"]
+        clean = {c["case_id"]: c for c in runs["coupled"][1]["cases"]}
+        assert runs["coupled"][0] == 0 and code == 1
+        rcll = [c for c in report["cases"] if c["case_id"].startswith("rcll:")]
+        ito = [c for c in report["cases"] if c["case_id"].startswith("ito:")]
+        assert len(rcll) == len(ito) == len(clean) // 2 > 0
+        assert not any(c["pass"] for c in rcll)
+        assert all(c == clean[c["case_id"]] for c in ito)
+        # on a martingale E[X_{s-} xi] = 0, so the mutation changes no byte but the scenario's hash
+        (code, report, csv), (mcode, mreport, mcsv) = runs["martingale"], runs["martingale_mutated"]
+        assert code == mcode == 0 and csv == mcsv
+        assert report["scenario_hash"] != mreport["scenario_hash"]
+        assert {**report, "scenario_hash": None} == {**mreport, "scenario_hash": None}
 
     def test_one_engine_run_per_pairing_element(self, tmp_path, capsys, monkeypatch):
         calls = count_engine_runs(monkeypatch)

@@ -73,11 +73,24 @@ class TestCatalog:
             ("jump_bm", {"jumps": [[0.5, "x"]]}),
             ("fbm", {"hurst": "abc"}),
             ("evanescent", {"s0": "x"}),
+            # float() reads a bool or a numeric string; neither is a model parameter
+            ("jump_bm", {"jumps": [[0.5, True]]}),
+            ("coupled_jump_bm", {"c": "1.5", "s0": 0.5, "horizon": "2"}),
+            ("fbm", {"hurst": 0.5, "horizon": True}),
         ],
     )
     def test_invalid_params(self, model_id, params):
         with pytest.raises(CatalogError):
             catalog(model_id, **params)
+
+    def test_bool_and_str_params_are_named(self):
+        with pytest.raises(CatalogError, match="'jumps' holds a bool or a string"):
+            catalog("jump_bm", jumps=[(0.2, 0.04), [0.5, np.True_]])
+        with pytest.raises(CatalogError, match="'horizon' holds a bool or a string"):
+            catalog("fbm", hurst=0.5, horizon=True)
+        # numbers, numpy reals among them, and lists of them are still read
+        spec = catalog("jump_bm", jumps=[[np.float64(0.5), np.float32(0.25)]], horizon=np.int64(2))
+        assert spec.horizon == 2.0 and spec.record_times() == (0.5,)
 
     def test_builder_errors_keep_their_messages(self):
         with pytest.raises(CatalogError, match="^jump variances must be positive$"):

@@ -1,7 +1,7 @@
 import inspect
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -162,33 +162,29 @@ class TestGeneralResidual:
         assert abs(res.residual) < 1e-9
 
     def test_mutation_jump_sum_sensitivity(self, jump_bm):
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        clean = ito_stransform_residual(*case)[0]
-        mutated = ito_stransform_residual(*case, drop={"drop_left_jump_sum"})[0]
-        assert mutated.residual - clean.residual == pytest.approx(-0.0625, abs=1e-12)
+        # knocking the left jump sum out of the residual shifts it by the sum's weight
+        res = ito_stransform_residual(*make_case(jump_bm, "x2", [(1.0, 1.0)]))[0]
+        terms = res.terms()
+        assert terms["left_jump_sum"] == pytest.approx(-0.0625, abs=1e-12)
+        kept = [v for k, v in terms.items() if k not in ("lhs", "left_jump_sum")]
+        assert terms["lhs"] - math.fsum(kept) - res.residual == pytest.approx(-0.0625, abs=1e-12)
 
     def test_mutation_dv_sensitivity(self, brownian):
-        case = make_case(brownian, "x2", [(1.0, 1.0)])
-        mutated = ito_stransform_residual(*case, drop={"drop_dv_integral"})[0]
-        assert mutated.residual == pytest.approx(1.0, abs=1e-9)
+        # the dv integral is the whole residual once knocked out
+        res = ito_stransform_residual(*make_case(brownian, "x2", [(1.0, 1.0)]))[0]
+        assert res.terms()["integral_dv_half"] == pytest.approx(1.0, abs=1e-9)
+        assert res.residual + res.terms()["integral_dv_half"] == pytest.approx(1.0, abs=1e-9)
 
     def test_unmutated_residual_is_the_engine_residual(self, jump_bm):
-        # the general result is the engine's terms plus spec, h, test_function, drop and agreement_delta
+        # the general result is the engine's terms plus spec, h and test_function;
+        # what a mutation knocks out is cli._MUTATIONS' alone
+        from gaussito.itoverify import ItoResidual
+
         res = ito_stransform_residual(*make_case(jump_bm, "sin", [(0.7, 0.5), (0.4, 0.9)]))[0]
         assert isinstance(res, ChainRuleTerms)
         assert res.residual == ChainRuleTerms.residual.fget(res)
-        mutated = replace(res, drop=frozenset({"drop_left_jump_sum"}))
-        assert mutated.residual != ChainRuleTerms.residual.fget(mutated)
-
-    def test_unknown_mutation_rejected(self, brownian, jump_bm):
-        with pytest.raises(ValueError):
-            ito_stransform_residual(*make_case(brownian, "x2", [(1.0, 1.0)]), drop={"bogus"})
-        # a flag the form has no term for is refused, not ignored
-        case = make_case(jump_bm, "x2", [(1.0, 1.0)])
-        with pytest.raises(ValueError, match="drop_xleft_correction.*general"):
-            ito_stransform_residual(*case, drop={"drop_xleft_correction"})
-        with pytest.raises(ValueError, match="drop_right_jump_sum.*right-continuous"):
-            ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_right_jump_sum"})
+        assert ItoResidual.residual is ChainRuleTerms.residual
+        assert not {"drop", "agreement_delta"} & {f.name for f in fields(ItoResidual)}
 
     def test_rough_pairing_flags_are_honest(self):
         # a 0.2-Hoelder cusp cannot be refined to 1e-11 before the bisection
@@ -224,7 +220,6 @@ class TestRcllResidual:
             case = make_case(jump_bm, fname, [(0.7, 0.5), (0.3, 1.0)])
             general = ito_stransform_residual(*case)[0]
             reduced = ito_rcll_residual(ito_stransform_residual(*case)[0])
-            assert reduced.agreement_delta == abs(general.residual - reduced.residual)
             assert abs(general.residual - reduced.residual) < 1e-10
             assert abs(reduced.residual) < 1e-9
 
@@ -233,14 +228,14 @@ class TestRcllResidual:
         # psi_{F''} * E[X_{s-} dX] = 2 * 0.5 = 1 for F = x^2, h = X_T
         case = make_case(coupled, "x2", [(1.0, 1.0)])
         clean = ito_rcll_residual(ito_stransform_residual(*case)[0])
-        mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_xleft_correction"})
+        mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop_xleft_correction=True)
         assert abs(clean.residual) < 1e-10
         assert mutated.residual - clean.residual == pytest.approx(1.0, abs=1e-8)
 
     def test_martingale_correction_is_free(self, jump_bm):
         case = make_case(jump_bm, "x2", [(1.0, 1.0)])
         clean = ito_rcll_residual(ito_stransform_residual(*case)[0])
-        mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop={"drop_xleft_correction"})
+        mutated = ito_rcll_residual(ito_stransform_residual(*case)[0], drop_xleft_correction=True)
         assert mutated.residual == pytest.approx(clean.residual, abs=1e-14)
 
     def test_rejects_general_kind(self, evanescent):
@@ -295,14 +290,14 @@ class TestForwardJump:
         assert abs(res.residual) < 1e-10
 
     def test_right_jump_mutation_sensitivity(self):
+        # knocking the right jump sum out of the residual shifts it by the sum's weight
         spec = forward_jump_spec()
-        case = make_case(spec, "x2", [(1.0, 1.0)])
-        clean = ito_stransform_residual(*case)[0]
-        mutated = ito_stransform_residual(*case, drop={"drop_right_jump_sum"})[0]
-        assert mutated.residual - clean.residual == pytest.approx(
-            clean.right_jump_sum, abs=1e-12
-        )
-        assert abs(mutated.residual) > 1e-3
+        res = ito_stransform_residual(*make_case(spec, "x2", [(1.0, 1.0)]))[0]
+        terms = res.terms()
+        kept = [v for k, v in terms.items() if k not in ("lhs", "right_jump_sum")]
+        mutated = terms["lhs"] - math.fsum(kept)
+        assert mutated - res.residual == pytest.approx(terms["right_jump_sum"], abs=1e-12)
+        assert abs(mutated) > 1e-3
 
     def test_transcendental_residual(self):
         spec = forward_jump_spec()
@@ -667,7 +662,7 @@ def test_public_names_resolve():
             "UnsupportedIntegratorError",
         ),
         "gaussproc": ("planar_variation_sum",),
-        "itoverify": ("s_transform",),
+        "itoverify": ("s_transform", "_DROPPED_TERM", "_RCLL_MUTATIONS", "_check_mutations"),
     }
     for layer, names in removed.items():
         module = importlib.import_module(f"gaussito.{layer}")
