@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -83,89 +84,59 @@ _MUTATIONS = {
     "drop_xleft_correction": ("xleft_correction",),
 }
 
+def _closed(properties: dict, *required: str) -> dict:
+    """A JSON-schema object of these properties and no other, the ``required`` ones present."""
+    return {"type": "object", **({"required": list(required)} if required else {}), "additionalProperties": False, "properties": properties}
+
+
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "name", "model"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": 1},
-        "name": {"type": "string", "minLength": 1},
-        "model": {
-            "type": "object",
-            "required": ["id"],
-            "additionalProperties": False,
-            "properties": {
-                "id": {"type": "string"},
-                "params": {"type": "object"},
+    **_closed(
+        {
+            "schema_version": {"const": 1},
+            "name": {"type": "string", "minLength": 1},
+            "model": _closed({"id": {"type": "string"}, "params": {"type": "object"}}, "id"),
+            "test_functions": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "oneOf": [
+                        {"type": "string"},
+                        _closed({"poly": {"type": "array", "items": {"type": "number"}, "minItems": 1}}, "poly"),
+                        _closed({"id": {"type": "string"}, "a": {"type": "number", "minimum": 0}}, "id", "a"),
+                    ]
+                },
             },
-        },
-        "test_functions": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
+            "cm_elements": {
                 "oneOf": [
-                    {"type": "string"},
+                    {"const": "auto"},
                     {
-                        "type": "object",
-                        "required": ["poly"],
-                        "additionalProperties": False,
-                        "properties": {"poly": {"type": "array", "items": {"type": "number"}, "minItems": 1}},
-                    },
-                    {
-                        "type": "object",
-                        "required": ["id", "a"],
-                        "additionalProperties": False,
-                        "properties": {"id": {"type": "string"}, "a": {"type": "number", "minimum": 0}},
-                    },
-                ]
-            },
-        },
-        "cm_elements": {
-            "oneOf": [
-                {"const": "auto"},
-                {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
                         "type": "array",
                         "minItems": 1,
                         "items": {
                             "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {"type": "number"},
+                            "minItems": 1,
+                            "items": {"type": "array", "minItems": 2, "maxItems": 2, "items": {"type": "number"}},
                         },
                     },
-                },
-            ]
-        },
-        "checks": {"type": "array", "items": {"enum": list(CHECK_IDS)}, "minItems": 1},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {name: {"type": "number", "exclusiveMinimum": 0} for name in _DEFAULT_TOLERANCES},
-        },
-        "mc": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer", "minimum": 0},
-                "n_paths": {"type": "integer", "minimum": 2},
-                "grid_depth": {"type": "integer", "minimum": 2, "maximum": 14},
+                ]
             },
+            "checks": {"type": "array", "items": {"enum": list(CHECK_IDS)}, "minItems": 1},
+            "tolerances": _closed({name: {"type": "number", "exclusiveMinimum": 0} for name in _DEFAULT_TOLERANCES}),
+            "mc": _closed(
+                {
+                    "seed": {"type": "integer", "minimum": 0},
+                    "n_paths": {"type": "integer", "minimum": 2},
+                    "grid_depth": {"type": "integer", "minimum": 2, "maximum": 14},
+                }
+            ),
+            "mutations": _closed({name: {"type": "boolean"} for name in _MUTATIONS}),
+            "output": _closed({"dir": {"type": "string"}}),
         },
-        "mutations": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {name: {"type": "boolean"} for name in _MUTATIONS},
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}},
-        },
-    },
+        "schema_version",
+        "name",
+        "model",
+    ),
 }
 
 
@@ -294,8 +265,8 @@ def effective_seed(scenario: dict, seed=None) -> int:
     return int(scenario.get("mc", {}).get("seed", DEFAULT_SEED))
 
 
-def _plan_cases(scenario, seed):
-    """Zero-argument thunks; each returns the report-case dicts of the work it runs."""
+def _plan_cases(scenario, seed, batch_map=map):
+    """Zero-argument thunks; each returns the report-case dicts of the work it runs, batches through ``batch_map``."""
     model = scenario["model"]
     try:
         spec = catalog(model["id"], **model.get("params", {}))
@@ -361,7 +332,7 @@ def _plan_cases(scenario, seed):
     if mc_ito:
         # one coupled draw serves every test function, and the quadratic-variation check
         def thunk():
-            out = martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000, qv=qv)
+            out = martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000, qv=qv, batch_map=batch_map)
             per_tf, qv_report = out if qv else (out, None)
             records = []
             for tf, reports in zip(tfs, per_tf):
@@ -423,7 +394,7 @@ def _plan_cases(scenario, seed):
         )
         pairings.append((f"mc_sk:{spec.name}", partial(simple_skorokhod_mc, spec, z, mild, n_paths, base_seed + 5000)))
 
-    plans += [lambda cid=cid, estimate=estimate: [z_gated(cid, estimate())] for cid, estimate in pairings]
+    plans += [lambda cid=cid, estimate=estimate: [z_gated(cid, estimate(batch_map=batch_map))] for cid, estimate in pairings]
 
     # checks a model cannot run are skipped; a scenario left with none verifies nothing
     if not plans:
@@ -476,6 +447,21 @@ def _write_reports(out_dir: Path, report: dict, timings: dict | None) -> tuple[P
         raise ConfigError(f"cannot write reports: {exc}") from exc
 
 
+def _ordered_map(pool: ThreadPoolExecutor, in_flight: int):
+    """A ``map`` over ``pool`` that yields in order, with at most ``in_flight`` calls submitted and not yet yielded."""
+
+    def ordered(fn, items):
+        pending = deque()
+        for item in items:
+            if len(pending) == in_flight:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+    return ordered
+
+
 def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, echo=print) -> int:
     """Execute a scenario file or bundled scenario name; returns the exit code."""
     # the schema's mc.seed >= 0 rule holds for an overriding seed too
@@ -490,28 +476,22 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
         or scenario.get("output", {}).get("dir", "gaussito-out")
     )
 
-    plans = _plan_cases(scenario, seed)
     results: dict[str, dict] = {}
     clocks: dict[str, float] = {}
-
-    def execute(thunk):
-        t0 = time.perf_counter()
-        try:
-            records = thunk()
-        except UnsupportedModelError as exc:
-            raise ConfigError(str(exc)) from exc
-        return records, (time.perf_counter() - t0) * 1e3
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(execute, plans))
-    else:
-        outcomes = [execute(thunk) for thunk in plans]
-    # every record of a plan item gets the item's whole runtime
-    for records, ms in outcomes:
-        for record in records:
-            results[record["case_id"]] = record
-            clocks[record["case_id"]] = ms
+    # the plan items run here, one after the other, and the pool's threads only
+    # their Monte Carlo batches, so no item waits on a pool it occupies
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for thunk in _plan_cases(scenario, seed, map if jobs == 1 else _ordered_map(pool, 2 * jobs)):
+            t0 = time.perf_counter()
+            try:
+                records = thunk()
+            except UnsupportedModelError as exc:
+                raise ConfigError(str(exc)) from exc
+            # every record of a plan item gets the item's whole runtime
+            ms = (time.perf_counter() - t0) * 1e3
+            for record in records:
+                results[record["case_id"]] = record
+                clocks[record["case_id"]] = ms
 
     cases = [results[cid] for cid in sorted(results)]
     passed = sum(1 for c in cases if c["pass"])
@@ -560,7 +540,7 @@ def main(argv=None) -> int:
     runp.add_argument("scenario", help="path to a scenario file, or a bundled name (smoke, full_jump_bm)")
     runp.add_argument("--out", help=f"output directory (overrides ${ENV_OUT_DIR} and the scenario)")
     runp.add_argument("--seed", type=int, help="override the scenario seed")
-    runp.add_argument("--jobs", type=int, default=1, help="worker threads for case execution")
+    runp.add_argument("--jobs", type=int, default=1, help="worker threads for Monte Carlo batches")
     runp.add_argument("--timings", action="store_true", help="embed per-case runtimes in the JSON report")
 
     sub.add_parser("list-catalog", help="print the model catalog")

@@ -17,9 +17,10 @@ jump variables.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, partial, reduce
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,9 +107,9 @@ class ProcessSpec:
     ``e_dminus_sq`` and ``e_dplus_sq``.  ``section_knots(t)`` enumerates the
     kink locations of R(., t) so integration partitions can pin them.
     ``sampler(grid)``, the exact Brownian-jump construction of
-    ``_bm_plus_jumps``, does the per-grid work once and returns
-    ``draw(n_paths, rng)``, which makes one ``(paths, jump_draws)`` batch on
-    the grid; without it the Gram matrix is factorized.
+    ``_bm_plus_jumps``, does the per-grid work once and returns ``draw(n_paths,
+    rng, buffer)``, which makes one ``(paths, jump_draws)`` batch on the grid,
+    in ``buffer``'s arrays; without it the Gram matrix is factorized.
     """
 
     name: str
@@ -323,6 +324,20 @@ def _chol_with_jitter(G: np.ndarray, scale: float) -> np.ndarray:
     raise SimulationError("covariance factorization failed after jitter escalation")
 
 
+class _Buffers(threading.local):
+    """Arrays each thread keeps across the batches it runs: ``buffers(name, shape)`` is a C-ordered array of
+    ``shape`` at the start of the calling thread's storage ``name``, grown to the largest shape asked of it."""
+
+    def __init__(self):
+        self.arrays = {}
+
+    def __call__(self, name, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self.arrays or self.arrays[name].size < size:
+            self.arrays[name] = np.empty(size)
+        return self.arrays[name][:size].reshape(shape)
+
+
 def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
     """Draws of X from its factorized Gram matrix; the left-jump variables are zero."""
     n, K = len(grid), len(spec.records)
@@ -336,28 +351,17 @@ def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
     zero = np.diag(G) == 0.0
     L = _chol_with_jitter(G, spec.lam)
 
-    def draw(n_paths: int, rng: np.random.Generator):
-        Y = rng.standard_normal((n_paths, n)) @ L.T
+    def draw(n_paths: int, rng: np.random.Generator, buffer):
+        Y = np.matmul(rng.standard_normal(out=buffer("normals", (n_paths, n))), L.T, out=buffer("paths", (n_paths, n)))
         Y[:, zero] = 0.0
         return Y, np.zeros((n_paths, K))
 
     return draw
 
 
-def _increment_sd(grid: np.ndarray) -> np.ndarray:
-    """Standard deviations of the Brownian increments ending at each grid time, from 0."""
-    return np.sqrt(np.diff(np.concatenate([[0.0], grid])))
-
-
-def _brownian_increments(sd: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n_paths, len(sd)))
-    z *= sd
-    return np.cumsum(z, axis=1, out=z)
-
-
 @dataclass(frozen=True)
 class PreparedSampler:
-    """A model's sampler on one grid, its per-grid work done: ``draw(n_paths, rng)`` makes one batch."""
+    """A model's sampler on one grid, its per-grid work done: ``draw(n_paths, rng, buffer)`` makes one batch."""
 
     spec: ProcessSpec
     times: np.ndarray
@@ -373,36 +377,41 @@ def prepare_sampler(spec: ProcessSpec, grid) -> PreparedSampler:
     return PreparedSampler(spec, pts, prepare(pts))
 
 
-def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.SeedSequence) -> SimulationResult:
+def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.SeedSequence, buffer=None) -> SimulationResult:
     """Exact Gaussian draws of X on the grid; jump variables drawn jointly.
 
     Deterministic given the seed (an integer or a ``SeedSequence``).  ``grid``
     is an array of times or a ``prepare_sampler`` result for ``spec``, whose
-    per-grid work is then reused.
-    """
+    per-grid work is then reused.  ``buffer``, a ``_Buffers``, lends arrays
+    that the draw fills with the bits a fresh one gets."""
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")
     sampler = grid if isinstance(grid, PreparedSampler) else prepare_sampler(spec, grid)
     if sampler.spec is not spec:
         raise ValueError("prepared sampler belongs to another model")
-    paths, draws = sampler.draw(int(n_paths), np.random.default_rng(seed))
+    paths, draws = sampler.draw(int(n_paths), np.random.default_rng(seed), buffer or _Buffers())
     return SimulationResult(times=sampler.times, paths=paths, jump_draws=draws)
 
 
-def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int) -> Iterator[SimulationResult]:
-    """``n_paths`` draws on ``grid`` as ``simulate_paths`` batches of about 4 MB per array.
+def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map) -> list:
+    """``work(sim, buffer)`` of each ``simulate_paths`` batch of the ``n_paths`` draws on ``grid``, in batch order.
 
-    The sampler is prepared once; batch b is seeded from
-    ``SeedSequence(seed).spawn(n_batches)[b]``, so the draws depend only on
-    (spec, grid, n_paths, seed) and memory is bounded by the batch whatever
-    ``n_paths``.
+    The sampler is prepared once; batch b is seeded from ``SeedSequence(seed).spawn(n_batches)[b]``, so the
+    draws depend only on (spec, grid, n_paths, seed).  ``batch_map`` (the builtin ``map``, or an ordered map
+    over worker threads) runs the batches.  Each thread draws into one ``_Buffers`` set, sized by its first
+    batch, that ``work`` may use but return nothing of: memory is one batch per thread, about 4 MB per array.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     sampler = prepare_sampler(spec, grid)
     rows = max(1, _BATCH_ELEMENTS // len(sampler.times))
-    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // rows))):
-        yield simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream)
+    streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
+    buffers = _Buffers()
+
+    def batch(b):
+        return work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), streams[b], buffers), buffers)
+
+    return list(batch_map(batch, range(len(streams))))
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -415,30 +424,27 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     """Chan-Golub-LeVeque merge of two (count, mean, M2) triples, row by row."""
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
-    if na == 0:
-        return b
     n = na + nb
     delta = mean_b - mean_a
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
-def _mc_report(acc: tuple, reference: float, n_paths: int, seed, grid_points: int, batches: int, label: str):
-    """McReport of the merged (count, mean, M2) moments ``acc`` of a sample."""
-    se = math.sqrt(acc[2] / (n_paths - 1)) / math.sqrt(n_paths)
-    return McReport(float(acc[1]), se, reference, n_paths, seed, grid_points, batches, label)
+def _mc_report(moments: list, reference: float, n_paths: int, seed, grid: np.ndarray, label: str):
+    """McReport of a sample on ``grid`` from the moments of its batches, merged in batch order."""
+    _, mean, m2 = reduce(_merge_moments, moments)
+    se = math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
+    return McReport(float(mean), se, reference, n_paths, seed, len(grid), len(moments), label)
 
 
-def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "") -> McReport:
+def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "", batch_map=map) -> McReport:
     """Sample mean and standard error of ``sample(sim)`` against its closed form.
 
     ``sample`` maps one ``simulate_batches`` batch on ``grid`` to one value
     per path; ``reference`` is the exact expectation.  The moments are merged
     batch by batch, so memory is bounded by the batch whatever ``n_paths``.
     """
-    acc = (0, 0.0, 0.0)
-    for b, sim in enumerate(simulate_batches(spec, grid, n_paths, seed), 1):
-        acc = _merge_moments(acc, _moments(sample(sim)))
-    return _mc_report(acc, reference, n_paths, seed, len(sim.times), b, label)
+    moments = simulate_batches(spec, grid, n_paths, seed, lambda sim, _: _moments(sample(sim)), batch_map)
+    return _mc_report(moments, reference, n_paths, seed, _grid_times(grid), label)
 
 
 def _qv_reference(spec: ProcessSpec) -> float:
@@ -447,13 +453,12 @@ def _qv_reference(spec: ProcessSpec) -> float:
     return spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
 
 
-def _quadratic_sum(sim: SimulationResult) -> np.ndarray:
-    """Sum of squared increments along each path."""
-    d = np.diff(sim.paths, axis=1)
-    return np.sum(np.square(d, out=d), axis=1)
+def _quadratic_sum(d: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """Sum along each path of the squared increments ``d``, squared into ``square`` (which may be ``d``)."""
+    return np.sum(np.square(d, out=square), axis=1)
 
 
-def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
+def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Monte Carlo mean of the pathwise quadratic sum against its expected limit.
 
     The reference is the continuous quadratic variation plus the summed
@@ -462,7 +467,14 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int) -> McReport:
     with ``qv=True`` makes this report from its own draw: on its finest grid
     and at its seed the two are bit-identical.
     """
-    return mc_estimate(spec, grid, _quadratic_sum, _qv_reference(spec), n_paths, seed, "path_qv")
+    reference = _qv_reference(spec)
+
+    def work(sim, buffer):
+        d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("diff", (len(sim.paths), len(sim.times) - 1)))
+        return _moments(_quadratic_sum(d, d))
+
+    moments = simulate_batches(spec, grid, n_paths, seed, work, batch_map)
+    return _mc_report(moments, reference, n_paths, seed, _grid_times(grid), "path_qv")
 
 
 # -- catalog -------------------------------------------------------------------
@@ -513,11 +525,14 @@ def _jump_sampler(times: np.ndarray, couplings: np.ndarray, sds: np.ndarray) -> 
 
     def sampler(grid):
         full = np.union1d(grid, times)
-        sd, cols = _increment_sd(full), np.searchsorted(full, times)
+        # the standard deviation of each Brownian increment, from 0 to the first time on
+        sd, cols = np.sqrt(np.diff(full, prepend=0.0)), np.searchsorted(full, times)
         pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
 
-        def draw(n_paths, rng):
-            B = _brownian_increments(sd, n_paths, rng)
+        def draw(n_paths, rng, buffer):
+            B = rng.standard_normal(out=buffer("paths", (n_paths, len(full))))
+            B *= sd
+            np.cumsum(B, axis=1, out=B)
             xi = B[:, cols] * couplings + rng.standard_normal((n_paths, len(cols))) * sds
             for k, col in enumerate(cols):
                 B[:, col:] += xi[:, k : k + 1]

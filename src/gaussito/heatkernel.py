@@ -59,7 +59,7 @@ class GrowthBound:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """F with derivatives, their heat smoothing and a joint growth certificate for (F, F', F'')."""
+    """F with derivatives (``f1`` and ``f2`` take a ufunc's ``out=``), their heat smoothing and a joint growth certificate for (F, F', F'')."""
 
     name: str
     f: Callable
@@ -114,10 +114,11 @@ def _heat_series(coef: np.ndarray) -> np.ndarray:
     return c
 
 
-def _horner(c: np.ndarray, x):
-    """polyval(x, c) by in-place Horner: polyval's operations in its order, one array in all."""
+def _horner(c: np.ndarray, x, out=None):
+    """polyval(x, c) by in-place Horner: polyval's operations in its order, in ``out`` or one new array."""
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, c[-1])
+    out = np.empty(x.shape) if out is None else out
+    out.fill(c[-1])
     for ci in c[-2::-1]:
         out *= x
         out += ci
@@ -145,7 +146,7 @@ def _poly_test_function(name: str, coeffs, lam: float) -> TestFunction:
 
 _POLYNOMIALS = {"x": [0.0, 1.0], "x2": [0.0, 0.0, 1.0], "x3": [0.0, 0.0, 0.0, 1.0]}
 TEST_FUNCTION_IDS = (*_POLYNOMIALS, "sin", "exp")
-_SIN_DERIVATIVES = (np.sin, np.cos, lambda x: -np.sin(x))
+_SIN_DERIVATIVES = (np.sin, np.cos, lambda x, out=None: np.negative(np.sin(x, out=out), out=out))
 
 
 def test_function(name: str, lam: float, poly_coeffs=None) -> TestFunction:

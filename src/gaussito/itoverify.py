@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -284,22 +285,27 @@ def _at(r: RegulatedFunction, t: float, side: int) -> float:
     return float((r.left_values, r.values, r.right_values)[side + 1](t))
 
 
-def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs):
-    """Squared increment, then squared residual per level, of one test function on one batch."""
-    f1, f2 = tf.f1(X[:, :-1]), tf.f2(X[:, :-1])
+def _gather(a: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # a C-ordered copy, several times faster to make and to reduce than the Fortran-ordered
+    # one of a[:, cols]; mode "clip" writes straight into out, "raise" into a temporary first
+    return np.take(a, cols, axis=1, out=out, mode="clip")
+
+
+def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs, buffer, out):
+    """Squared increment, then squared residual per level, of one test function on one batch, as the rows of ``out``."""
+    shape = (len(X), X.shape[1] - 1)
+    f1, f2 = tf.f1(X[:, :-1], out=buffer("f1", shape)), tf.f2(X[:, :-1], out=buffer("f2", shape))
     f1_left = tf.f1(x_left)
     jump_ito = np.sum(f1_left * xi, axis=1)
     jump = np.sum(tf.f(x_jump) - tf.f(x_left) - f1_left * xi, axis=1)
     increment = tf.f(X[:, -1]) - tf.f(X[:, 0])
-    resid2 = []
-    for (cols, _, weights), dX in zip(plan, dXs):
-        # np.take makes a C-ordered copy, several times faster to make and to
-        # reduce than the Fortran-ordered one of f1[:, idx]
-        f1l, f2l = (f1, f2) if cols is None else (np.take(f1, cols[:-1], axis=1), np.take(f2, cols[:-1], axis=1))
-        ito = np.einsum("ij,ij->i", f1l, dX) + jump_ito
-        quad = 0.5 * np.einsum("ij,j->i", f2l, weights)
-        resid2.append((increment - ito - quad - jump) ** 2)
-    return [increment**2, *resid2]
+    np.square(increment, out=out[0])
+    for (cols, _, weights), dX, row in zip(plan, dXs, out[1:]):
+        # a coarse level gathers F' and then F'' at its points into one array
+        at_level = (lambda f: f) if cols is None else (lambda f: _gather(f, cols[:-1], buffer("gather", dX.shape)))
+        ito = np.einsum("ij,ij->i", at_level(f1), dX) + jump_ito
+        quad = 0.5 * np.einsum("ij,j->i", at_level(f2), weights)
+        np.square(increment - ito - quad - jump, out=row)
 
 
 def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
@@ -328,7 +334,7 @@ def pathwise_decay(spec: ProcessSpec, grid) -> float:
     return min(alpha - 0.5, 1.0)
 
 
-def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, seed: int, qv: bool = False):
+def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, seed: int, qv: bool = False, batch_map=map):
     """Pathwise check of the Gaussian identity, Wick-Riemann sums on nested grids.
 
     Each grid is joined with the discontinuity times, and every joined grid
@@ -337,7 +343,8 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     coarser grid reads its columns from the same draw, and every test
     function reads the same batch.  The levels and the test functions are
     therefore coupled, as in multilevel Monte Carlo, and memory is bounded by
-    the batch whatever ``n_paths``.  Only F, F' and F'' are evaluated per test
+    the batch whatever ``n_paths``; ``batch_map`` runs the batches, each
+    thread in arrays it reuses.  Only F, F' and F'' are evaluated per test
     function; the rest of a batch is made once.  With ``qv=True`` each batch
     also feeds the pathwise quadratic sum, and the result is ``(reports,
     qv_report)``: ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc``
@@ -377,26 +384,32 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
         )
         for pts in levels
     ]
+    finest = [len(pts) for pts in levels].index(len(fine))
 
-    acc = qv_acc = (0, 0.0, 0.0)  # moments of the rows, row by row, and of the quadratic sum
-    for batches, sim in enumerate(simulate_batches(spec, fine, n_paths, seed), 1):
+    def batch(sim, buffer):
+        """Moments of the rows, row by row, and of the quadratic sum, of one batch."""
         X, xi = sim.paths, sim.jump_draws
-        if qv:
-            # before the rows, so that its temporary is freed before theirs are made
-            qv_acc = _merge_moments(qv_acc, _moments(_quadratic_sum(sim)))
+        n = len(X)
         # what every test function shares: increments net of the jump draws,
-        # and the values and left limits at the discontinuities
+        # and the values and left limits at the discontinuities; a coarse
+        # level's X goes to the array its F' and F'' are gathered into later
         dXs = []
-        for cols, jpos, _ in plan:
-            dX = np.diff(X if cols is None else np.take(X, cols, axis=1), axis=1)
+        for k, (cols, _, _) in enumerate(plan):
+            Xl = X if cols is None else _gather(X, cols, buffer("gather", (n, len(cols))))
+            dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer(("dX", k), (n, Xl.shape[1] - 1))))
+        # the finest increments before the jumps are netted out, squared in the F' array, free until then
+        qv_moments = _moments(_quadratic_sum(dXs[finest], buffer("f1", dXs[finest].shape))) if qv else None
+        for (_, jpos, _), dX in zip(plan, dXs):
             dX[:, jpos] -= xi
-            dXs.append(dX)
         x_jump = X[:, jcols]
         x_left = x_jump - xi
-        rows = [row for tf in tfs for row in _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs)]
-        acc = _merge_moments(acc, _moments(np.stack(rows)))
+        rows = buffer("rows", (len(tfs), 1 + len(plan), n))
+        for tf, out in zip(tfs, rows):
+            _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out)
+        return _moments(rows.reshape(-1, n)), qv_moments
 
-    _, means, m2s = acc
+    moments = simulate_batches(spec, fine, n_paths, seed, batch, batch_map)
+    _, means, m2s = reduce(_merge_moments, [rows for rows, _ in moments])
     reports = []
     for tf, mean, m2 in zip(tfs, means.reshape(len(tfs), -1), m2s.reshape(len(tfs), -1)):
         scale = math.sqrt(mean[0])
@@ -406,19 +419,19 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
             se_r2 = math.sqrt(m2_r2 / (n_paths - 1)) / math.sqrt(n_paths)
             se_rel = se_r2 / (2.0 * rms) / max(scale, 1e-300) if rms > 0 else 0.0
             label = f"martingale_ito[{spec.name},{tf.name},n={len(pts) - 1}]"
-            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, len(fine), batches, label))
+            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, len(fine), len(moments), label))
         reports.append(tuple(per_grid))
     if qv:
-        return tuple(reports), _mc_report(qv_acc, qv_reference, n_paths, seed, len(fine), batches, "path_qv")
+        return tuple(reports), _mc_report([q for _, q in moments], qv_reference, n_paths, seed, fine, "path_qv")
     return tuple(reports)
 
 
-def mc_s_transform(spec: ProcessSpec, h: CameronMartinElement, obs: Observable, n_paths: int, seed: int) -> McReport:
+def mc_s_transform(spec: ProcessSpec, h: CameronMartinElement, obs: Observable, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Monte Carlo pairing E[exp-wick(h) * observable] against the closed form."""
     reference, support, sample = _pairing(spec, h, obs)
     times = set(h.times) | set(spec.record_times()) | set(support)
     grid = np.array(sorted(times)) if times else np.array([spec.horizon])
-    return mc_estimate(spec, grid, sample, reference, n_paths, seed, obs.label or obs.kind)
+    return mc_estimate(spec, grid, sample, reference, n_paths, seed, obs.label or obs.kind, batch_map)
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------
@@ -483,13 +496,7 @@ def skorokhod_sample(spec: ProcessSpec, z: SimpleWickIntegrand, sim: SimulationR
     return total
 
 
-def simple_skorokhod_mc(
-    spec: ProcessSpec,
-    z: SimpleWickIntegrand,
-    h: CameronMartinElement,
-    n_paths: int,
-    seed: int,
-) -> McReport:
+def simple_skorokhod_mc(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMartinElement, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Monte Carlo pairing of the sampled integral against its exact transform."""
     times = set(z.times) | set(h.times) | set(spec.record_times())
     for c in z.open_coeffs + z.node_coeffs:
@@ -499,16 +506,10 @@ def simple_skorokhod_mc(
         return wick_exponential_paths(sim, h) * skorokhod_sample(spec, z, sim)
 
     reference = skorokhod_s_transform(spec, z, h)
-    return mc_estimate(spec, np.array(sorted(times)), sample, reference, n_paths, seed, "simple_skorokhod")
+    return mc_estimate(spec, np.array(sorted(times)), sample, reference, n_paths, seed, "simple_skorokhod", batch_map)
 
 
-def hermite_p2_identity_mc(
-    spec: ProcessSpec,
-    g: CameronMartinElement,
-    h: CameronMartinElement,
-    n_paths: int,
-    seed: int,
-) -> McReport:
+def hermite_p2_identity_mc(spec: ProcessSpec, g: CameronMartinElement, h: CameronMartinElement, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Degree-two Hermite pairing E[(g^2 - E g^2)(h^2 - E h^2)] vs 2 E[gh]^2."""
     times = sorted(set(g.times) | set(h.times))
     if not times:
@@ -517,7 +518,7 @@ def hermite_p2_identity_mc(
     def sample(sim):
         return (_first_chaos(sim, g) ** 2 - g.norm_sq) * (_first_chaos(sim, h) ** 2 - h.norm_sq)
 
-    return mc_estimate(spec, np.array(times), sample, 2.0 * cm_inner(spec, g, h) ** 2, n_paths, seed, "hermite_p2")
+    return mc_estimate(spec, np.array(times), sample, 2.0 * cm_inner(spec, g, h) ** 2, n_paths, seed, "hermite_p2", batch_map)
 
 
 # -- standard pairing battery -------------------------------------------------------

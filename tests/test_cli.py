@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gaussito.cli import ENV_OUT_DIR, main
+from gaussito.gaussproc import UnsupportedModelError
 
 SMOKE = Path(__file__).resolve().parents[1] / "src" / "gaussito" / "scenarios" / "smoke.json"
 
@@ -598,6 +599,71 @@ class TestRun:
         assert main(["run", str(scen), "--out", str(tmp_path / "a")]) == 0
         assert main(["run", str(scen), "--out", str(tmp_path / "b"), "--jobs", "4"]) == 0
         assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_ordered_map_keeps_batch_order_and_at_most_two_batches_per_worker_in_flight(self):
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from gaussito.cli import _ordered_map
+
+        jobs, lock = 2, threading.Lock()
+        started, handed_back = [], []
+
+        def work(b):
+            # each batch notes how many results were handed back before it started
+            with lock:
+                started.append((b, len(handed_back)))
+            time.sleep(0.002 * (b % 3))
+            return b * b
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            for result in _ordered_map(pool, 2 * jobs)(work, range(30)):
+                with lock:
+                    handed_back.append(result)
+        assert handed_back == [b * b for b in range(30)]
+        assert sorted(b for b, _ in started) == list(range(30))
+        # batch b starts only once batch b - 2 * jobs has been handed back
+        assert all(b - before < 2 * jobs for b, before in started)
+
+    @pytest.mark.parametrize("error", [UnsupportedModelError, RuntimeError], ids=["config_error", "crash"])
+    def test_a_failing_batch_fails_alike_at_every_jobs_and_leaves_no_worker(self, error, tmp_path, capsys, monkeypatch):
+        import threading
+
+        import gaussito.gaussproc
+
+        original = gaussito.gaussproc.simulate_paths
+
+        def failing(spec, grid, n_paths, seed, *args):
+            # batch 2 of the pathwise check's draw, whichever thread draws it
+            if getattr(seed, "spawn_key", ()) == (2,):
+                raise error("batch 2 fails")
+            return original(spec, grid, n_paths, seed, *args)
+
+        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", failing)
+        # 2000 paths on the 1026 points of the finest grid are four batches
+        scen = write_scenario(tmp_path, test_functions=["x2", "sin"], checks=["martingale_ito", "path_qv"], mc={"n_paths": 2000, "grid_depth": 10})
+        before = set(threading.enumerate())
+        outcomes = []
+        for jobs in ("1", "2", "3"):
+            try:
+                outcomes.append((main(["run", str(scen), "--out", str(tmp_path / jobs), "--jobs", jobs]), capsys.readouterr().err))
+            except RuntimeError as exc:
+                outcomes.append(("raised", str(exc)))
+            assert set(threading.enumerate()) == before
+            assert not (tmp_path / jobs / "report.json").exists()
+        expected = (2, "configuration error: batch 2 fails\n") if error is UnsupportedModelError else ("raised", "batch 2 fails")
+        assert outcomes == [expected] * 3
+
+    def test_no_worker_thread_outlives_the_run(self, tmp_path, capsys):
+        import threading
+
+        scen = write_scenario(
+            tmp_path, test_functions=["x2", "sin"], cm_elements="auto", checks=["martingale_ito", "path_qv", "hermite_p2"], mc={"n_paths": 2000, "grid_depth": 9}
+        )
+        before = set(threading.enumerate())
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--jobs", "3"]) == 0
+        assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize(
         "model, checks",

@@ -22,7 +22,7 @@ from gaussito.gaussproc import (
     simulate_batches,
     simulate_paths,
 )
-from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _one_sided_cov_matrix
+from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _one_sided_cov_matrix
 from gaussito.itoverify import wick_exponential_paths
 from gaussito.regulated import Jump, RegulatedFunction
 
@@ -413,6 +413,42 @@ class TestSimulation:
             assert np.array_equal(again.paths, fresh.paths)
             assert np.array_equal(again.jump_draws, fresh.jump_draws)
 
+    @pytest.mark.parametrize("model", ["brownian", "fbm07", "jump_bm", "coupled", "evanescent"])
+    def test_draws_into_reused_buffers_hold_a_fresh_draws_bits(self, model, request):
+        # every catalog sampler: the Brownian-jump one of brownian, jump_bm and
+        # coupled_jump_bm, and the Gram one of fbm and evanescent
+        spec = request.getfixturevalue(model)
+        grid = np.union1d(np.linspace(0.0, 1.0, 33), spec.record_times())
+        prepared, buffers = prepare_sampler(spec, grid), _Buffers()
+        # a full batch sizes the arrays; a short last batch uses fewer of their rows
+        for n_paths, seed in ((60, 3), (60, 4), (17, 5)):
+            reused = simulate_paths(spec, prepared, n_paths, seed, buffers)
+            fresh = simulate_paths(spec, grid, n_paths, seed)
+            _assert_same_bits(reused.paths, fresh.paths)
+            _assert_same_bits(reused.jump_draws, fresh.jump_draws)
+            assert np.shares_memory(reused.paths, buffers.arrays["paths"])
+        assert buffers.arrays["paths"].size == 60 * len(grid)
+
+    def test_batches_reuse_one_buffer_set_and_draw_the_seeded_streams(self, jump_bm):
+        grid = np.linspace(0.0, 1.0, 2**10 + 1)
+        n_paths, seed = 1300, 21
+        rows = _BATCH_ELEMENTS // len(grid)
+        streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
+        seen = []
+
+        def work(sim, buffer):
+            seen.append(sim.paths.__array_interface__["data"][0])
+            return sim.paths.copy(), sim.jump_draws.copy()
+
+        batches = simulate_batches(jump_bm, grid, n_paths, seed, work)
+        # three batches of 511, 511 and 278 rows, all drawn into the same array
+        assert [len(paths) for paths, _ in batches] == [rows, rows, n_paths - 2 * rows]
+        assert len(set(seen)) == 1
+        for b, (paths, draws) in enumerate(batches):
+            fresh = simulate_paths(jump_bm, grid, len(paths), streams[b])
+            _assert_same_bits(paths, fresh.paths)
+            _assert_same_bits(draws, fresh.jump_draws)
+
     def test_prepared_sampler_belongs_to_its_model(self, brownian, jump_bm):
         with pytest.raises(ValueError, match="another model"):
             simulate_paths(jump_bm, prepare_sampler(brownian, np.array([0.5, 1.0])), 10, seed=1)
@@ -426,7 +462,7 @@ class TestSimulation:
         with pytest.raises(ValueError, match="at least one time"):
             simulate_paths(brownian, grid, 10, seed=1)
         with pytest.raises(ValueError, match="at least one time"):
-            next(simulate_batches(brownian, grid, 10, seed=1))
+            simulate_batches(brownian, grid, 10, 1, lambda sim, buffer: None)
         with pytest.raises(ValueError, match="at least one time"):
             mc_estimate(brownian, grid, lambda sim: sim.paths.sum(axis=1), 0.0, 10, seed=1)
         with pytest.raises(ValueError, match="at least one time"):

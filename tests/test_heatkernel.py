@@ -43,6 +43,18 @@ def gaussian_moment_poly(k: int, t: float, x: float) -> float:
     return total
 
 
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_derivatives_write_into_out_with_the_bits_of_a_new_array(name):
+    # the pathwise check evaluates F' and F'' into arrays it reuses across batches;
+    # a strided view stands for the paths without their last column
+    tf = registered(name)
+    x = np.random.default_rng(2).standard_normal((7, 12))[:, :-1]
+    for fn in (tf.f1, tf.f2):
+        out = np.full(x.shape, np.nan)
+        assert np.shares_memory(fn(x, out=out), out)
+        assert out.tobytes() == np.asarray(fn(x), dtype=float).tobytes()
+
+
 class TestPsi:
     def test_square_adds_scale(self):
         tf = make_tf("x2", lam=1.0)
