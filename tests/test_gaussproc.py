@@ -402,32 +402,22 @@ class TestSimulation:
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / 60000) + 1e-9
         assert np.all(err < 4.5 * se)
 
+    # every catalog sampler: the Brownian-jump one of brownian, jump_bm and
+    # coupled_jump_bm, and the Gram one of fbm and evanescent
     @pytest.mark.parametrize("model", ["brownian", "fbm07", "jump_bm", "coupled", "evanescent"])
     def test_prepared_sampler_draws_what_a_fresh_one_draws(self, model, request):
         spec = request.getfixturevalue(model)
         grid = np.array([0.1, 0.3, 0.5, 0.7, 1.0])
-        prepared = prepare_sampler(spec, grid)
-        for seed in (3, 4):
-            again, fresh = simulate_paths(spec, prepared, 40, seed), simulate_paths(spec, grid, 40, seed)
-            assert np.array_equal(again.times, fresh.times)
-            assert np.array_equal(again.paths, fresh.paths)
-            assert np.array_equal(again.jump_draws, fresh.jump_draws)
-
-    @pytest.mark.parametrize("model", ["brownian", "fbm07", "jump_bm", "coupled", "evanescent"])
-    def test_draws_into_reused_buffers_hold_a_fresh_draws_bits(self, model, request):
-        # every catalog sampler: the Brownian-jump one of brownian, jump_bm and
-        # coupled_jump_bm, and the Gram one of fbm and evanescent
-        spec = request.getfixturevalue(model)
-        grid = np.union1d(np.linspace(0.0, 1.0, 33), spec.record_times())
         prepared, buffers = prepare_sampler(spec, grid), _Buffers()
-        # a full batch sizes the arrays; a short last batch uses fewer of their rows
-        for n_paths, seed in ((60, 3), (60, 4), (17, 5)):
-            reused = simulate_paths(spec, prepared, n_paths, seed, buffers)
+        # into reused arrays too: a full batch sizes them, a short last batch uses fewer of their rows
+        for n_paths, seed in ((40, 3), (40, 4), (17, 5)):
             fresh = simulate_paths(spec, grid, n_paths, seed)
-            _assert_same_bits(reused.paths, fresh.paths)
-            _assert_same_bits(reused.jump_draws, fresh.jump_draws)
-            assert np.shares_memory(reused.paths, buffers.arrays["paths"])
-        assert buffers.arrays["paths"].size == 60 * len(grid)
+            for again in (simulate_paths(spec, prepared, n_paths, seed), simulate_paths(spec, prepared, n_paths, seed, buffers)):
+                assert np.array_equal(again.times, fresh.times)
+                _assert_same_bits(again.paths, fresh.paths)
+                _assert_same_bits(again.jump_draws, fresh.jump_draws)
+            assert np.shares_memory(again.paths, buffers.arrays["paths"])
+        assert buffers.arrays["paths"].size == 40 * len(grid)
 
     def test_batches_reuse_one_buffer_set_and_draw_the_seeded_streams(self, jump_bm):
         grid = np.linspace(0.0, 1.0, 2**10 + 1)

@@ -307,6 +307,32 @@ class TestForwardJump:
 
 
 class TestMartingaleItoMc:
+    @pytest.mark.parametrize(
+        "model, params", [("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}), ("fbm", {"hurst": 0.7})], ids=["jump_bm", "fbm_gram"]
+    )
+    def test_batches_on_more_threads_than_cores_merge_to_the_serial_bits(self, model, params):
+        # each worker thread draws into its own buffer set; a batch that wrote
+        # into another's arrays, or a merge out of batch order, moves the bits
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from gaussito.cli import _ordered_map
+
+        spec = catalog(model, **params)
+        tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
+        grids = [np.linspace(0.0, 1.0, 2**d + 1) for d in (7, 9)]
+        # 513 or 515 points: 1019 or 1018 rows per batch, five batches
+        serial = martingale_ito_mc(spec, tfs, grids, 5000, seed=13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = martingale_ito_mc(spec, tfs, grids, 5000, seed=13, batch_map=_ordered_map(pool, 8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert {rep.batches for reps in serial for rep in reps} == {5}
+
     def test_square_discretization_error(self, jump_bm):
         tfs = [make_tf("x2", jump_bm.lam)]
         ((rep,),) = martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 2**8 + 1)], 4000, seed=5)
