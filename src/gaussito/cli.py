@@ -478,10 +478,11 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
 
     results: dict[str, dict] = {}
     clocks: dict[str, float] = {}
-    # the plan items run here, one after the other, and the pool's threads only
-    # their Monte Carlo batches, so no item waits on a pool it occupies
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for thunk in _plan_cases(scenario, seed, map if jobs == 1 else _ordered_map(pool, 2 * jobs)):
+    # the plan items run here, one after the other, and the pool's threads, one per CPU at most,
+    # only their Monte Carlo batches, so no item waits on a pool it occupies
+    workers = min(jobs, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for thunk in _plan_cases(scenario, seed, map if workers == 1 else _ordered_map(pool, 2 * workers)):
             t0 = time.perf_counter()
             try:
                 records = thunk()
@@ -540,7 +541,7 @@ def main(argv=None) -> int:
     runp.add_argument("scenario", help="path to a scenario file, or a bundled name (smoke, full_jump_bm)")
     runp.add_argument("--out", help=f"output directory (overrides ${ENV_OUT_DIR} and the scenario)")
     runp.add_argument("--seed", type=int, help="override the scenario seed")
-    runp.add_argument("--jobs", type=int, default=1, help="worker threads for Monte Carlo batches")
+    runp.add_argument("--jobs", type=int, default=1, help="worker threads for Monte Carlo batches, at most the CPU count")
     runp.add_argument("--timings", action="store_true", help="embed per-case runtimes in the JSON report")
 
     sub.add_parser("list-catalog", help="print the model catalog")

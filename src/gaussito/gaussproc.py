@@ -74,9 +74,8 @@ class DiscontinuityRecord:
     ``e_dminus_sq``/``e_dplus_sq`` are the mean-square left and right jumps,
     ``e_xleft_dminus`` is E[X_{s-} (X_s - X_{s-})], the left-limit/jump
     correlation that feeds the right-continuous reduction of the jump terms.
-    The weak one-sided limits of the process have variances V(s-) -
-    ``lost_minus`` and V(s+) - ``lost_plus``: a weak limit may lose variance
-    against V's limits, never gain it.
+    The weak left limit of the process has variance V(s-) - ``lost_minus``:
+    a weak limit may lose variance against V's limit, never gain it.
     """
 
     time: float
@@ -84,7 +83,6 @@ class DiscontinuityRecord:
     e_dplus_sq: float = 0.0
     e_xleft_dminus: float = 0.0
     lost_minus: float = 0.0
-    lost_plus: float = 0.0
 
 
 def _no_jump_cov(ts, _k):
@@ -137,9 +135,7 @@ class ProcessSpec:
     def rcll(self) -> bool:
         """True when the jump terms reduce to the right-continuous form: no weak
         limit loses variance and there is no forward jump of X or of V."""
-        return not any(
-            r.lost_minus or r.lost_plus or r.e_dplus_sq or self.variance.delta_plus_at(r.time) for r in self.records
-        )
+        return not any(r.lost_minus or r.e_dplus_sq or self.variance.delta_plus_at(r.time) for r in self.records)
 
     # -- consistency ----------------------------------------------------------
 
@@ -160,7 +156,6 @@ class ProcessSpec:
             v_l, v_here, _ = self.variance.one_sided(rec.time)
             checks = [
                 -rec.lost_minus,
-                -rec.lost_plus,
                 # Gaussian moment identity tying the left record to V(s)
                 abs(2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + (v_l - rec.lost_minus) - v_here),
             ]
@@ -292,7 +287,6 @@ class McReport:
     seed: int
     grid_points: int
     batches: int
-    label: str = ""
 
     @property
     def z_score(self) -> float:
@@ -393,27 +387,6 @@ def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.
     return SimulationResult(times=sampler.times, paths=paths, jump_draws=draws)
 
 
-def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map) -> list:
-    """``work(sim, buffer)`` of each ``simulate_paths`` batch of the ``n_paths`` draws on ``grid``, in batch order.
-
-    The sampler is prepared once; batch b is seeded from ``SeedSequence(seed).spawn(n_batches)[b]``, so the
-    draws depend only on (spec, grid, n_paths, seed).  ``batch_map`` (the builtin ``map``, or an ordered map
-    over worker threads) runs the batches.  Each thread draws into one ``_Buffers`` set, sized by its first
-    batch, that ``work`` may use but return nothing of: memory is one batch per thread, about 4 MB per array.
-    """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    sampler = prepare_sampler(spec, grid)
-    rows = max(1, _BATCH_ELEMENTS // len(sampler.times))
-    streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
-    buffers = _Buffers()
-
-    def batch(b):
-        return work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), streams[b], buffers), buffers)
-
-    return list(batch_map(batch, range(len(streams))))
-
-
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """(count, mean, sum of squared deviations from the mean) of each row of a sample."""
     mean = np.mean(values, axis=-1, keepdims=True)
@@ -429,22 +402,45 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
-def _mc_report(moments: list, reference: float, n_paths: int, seed, grid: np.ndarray, label: str):
-    """McReport of a sample on ``grid`` from the moments of its batches, merged in batch order."""
-    _, mean, m2 = reduce(_merge_moments, moments)
+def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map) -> tuple[tuple, int]:
+    """The (count, mean, M2) triples ``work(sim, buffer)`` returns for the ``simulate_paths`` batches of the
+    ``n_paths`` draws on ``grid``, merged row by row in batch order as each batch arrives, and the batch count.
+
+    The sampler is prepared once; batch b is seeded as it runs, from ``SeedSequence(seed, spawn_key=(b,))``,
+    the b-th stream of ``SeedSequence(seed).spawn``, so the draws depend only on (spec, grid, n_paths, seed).
+    ``batch_map`` (the builtin ``map``, or an ordered map over worker threads) runs the batches.  Each thread
+    draws into one ``_Buffers`` set, sized by its first batch, that ``work`` may use but return nothing of:
+    memory is one batch per thread, about 4 MB per array, whatever the number of batches.
+    """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    sampler = prepare_sampler(spec, grid)
+    rows = max(1, _BATCH_ELEMENTS // len(sampler.times))
+    batches, buffers = range(-(-n_paths // rows)), _Buffers()
+
+    def batch(b):
+        stream = np.random.SeedSequence(seed, spawn_key=(b,))
+        return work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream, buffers), buffers)
+
+    return reduce(_merge_moments, batch_map(batch, batches)), len(batches)
+
+
+def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McReport:
+    """McReport of a one-row sample on ``grid`` from its ``simulate_batches`` moments and batch count."""
+    (n_paths, mean, m2), batches = batched
     se = math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
-    return McReport(float(mean), se, reference, n_paths, seed, len(grid), len(moments), label)
+    return McReport(float(mean), se, reference, n_paths, seed, len(grid), batches)
 
 
-def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, label: str = "", batch_map=map) -> McReport:
+def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, batch_map=map) -> McReport:
     """Sample mean and standard error of ``sample(sim)`` against its closed form.
 
     ``sample`` maps one ``simulate_batches`` batch on ``grid`` to one value
     per path; ``reference`` is the exact expectation.  The moments are merged
     batch by batch, so memory is bounded by the batch whatever ``n_paths``.
     """
-    moments = simulate_batches(spec, grid, n_paths, seed, lambda sim, _: _moments(sample(sim)), batch_map)
-    return _mc_report(moments, reference, n_paths, seed, _grid_times(grid), label)
+    batched = simulate_batches(spec, grid, n_paths, seed, lambda sim, _: _moments(sample(sim)), batch_map)
+    return _mc_report(batched, reference, seed, _grid_times(grid))
 
 
 def _qv_reference(spec: ProcessSpec) -> float:
@@ -465,7 +461,8 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) 
     mean-square jumps; only models whose paths have a deterministic continuous
     quadratic variation support this check.  ``itoverify.martingale_ito_mc``
     with ``qv=True`` makes this report from its own draw: on its finest grid
-    and at its seed the two are bit-identical.
+    and at its seed the two are bit-identical.  A batch returns only the
+    moments of its quadratic sums, merged as it arrives.
     """
     reference = _qv_reference(spec)
 
@@ -473,8 +470,7 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) 
         d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("diff", (len(sim.paths), len(sim.times) - 1)))
         return _moments(_quadratic_sum(d, d))
 
-    moments = simulate_batches(spec, grid, n_paths, seed, work, batch_map)
-    return _mc_report(moments, reference, n_paths, seed, _grid_times(grid), "path_qv")
+    return _mc_report(simulate_batches(spec, grid, n_paths, seed, work, batch_map), reference, seed, _grid_times(grid))
 
 
 # -- catalog -------------------------------------------------------------------

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .gaussproc import (
     UnsupportedModelError,
     _grid_times,
     _mc_report,
-    _merge_moments,
     _moments,
     _quadratic_sum,
     _qv_reference,
@@ -125,9 +123,8 @@ def _pairing(spec: ProcessSpec, h: CameronMartinElement, obs: Observable):
         tf = obs.test_function
         tf.check_growth(spec.lam)
         side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
-        # at a discontinuity a one-sided limit is the weak one, which may lose variance against V
-        rec = next((r for r in spec.records if side and r.time == t), None)
-        lost = 0.0 if rec is None else (rec.lost_minus if side < 0 else rec.lost_plus)
+        # at a discontinuity the left limit is the weak one, which may lose variance against V(t-)
+        lost = sum(r.lost_minus for r in spec.records if side < 0 and r.time == t)
         closed = psi(tf, _at(spec.variance, t, side) - lost, _at(h.hbar, t, side))
         return closed, (t,), weighted(lambda sim: tf.f(_one_sided_paths(spec, sim, t, side)))
     if obs.kind == "wick_exp":
@@ -342,13 +339,15 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     drawn only on the finest grid, by ``gaussproc.simulate_batches``; every
     coarser grid reads its columns from the same draw, and every test
     function reads the same batch.  The levels and the test functions are
-    therefore coupled, as in multilevel Monte Carlo, and memory is bounded by
-    the batch whatever ``n_paths``; ``batch_map`` runs the batches, each
-    thread in arrays it reuses.  Only F, F' and F'' are evaluated per test
-    function; the rest of a batch is made once.  With ``qv=True`` each batch
-    also feeds the pathwise quadratic sum, and the result is ``(reports,
-    qv_report)``: ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc``
-    on the finest joined grid at ``seed``, with no second draw.
+    therefore coupled, as in multilevel Monte Carlo.  ``batch_map`` runs the
+    batches, each thread in arrays it reuses.  Only F, F' and F'' are
+    evaluated per test function; the rest of a batch is made once.  A batch
+    returns the moments of its rows (per test function, a squared increment
+    and a squared residual per level), merged as it arrives, so memory is
+    bounded by the batch whatever ``n_paths``.  With ``qv=True`` row 0 is
+    the quadratic sum, and the result is ``(reports, qv_report)``:
+    ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc`` on the finest
+    joined grid at ``seed``, with no second draw.
 
     Per path and grid: forward Riemann sums of F'(X) against the continuous
     increments, exact jump handling with the jointly drawn jump variables
@@ -386,8 +385,10 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
     ]
     finest = [len(pts) for pts in levels].index(len(fine))
 
+    q = int(qv)  # with qv, row 0 of a batch's rows is its quadratic sum
+
     def batch(sim, buffer):
-        """Moments of the rows, row by row, and of the quadratic sum, of one batch."""
+        """Moments of one batch's rows, row by row: the quadratic sum with ``qv``, then each test function's."""
         X, xi = sim.paths, sim.jump_draws
         n = len(X)
         # what every test function shares: increments net of the jump draws,
@@ -397,32 +398,31 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
         for k, (cols, _, _) in enumerate(plan):
             Xl = X if cols is None else _gather(X, cols, buffer("gather", (n, len(cols))))
             dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer(("dX", k), (n, Xl.shape[1] - 1))))
-        # the finest increments before the jumps are netted out, squared in the F' array, free until then
-        qv_moments = _moments(_quadratic_sum(dXs[finest], buffer("f1", dXs[finest].shape))) if qv else None
+        rows = buffer("rows", (q + len(tfs) * (1 + len(plan)), n))
+        if qv:
+            # the finest increments before the jumps are netted out, squared in the F' array, free until then
+            rows[0] = _quadratic_sum(dXs[finest], buffer("f1", dXs[finest].shape))
         for (_, jpos, _), dX in zip(plan, dXs):
             dX[:, jpos] -= xi
         x_jump = X[:, jcols]
         x_left = x_jump - xi
-        rows = buffer("rows", (len(tfs), 1 + len(plan), n))
-        for tf, out in zip(tfs, rows):
+        for tf, out in zip(tfs, rows[q:].reshape(len(tfs), 1 + len(plan), n)):
             _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out)
-        return _moments(rows.reshape(-1, n)), qv_moments
+        return _moments(rows)
 
-    moments = simulate_batches(spec, fine, n_paths, seed, batch, batch_map)
-    _, means, m2s = reduce(_merge_moments, [rows for rows, _ in moments])
+    (_, means, m2s), batches = simulate_batches(spec, fine, n_paths, seed, batch, batch_map)
     reports = []
-    for tf, mean, m2 in zip(tfs, means.reshape(len(tfs), -1), m2s.reshape(len(tfs), -1)):
+    for mean, m2 in zip(means[q:].reshape(len(tfs), -1), m2s[q:].reshape(len(tfs), -1)):
         scale = math.sqrt(mean[0])
         per_grid = []
-        for pts, mean_r2, m2_r2 in zip(levels, mean[1:], m2[1:]):
+        for mean_r2, m2_r2 in zip(mean[1:], m2[1:]):
             rms = math.sqrt(mean_r2)
             se_r2 = math.sqrt(m2_r2 / (n_paths - 1)) / math.sqrt(n_paths)
             se_rel = se_r2 / (2.0 * rms) / max(scale, 1e-300) if rms > 0 else 0.0
-            label = f"martingale_ito[{spec.name},{tf.name},n={len(pts) - 1}]"
-            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, len(fine), len(moments), label))
+            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, len(fine), batches))
         reports.append(tuple(per_grid))
     if qv:
-        return tuple(reports), _mc_report([q for _, q in moments], qv_reference, n_paths, seed, fine, "path_qv")
+        return tuple(reports), _mc_report(((n_paths, means[0], m2s[0]), batches), qv_reference, seed, fine)
     return tuple(reports)
 
 
@@ -431,7 +431,7 @@ def mc_s_transform(spec: ProcessSpec, h: CameronMartinElement, obs: Observable, 
     reference, support, sample = _pairing(spec, h, obs)
     times = set(h.times) | set(spec.record_times()) | set(support)
     grid = np.array(sorted(times)) if times else np.array([spec.horizon])
-    return mc_estimate(spec, grid, sample, reference, n_paths, seed, obs.label or obs.kind, batch_map)
+    return mc_estimate(spec, grid, sample, reference, n_paths, seed, batch_map)
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------
@@ -506,7 +506,7 @@ def simple_skorokhod_mc(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMar
         return wick_exponential_paths(sim, h) * skorokhod_sample(spec, z, sim)
 
     reference = skorokhod_s_transform(spec, z, h)
-    return mc_estimate(spec, np.array(sorted(times)), sample, reference, n_paths, seed, "simple_skorokhod", batch_map)
+    return mc_estimate(spec, np.array(sorted(times)), sample, reference, n_paths, seed, batch_map)
 
 
 def hermite_p2_identity_mc(spec: ProcessSpec, g: CameronMartinElement, h: CameronMartinElement, n_paths: int, seed: int, batch_map=map) -> McReport:
@@ -518,7 +518,7 @@ def hermite_p2_identity_mc(spec: ProcessSpec, g: CameronMartinElement, h: Camero
     def sample(sim):
         return (_first_chaos(sim, g) ** 2 - g.norm_sq) * (_first_chaos(sim, h) ** 2 - h.norm_sq)
 
-    return mc_estimate(spec, np.array(times), sample, 2.0 * cm_inner(spec, g, h) ** 2, n_paths, seed, "hermite_p2", batch_map)
+    return mc_estimate(spec, np.array(times), sample, 2.0 * cm_inner(spec, g, h) ** 2, n_paths, seed, batch_map)
 
 
 # -- standard pairing battery -------------------------------------------------------

@@ -665,6 +665,34 @@ class TestRun:
         assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--jobs", "3"]) == 0
         assert set(threading.enumerate()) == before
 
+    def test_jobs_above_the_cpu_count_start_one_worker_per_cpu(self, tmp_path, capsys, monkeypatch):
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        import gaussito.cli
+        import gaussito.gaussproc
+
+        asked, drawing = [], set()
+        original = gaussito.gaussproc.simulate_paths
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers)
+
+        def noting(*args):
+            drawing.add(threading.get_ident())
+            return original(*args)
+
+        monkeypatch.setattr(gaussito.cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(gaussito.cli, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", noting)
+        # 4000 paths on the 513 points of the finest grid are four batches
+        scen = write_scenario(tmp_path, test_functions=["x2"], checks=["martingale_ito"], mc={"n_paths": 4000, "grid_depth": 9})
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--jobs", "8"]) == 0
+        assert asked == [2]
+        assert len(drawing) <= 2 and threading.get_ident() not in drawing
+
     @pytest.mark.parametrize(
         "model, checks",
         [

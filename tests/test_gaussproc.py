@@ -22,7 +22,7 @@ from gaussito.gaussproc import (
     simulate_batches,
     simulate_paths,
 )
-from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _one_sided_cov_matrix
+from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _moments, _one_sided_cov_matrix
 from gaussito.itoverify import wick_exponential_paths
 from gaussito.regulated import Jump, RegulatedFunction
 
@@ -108,14 +108,13 @@ class TestCatalog:
             for rec in spec.records:
                 v_left, v_here, _ = spec.variance.one_sided(rec.time)
                 assert rec.lost_minus >= 0.0
-                assert rec.lost_plus >= 0.0
                 v_minus = v_left - rec.lost_minus
                 assert 2.0 * rec.e_xleft_dminus + rec.e_dminus_sq + v_minus == pytest.approx(v_here, abs=1e-12)
 
     def test_summability_condition_finite(self, all_specs):
         for spec in all_specs:
             total = sum(
-                r.e_dplus_sq + r.lost_plus + r.e_dminus_sq + r.lost_minus
+                r.e_dplus_sq + r.e_dminus_sq + r.lost_minus
                 for r in spec.records
             )
             assert math.isfinite(total)
@@ -175,9 +174,8 @@ class TestValidate:
         [
             DiscontinuityRecord(0.5, 0.3),  # E[dX^2] + V(s-) = 0.8 != V(s) = 0.75
             DiscontinuityRecord(0.5, 0.15, lost_minus=-0.1),  # moment identity holds, lost < 0
-            DiscontinuityRecord(0.5, 0.25, lost_plus=-0.1),
         ],
-        ids=["moment_identity", "negative_lost_minus", "negative_lost_plus"],
+        ids=["moment_identity", "negative_lost_minus"],
     )
     def test_inconsistent_record(self, record):
         spec = ProcessSpec("quarter_jump", 1.0, _quarter_jump_cov, _quarter_jump_variance(), (record,))
@@ -424,20 +422,27 @@ class TestSimulation:
         n_paths, seed = 1300, 21
         rows = _BATCH_ELEMENTS // len(grid)
         streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
-        seen = []
+        seen, batches = [], []
 
         def work(sim, buffer):
             seen.append(sim.paths.__array_interface__["data"][0])
-            return sim.paths.copy(), sim.jump_draws.copy()
+            batches.append((sim.paths.copy(), sim.jump_draws.copy()))
+            return _moments(sim.paths[:, -1])
 
-        batches = simulate_batches(jump_bm, grid, n_paths, seed, work)
+        (count, mean, m2), n_batches = simulate_batches(jump_bm, grid, n_paths, seed, work)
         # three batches of 511, 511 and 278 rows, all drawn into the same array
         assert [len(paths) for paths, _ in batches] == [rows, rows, n_paths - 2 * rows]
-        assert len(set(seen)) == 1
+        assert n_batches == 3 and len(set(seen)) == 1
+        # batch b draws the b-th stream SeedSequence(seed).spawn makes
         for b, (paths, draws) in enumerate(batches):
             fresh = simulate_paths(jump_bm, grid, len(paths), streams[b])
             _assert_same_bits(paths, fresh.paths)
             _assert_same_bits(draws, fresh.jump_draws)
+        # and the batches' moments come back merged
+        ends = np.concatenate([paths[:, -1] for paths, _ in batches])
+        assert count == n_paths
+        assert mean == pytest.approx(np.mean(ends), rel=1e-12)
+        assert m2 == pytest.approx(np.sum((ends - np.mean(ends)) ** 2), rel=1e-12)
 
     def test_prepared_sampler_belongs_to_its_model(self, brownian, jump_bm):
         with pytest.raises(ValueError, match="another model"):
@@ -619,6 +624,26 @@ class TestPathQv:
             finally:
                 tracemalloc.stop()
         assert peaks[8000] <= 1.1 * peaks[2000]
+
+    def test_memory_does_not_grow_with_the_batch_count(self, brownian, monkeypatch):
+        import gaussito.gaussproc as gp
+
+        grid = np.array([1.0])
+        # two paths per batch: 2000 and 10000 paths are 1000 and 5000 batches
+        monkeypatch.setattr(gp, "_BATCH_ELEMENTS", 2)
+        check = lambda n_paths: mc_estimate(brownian, grid, lambda sim: sim.paths[:, 0], 0.0, n_paths, seed=3)
+        # first-use allocations fall outside the traced runs
+        assert check(200).batches == 100
+        peaks = {}
+        for n_paths in (2000, 10000):
+            tracemalloc.start()
+            try:
+                assert check(n_paths).batches == n_paths // 2
+                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # each batch's moments are merged as it arrives and its stream made as it runs
+        assert max(peaks.values()) <= 1.1 * min(peaks.values())
 
     def test_gram_sampler_factorizes_once_per_call(self, monkeypatch):
         import gaussito.gaussproc as gp
