@@ -277,7 +277,7 @@ def _plan_cases(scenario, seed, batch_map=map):
     tol.update(scenario.get("tolerances", {}))
     mc_cfg = {"n_paths": 20000, "grid_depth": 10}
     mc_cfg.update(scenario.get("mc", {}))
-    n_paths = int(mc_cfg["n_paths"])
+    n_paths, depth = int(mc_cfg["n_paths"]), int(mc_cfg["grid_depth"])
     base_seed = effective_seed(scenario, seed)
     checks = scenario.get("checks", ["ito_stransform"])
     dropped = {term for name, on in scenario.get("mutations", {}).items() if on for term in _MUTATIONS[name]}
@@ -320,32 +320,20 @@ def _plan_cases(scenario, seed, batch_map=map):
         return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
 
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
-    depth = int(mc_cfg["grid_depth"])
-    depths = (depth - 2, depth)
-    grids = [np.linspace(0.0, spec.horizon, 2**d + 1) for d in depths]
-    mc_ito = "martingale_ito" in checks
+    grid = np.linspace(0.0, spec.horizon, 2**depth + 1)
     try:
-        # half the expected decay; a model the check cannot decay on is skipped, as ito_rcll is
-        required = 0.5 * pathwise_decay(spec, grids[-1]) if mc_ito else None
+        # a model the check cannot decay on is skipped, as ito_rcll is
+        mc_ito = "martingale_ito" in checks and pathwise_decay(spec, grid) > 0.0
     except UnsupportedModelError:
         mc_ito = False
     if mc_ito:
         # one coupled draw serves every test function, and the quadratic-variation check
         def thunk():
-            out = martingale_ito_mc(spec, tfs, grids, n_paths, base_seed + 1000, qv=qv, batch_map=batch_map)
-            per_tf, qv_report = out if qv else (out, None)
-            records = []
-            for tf, reports in zip(tfs, per_tf):
-                rels = {f"rel_l2_depth{d}": rep.estimate for d, rep in zip(depths, reports)}
-                # half the log2 ratio of the levels' residuals; not finite, so failing, if a level is NaN, 0 or inf
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    decay = float(np.dot([0.5, -0.5], np.log2(list(rels.values()))))
-                # below roundoff scale the identity holds exactly per path and
-                # there is no discretization error left to decay
-                ok = all(r < 1e-12 for r in rels.values()) or required <= decay < math.inf
-                terms = {**rels, "log2_decay": decay}
-                records.append(_case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=reports[-1]))
-            return records + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
+            cases, qv_report = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, qv=qv, batch_map=batch_map)
+            return [
+                _case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=report)
+                for tf, (ok, required, terms, report) in zip(tfs, cases)
+            ] + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
 
         plans.append(thunk)
 
@@ -382,7 +370,7 @@ def _plan_cases(scenario, seed, batch_map=map):
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k)))
 
     if qv and not mc_ito:
-        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grids[-1], n_paths, base_seed + 4000)))
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000)))
 
     if "simple_skorokhod" in checks:
         zero = cm_element(spec, [], label="one")

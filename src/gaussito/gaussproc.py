@@ -193,6 +193,14 @@ def _grid_times(grid) -> np.ndarray:
     return pts
 
 
+def _spanning_grid(spec: ProcessSpec, grid) -> np.ndarray:
+    """``_grid_times(grid)``, checked to run from 0 to the horizon."""
+    pts = _grid_times(grid)
+    if pts[0] != 0.0 or pts[-1] != spec.horizon:
+        raise ValueError("grid must span [0, horizon]")
+    return pts
+
+
 def planar_qv_sum(spec: ProcessSpec, grid) -> float:
     """Double sum of squared covariances of one-sided-limit increments.
 
@@ -458,19 +466,19 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) 
     """Monte Carlo mean of the pathwise quadratic sum against its expected limit.
 
     The reference is the continuous quadratic variation plus the summed
-    mean-square jumps; only models whose paths have a deterministic continuous
-    quadratic variation support this check.  ``itoverify.martingale_ito_mc``
-    with ``qv=True`` makes this report from its own draw: on its finest grid
-    and at its seed the two are bit-identical.  A batch returns only the
-    moments of its quadratic sums, merged as it arrives.
+    mean-square jumps over [0, horizon], which ``grid`` must span; only models
+    with a deterministic continuous quadratic variation support this check.
+    ``itoverify.martingale_ito_mc`` with ``qv=True`` makes this report from
+    its own draw: on its fine grid and at its seed the two are bit-identical.
+    A batch returns only the moments of its quadratic sums, merged as it arrives.
     """
-    reference = _qv_reference(spec)
+    reference, pts = _qv_reference(spec), _spanning_grid(spec, grid)
 
     def work(sim, buffer):
         d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("diff", (len(sim.paths), len(sim.times) - 1)))
         return _moments(_quadratic_sum(d, d))
 
-    return _mc_report(simulate_batches(spec, grid, n_paths, seed, work, batch_map), reference, seed, _grid_times(grid))
+    return _mc_report(simulate_batches(spec, pts, n_paths, seed, work, batch_map), reference, seed, pts)
 
 
 # -- catalog -------------------------------------------------------------------

@@ -25,9 +25,10 @@ pairings against Wick exponentials with exact first-chaos norms, simple
 Wick-Stieltjes integrals with closed-form Wick products, and the degree-two
 Hermite inner product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing
 check hands a support grid, a per-path sample and its closed form to
-``gaussproc.mc_estimate``.  The pathwise check keeps its own coupled
-estimator over ``gaussproc.simulate_batches``, and its draw can also serve
-the pathwise quadratic-variation check.
+``gaussproc.mc_estimate``.  The pathwise check draws its two levels, the
+dyadic grids of ``grid_depth - 2`` and ``grid_depth``, itself, and returns per
+test function its decay and its verdict against half of ``pathwise_decay``,
+with the pathwise quadratic-variation report of the same draw or None.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ from .gaussproc import (
     ProcessSpec,
     SimulationResult,
     UnsupportedModelError,
-    _grid_times,
     _mc_report,
     _moments,
     _quadratic_sum,
     _qv_reference,
+    _spanning_grid,
     cm_element,
     cm_inner,
     mc_estimate,
@@ -318,10 +319,11 @@ def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
 def pathwise_decay(spec: ProcessSpec, grid) -> float:
     """min(alpha - 1/2, 1), the expected log2 decay of the pathwise residual per halving of the step, for
     E[dX^2] ~ step^alpha read from the cell weights on the grid joined with the discontinuity times and on
-    every other point of it; ``UnsupportedModelError`` on a weak one-sided limit and below alpha = 0.6."""
+    every other point of it; ``ValueError`` unless the grid spans [0, horizon], ``UnsupportedModelError``
+    on a weak one-sided limit and below alpha = 0.6."""
     if not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: pathwise check needs a right-continuous model, without weak one-sided limits")
-    fine = np.union1d(_grid_times(grid), spec.record_times())
+    fine = np.union1d(_spanning_grid(spec, grid), spec.record_times())
     if len(fine) < 3:
         raise ValueError("the pathwise check needs a grid of at least two cells")
     w1, w2 = (_cell_weights(spec, pts) for pts in (np.union1d(fine[::2], [*spec.record_times(), fine[-1]]), fine))
@@ -331,59 +333,51 @@ def pathwise_decay(spec: ProcessSpec, grid) -> float:
     return min(alpha - 0.5, 1.0)
 
 
-def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, seed: int, qv: bool = False, batch_map=map):
-    """Pathwise check of the Gaussian identity, Wick-Riemann sums on nested grids.
+def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_paths: int, seed: int, qv: bool = False, batch_map=map):
+    """Pathwise check of the Gaussian identity by Wick-Riemann sums on two nested grids, with its verdict.
 
-    Each grid is joined with the discontinuity times, and every joined grid
-    must be a subset of the finest one (``ValueError`` otherwise).  Paths are
-    drawn only on the finest grid, by ``gaussproc.simulate_batches``; every
-    coarser grid reads its columns from the same draw, and every test
-    function reads the same batch.  The levels and the test functions are
-    therefore coupled, as in multilevel Monte Carlo.  ``batch_map`` runs the
-    batches, each thread in arrays it reuses.  Only F, F' and F'' are
-    evaluated per test function; the rest of a batch is made once.  A batch
-    returns the moments of its rows (per test function, a squared increment
-    and a squared residual per level), merged as it arrives, so memory is
-    bounded by the batch whatever ``n_paths``.  With ``qv=True`` row 0 is
-    the quadratic sum, and the result is ``(reports, qv_report)``:
-    ``qv_report`` is bit-identical to ``gaussproc.path_qv_mc`` on the finest
-    joined grid at ``seed``, with no second draw.
+    The levels are the dyadic grids of ``grid_depth - 2`` and ``grid_depth``
+    (at least 2) over [0, horizon], each joined with the discontinuity times.
+    Paths are drawn on the fine grid only, by ``gaussproc.simulate_batches``
+    (``batch_map`` runs the batches, each thread in arrays it reuses); the
+    coarse grid reads its columns from the same draw and every test function
+    reads the same batch, so levels and test functions are coupled, as in
+    multilevel Monte Carlo.  Only F, F' and F'' are evaluated per test
+    function.  A batch returns the moments of its rows (with ``qv`` first
+    its quadratic sum, then per test function a squared increment and a
+    squared residual per level), merged as it arrives, so memory is bounded
+    by the batch whatever ``n_paths``.
 
     Per path and grid: forward Riemann sums of F'(X) against the continuous
-    increments, exact jump handling with the jointly drawn jump variables
-    (the same on every grid, since every grid pins the discontinuity times),
+    increments, exact jump handling with the jointly drawn jump variables,
     and (1/2) sum F''(X_{t_i}) (dV^c_i - 2 c_i): F'(X_t) wick dX = F'(X_t) dX
     - F''(X_t) E[X_t dX] for Gaussian X, so the Wick weights c_i turn Ito sums
-    into Skorokhod sums, on any model ``pathwise_decay`` admits.  Returns,
-    per test function in order, one report per grid in order (the CLI hands
-    two: ``grid_depth - 2`` and ``grid_depth``), whose estimate is the relative
-    L2 residual, decaying by about ``pathwise_decay`` per halving of the step.
+    into Skorokhod sums, on any model ``pathwise_decay`` admits.
+
+    Returns ``(cases, qv_report)``.  A case, per test function in order, is
+    ``(passed, required, terms, report)``: ``terms`` are each level's
+    relative L2 residual ``rel_l2_depth<d>`` and ``log2_decay``, half the
+    log2 ratio of the two, the decay per halving of the step; ``report`` is
+    the fine level's; ``required`` is half of ``pathwise_decay``.  A case
+    passes when ``required <= log2_decay < inf``, or when both levels are
+    below 1e-12, where the identity holds to roundoff.  ``qv_report`` is
+    None without ``qv``, else bit-identical to ``gaussproc.path_qv_mc`` on
+    the fine grid at ``seed``, with no second draw.
     """
     tfs = _admitted(spec, test_functions)
+    if grid_depth < 2:
+        raise ValueError("grid_depth must be at least 2")
     records = np.asarray(spec.record_times(), dtype=float)
-    levels = [np.union1d(_grid_times(g), records) for g in grids]
-    if not levels:
-        raise ValueError("need at least one grid")
-    fine = max(levels, key=len)
-    for pts in levels:
-        if pts[0] != 0.0 or pts[-1] != spec.horizon:
-            raise ValueError("grid must span [0, horizon]")
-        if not np.all(np.isin(pts, fine)):
-            raise ValueError("grids must be nested: each must be a subset of the finest")
-    pathwise_decay(spec, fine)
+    dyadic = np.linspace(0.0, spec.horizon, 2**grid_depth + 1)
+    coarse, fine = np.union1d(dyadic[::4], records), np.union1d(dyadic, records)
+    required = 0.5 * pathwise_decay(spec, fine)
     qv_reference = _qv_reference(spec) if qv else None
     jcols = np.searchsorted(fine, records)
-    # per level: fine columns (None for the finest), the interval ending at
-    # each discontinuity, and the cell weights
+    # per level: fine columns (None for the fine level), the interval ending at each discontinuity, the cell weights
     plan = [
-        (
-            None if len(pts) == len(fine) else np.searchsorted(fine, pts),
-            np.searchsorted(pts, records) - 1,
-            _cell_weights(spec, pts),
-        )
-        for pts in levels
+        (cols, np.searchsorted(pts, records) - 1, _cell_weights(spec, pts))
+        for cols, pts in ((np.searchsorted(fine, coarse), coarse), (None, fine))
     ]
-    finest = [len(pts) for pts in levels].index(len(fine))
 
     q = int(qv)  # with qv, row 0 of a batch's rows is its quadratic sum
 
@@ -391,39 +385,39 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grids, n_paths: int, se
         """Moments of one batch's rows, row by row: the quadratic sum with ``qv``, then each test function's."""
         X, xi = sim.paths, sim.jump_draws
         n = len(X)
-        # what every test function shares: increments net of the jump draws,
-        # and the values and left limits at the discontinuities; a coarse
-        # level's X goes to the array its F' and F'' are gathered into later
+        # shared by every test function: increments net of the jump draws, values and left limits at the
+        # discontinuities; the coarse level's X goes to the array its F' and F'' are gathered into later
         dXs = []
         for k, (cols, _, _) in enumerate(plan):
             Xl = X if cols is None else _gather(X, cols, buffer("gather", (n, len(cols))))
             dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer(("dX", k), (n, Xl.shape[1] - 1))))
-        rows = buffer("rows", (q + len(tfs) * (1 + len(plan)), n))
+        rows = buffer("rows", (q + 3 * len(tfs), n))
         if qv:
-            # the finest increments before the jumps are netted out, squared in the F' array, free until then
-            rows[0] = _quadratic_sum(dXs[finest], buffer("f1", dXs[finest].shape))
+            # the fine increments before the jumps are netted out, squared in the F' array, free until then
+            rows[0] = _quadratic_sum(dXs[-1], buffer("f1", dXs[-1].shape))
         for (_, jpos, _), dX in zip(plan, dXs):
             dX[:, jpos] -= xi
         x_jump = X[:, jcols]
         x_left = x_jump - xi
-        for tf, out in zip(tfs, rows[q:].reshape(len(tfs), 1 + len(plan), n)):
+        for tf, out in zip(tfs, rows[q:].reshape(len(tfs), 3, n)):
             _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out)
         return _moments(rows)
 
     (_, means, m2s), batches = simulate_batches(spec, fine, n_paths, seed, batch, batch_map)
-    reports = []
-    for mean, m2 in zip(means[q:].reshape(len(tfs), -1), m2s[q:].reshape(len(tfs), -1)):
-        scale = math.sqrt(mean[0])
-        per_grid = []
-        for mean_r2, m2_r2 in zip(mean[1:], m2[1:]):
-            rms = math.sqrt(mean_r2)
-            se_r2 = math.sqrt(m2_r2 / (n_paths - 1)) / math.sqrt(n_paths)
-            se_rel = se_r2 / (2.0 * rms) / max(scale, 1e-300) if rms > 0 else 0.0
-            per_grid.append(McReport(rms / scale if scale > 0 else rms, se_rel, 0.0, n_paths, seed, len(fine), batches))
-        reports.append(tuple(per_grid))
-    if qv:
-        return tuple(reports), _mc_report(((n_paths, means[0], m2s[0]), batches), qv_reference, seed, fine)
-    return tuple(reports)
+    cases = []
+    for mean, m2 in zip(means[q:].reshape(len(tfs), 3), m2s[q:].reshape(len(tfs), 3)):
+        scale, rms = math.sqrt(mean[0]), [math.sqrt(r2) for r2 in mean[1:]]
+        rels = [r / scale if scale > 0 else r for r in rms]
+        se_r2 = math.sqrt(m2[2] / (n_paths - 1)) / math.sqrt(n_paths)
+        se_rel = se_r2 / (2.0 * rms[1]) / max(scale, 1e-300) if rms[1] > 0 else 0.0
+        # half the log2 ratio of the levels' residuals; not finite, so failing, if a level is NaN, 0 or inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            decay = float(np.dot([0.5, -0.5], np.log2(rels)))
+        # below roundoff scale the identity holds per path, and there is no discretization error left to decay
+        passed = all(r < 1e-12 for r in rels) or required <= decay < math.inf
+        terms = {f"rel_l2_depth{grid_depth - 2}": rels[0], f"rel_l2_depth{grid_depth}": rels[1], "log2_decay": decay}
+        cases.append((passed, required, terms, McReport(rels[1], se_rel, 0.0, n_paths, seed, len(fine), batches)))
+    return tuple(cases), (_mc_report(((n_paths, means[0], m2s[0]), batches), qv_reference, seed, fine) if qv else None)
 
 
 def mc_s_transform(spec: ProcessSpec, h: CameronMartinElement, obs: Observable, n_paths: int, seed: int, batch_map=map) -> McReport:
@@ -473,14 +467,9 @@ class SimpleWickIntegrand:
         return out
 
 
-def _check_integrand_span(spec: ProcessSpec, z: SimpleWickIntegrand) -> None:
-    if z.times[0] != 0.0 or z.times[-1] != spec.horizon:
-        raise ValueError("step integrand must span [0, horizon]")
-
-
 def skorokhod_s_transform(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMartinElement) -> float:
     """Deterministic pairing of the simple Wick-Stieltjes integral (exact sum)."""
-    _check_integrand_span(spec, z)
+    _spanning_grid(spec, z.times)
     return math.fsum(
         math.exp(cm_inner(spec, f, h)) * (_at(h.hbar, *end) - _at(h.hbar, *start)) for f, start, end in z.increments()
     )
@@ -488,7 +477,7 @@ def skorokhod_s_transform(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronM
 
 def skorokhod_sample(spec: ProcessSpec, z: SimpleWickIntegrand, sim: SimulationResult) -> np.ndarray:
     """Per-path values of the simple Wick-Stieltjes integral via closed-form Wick products."""
-    _check_integrand_span(spec, z)
+    _spanning_grid(spec, z.times)
     total = np.zeros(sim.paths.shape[0])
     for f, start, end in z.increments():
         g = _one_sided_paths(spec, sim, *end) - _one_sided_paths(spec, sim, *start)

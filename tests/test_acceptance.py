@@ -216,22 +216,22 @@ def test_criterion_4_heat_identity():
 def test_criterion_5_martingale_mc():
     start = time.perf_counter()
     spec = catalog("jump_bm", jumps=[(0.5, 0.25)])
-    grids = [np.linspace(0.0, 1.0, 2**depth + 1) for depth in (8, 9, 10)]
-    (reports,) = martingale_ito_mc(spec, [make_tf("x2", spec.lam)], grids, 20000, seed=31415)
-    rels = [rep.estimate for rep in reports]
-    ((linear,),) = martingale_ito_mc(
-        spec, [make_tf("x", spec.lam)], [np.linspace(0.0, 1.0, 2**10 + 1)], 20000, seed=31415
-    )
+    # the levels of depth 8 and 10, and their decay against half the expected 1/2 per halving
+    ((passed, required, terms, _),), _ = martingale_ito_mc(spec, [make_tf("x2", spec.lam)], 10, 20000, seed=31415)
+    rels = [terms["rel_l2_depth8"], terms["rel_l2_depth10"]]
+    ((_, _, _, linear),), _ = martingale_ito_mc(spec, [make_tf("x", spec.lam)], 10, 20000, seed=31415)
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(rels, rels[1:]))
-    ok = rels[-1] < 0.05 and decreasing and linear.estimate < 1e-10 and elapsed < 60.0
+    ok = rels[-1] < 0.05 and decreasing and passed and linear.estimate < 1e-10 and elapsed < 60.0
     assert announce(
         "criterion-5 martingale monte carlo",
         ok,
-        f"rel L2 residuals {[f'{r:.4f}' for r in rels]}, linear {linear.estimate:.1e}, {elapsed:.1f}s",
+        f"rel L2 residuals {[f'{r:.4f}' for r in rels]}, log2 decay {terms['log2_decay']:.3f} (required {required:.3f}), "
+        f"linear {linear.estimate:.1e}, {elapsed:.1f}s",
     )
     assert rels[-1] < 0.05
     assert decreasing
+    assert passed
     assert linear.estimate < 1e-10
     assert elapsed < 60.0
 

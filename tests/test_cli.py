@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -515,42 +514,62 @@ class TestRun:
 
     @pytest.mark.parametrize("model", PATHWISE_MODELS, ids=["brownian", "jump_bm", "coupled_jump_bm", "fbm_h03", "fbm_h05", "fbm_h07"])
     def test_pathwise_check_gates_on_the_decay(self, model, tmp_path, capsys, monkeypatch):
-        import gaussito.cli
+        import gaussito.itoverify
+        from gaussito.gaussproc import catalog
 
         mc = {"n_paths": 4000, "grid_depth": 8}
         scen = write_scenario(tmp_path, model=model, test_functions=["x", "x2", "sin"], checks=["martingale_ito"], mc=mc)
-        original = gaussito.cli.martingale_ito_mc
-        handed = []
+        original = gaussito.itoverify._level_residuals
+        cells = set()
 
-        def capture(spec, tfs, grids, *args, **kwargs):
-            handed.append(grids)
-            return original(spec, tfs, grids, *args, **kwargs)
+        def capture(tf, X, xi, x_jump, x_left, plan, *args):
+            cells.add(tuple(len(weights) for _, _, weights in plan))
+            return original(tf, X, xi, x_jump, x_left, plan, *args)
 
-        monkeypatch.setattr(gaussito.cli, "martingale_ito_mc", capture)
+        monkeypatch.setattr(gaussito.itoverify, "_level_residuals", capture)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
-        # the gate reads two levels, grid_depth - 2 and grid_depth, and only those are computed
-        ((coarse, fine),) = handed
-        assert (len(coarse), len(fine)) == (2**6 + 1, 2**8 + 1)
+        # the gate reads two levels, grid_depth - 2 and grid_depth, each joined with the
+        # discontinuity times, and only those are computed
+        times = catalog(model["id"], **model.get("params", {})).record_times()
+        assert cells == {tuple(len(np.union1d(np.linspace(0, 1, 2**d + 1), times)) - 1 for d in (6, 8))}
         cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
         assert [c["case_id"].split(":")[0] for c in cases] == ["mc_ito"] * 3
         for c in cases:
             terms = c["terms"]
             assert sorted(terms) == ["log2_decay", "rel_l2_depth6", "rel_l2_depth8"]
             assert terms["log2_decay"] == np.dot([0.5, -0.5], np.log2([terms["rel_l2_depth6"], terms["rel_l2_depth8"]]))
+            assert c["mc"]["estimate"] == terms["rel_l2_depth8"]
             if not c["case_id"].endswith(":x"):
                 assert terms["log2_decay"] >= c["tolerance"] > 0.0
 
-        def flat(*args, **kwargs):
-            # every level at the finest level's residual: a slope of 0
-            out = original(*args, **kwargs)
-            return tuple(tuple(replace(r, estimate=reports[-1].estimate) for r in reports) for reports in out)
+        def flat(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out):
+            # the coarse level reads the fine level's residual: a slope of 0
+            original(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out)
+            out[1] = out[2]
 
-        monkeypatch.setattr(gaussito.cli, "martingale_ito_mc", flat)
+        monkeypatch.setattr(gaussito.itoverify, "_level_residuals", flat)
         assert main(["run", str(scen), "--out", str(tmp_path / "flat")]) == 1
         flat_cases = {c["case_id"]: c for c in json.loads((tmp_path / "flat" / "report.json").read_text())["cases"]}
         # F = x is exact to roundoff and passes without decay; every other case fails
         assert [cid for cid, c in flat_cases.items() if c["pass"]] == [f"mc_ito:{model['id']}:x"]
         assert all(c["terms"]["log2_decay"] == 0.0 for c in flat_cases.values())
+
+    def test_pathwise_check_at_the_schema_minimum_depth(self, tmp_path, capsys):
+        # at grid_depth 2 the coarse level is [0, T] plus the jump time, one jump-spanning cell each side
+        model = {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2]]}}
+        mc = {"n_paths": 2000, "grid_depth": 2}
+        checks = ["martingale_ito", "path_qv"]
+        scen = write_scenario(tmp_path, model=model, test_functions=["x", "x2", "sin"], checks=checks, mc=mc)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        by_id = {c["case_id"]: c for c in cases}
+        assert sorted(by_id) == ["mc_ito:jump_bm:sin", "mc_ito:jump_bm:x", "mc_ito:jump_bm:x2", "mc_qv:jump_bm"]
+        assert all(c["pass"] for c in cases)
+        for tf in ("x", "x2", "sin"):
+            assert sorted(by_id[f"mc_ito:jump_bm:{tf}"]["terms"]) == ["log2_decay", "rel_l2_depth0", "rel_l2_depth2"]
+        # F = x passes on the roundoff floor; the others decay by at least half of 1/2 per halving
+        for tf in ("x2", "sin"):
+            assert by_id[f"mc_ito:jump_bm:{tf}"]["terms"]["log2_decay"] >= by_id[f"mc_ito:jump_bm:{tf}"]["tolerance"] == 0.25
 
     @pytest.mark.parametrize("hurst", [0.4, 0.7])
     def test_wick_weight_knockout_fails_fbm(self, hurst, tmp_path, capsys, monkeypatch):

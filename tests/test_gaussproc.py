@@ -604,6 +604,12 @@ class TestPathQv:
         with pytest.raises(UnsupportedModelError):
             path_qv_mc(evanescent, np.linspace(0, 1, 17), 100, seed=1)
 
+    def test_grid_must_span_the_horizon(self, brownian, jump_bm):
+        # the reference is the variation over [0, horizon]: on [0.5, 1] a correct model reads half of it
+        for spec, grid in ((brownian, np.linspace(0.5, 1, 257)), (jump_bm, np.linspace(0.6, 1, 257)), (brownian, np.linspace(0, 0.5, 17))):
+            with pytest.raises(ValueError, match="span"):
+                path_qv_mc(spec, grid, 100, seed=1)
+
     @pytest.mark.parametrize("model", ["jump_bm", "fbm_h05", "pairing"])
     def test_memory_bounded_by_batch(self, model, jump_bm):
         grid = np.linspace(0, 1, 2**10 + 1)

@@ -320,66 +320,49 @@ class TestMartingaleItoMc:
 
         spec = catalog(model, **params)
         tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
-        grids = [np.linspace(0.0, 1.0, 2**d + 1) for d in (7, 9)]
-        # 513 or 515 points: 1019 or 1018 rows per batch, five batches
-        serial = martingale_ito_mc(spec, tfs, grids, 5000, seed=13)
+        # levels of depth 7 and 9; 513 or 515 points: 1019 or 1018 rows per batch, five batches
+        serial = martingale_ito_mc(spec, tfs, 9, 5000, seed=13)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = martingale_ito_mc(spec, tfs, grids, 5000, seed=13, batch_map=_ordered_map(pool, 8))
+                threaded = martingale_ito_mc(spec, tfs, 9, 5000, seed=13, batch_map=_ordered_map(pool, 8))
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
-        assert {rep.batches for reps in serial for rep in reps} == {5}
+        assert {report.batches for *_, report in serial[0]} == {5}
 
     def test_square_discretization_error(self, jump_bm):
         tfs = [make_tf("x2", jump_bm.lam)]
-        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 2**8 + 1)], 4000, seed=5)
+        (((passed, _, terms, rep),), qv) = martingale_ito_mc(jump_bm, tfs, 8, 4000, seed=5)
         assert 0.0 < rep.estimate < 0.1
+        assert rep.estimate == terms["rel_l2_depth8"] < terms["rel_l2_depth6"]
+        assert passed and qv is None
 
     def test_linear_telescopes(self, jump_bm):
         tfs = [make_tf("x", jump_bm.lam)]
-        ((rep,),) = martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 2**8 + 1)], 2000, seed=5)
+        (((passed, _, terms, rep),), _) = martingale_ito_mc(jump_bm, tfs, 8, 2000, seed=5)
         assert rep.estimate < 1e-12
+        # no decay below roundoff, and the case passes on the roundoff floor alone
+        assert terms["rel_l2_depth6"] < 1e-12
+        assert passed
 
-    def test_non_nested_grids_raise(self, jump_bm):
+    def test_grid_depth_below_two_raises(self, jump_bm):
+        # the coarse level is grid_depth - 2; at 2 it is [0, T] with the discontinuity times
         tfs = [make_tf("x2", jump_bm.lam)]
-        with pytest.raises(ValueError, match="nested"):
-            martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.linspace(0, 1, 25)], 100, seed=1)
-        with pytest.raises(ValueError, match="span"):
-            martingale_ito_mc(jump_bm, tfs, [np.linspace(0, 1, 17), np.array([0.0, 0.5])], 100, seed=1)
-        # a single cell has no coarser level to read the expected decay from
-        with pytest.raises(ValueError, match="two cells"):
-            martingale_ito_mc(catalog("brownian"), tfs, [np.array([0.0, 1.0])], 100, seed=1)
-        # a 2-D or a decreasing grid is refused like everywhere else, not flattened or sorted
-        for grid in (np.linspace(0, 1, 17).reshape(1, 17), np.linspace(1, 0, 17)):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                martingale_ito_mc(jump_bm, tfs, [grid], 100, seed=1)
-
-    def test_coarser_grids_leave_finest_level_unchanged(self, jump_bm):
-        tfs = [make_tf("sin", jump_bm.lam)]
-        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
-        # 3000 paths on 257 points are two batches
-        ((alone,),) = martingale_ito_mc(jump_bm, tfs, grids[-1:], 3000, seed=9)
-        (reports,) = martingale_ito_mc(jump_bm, tfs, grids, 3000, seed=9)
-        assert reports[-1] == alone
-        assert reports[0].estimate > reports[1].estimate > reports[2].estimate
-        # reports follow the order the grids are given in
-        assert martingale_ito_mc(jump_bm, tfs, grids[::-1], 3000, seed=9)[0] == reports[::-1]
-        # nor does a middle level move the outer two, the only levels the planner hands it
-        assert martingale_ito_mc(jump_bm, tfs, grids[::2], 3000, seed=9)[0] == (reports[0], reports[-1])
+        for depth in (1, 0, -1):
+            with pytest.raises(ValueError, match="at least 2"):
+                martingale_ito_mc(jump_bm, tfs, depth, 100, seed=1)
 
     def test_memory_bounded_by_batch(self, jump_bm):
         one = [make_tf("sin", jump_bm.lam)]
         three = one + [make_tf("x2", jump_bm.lam), make_tf("exp", jump_bm.lam)]
-        grids = [np.linspace(0, 1, 2**d + 1) for d in (9, 10, 11)]
         peaks = {}
         for n_paths in (2000, 8000):
             for tfs in (one, three):
                 tracemalloc.start()
                 try:
-                    martingale_ito_mc(jump_bm, tfs, grids, n_paths, seed=3)
+                    martingale_ito_mc(jump_bm, tfs, 11, n_paths, seed=3)
                     peaks[n_paths, len(tfs)] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -420,11 +403,10 @@ class TestMartingaleItoMc:
         from gaussito.cli import _plan_cases
 
         spec = catalog(model, **params)
-        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
         with pytest.raises(UnsupportedModelError, match=reason):
-            martingale_ito_mc(spec, [make_tf("x2", spec.lam)], grids, 100, seed=1)
+            martingale_ito_mc(spec, [make_tf("x2", spec.lam)], 8, 100, seed=1)
         with pytest.raises(UnsupportedModelError, match=reason):
-            pathwise_decay(spec, grids[-1])
+            pathwise_decay(spec, np.linspace(0, 1, 2**8 + 1))
         scenario = {"name": "t", "model": {"id": model, "params": params}, "checks": ["martingale_ito", "ito_stransform"]}
         plans = _plan_cases({**scenario, "cm_elements": [[[1.0, 0.3]]]}, seed=None)
         assert [r["case_id"].split(":")[0] for thunk in plans for r in thunk()] == ["ito"]
@@ -447,6 +429,20 @@ class TestMartingaleItoMc:
         for depth in (2, 8, 12):
             assert pathwise_decay(spec, np.linspace(0, 1, 2**depth + 1)) == pytest.approx(decay, abs=1e-12)
 
+    def test_decay_refuses_a_grid_not_spanning_the_horizon(self):
+        # on [0.6, 1] the jump at 0.3 would land in the last cell: searchsorted(...) - 1 is -1
+        jump_bm = catalog("jump_bm", jumps=[[0.3, 0.2]])
+        for grid in (np.linspace(0.6, 1, 257), np.linspace(0, 0.5, 257)):
+            with pytest.raises(ValueError, match="span"):
+                pathwise_decay(jump_bm, grid)
+        # a single cell has no coarser level to read the expected decay from
+        with pytest.raises(ValueError, match="two cells"):
+            pathwise_decay(catalog("brownian"), np.array([0.0, 1.0]))
+        # a 2-D or a decreasing grid is refused like everywhere else, not flattened or sorted
+        for grid in (np.linspace(0, 1, 17).reshape(1, 17), np.linspace(1, 0, 17)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                pathwise_decay(jump_bm, grid)
+
     @pytest.mark.parametrize(
         "model, params",
         [("brownian", {}), ("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}), ("coupled_jump_bm", {"c": -0.7, "s0": 0.3})],
@@ -461,25 +457,23 @@ class TestMartingaleItoMc:
 
     def test_requires_paths(self, jump_bm):
         with pytest.raises(ValueError):
-            martingale_ito_mc(jump_bm, [make_tf("x2", jump_bm.lam)], [np.linspace(0, 1, 17)], 0, seed=1)
+            martingale_ito_mc(jump_bm, [make_tf("x2", jump_bm.lam)], 4, 0, seed=1)
 
     def test_requires_admissible_test_functions(self, jump_bm):
         from gaussito.heatkernel import GrowthBound, GrowthBoundError
 
-        grids = [np.linspace(0, 1, 17)]
         with pytest.raises(ValueError, match="test function"):
-            martingale_ito_mc(jump_bm, [], grids, 100, seed=1)
+            martingale_ito_mc(jump_bm, [], 4, 100, seed=1)
         tf = make_tf("exp", jump_bm.lam)
         bad = replace(tf, growth=GrowthBound(scale=tf.growth.scale, rate=1.0))
         with pytest.raises(GrowthBoundError):
-            martingale_ito_mc(jump_bm, [make_tf("x", jump_bm.lam), bad], grids, 100, seed=1)
+            martingale_ito_mc(jump_bm, [make_tf("x", jump_bm.lam), bad], 4, 100, seed=1)
 
     def test_sharing_couples_only_the_draw(self, monkeypatch):
         import gaussito.gaussproc
 
         spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
         tfs = [make_tf(name, spec.lam) for name in ("x", "x2", "sin")]
-        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
         calls = []
         original = gaussito.gaussproc.simulate_paths
 
@@ -490,12 +484,12 @@ class TestMartingaleItoMc:
         # the batch loop lives in gaussproc.simulate_batches
         monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
         # 3000 paths on the 259 points of the finest joined grid are two batches
-        shared = martingale_ito_mc(spec, tfs, grids, 3000, seed=11)
+        shared, _ = martingale_ito_mc(spec, tfs, 8, 3000, seed=11)
         assert len(calls) == 2
-        # each grid is joined with the two discontinuity times
-        assert [[r.grid_points for r in reps] for reps in shared] == [[2**8 + 3] * 3] * len(tfs)
+        # the fine grid is joined with the two discontinuity times
+        assert [report.grid_points for *_, report in shared] == [2**8 + 3] * len(tfs)
         for k, tf in enumerate(tfs):
-            assert shared[k] == martingale_ito_mc(spec, [tf], grids, 3000, seed=11)[0]
+            assert shared[k] == martingale_ito_mc(spec, [tf], 8, 3000, seed=11)[0][0]
 
     def test_quadratic_variation_reads_the_same_draw(self, monkeypatch):
         import gaussito.gaussproc
@@ -503,8 +497,8 @@ class TestMartingaleItoMc:
 
         spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
         tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
-        grids = [np.linspace(0, 1, 2**d + 1) for d in (6, 7, 8)]
-        alone = martingale_ito_mc(spec, tfs, grids, 3000, seed=11)
+        alone, no_qv = martingale_ito_mc(spec, tfs, 8, 3000, seed=11)
+        assert no_qv is None
         calls = []
         original = gaussito.gaussproc.simulate_paths
 
@@ -513,15 +507,15 @@ class TestMartingaleItoMc:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
-        reports, qv = martingale_ito_mc(spec, tfs, grids, 3000, seed=11, qv=True)
-        # one draw of two batches on the 259 points of the finest joined grid
+        cases, qv = martingale_ito_mc(spec, tfs, 8, 3000, seed=11, qv=True)
+        # one draw of two batches on the 259 points of the fine joined grid
         assert len(calls) == 2
-        assert reports == alone
+        assert cases == alone
         assert (qv.grid_points, qv.batches) == (259, 2)
-        assert {(r.grid_points, r.batches, r.seed) for reps in reports for r in reps} == {(259, 2, 11)}
+        assert {(r.grid_points, r.batches, r.seed) for *_, r in cases} == {(259, 2, 11)}
         monkeypatch.undo()
         # bit-identical to the standalone estimator on that grid at that seed
-        assert qv == path_qv_mc(spec, np.union1d(grids[-1], [0.3, 0.7]), 3000, seed=11)
+        assert qv == path_qv_mc(spec, np.union1d(np.linspace(0, 1, 2**8 + 1), [0.3, 0.7]), 3000, seed=11)
 
 
 class TestMcSTransform:
@@ -621,8 +615,10 @@ class TestSimpleSkorokhod:
     def test_span_validation(self, brownian):
         one = cm_element(brownian, [], label="one")
         z = SimpleWickIntegrand(times=(0.0, 0.5), open_coeffs=(one,), node_coeffs=(one, one))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="span"):
             skorokhod_s_transform(brownian, z, one)
+        with pytest.raises(ValueError, match="span"):
+            skorokhod_sample(brownian, z, simulate_paths(brownian, np.array([0.0, 0.5]), 10, seed=1))
 
 
 class TestHermiteP2:
