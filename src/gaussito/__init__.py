@@ -27,15 +27,19 @@ from .gaussproc import (
 from .heatkernel import TestFunction, heat_identity_residual, psi, test_function
 from .itoverify import (
     McReport,
-    Observable,
+    Pairing,
     SimpleWickIntegrand,
     auto_cm_battery,
+    f_pairing,
     hermite_p2_identity_mc,
     ito_rcll_residual,
     ito_stransform_residual,
+    jump_pairing,
     martingale_ito_mc,
     mc_s_transform,
     simple_skorokhod_mc,
+    skorokhod_pairing,
+    wick_pairing,
 )
 from .regulated import Jump, RegulatedFunction
 from .stieltjes import ScalarField, chain_rule, integrate_ls, integrate_ys

@@ -43,16 +43,18 @@ from .gaussproc import (
 )
 from .heatkernel import GrowthBound, GrowthBoundError, TEST_FUNCTION_IDS, test_function
 from .itoverify import (
-    Observable,
     SimpleWickIntegrand,
     auto_cm_battery,
+    f_pairing,
     hermite_p2_identity_mc,
     ito_rcll_residual,
     ito_stransform_residual,
+    jump_pairing,
     martingale_ito_mc,
     mc_s_transform,
     pathwise_decay,
     simple_skorokhod_mc,
+    wick_pairing,
 )
 
 ENV_OUT_DIR = "GAUSSITO_OUT"
@@ -321,11 +323,13 @@ def _plan_cases(scenario, seed, batch_map=map):
 
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
     grid = np.linspace(0.0, spec.horizon, 2**depth + 1)
-    try:
-        # a model the check cannot decay on is skipped, as ito_rcll is
-        mc_ito = "martingale_ito" in checks and pathwise_decay(spec, grid) > 0.0
-    except UnsupportedModelError:
-        mc_ito = False
+    mc_ito = "martingale_ito" in checks
+    if mc_ito:
+        try:
+            pathwise_decay(spec, grid)
+        except UnsupportedModelError:
+            # a model the check cannot decay on is skipped, as ito_rcll is
+            mc_ito = False
     if mc_ito:
         # one coupled draw serves every test function, and the quadratic-variation check
         def thunk():
@@ -348,18 +352,17 @@ def _plan_cases(scenario, seed, batch_map=map):
     # z-gated pairing checks: (case id, zero-argument estimator returning an McReport)
     pairings = []
     if "s_transform_mc" in checks:
-        obs_list = []
-        g_mild = scaled_to(battery[0], 0.5)
-        x_t = Observable(kind="f", t=0.6 * spec.horizon, label="X_t", test_function=test_function("x", spec.lam))
+        g_mild, x = scaled_to(battery[0], 0.5), test_function("x", spec.lam)
+        labelled = []
         for h in battery[:3]:
-            obs_list.append((h, x_t))
-            obs_list.append((scaled_to(h, 1.0), Observable(kind="wick_exp", g=g_mild, label="wick_exp")))
-        obs_list.append((battery[0], Observable(kind="f", t=0.7 * spec.horizon, label="f", test_function=tfs[0])))
+            h1 = scaled_to(h, 1.0)
+            labelled += [("X_t", h, f_pairing(spec, h, x, 0.6 * spec.horizon)), ("wick_exp", h1, wick_pairing(spec, h1, g_mild))]
+        labelled.append(("f", battery[0], f_pairing(spec, battery[0], tfs[0], 0.7 * spec.horizon)))
         if spec.records and float(spec.records[0].e_dminus_sq) > 0:
-            obs_list.append((battery[0], Observable(kind="jump_pairing", jump_index=0, coeff=0.8, label="jump_pairing")))
-        for k, (h, obs) in enumerate(obs_list):
-            cid = f"mc_st:{spec.name}:{k}:{obs.label}:{h.label}"
-            pairings.append((cid, partial(mc_s_transform, spec, h, obs, n_paths, base_seed + 2000 + k)))
+            labelled.append(("jump_pairing", battery[0], jump_pairing(spec, battery[0], 0, 0.8)))
+        for k, (label, h, pairing) in enumerate(labelled):
+            cid = f"mc_st:{spec.name}:{k}:{label}:{h.label}"
+            pairings.append((cid, partial(mc_s_transform, spec, pairing, n_paths, base_seed + 2000 + k)))
 
     if "hermite_p2" in checks:
         pairs = [(battery[0], battery[0])]

@@ -23,18 +23,20 @@ here sits inside the reduction's jump term, its left-limit/jump correlation.
 Monte Carlo side: the identity path by path as Wick-Riemann sums, sample
 pairings against Wick exponentials with exact first-chaos norms, simple
 Wick-Stieltjes integrals with closed-form Wick products, and the degree-two
-Hermite inner product identity E[P2(g) P2(h)] = 2 E[gh]^2.  Each pairing
-check hands a support grid, a per-path sample and its closed form to
-``gaussproc.mc_estimate``.  The pathwise check draws its two levels, the
-dyadic grids of ``grid_depth - 2`` and ``grid_depth``, itself, and returns per
-test function its decay and its verdict against half of ``pathwise_decay``,
-with the pathwise quadratic-variation report of the same draw or None.
+Hermite inner product identity E[P2(g) P2(h)] = 2 E[gh]^2.  A pairing is a
+``Pairing`` value (closed form, draw times, per-path sample) from one
+constructor per functional, and ``mc_s_transform`` estimates every one.  The
+pathwise check draws its two levels, the dyadic grids of ``grid_depth - 2``
+and ``grid_depth``, itself, and returns per test function its decay and its
+verdict against half of ``pathwise_decay``, with the pathwise
+quadratic-variation report of the same draw or None.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,42 +63,69 @@ from .stieltjes import ChainRuleTerms, ScalarField, _atom_sum, chain_rule
 __all__ = [
     "ItoResidual",
     "McReport",
-    "Observable",
+    "Pairing",
     "SimpleWickIntegrand",
     "auto_cm_battery",
+    "f_pairing",
     "hermite_p2_identity_mc",
     "ito_rcll_residual",
     "ito_stransform_residual",
+    "jump_pairing",
     "martingale_ito_mc",
     "mc_s_transform",
     "pathwise_decay",
     "simple_skorokhod_mc",
-    "skorokhod_s_transform",
-    "skorokhod_sample",
+    "skorokhod_pairing",
     "wick_exponential_paths",
+    "wick_pairing",
 ]
 
 
-# -- S-transform closed forms ---------------------------------------------------
+# -- S-transform pairings ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Closed-form-pairable functionals of the process.
+class Pairing(NamedTuple):
+    """E[exp-wick(h) * Y]: its closed form, the times of its draw, and the per-path sample whose mean estimates it."""
 
-    kinds: "f" (F at X_t, for F the ``test_function``; F = x gives X_t),
-    "f_left"/"f_right" (F at the weak one-sided limits), "wick_exp"
-    (exp-wick of g), "jump_pairing" ((e^{c J - c^2 var/2} - 1) J for the
-    left-jump variable J at a record, paired with its own exponential).
-    """
+    reference: float
+    times: np.ndarray
+    sample: Callable[[SimulationResult], np.ndarray]
 
-    kind: str
-    t: float = 0.0
-    g: CameronMartinElement | None = None
-    jump_index: int = 0
-    coeff: float = 1.0
-    label: str = ""
-    test_function: TestFunction | None = None
+
+def _weighted(spec: ProcessSpec, h: CameronMartinElement, reference: float, support, observable) -> Pairing:
+    """The pairing of ``observable`` against exp-wick(h), on a draw at h's times, the discontinuity times and ``support``."""
+    times = set(h.times) | set(spec.record_times()) | set(support)
+    grid = np.array(sorted(times)) if times else np.array([spec.horizon])
+    return Pairing(reference, grid, lambda sim: wick_exponential_paths(sim, h) * observable(sim))
+
+
+def f_pairing(spec: ProcessSpec, h: CameronMartinElement, tf: TestFunction, t: float, side: int = 0) -> Pairing:
+    """F at X_t, or at the weak limit X_{t-} or X_{t+} for side -1 or +1 (F = x gives X_t)."""
+    tf.check_growth(spec.lam)
+    # at a discontinuity the left limit is the weak one, which may lose variance against V(t-)
+    lost = sum(r.lost_minus for r in spec.records if side < 0 and r.time == t)
+    reference = psi(tf, _at(spec.variance, t, side) - lost, _at(h.hbar, t, side))
+    return _weighted(spec, h, reference, (t,), lambda sim: tf.f(_one_sided_paths(spec, sim, t, side)))
+
+
+def wick_pairing(spec: ProcessSpec, h: CameronMartinElement, g: CameronMartinElement) -> Pairing:
+    """exp-wick(g), whose pairing is e^{E[gh]}."""
+    return _weighted(spec, h, math.exp(cm_inner(spec, g, h)), tuple(g.times), lambda sim: wick_exponential_paths(sim, g))
+
+
+def jump_pairing(spec: ProcessSpec, h: CameronMartinElement, k: int, coeff: float) -> Pairing:
+    """(e^{c J - c^2 var/2} - 1) J for the left-jump variable J of record ``k``, paired with its own exponential: neither
+    the closed form c E[J^2] nor the sample is weighted by exp-wick(h), but h's times stay in the draw and its random stream."""
+    c, var = coeff, spec.records[k].e_dminus_sq
+
+    def sample(sim):
+        j = sim.jump_draws[:, k]
+        return (np.exp(c * j - 0.5 * c**2 * var) - 1.0) * j
+
+    return _weighted(spec, h, c * var, (), sample)._replace(sample=sample)
+
+
+# -- deterministic residuals ----------------------------------------------------
 
 
 def _admitted(spec: ProcessSpec, test_functions) -> tuple[TestFunction, ...]:
@@ -107,42 +136,6 @@ def _admitted(spec: ProcessSpec, test_functions) -> tuple[TestFunction, ...]:
     for tf in tfs:
         tf.check_growth(spec.lam)
     return tfs
-
-
-def _pairing(spec: ProcessSpec, h: CameronMartinElement, obs: Observable):
-    """(closed form, support times, per-path sample) of E[exp-wick(h) * observable].
-
-    The sample maps a simulation whose grid holds the support times and
-    h's times to one value per path; its mean estimates the closed form.
-    """
-    t = obs.t
-
-    def weighted(observable):
-        return lambda sim: wick_exponential_paths(sim, h) * observable(sim)
-
-    if obs.kind in ("f", "f_left", "f_right"):
-        tf = obs.test_function
-        tf.check_growth(spec.lam)
-        side = {"f_left": -1, "f_right": 1}.get(obs.kind, 0)
-        # at a discontinuity the left limit is the weak one, which may lose variance against V(t-)
-        lost = sum(r.lost_minus for r in spec.records if side < 0 and r.time == t)
-        closed = psi(tf, _at(spec.variance, t, side) - lost, _at(h.hbar, t, side))
-        return closed, (t,), weighted(lambda sim: tf.f(_one_sided_paths(spec, sim, t, side)))
-    if obs.kind == "wick_exp":
-        closed = math.exp(cm_inner(spec, obs.g, h))
-        return closed, tuple(obs.g.times), weighted(lambda sim: wick_exponential_paths(sim, obs.g))
-    if obs.kind == "jump_pairing":
-        c, var = obs.coeff, spec.records[obs.jump_index].e_dminus_sq
-
-        def sample(sim):
-            j = sim.jump_draws[:, obs.jump_index]
-            return (np.exp(c * j - 0.5 * c**2 * var) - 1.0) * j
-
-        return c * var, (), sample
-    raise ValueError(f"unknown observable kind {obs.kind!r}")
-
-
-# -- deterministic residuals ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -420,12 +413,9 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     return tuple(cases), (_mc_report(((n_paths, means[0], m2s[0]), batches), qv_reference, seed, fine) if qv else None)
 
 
-def mc_s_transform(spec: ProcessSpec, h: CameronMartinElement, obs: Observable, n_paths: int, seed: int, batch_map=map) -> McReport:
-    """Monte Carlo pairing E[exp-wick(h) * observable] against the closed form."""
-    reference, support, sample = _pairing(spec, h, obs)
-    times = set(h.times) | set(spec.record_times()) | set(support)
-    grid = np.array(sorted(times)) if times else np.array([spec.horizon])
-    return mc_estimate(spec, grid, sample, reference, n_paths, seed, batch_map)
+def mc_s_transform(spec: ProcessSpec, pairing: Pairing, n_paths: int, seed: int, batch_map=map) -> McReport:
+    """Monte Carlo estimate of a pairing against its closed form."""
+    return mc_estimate(spec, pairing.times, pairing.sample, pairing.reference, n_paths, seed, batch_map)
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------
@@ -467,39 +457,30 @@ class SimpleWickIntegrand:
         return out
 
 
-def skorokhod_s_transform(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMartinElement) -> float:
-    """Deterministic pairing of the simple Wick-Stieltjes integral (exact sum)."""
+def skorokhod_pairing(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMartinElement) -> Pairing:
+    """The simple Wick-Stieltjes integral of ``z``, whose times must span [0, horizon]: per increment g with
+    coefficient f, e^{E[fh]} times g's transform in the exact sum, the Wick product exp-wick(f) * (g - E[g f]) per path."""
     _spanning_grid(spec, z.times)
-    return math.fsum(
-        math.exp(cm_inner(spec, f, h)) * (_at(h.hbar, *end) - _at(h.hbar, *start)) for f, start, end in z.increments()
-    )
+    steps = [(f, start, end, _at(f.hbar, *end) - _at(f.hbar, *start)) for f, start, end in z.increments()]
+    reference = math.fsum(math.exp(cm_inner(spec, f, h)) * (_at(h.hbar, *end) - _at(h.hbar, *start)) for f, start, end, _ in steps)
 
+    def integral(sim):
+        total = np.zeros(sim.paths.shape[0])
+        for f, start, end, mean in steps:
+            g = _one_sided_paths(spec, sim, *end) - _one_sided_paths(spec, sim, *start)
+            total += wick_exponential_paths(sim, f) * (g - mean)
+        return total
 
-def skorokhod_sample(spec: ProcessSpec, z: SimpleWickIntegrand, sim: SimulationResult) -> np.ndarray:
-    """Per-path values of the simple Wick-Stieltjes integral via closed-form Wick products."""
-    _spanning_grid(spec, z.times)
-    total = np.zeros(sim.paths.shape[0])
-    for f, start, end in z.increments():
-        g = _one_sided_paths(spec, sim, *end) - _one_sided_paths(spec, sim, *start)
-        total += wick_exponential_paths(sim, f) * (g - (_at(f.hbar, *end) - _at(f.hbar, *start)))
-    return total
+    return _weighted(spec, h, reference, {*z.times, *(t for f, *_ in steps for t in f.times)}, integral)
 
 
 def simple_skorokhod_mc(spec: ProcessSpec, z: SimpleWickIntegrand, h: CameronMartinElement, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Monte Carlo pairing of the sampled integral against its exact transform."""
-    times = set(z.times) | set(h.times) | set(spec.record_times())
-    for c in z.open_coeffs + z.node_coeffs:
-        times.update(c.times)
-
-    def sample(sim):
-        return wick_exponential_paths(sim, h) * skorokhod_sample(spec, z, sim)
-
-    reference = skorokhod_s_transform(spec, z, h)
-    return mc_estimate(spec, np.array(sorted(times)), sample, reference, n_paths, seed, batch_map)
+    return mc_s_transform(spec, skorokhod_pairing(spec, z, h), n_paths, seed, batch_map)
 
 
 def hermite_p2_identity_mc(spec: ProcessSpec, g: CameronMartinElement, h: CameronMartinElement, n_paths: int, seed: int, batch_map=map) -> McReport:
-    """Degree-two Hermite pairing E[(g^2 - E g^2)(h^2 - E h^2)] vs 2 E[gh]^2."""
+    """Degree-two Hermite pairing E[(g^2 - E g^2)(h^2 - E h^2)] vs 2 E[gh]^2, on a draw at g's and h's times only."""
     times = sorted(set(g.times) | set(h.times))
     if not times:
         raise ValueError("need at least one support time")
@@ -507,7 +488,7 @@ def hermite_p2_identity_mc(spec: ProcessSpec, g: CameronMartinElement, h: Camero
     def sample(sim):
         return (_first_chaos(sim, g) ** 2 - g.norm_sq) * (_first_chaos(sim, h) ** 2 - h.norm_sq)
 
-    return mc_estimate(spec, np.array(times), sample, 2.0 * cm_inner(spec, g, h) ** 2, n_paths, seed, batch_map)
+    return mc_s_transform(spec, Pairing(2.0 * cm_inner(spec, g, h) ** 2, np.array(times), sample), n_paths, seed, batch_map)
 
 
 # -- standard pairing battery -------------------------------------------------------

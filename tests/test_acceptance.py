@@ -17,13 +17,15 @@ from gaussito.gaussproc import catalog, cm_element, path_qv_mc, planar_qv_sum
 from gaussito.heatkernel import heat_identity_residual
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
-    Observable,
     auto_cm_battery,
+    f_pairing,
     hermite_p2_identity_mc,
     ito_rcll_residual,
     ito_stransform_residual,
+    jump_pairing,
     martingale_ito_mc,
     mc_s_transform,
+    wick_pairing,
 )
 from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import ScalarField, chain_rule
@@ -248,17 +250,17 @@ def test_criterion_6_s_transform_mc():
         seed = 600 + i
         mode = i % 5
         if mode == 0:
-            rep = mc_s_transform(spec, h, Observable(kind="f", t=0.6 * spec.horizon, test_function=x), n_paths, seed)
+            rep = mc_s_transform(spec, f_pairing(spec, h, x, 0.6 * spec.horizon), n_paths, seed)
         elif mode == 1:
-            rep = mc_s_transform(spec, h, Observable(kind="wick_exp", g=battery[0]), n_paths, seed)
+            rep = mc_s_transform(spec, wick_pairing(spec, h, battery[0]), n_paths, seed)
         elif mode == 2:
-            rep = mc_s_transform(spec, h, Observable(kind="f", t=0.7 * spec.horizon, test_function=tf), n_paths, seed)
+            rep = mc_s_transform(spec, f_pairing(spec, h, tf, 0.7 * spec.horizon), n_paths, seed)
         elif mode == 3:
             rep = hermite_p2_identity_mc(spec, battery[0], h, n_paths, seed)
         elif spec.records:
-            rep = mc_s_transform(spec, h, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), n_paths, seed)
+            rep = mc_s_transform(spec, jump_pairing(spec, h, 0, 0.8), n_paths, seed)
         else:
-            rep = mc_s_transform(spec, h, Observable(kind="f", t=0.35, test_function=x), n_paths, seed)
+            rep = mc_s_transform(spec, f_pairing(spec, h, x, 0.35), n_paths, seed)
         zs.append(rep.z_score)
     zs = np.asarray(zs)
     max_z = float(np.max(np.abs(zs)))

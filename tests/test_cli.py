@@ -290,6 +290,31 @@ class TestRun:
         kinds = {cid.split(":")[0] for cid in ids}
         assert {"ito", "rcll", "mc_ito", "mc_st", "mc_p2", "mc_qv", "mc_sk"} <= kinds
 
+    def test_bundled_full_scenario_pairing_plan(self, tmp_path, capsys):
+        # each pairing case's id, seed and draw: the draw holds h's times, the
+        # discontinuity time 0.5 and the pairing's support; the Hermite draw
+        # holds only g's and h's times
+        assert main(["run", "full_jump_bm", "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        plan = {
+            c["case_id"]: (c["mc"]["seed"], c["diagnostics"]["grid_points"])
+            for c in report["cases"]
+            if c["case_id"].split(":")[0] in ("mc_st", "mc_p2", "mc_sk")
+        }
+        assert plan == {
+            "mc_st:jump_bm:0:X_t:h0": (20252809, 3),
+            "mc_st:jump_bm:1:wick_exp:h0s": (20252810, 2),
+            "mc_st:jump_bm:2:X_t:h1": (20252811, 3),
+            "mc_st:jump_bm:3:wick_exp:h1": (20252812, 3),
+            "mc_st:jump_bm:4:X_t:h2": (20252813, 5),
+            "mc_st:jump_bm:5:wick_exp:h2": (20252814, 4),
+            "mc_st:jump_bm:6:f:h0": (20252815, 3),
+            "mc_st:jump_bm:7:jump_pairing:h0": (20252816, 2),
+            "mc_p2:jump_bm:0:h0:h0": (20253809, 1),
+            "mc_p2:jump_bm:1:h0:h1": (20253810, 2),
+            "mc_sk:jump_bm": (20255809, 3),
+        }
+
     def test_rcll_check_runs_the_engine_once(self, tmp_path, capsys, monkeypatch):
         calls = count_engine_runs(monkeypatch)
         scen = write_scenario(

@@ -20,21 +20,21 @@ from gaussito.gaussproc import (
 from gaussito.gaussproc import _merge_moments, _moments
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
-    Observable,
     SimpleWickIntegrand,
     _cell_weights,
-    _pairing,
     auto_cm_battery,
+    f_pairing,
     hermite_p2_identity_mc,
     ito_rcll_residual,
     ito_stransform_residual,
+    jump_pairing,
     martingale_ito_mc,
     mc_s_transform,
     pathwise_decay,
     simple_skorokhod_mc,
-    skorokhod_s_transform,
-    skorokhod_sample,
+    skorokhod_pairing,
     wick_exponential_paths,
+    wick_pairing,
 )
 from gaussito.regulated import Jump, RegulatedFunction
 from gaussito.stieltjes import ChainRuleTerms
@@ -45,44 +45,39 @@ def make_case(spec, fname, coeffs):
     return spec, cm_element(spec, coeffs), [make_tf(fname, spec.lam)]
 
 
-def f_obs(spec, kind, t, fname="x2"):
-    return Observable(kind=kind, t=t, test_function=make_tf(fname, spec.lam))
+def f_at(spec, h, t, fname="x2", side=0):
+    """The pairing of F = ``fname`` at X_t, or at X_{t-} or X_{t+} for side -1 or +1, against h."""
+    return f_pairing(spec, h, make_tf(fname, spec.lam), t, side)
 
 
 class TestSTransform:
     def test_process_value(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        assert _pairing(brownian, h, f_obs(brownian, "f", 0.5, "x"))[0] == pytest.approx(0.5)
+        assert f_at(brownian, h, 0.5, "x").reference == pytest.approx(0.5)
 
     def test_wick_exponential_self_pairing(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        obs = Observable(kind="wick_exp", g=h)
-        assert _pairing(brownian, h, obs)[0] == pytest.approx(math.e)
+        assert wick_pairing(brownian, h, h).reference == pytest.approx(math.e)
 
     def test_smoothed_square(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        assert _pairing(brownian, h, f_obs(brownian, "f", 1.0))[0] == pytest.approx(2.0)
-        # the derivative kinds had no caller, and X_t is F = x at t: those kinds are gone
-        for kind in ("f1", "f2", "process"):
-            with pytest.raises(ValueError, match="unknown observable kind"):
-                _pairing(brownian, h, f_obs(brownian, kind, 1.0))
+        assert f_at(brownian, h, 1.0).reference == pytest.approx(2.0)
 
     def test_scaling_in_h(self, jump_bm):
         base = cm_element(jump_bm, [(1.0, 1.0)])
         scaled = cm_element(jump_bm, [(2.5, 1.0)])
         for t in (0.3, 0.5, 0.9):
-            obs = f_obs(jump_bm, "f", t, "x")
-            assert _pairing(jump_bm, scaled, obs)[0] == pytest.approx(2.5 * _pairing(jump_bm, base, obs)[0], abs=1e-14)
+            assert f_at(jump_bm, scaled, t, "x").reference == pytest.approx(2.5 * f_at(jump_bm, base, t, "x").reference, abs=1e-14)
 
     def test_one_sided_forms(self, jump_bm, evanescent):
         h = cm_element(jump_bm, [(1.0, 1.0)])
         # psi(V(0.5-), hbar(0.5-)) = 0.5^2 + 0.5 and psi(V(0.5), hbar(0.5)) right limit
-        assert _pairing(jump_bm, h, f_obs(jump_bm, "f_left", 0.5))[0] == pytest.approx(0.75)
-        assert _pairing(jump_bm, h, f_obs(jump_bm, "f_right", 0.5))[0] == pytest.approx(0.75**2 + 0.75)
+        assert f_at(jump_bm, h, 0.5, side=-1).reference == pytest.approx(0.75)
+        assert f_at(jump_bm, h, 0.5, side=1).reference == pytest.approx(0.75**2 + 0.75)
         # evanescent's weak limits at s0 are 0 (lost_minus = V(s0-) = 1, V(s0+) = 0)
         h = cm_element(evanescent, [(1.0, 0.3)])
-        assert _pairing(evanescent, h, f_obs(evanescent, "f_left", 0.5))[0] == 0.0
-        assert _pairing(evanescent, h, f_obs(evanescent, "f_right", 0.5))[0] == 0.0
+        assert f_at(evanescent, h, 0.5, side=-1).reference == 0.0
+        assert f_at(evanescent, h, 0.5, side=1).reference == 0.0
 
     def test_growth_guard_at_case_build(self, brownian):
         from gaussito.heatkernel import GrowthBound, GrowthBoundError
@@ -93,9 +88,9 @@ class TestSTransform:
         # each engine that reads F refuses one beyond the model's growth bound
         with pytest.raises(GrowthBoundError):
             ito_stransform_residual(brownian, h, [make_tf("x2", brownian.lam), bad])
-        for kind in ("f", "f_left", "f_right"):
+        for side in (0, -1, 1):
             with pytest.raises(GrowthBoundError):
-                mc_s_transform(brownian, h, Observable(kind=kind, t=0.5, test_function=bad), 100, seed=0)
+                f_pairing(brownian, h, bad, 0.5, side)
 
 
 class TestStackedEngine:
@@ -304,6 +299,13 @@ class TestForwardJump:
         case = make_case(spec, "sin", [(0.6, 0.4), (0.4, 0.9)])
         res = ito_stransform_residual(*case)[0]
         assert abs(res.residual) < 1e-8
+
+    def test_right_limit_pairing_is_not_simulated(self):
+        # the closed form of F at X_{s0+} exists, but the sampler draws no forward jump variable
+        spec = forward_jump_spec()
+        pairing = f_at(spec, cm_element(spec, [(1.0, 1.0)]), 0.4, side=1)
+        with pytest.raises(UnsupportedModelError, match="forward jump variables are not simulated"):
+            mc_s_transform(spec, pairing, 100, seed=0)
 
 
 class TestMartingaleItoMc:
@@ -521,25 +523,25 @@ class TestMartingaleItoMc:
 class TestMcSTransform:
     def test_process_pairing(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        rep = mc_s_transform(brownian, h, f_obs(brownian, "f", 0.5, "x"), 50000, seed=42)
+        rep = mc_s_transform(brownian, f_at(brownian, h, 0.5, "x"), 50000, seed=42)
         assert rep.reference == pytest.approx(0.5)
         assert abs(rep.z_score) < 4
 
     def test_wick_pairing(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        rep = mc_s_transform(brownian, h, Observable(kind="wick_exp", g=h), 50000, seed=43)
+        rep = mc_s_transform(brownian, wick_pairing(brownian, h, h), 50000, seed=43)
         assert rep.reference == pytest.approx(math.e)
         assert abs(rep.z_score) < 4
 
     def test_jump_pairing_reference(self, jump_bm):
         h = cm_element(jump_bm, [(1.0, 1.0)])
-        rep = mc_s_transform(jump_bm, h, Observable(kind="jump_pairing", jump_index=0, coeff=0.8), 50000, seed=44)
+        rep = mc_s_transform(jump_bm, jump_pairing(jump_bm, h, 0, 0.8), 50000, seed=44)
         assert rep.reference == pytest.approx(0.8 * 0.25)
         assert abs(rep.z_score) < 4
 
     def test_left_limit_observable(self, jump_bm):
         h = cm_element(jump_bm, [(1.0, 1.0)])
-        rep = mc_s_transform(jump_bm, h, f_obs(jump_bm, "f_left", 0.5), 50000, seed=45)
+        rep = mc_s_transform(jump_bm, f_at(jump_bm, h, 0.5, side=-1), 50000, seed=45)
         assert rep.reference == pytest.approx(0.75)
         assert abs(rep.z_score) < 4
 
@@ -547,7 +549,7 @@ class TestMcSTransform:
     def test_weak_left_limit_observable(self, evanescent, tf, reference):
         # X_{s0-} is the weak limit 0, so the pairing is F(hbar(s0-)) = F(0)
         h = cm_element(evanescent, [(1.0, 0.3)])
-        rep = mc_s_transform(evanescent, h, f_obs(evanescent, "f_left", 0.5, tf), 20000, seed=46)
+        rep = mc_s_transform(evanescent, f_at(evanescent, h, 0.5, tf, side=-1), 20000, seed=46)
         assert rep.reference == pytest.approx(reference, abs=1e-15)
         assert rep.within(4)
 
@@ -574,9 +576,10 @@ class TestSimpleSkorokhod:
         z = SimpleWickIntegrand(times=(0.0, 1.0), open_coeffs=(one,), node_coeffs=(one, one))
         h = cm_element(jump_bm, [(1.0, 1.0)])
         # S-transform of X_T - X_0 is hbar(T) - hbar(0) = 1.25
-        assert skorokhod_s_transform(jump_bm, z, h) == pytest.approx(1.25, abs=1e-14)
+        assert skorokhod_pairing(jump_bm, z, h).reference == pytest.approx(1.25, abs=1e-14)
         sim = simulate_paths(jump_bm, np.array([0.0, 0.5, 1.0]), 300, seed=8)
-        vals = skorokhod_sample(jump_bm, z, sim)
+        # paired against exp<>(0) = 1, the sample is the bare integral
+        vals = skorokhod_pairing(jump_bm, z, one).sample(sim)
         assert np.allclose(vals, sim.paths[:, -1] - sim.paths[:, 0], atol=1e-12)
 
     def test_wick_coefficient_golden(self, brownian):
@@ -586,9 +589,9 @@ class TestSimpleSkorokhod:
         f = cm_element(brownian, [(1.0, 1.0)])
         z = SimpleWickIntegrand(times=(0.0, 1.0), open_coeffs=(f,), node_coeffs=(one, one))
         h2 = cm_element(brownian, [(2.0, 1.0)])
-        assert skorokhod_s_transform(brownian, z, h2) == pytest.approx(2.0 * math.exp(2.0), rel=1e-14)
+        assert skorokhod_pairing(brownian, z, h2).reference == pytest.approx(2.0 * math.exp(2.0), rel=1e-14)
         sim = simulate_paths(brownian, np.array([0.0, 1.0]), 400, seed=9)
-        vals = skorokhod_sample(brownian, z, sim)
+        vals = skorokhod_pairing(brownian, z, one).sample(sim)
         x1 = sim.paths[:, 1]
         assert np.allclose(vals, np.exp(x1 - 0.5) * (x1 - 1.0), atol=1e-12)
 
@@ -615,10 +618,9 @@ class TestSimpleSkorokhod:
     def test_span_validation(self, brownian):
         one = cm_element(brownian, [], label="one")
         z = SimpleWickIntegrand(times=(0.0, 0.5), open_coeffs=(one,), node_coeffs=(one, one))
+        # refused when the pairing is built, before any draw
         with pytest.raises(ValueError, match="span"):
-            skorokhod_s_transform(brownian, z, one)
-        with pytest.raises(ValueError, match="span"):
-            skorokhod_sample(brownian, z, simulate_paths(brownian, np.array([0.0, 0.5]), 10, seed=1))
+            skorokhod_pairing(brownian, z, one)
 
 
 class TestHermiteP2:
@@ -642,13 +644,19 @@ class TestHermiteP2:
         assert rep.reference == pytest.approx(0.5)
         assert abs(rep.z_score) < 4
 
+    def test_needs_a_support_time(self, jump_bm):
+        # the Hermite draw holds only g's and h's times, not the discontinuity times
+        empty = cm_element(jump_bm, [])
+        with pytest.raises(ValueError, match="need at least one support time"):
+            hermite_p2_identity_mc(jump_bm, empty, empty, 100, seed=0)
+
 
 class TestDegenerateObservables:
     def test_faded_coordinate_is_exactly_zero(self, evanescent):
         # X_t for t past the fading time is almost surely 0: the factorization
         # jitter must not leak into it and inflate the z-score
         h = cm_element(evanescent, [(1.0, 0.3)])
-        rep = mc_s_transform(evanescent, h, f_obs(evanescent, "f", 0.7), 2000, seed=3)
+        rep = mc_s_transform(evanescent, f_at(evanescent, h, 0.7), 2000, seed=3)
         assert rep.reference == 0.0
         assert rep.estimate == 0.0
         assert rep.z_score == 0.0
@@ -681,7 +689,16 @@ def test_public_names_resolve():
             "UnsupportedIntegratorError",
         ),
         "gaussproc": ("planar_variation_sum",),
-        "itoverify": ("s_transform", "_DROPPED_TERM", "_RCLL_MUTATIONS", "_check_mutations"),
+        "itoverify": (
+            "s_transform",
+            "_DROPPED_TERM",
+            "_RCLL_MUTATIONS",
+            "_check_mutations",
+            "Observable",
+            "_pairing",
+            "skorokhod_s_transform",
+            "skorokhod_sample",
+        ),
     }
     for layer, names in removed.items():
         module = importlib.import_module(f"gaussito.{layer}")
@@ -713,7 +730,7 @@ def test_public_names_resolve():
 class TestMcReportInvariants:
     def test_standard_error_and_z(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
-        rep = mc_s_transform(brownian, h, f_obs(brownian, "f", 0.5, "x"), 1000, seed=99)
+        rep = mc_s_transform(brownian, f_at(brownian, h, 0.5, "x"), 1000, seed=99)
         assert rep.standard_error > 0.0
         assert rep.z_score == pytest.approx((rep.estimate - rep.reference) / rep.standard_error)
         assert rep.n_paths == 1000 and rep.seed == 99
@@ -735,7 +752,7 @@ class TestMcReportInvariants:
     def test_too_few_paths(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
         with pytest.raises(ValueError):
-            mc_s_transform(brownian, h, f_obs(brownian, "f", 0.5, "x"), 1, seed=99)
+            mc_s_transform(brownian, f_at(brownian, h, 0.5, "x"), 1, seed=99)
 
 
 class TestBattery:
