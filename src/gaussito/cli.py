@@ -268,7 +268,8 @@ def effective_seed(scenario: dict, seed=None) -> int:
 
 
 def _plan_cases(scenario, seed, batch_map=map):
-    """Zero-argument thunks; each returns the report-case dicts of the work it runs, batches through ``batch_map``."""
+    """Plan every check of the scenario, raising each ``ConfigError`` before any check runs, and return an
+    iterator that runs the plan items in turn and yields each item's report-case dicts; batches run through ``batch_map``."""
     model = scenario["model"]
     try:
         spec = catalog(model["id"], **model.get("params", {}))
@@ -290,36 +291,7 @@ def _plan_cases(scenario, seed, batch_map=map):
     except (GrowthBoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    plans = []
-
-    # one chain-rule run per pairing element serves every test function and
-    # both deterministic checks
     kinds = (["ito"] if "ito_stransform" in checks else []) + (["rcll"] if "ito_rcll" in checks and spec.rcll else [])
-
-    def deterministic(h):
-        records = []
-        generals = ito_stransform_residual(spec, h, tfs, ys_tol=tol["ys_tol"])
-        for tf, general in zip(tfs, generals):
-            # a test function's kind names its tolerance
-            tol_f, cid = tol[tf.kind], f"{spec.name}:{tf.name}:{h.label}"
-            if "ito" in kinds:
-                terms = general.terms()
-                residual = terms["lhs"] - math.fsum(v for k, v in terms.items() if k != "lhs" and k not in dropped)
-                ok = general.converged and abs(residual) < tol_f
-                records.append(_case_record(f"ito:{cid}", ok, tol_f, terms, general, residual))
-            if "rcll" in kinds:
-                res = ito_rcll_residual(general, drop_xleft_correction="xleft_correction" in dropped)
-                delta = abs(res.residual - general.residual)
-                ok = res.converged and abs(res.residual) < tol_f and delta < tol["rcll_agreement"]
-                terms = {**res.terms(), "agreement_delta": delta}
-                records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res, res.residual))
-        return records
-
-    if kinds:
-        plans += [partial(deterministic, h) for h in battery]
-
-    def z_gated(cid, report):
-        return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
 
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
     grid = np.linspace(0.0, spec.horizon, 2**depth + 1)
@@ -330,16 +302,6 @@ def _plan_cases(scenario, seed, batch_map=map):
         except UnsupportedModelError:
             # a model the check cannot decay on is skipped, as ito_rcll is
             mc_ito = False
-    if mc_ito:
-        # one coupled draw serves every test function, and the quadratic-variation check
-        def thunk():
-            cases, qv_report = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, qv=qv, batch_map=batch_map)
-            return [
-                _case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=report)
-                for tf, (ok, required, terms, report) in zip(tfs, cases)
-            ] + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
-
-        plans.append(thunk)
 
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the
@@ -349,7 +311,7 @@ def _plan_cases(scenario, seed, batch_map=map):
         s = math.sqrt(target / h.norm_sq)
         return cm_element(spec, [(s * a, t) for a, t in h.coeffs], label=f"{h.label}s")
 
-    # z-gated pairing checks: (case id, zero-argument estimator returning an McReport)
+    # z-gated pairing checks: (case id, McReport estimator with every argument bound)
     pairings = []
     if "s_transform_mc" in checks:
         g_mild, x = scaled_to(battery[0], 0.5), test_function("x", spec.lam)
@@ -362,7 +324,7 @@ def _plan_cases(scenario, seed, batch_map=map):
             labelled.append(("jump_pairing", battery[0], jump_pairing(spec, battery[0], 0, 0.8)))
         for k, (label, h, pairing) in enumerate(labelled):
             cid = f"mc_st:{spec.name}:{k}:{label}:{h.label}"
-            pairings.append((cid, partial(mc_s_transform, spec, pairing, n_paths, base_seed + 2000 + k)))
+            pairings.append((cid, partial(mc_s_transform, spec, pairing, n_paths, base_seed + 2000 + k, batch_map)))
 
     if "hermite_p2" in checks:
         pairs = [(battery[0], battery[0])]
@@ -370,10 +332,10 @@ def _plan_cases(scenario, seed, batch_map=map):
             pairs.append((battery[0], battery[1]))
         for k, (g, h) in enumerate(pairs):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
-            pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k)))
+            pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k, batch_map)))
 
     if qv and not mc_ito:
-        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000)))
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000, batch_map)))
 
     if "simple_skorokhod" in checks:
         zero = cm_element(spec, [], label="one")
@@ -383,14 +345,45 @@ def _plan_cases(scenario, seed, batch_map=map):
             open_coeffs=(mild, zero),
             node_coeffs=(zero, zero, zero),
         )
-        pairings.append((f"mc_sk:{spec.name}", partial(simple_skorokhod_mc, spec, z, mild, n_paths, base_seed + 5000)))
-
-    plans += [lambda cid=cid, estimate=estimate: [z_gated(cid, estimate(batch_map=batch_map))] for cid, estimate in pairings]
+        pairings.append((f"mc_sk:{spec.name}", partial(simple_skorokhod_mc, spec, z, mild, n_paths, base_seed + 5000, batch_map)))
 
     # checks a model cannot run are skipped; a scenario left with none verifies nothing
-    if not plans:
+    if not (kinds or mc_ito or pairings):
         raise ConfigError(f"model {model['id']} runs none of the requested checks ({', '.join(checks)})")
-    return plans
+
+    def z_gated(cid, report):
+        return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
+
+    def run():
+        # one chain-rule run per pairing element serves every test function and both deterministic checks
+        for h in battery if kinds else ():
+            records = []
+            for tf, general in zip(tfs, ito_stransform_residual(spec, h, tfs, ys_tol=tol["ys_tol"])):
+                # a test function's kind names its tolerance
+                tol_f, cid = tol[tf.kind], f"{spec.name}:{tf.name}:{h.label}"
+                if "ito" in kinds:
+                    terms = general.terms()
+                    residual = terms["lhs"] - math.fsum(v for k, v in terms.items() if k != "lhs" and k not in dropped)
+                    ok = general.converged and abs(residual) < tol_f
+                    records.append(_case_record(f"ito:{cid}", ok, tol_f, terms, general, residual))
+                if "rcll" in kinds:
+                    res = ito_rcll_residual(general, drop_xleft_correction="xleft_correction" in dropped)
+                    delta = abs(res.residual - general.residual)
+                    ok = res.converged and abs(res.residual) < tol_f and delta < tol["rcll_agreement"]
+                    terms = {**res.terms(), "agreement_delta": delta}
+                    records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res, res.residual))
+            yield records
+        if mc_ito:
+            # one coupled draw serves every test function, and the quadratic-variation check
+            cases, qv_report = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, qv=qv, batch_map=batch_map)
+            yield [
+                _case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=report)
+                for tf, (ok, required, terms, report) in zip(tfs, cases)
+            ] + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
+        for cid, estimate in pairings:
+            yield [z_gated(cid, estimate())]
+
+    return run()
 
 
 def _strict_json(obj):
@@ -404,13 +397,10 @@ def _strict_json(obj):
     return obj
 
 
-def _write_reports(out_dir: Path, report: dict, timings: dict | None) -> tuple[Path, Path]:
+def _write_reports(out_dir: Path, report: dict) -> tuple[Path, Path]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
-        if timings is not None:
-            for case in report["cases"]:
-                case["runtime_ms"] = timings.get(case["case_id"])
         text = json.dumps(_strict_json(report), sort_keys=True, indent=2, allow_nan=False)
         report_path.write_text(text + "\n", encoding="utf-8")
 
@@ -428,11 +418,10 @@ def _write_reports(out_dir: Path, report: dict, timings: dict | None) -> tuple[P
                         writer.writerow([case["case_id"], term, repr(value), contrib])
                 else:
                     mc = case["mc"]
-                    if mc is not None:
-                        writer.writerow([case["case_id"], "estimate", repr(mc["estimate"]), ""])
-                        writer.writerow([case["case_id"], "reference", repr(mc["reference"]), ""])
-                        if mc["z_score"] is not None:
-                            writer.writerow([case["case_id"], "z_score", repr(mc["z_score"]), ""])
+                    writer.writerow([case["case_id"], "estimate", repr(mc["estimate"]), ""])
+                    writer.writerow([case["case_id"], "reference", repr(mc["reference"]), ""])
+                    if mc["z_score"] is not None:
+                        writer.writerow([case["case_id"], "z_score", repr(mc["z_score"]), ""])
         return report_path, csv_path
     except OSError as exc:
         raise ConfigError(f"cannot write reports: {exc}") from exc
@@ -473,17 +462,20 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
     # only their Monte Carlo batches, so no item waits on a pool it occupies
     workers = min(jobs, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for thunk in _plan_cases(scenario, seed, map if workers == 1 else _ordered_map(pool, 2 * workers)):
-            t0 = time.perf_counter()
-            try:
-                records = thunk()
-            except UnsupportedModelError as exc:
-                raise ConfigError(str(exc)) from exc
-            # every record of a plan item gets the item's whole runtime
-            ms = (time.perf_counter() - t0) * 1e3
-            for record in records:
-                results[record["case_id"]] = record
-                clocks[record["case_id"]] = ms
+        plan = _plan_cases(scenario, seed, map if workers == 1 else _ordered_map(pool, 2 * workers))
+        t0 = time.perf_counter()
+        try:
+            for records in plan:
+                # every record of a plan item gets the item's whole runtime, the time since the last yield
+                ms = (time.perf_counter() - t0) * 1e3
+                for record in records:
+                    results[record["case_id"]] = record
+                    clocks[record["case_id"]] = ms
+                    if timings:
+                        record["runtime_ms"] = ms
+                t0 = time.perf_counter()
+        except UnsupportedModelError as exc:
+            raise ConfigError(str(exc)) from exc
 
     cases = [results[cid] for cid in sorted(results)]
     passed = sum(1 for c in cases if c["pass"])
@@ -495,7 +487,7 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
         "cases": cases,
         "summary": {"total": len(cases), "passed": passed, "failed": len(cases) - passed},
     }
-    report_path, csv_path = _write_reports(out, report, clocks if timings else None)
+    report_path, csv_path = _write_reports(out, report)
 
     for case in cases:
         tag = "PASS" if case["pass"] else "FAIL"

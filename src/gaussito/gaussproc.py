@@ -411,14 +411,14 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
 
 
 def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map) -> tuple[tuple, int]:
-    """The (count, mean, M2) triples ``work(sim, buffer)`` returns for the ``simulate_paths`` batches of the
-    ``n_paths`` draws on ``grid``, merged row by row in batch order as each batch arrives, and the batch count.
+    """The (count, mean, M2) triples of the per-path rows ``work(sim, buffer)`` returns for the ``simulate_paths``
+    batches of the ``n_paths`` draws on ``grid``, merged row by row in batch order as each batch arrives, and the batch count.
 
     The sampler is prepared once; batch b is seeded as it runs, from ``SeedSequence(seed, spawn_key=(b,))``,
     the b-th stream of ``SeedSequence(seed).spawn``, so the draws depend only on (spec, grid, n_paths, seed).
     ``batch_map`` (the builtin ``map``, or an ordered map over worker threads) runs the batches.  Each thread
-    draws into one ``_Buffers`` set, sized by its first batch, that ``work`` may use but return nothing of:
-    memory is one batch per thread, about 4 MB per array, whatever the number of batches.
+    draws into one ``_Buffers`` set, sized by its first batch, that ``work`` may use and return a view of, as the
+    rows are reduced before the thread draws again: memory is one batch per thread, about 4 MB per array.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -428,7 +428,7 @@ def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Cal
 
     def batch(b):
         stream = np.random.SeedSequence(seed, spawn_key=(b,))
-        return work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream, buffers), buffers)
+        return _moments(work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream, buffers), buffers))
 
     return reduce(_merge_moments, batch_map(batch, batches)), len(batches)
 
@@ -444,11 +444,10 @@ def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int,
     """Sample mean and standard error of ``sample(sim)`` against its closed form.
 
     ``sample`` maps one ``simulate_batches`` batch on ``grid`` to one value
-    per path; ``reference`` is the exact expectation.  The moments are merged
-    batch by batch, so memory is bounded by the batch whatever ``n_paths``.
+    per path, the row the batch returns; ``reference`` is the exact
+    expectation.  Memory is bounded by the batch whatever ``n_paths``.
     """
-    batched = simulate_batches(spec, grid, n_paths, seed, lambda sim, _: _moments(sample(sim)), batch_map)
-    return _mc_report(batched, reference, seed, _grid_times(grid))
+    return _mc_report(simulate_batches(spec, grid, n_paths, seed, lambda sim, _: sample(sim), batch_map), reference, seed, _grid_times(grid))
 
 
 def _qv_reference(spec: ProcessSpec) -> float:
@@ -470,13 +469,13 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) 
     with a deterministic continuous quadratic variation support this check.
     ``itoverify.martingale_ito_mc`` with ``qv=True`` makes this report from
     its own draw: on its fine grid and at its seed the two are bit-identical.
-    A batch returns only the moments of its quadratic sums, merged as it arrives.
+    A batch returns its rows, the quadratic sums, reduced to moments as it arrives.
     """
     reference, pts = _qv_reference(spec), _spanning_grid(spec, grid)
 
     def work(sim, buffer):
         d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("diff", (len(sim.paths), len(sim.times) - 1)))
-        return _moments(_quadratic_sum(d, d))
+        return _quadratic_sum(d, d)
 
     return _mc_report(simulate_batches(spec, pts, n_paths, seed, work, batch_map), reference, seed, pts)
 

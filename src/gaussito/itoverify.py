@@ -47,7 +47,6 @@ from .gaussproc import (
     SimulationResult,
     UnsupportedModelError,
     _mc_report,
-    _moments,
     _quadratic_sum,
     _qv_reference,
     _spanning_grid,
@@ -313,13 +312,16 @@ def pathwise_decay(spec: ProcessSpec, grid) -> float:
     """min(alpha - 1/2, 1), the expected log2 decay of the pathwise residual per halving of the step, for
     E[dX^2] ~ step^alpha read from the cell weights on the grid joined with the discontinuity times and on
     every other point of it; ``ValueError`` unless the grid spans [0, horizon], ``UnsupportedModelError``
-    on a weak one-sided limit and below alpha = 0.6."""
+    on a weak one-sided limit, below alpha = 0.6, and when the discontinuity times fill every other point."""
     if not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: pathwise check needs a right-continuous model, without weak one-sided limits")
     fine = np.union1d(_spanning_grid(spec, grid), spec.record_times())
     if len(fine) < 3:
         raise ValueError("the pathwise check needs a grid of at least two cells")
-    w1, w2 = (_cell_weights(spec, pts) for pts in (np.union1d(fine[::2], [*spec.record_times(), fine[-1]]), fine))
+    coarse = np.union1d(fine[::2], [*spec.record_times(), fine[-1]])
+    if len(coarse) == len(fine):
+        raise UnsupportedModelError(f"{spec.name}: the discontinuity times fill every other grid point, so no coarser level shows a decay; raise grid_depth")
+    w1, w2 = _cell_weights(spec, coarse), _cell_weights(spec, fine)
     alpha = round(math.log(w1.mean() / w2.mean()) / math.log(len(w2) / len(w1)), 3)
     if not alpha >= 0.6:
         raise UnsupportedModelError(f"{spec.name}: alpha={alpha:g} is below 0.6: the pathwise residual decays by under 0.1 per level")
@@ -336,10 +338,10 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     coarse grid reads its columns from the same draw and every test function
     reads the same batch, so levels and test functions are coupled, as in
     multilevel Monte Carlo.  Only F, F' and F'' are evaluated per test
-    function.  A batch returns the moments of its rows (with ``qv`` first
-    its quadratic sum, then per test function a squared increment and a
-    squared residual per level), merged as it arrives, so memory is bounded
-    by the batch whatever ``n_paths``.
+    function.  A batch returns its rows (with ``qv`` first its quadratic
+    sum, then per test function a squared increment and a squared residual
+    per level), reduced to moments as it arrives, so memory is bounded by
+    the batch whatever ``n_paths``.
 
     Per path and grid: forward Riemann sums of F'(X) against the continuous
     increments, exact jump handling with the jointly drawn jump variables,
@@ -375,7 +377,7 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     q = int(qv)  # with qv, row 0 of a batch's rows is its quadratic sum
 
     def batch(sim, buffer):
-        """Moments of one batch's rows, row by row: the quadratic sum with ``qv``, then each test function's."""
+        """One batch's rows: the quadratic sum with ``qv``, then each test function's."""
         X, xi = sim.paths, sim.jump_draws
         n = len(X)
         # shared by every test function: increments net of the jump draws, values and left limits at the
@@ -394,7 +396,7 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
         x_left = x_jump - xi
         for tf, out in zip(tfs, rows[q:].reshape(len(tfs), 3, n)):
             _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out)
-        return _moments(rows)
+        return rows
 
     (_, means, m2s), batches = simulate_batches(spec, fine, n_paths, seed, batch, batch_map)
     cases = []

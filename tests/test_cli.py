@@ -1,11 +1,15 @@
 import json
 import sys
+import tempfile
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaussito.cli import ENV_OUT_DIR, main
+from gaussito.cli import CHECK_IDS, ENV_OUT_DIR, SCENARIO_SCHEMA, main
+from gaussito.heatkernel import TEST_FUNCTION_IDS
 from gaussito.gaussproc import UnsupportedModelError
 
 SMOKE = Path(__file__).resolve().parents[1] / "src" / "gaussito" / "scenarios" / "smoke.json"
@@ -284,11 +288,41 @@ class TestRun:
         from gaussito.cli import _load_scenario, _plan_cases, _resolve_scenario
 
         scenario = _load_scenario(_resolve_scenario("full_jump_bm"))
-        plans = _plan_cases(scenario, seed=None)
-        ids = [record["case_id"] for thunk in plans for record in thunk()]
+        ids = [record["case_id"] for records in _plan_cases(scenario, seed=None) for record in records]
         assert len(ids) == len(set(ids)) and len(ids) >= 25
         kinds = {cid.split(":")[0] for cid in ids}
         assert {"ito", "rcll", "mc_ito", "mc_st", "mc_p2", "mc_qv", "mc_sk"} <= kinds
+
+    def test_planning_runs_no_check(self, monkeypatch):
+        # every ConfigError is raised before any check runs, so the plan runs nothing until it is iterated
+        import gaussito.cli
+        from gaussito.cli import _plan_cases
+
+        calls = []
+
+        def recorded(name, original):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return run
+
+        for name in ("ito_stransform_residual", "mc_s_transform"):
+            monkeypatch.setattr(gaussito.cli, name, recorded(name, getattr(gaussito.cli, name)))
+        scenario = {
+            "name": "t",
+            "model": {"id": "jump_bm", "params": {"jumps": [[0.5, 0.25]]}},
+            "cm_elements": [[[1.0, 1.0]]],
+            "checks": ["ito_stransform", "s_transform_mc"],
+            "mc": {"n_paths": 100},
+        }
+        plan = _plan_cases(scenario, seed=None)
+        assert calls == []
+        assert [r["case_id"] for r in next(plan)] == ["ito:jump_bm:x2:h0"]
+        assert calls == ["ito_stransform_residual"]
+        ids = [r["case_id"] for records in plan for r in records]
+        assert ids and all(cid.startswith("mc_st:") for cid in ids)
+        assert calls[1:] == ["mc_s_transform"] * len(ids)
 
     def test_bundled_full_scenario_pairing_plan(self, tmp_path, capsys):
         # each pairing case's id, seed and draw: the draw holds h's times, the
@@ -579,6 +613,20 @@ class TestRun:
         assert [cid for cid, c in flat_cases.items() if c["pass"]] == [f"mc_ito:{model['id']}:x"]
         assert all(c["terms"]["log2_decay"] == 0.0 for c in flat_cases.values())
 
+    @pytest.mark.parametrize("checks, code", [(["martingale_ito", "ito_stransform"], 0), (["martingale_ito"], 2)], ids=["with_ito", "alone"])
+    def test_discontinuities_filling_the_coarse_level_skip_the_pathwise_check(self, checks, code, tmp_path, capsys):
+        # at grid_depth 2 the jumps at 0.2 and 0.5 fill every other point of the grid, so pathwise_decay
+        # has no coarser level to read a decay from, and the planner skips the check
+        model = {"id": "jump_bm", "params": {"jumps": [[0.2, 0.1], [0.5, 0.1]]}}
+        scen = write_scenario(tmp_path, model=model, checks=checks, mc={"n_paths": 50, "grid_depth": 2})
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == code
+        if code == 0:
+            cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+            assert [c["case_id"] for c in cases] == ["ito:jump_bm:x2:h0"]
+        else:
+            assert "runs none of the requested checks (martingale_ito)" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_pathwise_check_at_the_schema_minimum_depth(self, tmp_path, capsys):
         # at grid_depth 2 the coarse level is [0, T] plus the jump time, one jump-spanning cell each side
         model = {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2]]}}
@@ -789,3 +837,56 @@ class TestRun:
             rows = [r for r in csvmod.DictReader(fh) if r["residual_contribution"]]
         total = sum(float(r["residual_contribution"]) for r in rows)
         assert total == pytest.approx(residual, abs=1e-12)
+
+
+
+# the times of the drawn jumps and of coupled_jump_bm's and evanescent's s0; at grid_depth 2 some sets of
+# jumps fill every other point of the pathwise grid, which the planner must refuse, not crash on
+LATTICE = [0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 0.8]
+
+# 1 to 4 jumps at distinct lattice times, each time in or out at even odds
+JUMPS = st.lists(st.booleans(), min_size=len(LATTICE), max_size=len(LATTICE)).filter(lambda picked: 1 <= sum(picked) <= 4).flatmap(
+    lambda picked: st.lists(st.sampled_from([0.04, 0.25]), min_size=sum(picked), max_size=sum(picked)).map(
+        lambda vs: [list(j) for j in zip([t for t, p in zip(LATTICE, picked) if p], vs)]
+    )
+)
+# jump_bm in half the draws, the other catalog models in the other half: about one draw in 28 then holds
+# such a set with martingale_ito at grid_depth 2
+MODELS = st.one_of(
+    JUMPS.map(lambda jumps: {"id": "jump_bm", "params": {"jumps": jumps}}),
+    st.sampled_from(
+        [
+            st.builds(lambda c, s0: {"id": "coupled_jump_bm", "params": {"c": c, "s0": s0}}, st.sampled_from([-0.7, 1.0]), st.sampled_from(LATTICE)),
+            st.just({"id": "brownian"}),
+            st.sampled_from([0.2, 0.3, 0.5, 0.7]).map(lambda hurst: {"id": "fbm", "params": {"hurst": hurst}}),
+            st.sampled_from(LATTICE).map(lambda s0: {"id": "evanescent", "params": {"s0": s0}}),
+        ]
+    ).flatmap(lambda model: model),
+)
+SCENARIOS = st.fixed_dictionaries(
+    {
+        "schema_version": st.just(1),
+        "name": st.just("property"),
+        "model": MODELS,
+        "test_functions": st.lists(st.sampled_from(TEST_FUNCTION_IDS), min_size=1, max_size=2),
+        "cm_elements": st.sampled_from(["auto", [[[1.0, 0.5]]], [[[0.8, 0.3], [-0.5, 1.0]]]]),
+        "checks": st.lists(st.sampled_from(CHECK_IDS), min_size=1, unique=True),
+        "mc": st.fixed_dictionaries({"seed": st.integers(0, 1000), "n_paths": st.integers(2, 50), "grid_depth": st.integers(2, 4)}),
+    }
+)
+
+
+class TestProperty:
+    @settings(derandomize=True, deadline=None, max_examples=150, database=None)
+    @given(scenario=SCENARIOS, jobs=st.integers(1, 2))
+    def test_every_bounded_scenario_exits_with_a_documented_code(self, scenario, jobs):
+        # 0 or 1 with a strict-JSON report and a terms table, or 2 with a reason; never an uncaught exception
+        jsonschema.validate(scenario, SCENARIO_SCHEMA)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "scen.json", Path(tmp) / "out"
+            path.write_text(json.dumps(scenario))
+            code = main(["run", str(path), "--out", str(out), "--jobs", str(jobs)])
+            assert code in (0, 1, 2)
+            if code != 2:
+                json.loads((out / "report.json").read_text(), parse_constant=lambda token: pytest.fail(f"non-strict JSON: {token}"))
+                assert (out / "terms.csv").exists()

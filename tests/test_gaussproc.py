@@ -22,7 +22,7 @@ from gaussito.gaussproc import (
     simulate_batches,
     simulate_paths,
 )
-from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _moments, _one_sided_cov_matrix
+from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _one_sided_cov_matrix
 from gaussito.itoverify import wick_exponential_paths
 from gaussito.regulated import Jump, RegulatedFunction
 
@@ -427,7 +427,8 @@ class TestSimulation:
         def work(sim, buffer):
             seen.append(sim.paths.__array_interface__["data"][0])
             batches.append((sim.paths.copy(), sim.jump_draws.copy()))
-            return _moments(sim.paths[:, -1])
+            # a view of the batch's buffer: it is reduced before the next batch draws into it
+            return sim.paths[:, -1]
 
         (count, mean, m2), n_batches = simulate_batches(jump_bm, grid, n_paths, seed, work)
         # three batches of 511, 511 and 278 rows, all drawn into the same array

@@ -410,8 +410,8 @@ class TestMartingaleItoMc:
         with pytest.raises(UnsupportedModelError, match=reason):
             pathwise_decay(spec, np.linspace(0, 1, 2**8 + 1))
         scenario = {"name": "t", "model": {"id": model, "params": params}, "checks": ["martingale_ito", "ito_stransform"]}
-        plans = _plan_cases({**scenario, "cm_elements": [[[1.0, 0.3]]]}, seed=None)
-        assert [r["case_id"].split(":")[0] for thunk in plans for r in thunk()] == ["ito"]
+        plan = _plan_cases({**scenario, "cm_elements": [[[1.0, 0.3]]]}, seed=None)
+        assert [r["case_id"].split(":")[0] for records in plan for r in records] == ["ito"]
 
     @pytest.mark.parametrize(
         "model, params, decay",
@@ -444,6 +444,16 @@ class TestMartingaleItoMc:
         for grid in (np.linspace(0, 1, 17).reshape(1, 17), np.linspace(1, 0, 17)):
             with pytest.raises(ValueError, match="strictly increasing"):
                 pathwise_decay(jump_bm, grid)
+
+    def test_decay_refuses_discontinuities_filling_the_coarse_level(self):
+        # at depth 2, fine = {0, .2, .25, .5, .75, 1}: its every other point joined with the jumps is fine itself
+        spec = catalog("jump_bm", jumps=[[0.2, 0.1], [0.5, 0.1]])
+        with pytest.raises(UnsupportedModelError, match="raise grid_depth"):
+            pathwise_decay(spec, np.linspace(0, 1, 5))
+        with pytest.raises(UnsupportedModelError, match="raise grid_depth"):
+            martingale_ito_mc(spec, [make_tf("x2", spec.lam)], 2, 100, seed=1)
+        # one level deeper there is a coarser level again
+        assert pathwise_decay(spec, np.linspace(0, 1, 9)) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize(
         "model, params",
