@@ -36,6 +36,7 @@ from . import __version__
 from .gaussproc import (
     CatalogError,
     UnsupportedModelError,
+    _check_gram_limit,
     catalog,
     catalog_entries,
     cm_element,
@@ -285,14 +286,6 @@ def _plan_cases(scenario, seed, batch_map=map):
     checks = scenario.get("checks", ["ito_stransform"])
     dropped = {term for name, on in scenario.get("mutations", {}).items() if on for term in _MUTATIONS[name]}
 
-    try:
-        tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
-        battery = _build_battery(scenario, spec)
-    except (GrowthBoundError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    kinds = (["ito"] if "ito_stransform" in checks else []) + (["rcll"] if "ito_rcll" in checks and spec.rcll else [])
-
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
     grid = np.linspace(0.0, spec.horizon, 2**depth + 1)
     mc_ito = "martingale_ito" in checks
@@ -302,6 +295,17 @@ def _plan_cases(scenario, seed, batch_map=map):
         except UnsupportedModelError:
             # a model the check cannot decay on is skipped, as ito_rcll is
             mc_ito = False
+
+    try:
+        tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
+        battery = _build_battery(scenario, spec)
+        if mc_ito or qv:
+            # the draw of the pathwise check, on the grid joined with the discontinuity times, or of path_qv, on the grid
+            _check_gram_limit(spec, len(np.union1d(grid, spec.record_times()) if mc_ito else grid))
+    except (GrowthBoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+    kinds = (["ito"] if "ito_stransform" in checks else []) + (["rcll"] if "ito_rcll" in checks and spec.rcll else [])
 
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the

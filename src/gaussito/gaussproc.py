@@ -40,7 +40,6 @@ __all__ = [
     "catalog_entries",
     "cm_element",
     "cm_inner",
-    "mc_estimate",
     "path_qv_mc",
     "planar_qv_sum",
     "prepare_sampler",
@@ -340,13 +339,18 @@ class _Buffers(threading.local):
         return self.arrays[name][:size].reshape(shape)
 
 
+def _check_gram_limit(spec: ProcessSpec, n: int) -> None:
+    """``UnsupportedModelError`` when a draw of ``spec`` on ``n`` times needs a Gram matrix above the Gram limit."""
+    if spec.sampler is None and n * n * 8 > _GRAM_BYTES:
+        raise UnsupportedModelError(f"{spec.name}: a {n}-point Gram matrix exceeds the Gram limit of {_GRAM_BYTES >> 30} GiB")
+
+
 def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
     """Draws of X from its factorized Gram matrix; the left-jump variables are zero."""
     n, K = len(grid), len(spec.records)
     if any(rec.e_dminus_sq for rec in spec.records):
         raise UnsupportedModelError(f"{spec.name}: left-jump variables need the model's own sampler")
-    if n * n * 8 > _GRAM_BYTES:
-        raise UnsupportedModelError(f"{spec.name}: a {n}-point Gram matrix exceeds the Gram limit of {_GRAM_BYTES >> 30} GiB")
+    _check_gram_limit(spec, n)
     G = np.asarray(spec.cov(grid[:, None], grid[None, :]), dtype=float)
     # a zero-variance coordinate is almost surely zero; do not let the
     # factorization jitter leak into it
@@ -438,16 +442,6 @@ def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McRe
     (n_paths, mean, m2), batches = batched
     se = math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
     return McReport(float(mean), se, reference, n_paths, seed, len(grid), batches)
-
-
-def mc_estimate(spec: ProcessSpec, grid, sample, reference: float, n_paths: int, seed, batch_map=map) -> McReport:
-    """Sample mean and standard error of ``sample(sim)`` against its closed form.
-
-    ``sample`` maps one ``simulate_batches`` batch on ``grid`` to one value
-    per path, the row the batch returns; ``reference`` is the exact
-    expectation.  Memory is bounded by the batch whatever ``n_paths``.
-    """
-    return _mc_report(simulate_batches(spec, grid, n_paths, seed, lambda sim, _: sample(sim), batch_map), reference, seed, _grid_times(grid))
 
 
 def _qv_reference(spec: ProcessSpec) -> float:

@@ -52,7 +52,6 @@ from .gaussproc import (
     _spanning_grid,
     cm_element,
     cm_inner,
-    mc_estimate,
     simulate_batches,
 )
 from .heatkernel import TestFunction, psi
@@ -416,8 +415,10 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
 
 
 def mc_s_transform(spec: ProcessSpec, pairing: Pairing, n_paths: int, seed: int, batch_map=map) -> McReport:
-    """Monte Carlo estimate of a pairing against its closed form."""
-    return mc_estimate(spec, pairing.times, pairing.sample, pairing.reference, n_paths, seed, batch_map)
+    """Sample mean and standard error of a pairing's per-path sample against its closed form: each
+    ``simulate_batches`` batch on the pairing's times returns the sample, so memory is one batch whatever ``n_paths``."""
+    batched = simulate_batches(spec, pairing.times, n_paths, seed, lambda sim, _: pairing.sample(sim), batch_map)
+    return _mc_report(batched, pairing.reference, seed, pairing.times)
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------

@@ -803,6 +803,21 @@ class TestRun:
         assert model["id"] in err and all(check in err for check in checks)
         assert not (tmp_path / "out").exists()
 
+    def test_gram_limit_refused_before_any_check_runs(self, tmp_path, capsys, monkeypatch):
+        # the pathwise check's fbm draw at depth 14 needs a 2 GiB Gram matrix; the deterministic items planned before it never run
+        calls = count_engine_runs(monkeypatch)
+        scen = write_scenario(
+            tmp_path,
+            model={"id": "fbm", "params": {"hurst": 0.3}},
+            test_functions=["x", "x2", "x3", "sin", "exp"],
+            cm_elements=[[[0.5 + 0.05 * k, 0.08 * (k + 1)]] for k in range(12)],
+            checks=["ito_stransform", "ito_rcll", "martingale_ito"],
+            mc={"n_paths": 100, "grid_depth": 14},
+        )
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "configuration error: fbm: a 16385-point Gram matrix exceeds the Gram limit of 1 GiB\n"
+        assert not calls and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "model",
         [

@@ -15,7 +15,6 @@ from gaussito.gaussproc import (
     catalog_entries,
     cm_element,
     cm_inner,
-    mc_estimate,
     path_qv_mc,
     planar_qv_sum,
     prepare_sampler,
@@ -23,7 +22,7 @@ from gaussito.gaussproc import (
     simulate_paths,
 )
 from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _one_sided_cov_matrix
-from gaussito.itoverify import wick_exponential_paths
+from gaussito.itoverify import Pairing, mc_s_transform, wick_exponential_paths
 from gaussito.regulated import Jump, RegulatedFunction
 
 
@@ -460,7 +459,7 @@ class TestSimulation:
         with pytest.raises(ValueError, match="at least one time"):
             simulate_batches(brownian, grid, 10, 1, lambda sim, buffer: None)
         with pytest.raises(ValueError, match="at least one time"):
-            mc_estimate(brownian, grid, lambda sim: sim.paths.sum(axis=1), 0.0, 10, seed=1)
+            mc_s_transform(brownian, Pairing(0.0, grid, lambda sim: sim.paths.sum(axis=1)), 10, seed=1)
         with pytest.raises(ValueError, match="at least one time"):
             planar_qv_sum(brownian, grid)
 
@@ -615,12 +614,12 @@ class TestPathQv:
     def test_memory_bounded_by_batch(self, model, jump_bm):
         grid = np.linspace(0, 1, 2**10 + 1)
         fbm = catalog("fbm", hurst=0.5)
-        # a Wick-weighted pairing sample, as the z-gated checks hand to mc_estimate
+        # a Wick-weighted pairing sample, as the z-gated checks hand to mc_s_transform
         pairing = lambda sim: np.exp(sim.paths[:, -1] - 0.5 * jump_bm.lam) * sim.paths[:, 512]
         check = {
             "jump_bm": lambda n_paths: path_qv_mc(jump_bm, grid, n_paths, seed=5),
             "fbm_h05": lambda n_paths: path_qv_mc(fbm, grid, n_paths, seed=5),
-            "pairing": lambda n_paths: mc_estimate(jump_bm, grid, pairing, 0.5, n_paths, seed=5),
+            "pairing": lambda n_paths: mc_s_transform(jump_bm, Pairing(0.5, grid, pairing), n_paths, seed=5),
         }[model]
         peaks = {}
         for n_paths in (2000, 8000):
@@ -638,7 +637,7 @@ class TestPathQv:
         grid = np.array([1.0])
         # two paths per batch: 2000 and 10000 paths are 1000 and 5000 batches
         monkeypatch.setattr(gp, "_BATCH_ELEMENTS", 2)
-        check = lambda n_paths: mc_estimate(brownian, grid, lambda sim: sim.paths[:, 0], 0.0, n_paths, seed=3)
+        check = lambda n_paths: mc_s_transform(brownian, Pairing(0.0, grid, lambda sim: sim.paths[:, 0]), n_paths, seed=3)
         # first-use allocations fall outside the traced runs
         assert check(200).batches == 100
         peaks = {}
@@ -681,7 +680,7 @@ class TestPathQv:
         # size, batch b seeded by the b-th spawned stream
         rows = _BATCH_ELEMENTS // len(grid)
         streams = np.random.SeedSequence(seed).spawn(-(-n_paths // rows))
-        # the quadratic sum, and a pairing-style sample through mc_estimate
+        # the quadratic sum, and a pairing sample through mc_s_transform
         product = lambda sim: sim.paths[:, -1] * sim.jump_draws[:, 0]
         sums, products = [], []
         for b, stream in enumerate(streams):
@@ -691,7 +690,7 @@ class TestPathQv:
         assert len(streams) == 6
         for rep, values in (
             (path_qv_mc(jump_bm, grid, n_paths, seed), np.concatenate(sums)),
-            (mc_estimate(jump_bm, grid, product, 0.25, n_paths, seed), np.concatenate(products)),
+            (mc_s_transform(jump_bm, Pairing(0.25, grid, product), n_paths, seed), np.concatenate(products)),
         ):
             assert len(values) == n_paths
             assert rep.estimate == pytest.approx(np.mean(values), rel=1e-12)

@@ -20,6 +20,7 @@ from gaussito.gaussproc import (
 from gaussito.gaussproc import _merge_moments, _moments
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
+    Pairing,
     SimpleWickIntegrand,
     _cell_weights,
     auto_cm_battery,
@@ -698,7 +699,7 @@ def test_public_names_resolve():
             "young_stieltjes_sum",
             "UnsupportedIntegratorError",
         ),
-        "gaussproc": ("planar_variation_sum",),
+        "gaussproc": ("planar_variation_sum", "mc_estimate"),
         "itoverify": (
             "s_transform",
             "_DROPPED_TERM",
@@ -746,18 +747,15 @@ class TestMcReportInvariants:
         assert rep.n_paths == 1000 and rep.seed == 99
 
     def test_zero_spread_sample_away_from_reference_fails(self, brownian):
-        from gaussito.gaussproc import mc_estimate
+        def const(value, reference):
+            return Pairing(reference, np.array([1.0]), lambda sim: np.full(sim.paths.shape[0], value))
 
-        def const(value):
-            return lambda sim: np.full(sim.paths.shape[0], value)
-
-        grid = np.array([1.0])
-        off = mc_estimate(brownian, grid, const(1.0), reference=0.5, n_paths=100, seed=0)
+        off = mc_s_transform(brownian, const(1.0, reference=0.5), n_paths=100, seed=0)
         assert off.standard_error == 0.0 and off.z_score == 0.0
         assert not off.within(4.0)
-        on = mc_estimate(brownian, grid, const(0.0), reference=0.0, n_paths=100, seed=0)
+        on = mc_s_transform(brownian, const(0.0, reference=0.0), n_paths=100, seed=0)
         assert on.within(4.0)
-        assert not mc_estimate(brownian, grid, const(np.nan), 0.0, 100, 0).within(4.0)
+        assert not mc_s_transform(brownian, const(np.nan, 0.0), 100, 0).within(4.0)
 
     def test_too_few_paths(self, brownian):
         h = cm_element(brownian, [(1.0, 1.0)])
