@@ -292,6 +292,8 @@ def _plan_cases(scenario, seed, batch_map=map):
     if mc_ito:
         try:
             pathwise_decay(spec, grid)
+            # the pathwise check draws on the grid joined with the discontinuity times, and path_qv beside it does too
+            grid = np.union1d(grid, spec.record_times())
         except UnsupportedModelError:
             # a model the check cannot decay on is skipped, as ito_rcll is
             mc_ito = False
@@ -300,8 +302,7 @@ def _plan_cases(scenario, seed, batch_map=map):
         tfs = _build_test_functions(scenario.get("test_functions", ["x2"]), spec.lam)
         battery = _build_battery(scenario, spec)
         if mc_ito or qv:
-            # the draw of the pathwise check, on the grid joined with the discontinuity times, or of path_qv, on the grid
-            _check_gram_limit(spec, len(np.union1d(grid, spec.record_times()) if mc_ito else grid))
+            _check_gram_limit(spec, len(grid))
     except (GrowthBoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -338,8 +339,10 @@ def _plan_cases(scenario, seed, batch_map=map):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k, batch_map)))
 
-    if qv and not mc_ito:
-        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000, batch_map)))
+    if qv:
+        # beside the pathwise check on its fine grid and at its seed, else on the dyadic grid at a seed of its own
+        qv_seed = base_seed + (1000 if mc_ito else 4000)
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, qv_seed, batch_map)))
 
     if "simple_skorokhod" in checks:
         zero = cm_element(spec, [], label="one")
@@ -354,9 +357,6 @@ def _plan_cases(scenario, seed, batch_map=map):
     # checks a model cannot run are skipped; a scenario left with none verifies nothing
     if not (kinds or mc_ito or pairings):
         raise ConfigError(f"model {model['id']} runs none of the requested checks ({', '.join(checks)})")
-
-    def z_gated(cid, report):
-        return _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
 
     def run():
         # one chain-rule run per pairing element serves every test function and both deterministic checks
@@ -378,14 +378,15 @@ def _plan_cases(scenario, seed, batch_map=map):
                     records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res, res.residual))
             yield records
         if mc_ito:
-            # one coupled draw serves every test function, and the quadratic-variation check
-            cases, qv_report = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, qv=qv, batch_map=batch_map)
+            # one coupled draw serves every test function, until every verdict is resolved to pass
+            cases = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, tol["z_max"], batch_map)
             yield [
                 _case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=report)
                 for tf, (ok, required, terms, report) in zip(tfs, cases)
-            ] + ([z_gated(f"mc_qv:{spec.name}", qv_report)] if qv else [])
+            ]
         for cid, estimate in pairings:
-            yield [z_gated(cid, estimate())]
+            report = estimate()
+            yield [_case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)]
 
     return run()
 
@@ -432,16 +433,21 @@ def _write_reports(out_dir: Path, report: dict) -> tuple[Path, Path]:
 
 
 def _ordered_map(pool: ThreadPoolExecutor, in_flight: int):
-    """A ``map`` over ``pool`` that yields in order, with at most ``in_flight`` calls submitted and not yet yielded."""
+    """A ``map`` over ``pool`` that yields in order, with at most ``in_flight`` calls submitted and not yet yielded;
+    closed early, or on a raising call, it cancels those of its calls that have not started."""
 
     def ordered(fn, items):
         pending = deque()
-        for item in items:
-            if len(pending) == in_flight:
+        try:
+            for item in items:
+                if len(pending) == in_flight:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, item))
+            while pending:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
     return ordered
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,8 +167,7 @@ class ProcessSpec:
 
 def _one_sided_cov_matrix(spec: ProcessSpec, ta: np.ndarray, sa: int, tb: np.ndarray, sb: int) -> np.ndarray:
     """Matrix of E[X_{a oriented by sa} X_{b oriented by sb}], sa/sb in {-1, 0, +1}."""
-    ta = np.asarray(ta, dtype=float)
-    tb = np.asarray(tb, dtype=float)
+    ta, tb = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
     M = np.array(spec.cov(ta[:, None], tb[None, :]), dtype=float, copy=True)
     for k, rec in enumerate(spec.records):
         rows = np.flatnonzero(ta == rec.time) if sa else ()
@@ -256,9 +255,7 @@ def cm_element(spec: ProcessSpec, coeffs: Sequence[tuple[float, float]], label: 
         if dm or dp:
             jumps.append(Jump(rec.time, dm, dp))
 
-    knots: set[float] = set()
-    for t in ts:
-        knots.update(spec.section_knots(float(t)))
+    knots = {k for t in ts for k in spec.section_knots(float(t))}
 
     hbar = RegulatedFunction.from_exact(exact, jumps, (0.0, T), breakpoints=sorted(knots))
     gram = np.asarray(spec.cov(ts[:, None], ts[None, :]), dtype=float)
@@ -414,7 +411,7 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
-def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map) -> tuple[tuple, int]:
+def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map, stop=None) -> tuple[tuple, int]:
     """The (count, mean, M2) triples of the per-path rows ``work(sim, buffer)`` returns for the ``simulate_paths``
     batches of the ``n_paths`` draws on ``grid``, merged row by row in batch order as each batch arrives, and the batch count.
 
@@ -423,18 +420,29 @@ def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Cal
     ``batch_map`` (the builtin ``map``, or an ordered map over worker threads) runs the batches.  Each thread
     draws into one ``_Buffers`` set, sized by its first batch, that ``work`` may use and return a view of, as the
     rows are reduced before the thread draws again: memory is one batch per thread, about 4 MB per array.
+    ``stop(moments, looks)`` is asked on the merged moments at the ``looks`` looks, after batch 1, 2, 4, 8, ... and
+    the last; at its first true answer the map is closed and started batches are discarded: ``n_paths`` is a cap.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     sampler = prepare_sampler(spec, grid)
     rows = max(1, _BATCH_ELEMENTS // len(sampler.times))
     batches, buffers = range(-(-n_paths // rows)), _Buffers()
+    looks = {1 << k for k in range(len(batches).bit_length())} | {len(batches)}
 
     def batch(b):
         stream = np.random.SeedSequence(seed, spawn_key=(b,))
         return _moments(work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream, buffers), buffers))
 
-    return reduce(_merge_moments, batch_map(batch, batches)), len(batches)
+    results = batch_map(batch, batches)
+    try:
+        for used, moments in enumerate(results, 1):
+            merged = moments if used == 1 else _merge_moments(merged, moments)
+            if stop is not None and used in looks and stop(merged, len(looks)):
+                break
+    finally:
+        getattr(results, "close", lambda: None)()
+    return merged, used
 
 
 def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McReport:
@@ -444,32 +452,21 @@ def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McRe
     return McReport(float(mean), se, reference, n_paths, seed, len(grid), batches)
 
 
-def _qv_reference(spec: ProcessSpec) -> float:
-    if spec.pathwise_qv_cont is None or not spec.rcll:
-        raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
-    return spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records)
-
-
-def _quadratic_sum(d: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """Sum along each path of the squared increments ``d``, squared into ``square`` (which may be ``d``)."""
-    return np.sum(np.square(d, out=square), axis=1)
-
-
 def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Monte Carlo mean of the pathwise quadratic sum against its expected limit.
 
     The reference is the continuous quadratic variation plus the summed
     mean-square jumps over [0, horizon], which ``grid`` must span; only models
     with a deterministic continuous quadratic variation support this check.
-    ``itoverify.martingale_ito_mc`` with ``qv=True`` makes this report from
-    its own draw: on its fine grid and at its seed the two are bit-identical.
     A batch returns its rows, the quadratic sums, reduced to moments as it arrives.
     """
-    reference, pts = _qv_reference(spec), _spanning_grid(spec, grid)
+    if spec.pathwise_qv_cont is None or not spec.rcll:
+        raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
+    reference, pts = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records), _spanning_grid(spec, grid)
 
     def work(sim, buffer):
         d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("diff", (len(sim.paths), len(sim.times) - 1)))
-        return _quadratic_sum(d, d)
+        return np.sum(np.square(d, out=d), axis=1)
 
     return _mc_report(simulate_batches(spec, pts, n_paths, seed, work, batch_map), reference, seed, pts)
 
@@ -478,8 +475,7 @@ def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) 
 
 
 def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
-    T = float(horizon)
-    H = float(hurst)
+    T, H = float(horizon), float(hurst)
     if not 0.0 < H < 1.0:
         raise CatalogError("hurst must lie in (0, 1)")
     if T <= 0:
@@ -487,8 +483,7 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
     two_h = 2.0 * H
 
     def cov(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
         return 0.5 * (t**two_h + s**two_h - np.abs(t - s) ** two_h)
 
     return ProcessSpec(

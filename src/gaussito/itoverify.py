@@ -28,14 +28,15 @@ Hermite inner product identity E[P2(g) P2(h)] = 2 E[gh]^2.  A pairing is a
 constructor per functional, and ``mc_s_transform`` estimates every one.  The
 pathwise check draws its two levels, the dyadic grids of ``grid_depth - 2``
 and ``grid_depth``, itself, and returns per test function its decay and its
-verdict against half of ``pathwise_decay``, with the pathwise
-quadratic-variation report of the same draw or None.
+verdict against half of ``pathwise_decay``, drawing batches only until
+every verdict is resolved to pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,8 +48,6 @@ from .gaussproc import (
     SimulationResult,
     UnsupportedModelError,
     _mc_report,
-    _quadratic_sum,
-    _qv_reference,
     _spanning_grid,
     cm_element,
     cm_inner,
@@ -281,7 +280,7 @@ def _gather(a: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs, buffer, out):
-    """Squared increment, then squared residual per level, of one test function on one batch, as the rows of ``out``."""
+    """Squared increment, squared residual per level and their product, of one test function on one batch, as ``out``'s rows."""
     shape = (len(X), X.shape[1] - 1)
     f1, f2 = tf.f1(X[:, :-1], out=buffer("f1", shape)), tf.f2(X[:, :-1], out=buffer("f2", shape))
     f1_left = tf.f1(x_left)
@@ -295,6 +294,7 @@ def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs, buffer,
         ito = np.einsum("ij,ij->i", at_level(f1), dX) + jump_ito
         quad = 0.5 * np.einsum("ij,j->i", at_level(f2), weights)
         np.square(increment - ito - quad - jump, out=row)
+    np.multiply(out[1], out[2], out=out[3])
 
 
 def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
@@ -327,36 +327,28 @@ def pathwise_decay(spec: ProcessSpec, grid) -> float:
     return min(alpha - 0.5, 1.0)
 
 
-def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_paths: int, seed: int, qv: bool = False, batch_map=map):
+def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_paths: int, seed: int, z_max: float = 4.0, batch_map=map):
     """Pathwise check of the Gaussian identity by Wick-Riemann sums on two nested grids, with its verdict.
 
-    The levels are the dyadic grids of ``grid_depth - 2`` and ``grid_depth``
-    (at least 2) over [0, horizon], each joined with the discontinuity times.
-    Paths are drawn on the fine grid only, by ``gaussproc.simulate_batches``
-    (``batch_map`` runs the batches, each thread in arrays it reuses); the
-    coarse grid reads its columns from the same draw and every test function
-    reads the same batch, so levels and test functions are coupled, as in
-    multilevel Monte Carlo.  Only F, F' and F'' are evaluated per test
-    function.  A batch returns its rows (with ``qv`` first its quadratic
-    sum, then per test function a squared increment and a squared residual
-    per level), reduced to moments as it arrives, so memory is bounded by
-    the batch whatever ``n_paths``.
+    The levels are the dyadic grids of ``grid_depth - 2`` and ``grid_depth`` (at least 2) over [0, horizon], each
+    joined with the discontinuity times.  Paths are drawn on the fine grid only, by ``gaussproc.simulate_batches``
+    (``batch_map`` runs the batches, each thread in arrays it reuses); the coarse grid reads its columns from the same
+    draw and every test function the same batch, so levels and test functions are coupled, as in multilevel Monte
+    Carlo.  A batch returns per test function four rows, reduced to moments as it arrives: a squared increment, a
+    squared residual per level and their product.
 
-    Per path and grid: forward Riemann sums of F'(X) against the continuous
-    increments, exact jump handling with the jointly drawn jump variables,
-    and (1/2) sum F''(X_{t_i}) (dV^c_i - 2 c_i): F'(X_t) wick dX = F'(X_t) dX
-    - F''(X_t) E[X_t dX] for Gaussian X, so the Wick weights c_i turn Ito sums
-    into Skorokhod sums, on any model ``pathwise_decay`` admits.
+    Per path and grid: forward Riemann sums of F'(X) against the continuous increments, exact jump handling with the
+    jointly drawn jump variables, and (1/2) sum F''(X_{t_i}) (dV^c_i - 2 c_i): F'(X_t) wick dX = F'(X_t) dX -
+    F''(X_t) E[X_t dX] for Gaussian X, so the Wick weights c_i turn Ito sums into Skorokhod sums, on any model
+    ``pathwise_decay`` admits.
 
-    Returns ``(cases, qv_report)``.  A case, per test function in order, is
-    ``(passed, required, terms, report)``: ``terms`` are each level's
-    relative L2 residual ``rel_l2_depth<d>`` and ``log2_decay``, half the
-    log2 ratio of the two, the decay per halving of the step; ``report`` is
-    the fine level's; ``required`` is half of ``pathwise_decay``.  A case
-    passes when ``required <= log2_decay < inf``, or when both levels are
-    below 1e-12, where the identity holds to roundoff.  ``qv_report`` is
-    None without ``qv``, else bit-identical to ``gaussproc.path_qv_mc`` on
-    the fine grid at ``seed``, with no second draw.
+    Returns per test function in order ``(passed, required, terms, report)``: ``terms`` are each level's relative L2
+    residual ``rel_l2_depth<d>``, ``log2_decay``, half the log2 ratio of the two, and ``log2_decay_se``, its
+    delta-method standard error; ``report`` is the fine level's; ``required`` is half of ``pathwise_decay``.  A case
+    passes when ``required <= log2_decay < inf``, or when both levels are below 1e-12, where the identity holds to
+    roundoff.  ``n_paths`` is a cap: the draw stops at the first look of ``simulate_batches`` where every case is
+    resolved to pass, below 1e-12 or ``log2_decay`` at least ``z_L`` (``z_max`` over the looks by Bonferroni)
+    standard errors above ``required``; a failing case runs to the cap.  The reports count the paths used.
     """
     tfs = _admitted(spec, test_functions)
     if grid_depth < 2:
@@ -365,7 +357,6 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     dyadic = np.linspace(0.0, spec.horizon, 2**grid_depth + 1)
     coarse, fine = np.union1d(dyadic[::4], records), np.union1d(dyadic, records)
     required = 0.5 * pathwise_decay(spec, fine)
-    qv_reference = _qv_reference(spec) if qv else None
     jcols = np.searchsorted(fine, records)
     # per level: fine columns (None for the fine level), the interval ending at each discontinuity, the cell weights
     plan = [
@@ -373,45 +364,53 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
         for cols, pts in ((np.searchsorted(fine, coarse), coarse), (None, fine))
     ]
 
-    q = int(qv)  # with qv, row 0 of a batch's rows is its quadratic sum
-
     def batch(sim, buffer):
-        """One batch's rows: the quadratic sum with ``qv``, then each test function's."""
         X, xi = sim.paths, sim.jump_draws
         n = len(X)
         # shared by every test function: increments net of the jump draws, values and left limits at the
         # discontinuities; the coarse level's X goes to the array its F' and F'' are gathered into later
         dXs = []
-        for k, (cols, _, _) in enumerate(plan):
+        for k, (cols, jpos, _) in enumerate(plan):
             Xl = X if cols is None else _gather(X, cols, buffer("gather", (n, len(cols))))
             dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer(("dX", k), (n, Xl.shape[1] - 1))))
-        rows = buffer("rows", (q + 3 * len(tfs), n))
-        if qv:
-            # the fine increments before the jumps are netted out, squared in the F' array, free until then
-            rows[0] = _quadratic_sum(dXs[-1], buffer("f1", dXs[-1].shape))
-        for (_, jpos, _), dX in zip(plan, dXs):
-            dX[:, jpos] -= xi
+            dXs[-1][:, jpos] -= xi
         x_jump = X[:, jcols]
         x_left = x_jump - xi
-        for tf, out in zip(tfs, rows[q:].reshape(len(tfs), 3, n)):
+        rows = buffer("rows", (4 * len(tfs), n))
+        for tf, out in zip(tfs, rows.reshape(len(tfs), 4, n)):
             _level_residuals(tf, X, xi, x_jump, x_left, plan, dXs, buffer, out)
         return rows
 
-    (_, means, m2s), batches = simulate_batches(spec, fine, n_paths, seed, batch, batch_map)
+    def summaries(moments):
+        """Per test function: relative residuals, both below roundoff or not, the decay and its SE, the fine level's SE."""
+        n, means, m2s = moments
+        for mean, m2 in zip(means.reshape(len(tfs), 4), m2s.reshape(len(tfs), 4)):
+            scale, ms, rms = math.sqrt(mean[0]), mean[1:3], math.sqrt(mean[2])
+            rels = [math.sqrt(r2) / scale if scale > 0 else math.sqrt(r2) for r2 in ms]
+            se_rel = math.sqrt(m2[2] / (n - 1)) / math.sqrt(n) / (2.0 * rms) / max(scale, 1e-300) if rms > 0 else 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # half the log2 ratio of the levels' residuals; not finite, so failing, if a level is NaN, 0 or inf
+                decay = float(np.dot([0.5, -0.5], np.log2(rels)))
+                # the delta method on (ln m_a - ln m_b) / (4 ln 2), from the levels' mean squares and co-moments
+                cross = (mean[3] - ms[0] * ms[1]) * n / (n - 1)
+                var = m2[1] / (n - 1) / ms[0] ** 2 + m2[2] / (n - 1) / ms[1] ** 2 - 2.0 * cross / (ms[0] * ms[1])
+                se = float(np.sqrt(max(var, 0.0) / n) / (4.0 * math.log(2.0)))
+            # below roundoff scale the identity holds per path, and there is no discretization error left to decay
+            yield rels, all(r < 1e-12 for r in rels), decay, se, se_rel
+
+    def resolved(moments, looks):
+        # z_max's one-sided tail shared among the looks (Bonferroni), or never resolved where that tail underflows
+        tail = NormalDist().cdf(-z_max) / looks
+        z = -NormalDist().inv_cdf(tail) if tail > 0 else math.inf
+        return all(floor or decay - required >= z * se for _, floor, decay, se, _ in summaries(moments))
+
+    moments, batches = simulate_batches(spec, fine, n_paths, seed, batch, batch_map, resolved)
     cases = []
-    for mean, m2 in zip(means[q:].reshape(len(tfs), 3), m2s[q:].reshape(len(tfs), 3)):
-        scale, rms = math.sqrt(mean[0]), [math.sqrt(r2) for r2 in mean[1:]]
-        rels = [r / scale if scale > 0 else r for r in rms]
-        se_r2 = math.sqrt(m2[2] / (n_paths - 1)) / math.sqrt(n_paths)
-        se_rel = se_r2 / (2.0 * rms[1]) / max(scale, 1e-300) if rms[1] > 0 else 0.0
-        # half the log2 ratio of the levels' residuals; not finite, so failing, if a level is NaN, 0 or inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            decay = float(np.dot([0.5, -0.5], np.log2(rels)))
-        # below roundoff scale the identity holds per path, and there is no discretization error left to decay
-        passed = all(r < 1e-12 for r in rels) or required <= decay < math.inf
-        terms = {f"rel_l2_depth{grid_depth - 2}": rels[0], f"rel_l2_depth{grid_depth}": rels[1], "log2_decay": decay}
-        cases.append((passed, required, terms, McReport(rels[1], se_rel, 0.0, n_paths, seed, len(fine), batches)))
-    return tuple(cases), (_mc_report(((n_paths, means[0], m2s[0]), batches), qv_reference, seed, fine) if qv else None)
+    for rels, floor, decay, se, se_rel in summaries(moments):
+        terms = {f"rel_l2_depth{grid_depth - 2}": rels[0], f"rel_l2_depth{grid_depth}": rels[1], "log2_decay": decay, "log2_decay_se": se}
+        report = McReport(rels[1], se_rel, 0.0, moments[0], seed, len(fine), batches)
+        cases.append((floor or required <= decay < math.inf, required, terms, report))
+    return tuple(cases)
 
 
 def mc_s_transform(spec: ProcessSpec, pairing: Pairing, n_paths: int, seed: int, batch_map=map) -> McReport:

@@ -219,9 +219,9 @@ def test_criterion_5_martingale_mc():
     start = time.perf_counter()
     spec = catalog("jump_bm", jumps=[(0.5, 0.25)])
     # the levels of depth 8 and 10, and their decay against half the expected 1/2 per halving
-    ((passed, required, terms, _),), _ = martingale_ito_mc(spec, [make_tf("x2", spec.lam)], 10, 20000, seed=31415)
+    ((passed, required, terms, _),) = martingale_ito_mc(spec, [make_tf("x2", spec.lam)], 10, 20000, seed=31415)
     rels = [terms["rel_l2_depth8"], terms["rel_l2_depth10"]]
-    ((_, _, _, linear),), _ = martingale_ito_mc(spec, [make_tf("x", spec.lam)], 10, 20000, seed=31415)
+    ((_, _, _, linear),) = martingale_ito_mc(spec, [make_tf("x", spec.lam)], 10, 20000, seed=31415)
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(rels, rels[1:]))
     ok = rels[-1] < 0.05 and decreasing and passed and linear.estimate < 1e-10 and elapsed < 60.0

@@ -485,7 +485,7 @@ class TestRun:
         ],
         ids=lambda m: m["id"],
     )
-    def test_martingale_and_path_qv_read_one_draw(self, model, tmp_path, capsys, monkeypatch):
+    def test_path_qv_beside_the_pathwise_check_draws_at_its_seed(self, model, tmp_path, capsys, monkeypatch):
         import gaussito.gaussproc
         from gaussito.gaussproc import catalog, path_qv_mc
 
@@ -508,14 +508,18 @@ class TestRun:
         fine = np.union1d(np.linspace(0.0, 1.0, 2**depth + 1), spec.record_times())
         cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
         assert [c["case_id"] for c in cases] == [f"mc_ito:{spec.name}:{tf}" for tf in ("sin", "x2")] + [f"mc_qv:{spec.name}"]
-        # one plan item, one draw on the pathwise check's finest grid at its seed
-        diagnostics = {"grid_points": len(fine), "batches": 2, "path_points": n_paths * len(fine)}
-        assert len(calls) == diagnostics["batches"]
-        assert all(c["diagnostics"] == diagnostics and c["mc"]["seed"] == seed + 1000 for c in cases)
-        assert len({c["runtime_ms"] for c in cases}) == 1
-        # the quadratic-variation record is the standalone estimator's on that grid, bit for bit
+        *ito, qv = cases
+        # the quadratic-variation record draws all its paths, two batches on the pathwise check's fine grid at its
+        # seed, beside the pathwise check's own draw, which stops at its first resolved look
+        assert qv["diagnostics"] == {"grid_points": len(fine), "batches": 2, "path_points": n_paths * len(fine)}
+        assert {c["diagnostics"]["batches"] for c in ito} == {1}
+        assert len(calls) == ito[0]["diagnostics"]["batches"] + qv["diagnostics"]["batches"]
+        assert all(c["mc"]["seed"] == seed + 1000 for c in cases)
+        # two plan items, each with its own time
+        assert len({c["runtime_ms"] for c in ito}) == 1 and qv["runtime_ms"] != ito[0]["runtime_ms"]
+        # the record is the standalone estimator's on that grid at that seed, bit for bit
         expected = path_qv_mc(spec, fine, n_paths, seed + 1000)
-        assert cases[-1]["mc"] == {
+        assert qv["mc"] == {
             "estimate": expected.estimate,
             "standard_error": expected.standard_error,
             "reference": expected.reference,
@@ -523,6 +527,11 @@ class TestRun:
             "n_paths": n_paths,
             "seed": seed + 1000,
         }
+        # and planning it beside the pathwise check leaves the pathwise records as they are alone
+        alone = write_scenario(tmp_path, "alone.json", model=model, test_functions=["x2", "sin"], checks=["martingale_ito"], mc=mc)
+        assert main(["run", str(alone), "--out", str(tmp_path / "alone")]) == 0
+        without = json.loads((tmp_path / "alone" / "report.json").read_text())["cases"]
+        assert [{**c, "runtime_ms": None} for c in ito] == [{**c, "runtime_ms": None} for c in without]
 
     @pytest.mark.parametrize("model", [{"id": "fbm", "params": {"hurst": 0.5}}], ids=lambda m: m["id"])
     def test_path_qv_keeps_its_own_draw_without_the_pathwise_check(self, model, tmp_path, capsys):
@@ -595,7 +604,7 @@ class TestRun:
         assert [c["case_id"].split(":")[0] for c in cases] == ["mc_ito"] * 3
         for c in cases:
             terms = c["terms"]
-            assert sorted(terms) == ["log2_decay", "rel_l2_depth6", "rel_l2_depth8"]
+            assert sorted(terms) == ["log2_decay", "log2_decay_se", "rel_l2_depth6", "rel_l2_depth8"]
             assert terms["log2_decay"] == np.dot([0.5, -0.5], np.log2([terms["rel_l2_depth6"], terms["rel_l2_depth8"]]))
             assert c["mc"]["estimate"] == terms["rel_l2_depth8"]
             if not c["case_id"].endswith(":x"):
@@ -639,7 +648,7 @@ class TestRun:
         assert sorted(by_id) == ["mc_ito:jump_bm:sin", "mc_ito:jump_bm:x", "mc_ito:jump_bm:x2", "mc_qv:jump_bm"]
         assert all(c["pass"] for c in cases)
         for tf in ("x", "x2", "sin"):
-            assert sorted(by_id[f"mc_ito:jump_bm:{tf}"]["terms"]) == ["log2_decay", "rel_l2_depth0", "rel_l2_depth2"]
+            assert sorted(by_id[f"mc_ito:jump_bm:{tf}"]["terms"]) == ["log2_decay", "log2_decay_se", "rel_l2_depth0", "rel_l2_depth2"]
         # F = x passes on the roundoff floor; the others decay by at least half of 1/2 per halving
         for tf in ("x2", "sin"):
             assert by_id[f"mc_ito:jump_bm:{tf}"]["terms"]["log2_decay"] >= by_id[f"mc_ito:jump_bm:{tf}"]["tolerance"] == 0.25
@@ -718,6 +727,35 @@ class TestRun:
         # batch b starts only once batch b - 2 * jobs has been handed back
         assert all(b - before < 2 * jobs for b, before in started)
 
+    def test_ordered_map_closed_early_cancels_its_queued_calls(self):
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from gaussito.cli import _ordered_map
+
+        in_flight, lock = 4, threading.Lock()
+        submitted, ran = [], []
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        def slow(b):
+            with lock:
+                ran.append(b)
+            time.sleep(0.05)
+            return b
+
+        with Counting(max_workers=1) as pool:
+            ordered = _ordered_map(pool, in_flight)(slow, range(30))
+            assert next(ordered) == 0
+            ordered.close()
+        # the first item, and at most the one call the single worker had started when the map was closed
+        assert len(submitted) == in_flight
+        assert ran in ([0], [0, 1])
+
     @pytest.mark.parametrize("error", [UnsupportedModelError, RuntimeError], ids=["config_error", "crash"])
     def test_a_failing_batch_fails_alike_at_every_jobs_and_leaves_no_worker(self, error, tmp_path, capsys, monkeypatch):
         import threading
@@ -727,7 +765,8 @@ class TestRun:
         original = gaussito.gaussproc.simulate_paths
 
         def failing(spec, grid, n_paths, seed, *args):
-            # batch 2 of the pathwise check's draw, whichever thread draws it
+            # batch 2 of a draw at the pathwise check's seed, whichever thread draws it: of the pathwise check's, if it
+            # does not stop at its first look, else of path_qv's, which draws every batch
             if getattr(seed, "spawn_key", ()) == (2,):
                 raise error("batch 2 fails")
             return original(spec, grid, n_paths, seed, *args)

@@ -444,6 +444,46 @@ class TestSimulation:
         assert mean == pytest.approx(np.mean(ends), rel=1e-12)
         assert m2 == pytest.approx(np.sum((ends - np.mean(ends)) ** 2), rel=1e-12)
 
+    def test_a_stop_rule_is_asked_at_doubling_looks_and_cuts_the_draw_at_a_cap(self, jump_bm):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from gaussito.cli import _ordered_map
+
+        grid = np.linspace(0.0, 1.0, 2**10 + 1)
+        rows = _BATCH_ELEMENTS // len(grid)
+        n_paths, seed = 9 * rows + 7, 3
+
+        def work(sim, buffer):
+            return sim.paths[:, -1]
+
+        asked = []
+
+        def never(moments, looks):
+            asked.append((moments[0], looks))
+            return False
+
+        # ten batches: looks after batches 1, 2, 4, 8 and 10, five in all
+        whole, batches = simulate_batches(jump_bm, grid, n_paths, seed, work, stop=never)
+        assert batches == 10 and whole[0] == n_paths
+        assert asked == [(b * rows, 5) for b in (1, 2, 4, 8)] + [(n_paths, 5)]
+        assert whole == simulate_batches(jump_bm, grid, n_paths, seed, work)[0]
+        # a rule that answers true at the look after batch 4 leaves the first four batches' moments, the same
+        # whatever the map, so the result depends only on the model, grid, cap and seed
+        at_four = lambda moments, looks: moments[0] == 4 * rows
+        stopped = simulate_batches(jump_bm, grid, n_paths, seed, work, stop=at_four)
+        assert stopped == (simulate_batches(jump_bm, grid, 4 * rows, seed, work)[0], 4)
+        started = []
+
+        def noting(sim, buffer):
+            started.append(len(sim.paths))
+            return work(sim, buffer)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = simulate_batches(jump_bm, grid, n_paths, seed, noting, _ordered_map(pool, 4), stop=at_four)
+        assert threaded == stopped
+        # no batch beyond the four merged and the four submitted after them is started
+        assert len(started) <= 8
+
     def test_prepared_sampler_belongs_to_its_model(self, brownian, jump_bm):
         with pytest.raises(ValueError, match="another model"):
             simulate_paths(jump_bm, prepare_sampler(brownian, np.array([0.5, 1.0])), 10, seed=1)

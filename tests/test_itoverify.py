@@ -323,32 +323,85 @@ class TestMartingaleItoMc:
 
         spec = catalog(model, **params)
         tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
-        # levels of depth 7 and 9; 513 or 515 points: 1019 or 1018 rows per batch, five batches
-        serial = martingale_ito_mc(spec, tfs, 9, 5000, seed=13)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = martingale_ito_mc(spec, tfs, 9, 5000, seed=13, batch_map=_ordered_map(pool, 8))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
-        assert {report.batches for *_, report in serial[0]} == {5}
+        # levels of depth 7 and 9; 513 or 515 points: 1019 or 1018 rows per batch, five batches at the cap,
+        # which an infinite z_max never stops short of; at the default z_max both cases resolve at the first look
+        for z_max, batches in ((math.inf, 5), (4.0, 1)):
+            serial = martingale_ito_mc(spec, tfs, 9, 5000, seed=13, z_max=z_max)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    threaded = martingale_ito_mc(spec, tfs, 9, 5000, seed=13, z_max=z_max, batch_map=_ordered_map(pool, 8))
+            finally:
+                sys.setswitchinterval(interval)
+            assert threaded == serial
+            assert {report.batches for *_, report in serial} == {batches}
 
     def test_square_discretization_error(self, jump_bm):
         tfs = [make_tf("x2", jump_bm.lam)]
-        (((passed, _, terms, rep),), qv) = martingale_ito_mc(jump_bm, tfs, 8, 4000, seed=5)
+        ((passed, _, terms, rep),) = martingale_ito_mc(jump_bm, tfs, 8, 4000, seed=5)
         assert 0.0 < rep.estimate < 0.1
         assert rep.estimate == terms["rel_l2_depth8"] < terms["rel_l2_depth6"]
-        assert passed and qv is None
+        assert passed
 
     def test_linear_telescopes(self, jump_bm):
         tfs = [make_tf("x", jump_bm.lam)]
-        (((passed, _, terms, rep),), _) = martingale_ito_mc(jump_bm, tfs, 8, 2000, seed=5)
+        ((passed, _, terms, rep),) = martingale_ito_mc(jump_bm, tfs, 8, 2000, seed=5)
         assert rep.estimate < 1e-12
         # no decay below roundoff, and the case passes on the roundoff floor alone
         assert terms["rel_l2_depth6"] < 1e-12
         assert passed
+
+    def test_stops_at_the_first_look_where_every_case_is_resolved(self):
+        from gaussito.gaussproc import _BATCH_ELEMENTS
+
+        spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
+        tfs = [make_tf(name, spec.lam) for name in ("x", "x2", "sin")]
+        # ten batches of 2024 paths on the 259 points of the fine joined grid; x sits on the roundoff floor, and
+        # x2 and sin clear their gate of 0.25 by over 4.37 standard errors, z_max 4 over five looks, after one
+        rows = _BATCH_ELEMENTS // 259
+        cases = martingale_ito_mc(spec, tfs, 8, 10 * rows, seed=17)
+        assert {(report.n_paths, report.batches) for *_, report in cases} == {(rows, 1)}
+        assert all(passed for passed, *_ in cases)
+        assert all(terms["log2_decay"] - 0.25 >= 4.37 * terms["log2_decay_se"] for _, _, terms, _ in cases[1:])
+        # the paths of the first batch at any cap, bit for bit
+        assert cases == martingale_ito_mc(spec, tfs, 8, rows, seed=17)
+
+    def test_a_case_never_resolved_runs_to_the_cap(self):
+        # fbm(0.3) sin clears its gate of 0.05 by under 4.16 standard errors, z_max 4 over two looks, at 4000 paths
+        spec = catalog("fbm", hurst=0.3)
+        tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
+        cases = martingale_ito_mc(spec, tfs, 8, 4000, seed=2)
+        assert {(report.n_paths, report.batches) for *_, report in cases} == {(4000, 2)}
+        assert cases[1][2]["log2_decay"] - 0.05 < 4.16 * cases[1][2]["log2_decay_se"]
+        # the verdict and every value are those of a run that never stops early
+        assert cases == martingale_ito_mc(spec, tfs, 8, 4000, seed=2, z_max=math.inf)
+
+    def test_a_failing_case_runs_to_the_cap(self, monkeypatch):
+        import gaussito.itoverify
+
+        # the Ito weights of the martingale case without the Wick weights: on fbm(0.7) the residual stops decaying
+        monkeypatch.setattr(gaussito.itoverify, "_cell_weights", lambda spec, pts: np.diff(spec.variance.base_values(pts)))
+        spec = catalog("fbm", hurst=0.7)
+        tfs = [make_tf("x2", spec.lam)]
+        cases = martingale_ito_mc(spec, tfs, 8, 4000, seed=3)
+        ((passed, required, terms, report),) = cases
+        # far more than 4.16 standard errors short of the gate, yet no look stops to fail it: a failure is the cap's
+        assert not passed and required - terms["log2_decay"] > 10 * terms["log2_decay_se"]
+        assert (report.n_paths, report.batches) == (4000, 2)
+        assert cases == martingale_ito_mc(spec, tfs, 8, 4000, seed=3, z_max=math.inf)
+
+    @pytest.mark.parametrize("model, params, names", [("brownian", {}, ("x2", "sin")), ("fbm", {"hurst": 0.3}, ("sin",))], ids=["brownian", "fbm_h03"])
+    def test_decay_standard_error_matches_the_spread_over_seeds(self, model, params, names):
+        # 200 seeds of 400 paths at depth 6, one batch each: the delta-method standard error each seed reads
+        # from its own paths is within 20% of the spread of the decays over the seeds
+        spec = catalog(model, **params)
+        tfs = [make_tf(name, spec.lam) for name in names]
+        runs = [martingale_ito_mc(spec, tfs, 6, 400, seed) for seed in range(200)]
+        for k in range(len(tfs)):
+            decays = [run[k][2]["log2_decay"] for run in runs]
+            ses = [run[k][2]["log2_decay_se"] for run in runs]
+            assert np.median(ses) == pytest.approx(np.std(decays, ddof=1), rel=0.2)
 
     def test_grid_depth_below_two_raises(self, jump_bm):
         # the coarse level is grid_depth - 2; at 2 it is [0, T] with the discontinuity times
@@ -496,39 +549,17 @@ class TestMartingaleItoMc:
 
         # the batch loop lives in gaussproc.simulate_batches
         monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
-        # 3000 paths on the 259 points of the finest joined grid are two batches
-        shared, _ = martingale_ito_mc(spec, tfs, 8, 3000, seed=11)
+        # 3000 paths on the 259 points of the finest joined grid are two batches; the look after a batch
+        # couples the test functions too, where each one's resolution decides the stop, so none stops here
+        shared = martingale_ito_mc(spec, tfs, 8, 3000, seed=11, z_max=math.inf)
         assert len(calls) == 2
         # the fine grid is joined with the two discontinuity times
         assert [report.grid_points for *_, report in shared] == [2**8 + 3] * len(tfs)
-        for k, tf in enumerate(tfs):
-            assert shared[k] == martingale_ito_mc(spec, [tf], 8, 3000, seed=11)[0][0]
-
-    def test_quadratic_variation_reads_the_same_draw(self, monkeypatch):
-        import gaussito.gaussproc
-        from gaussito.gaussproc import path_qv_mc
-
-        spec = catalog("jump_bm", jumps=[[0.3, 0.2], [0.7, 0.3]])
-        tfs = [make_tf(name, spec.lam) for name in ("x2", "sin")]
-        alone, no_qv = martingale_ito_mc(spec, tfs, 8, 3000, seed=11)
-        assert no_qv is None
-        calls = []
-        original = gaussito.gaussproc.simulate_paths
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", counting)
-        cases, qv = martingale_ito_mc(spec, tfs, 8, 3000, seed=11, qv=True)
-        # one draw of two batches on the 259 points of the fine joined grid
-        assert len(calls) == 2
-        assert cases == alone
-        assert (qv.grid_points, qv.batches) == (259, 2)
-        assert {(r.grid_points, r.batches, r.seed) for *_, r in cases} == {(259, 2, 11)}
-        monkeypatch.undo()
-        # bit-identical to the standalone estimator on that grid at that seed
-        assert qv == path_qv_mc(spec, np.union1d(np.linspace(0, 1, 2**8 + 1), [0.3, 0.7]), 3000, seed=11)
+        for k, tf in enumerate(tfs[1:], 1):
+            assert shared[k] == martingale_ito_mc(spec, [tf], 8, 3000, seed=11, z_max=math.inf)[0]
+        # alone, F = x is resolved on the roundoff floor at the first look whatever z_max, and stops there
+        (alone,) = martingale_ito_mc(spec, tfs[:1], 8, 3000, seed=11, z_max=math.inf)
+        assert alone[3].batches == 1 and alone[0] and shared[0][0]
 
 
 class TestMcSTransform:

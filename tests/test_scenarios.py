@@ -1,9 +1,10 @@
 """Every scenario of ``tests/scenarios/`` and every bundled one named in its ``expected.json``, run in
 process through the CLI at ``--jobs`` 1, 2 and 3.
 
-``expected.json`` holds per scenario name its exit code and either its sorted case ids or its stderr.
-A name with no file in the directory is a bundled scenario.  Adding a scenario is adding its file and
-its entry there.
+``expected.json`` holds per scenario name its exit code and either its sorted case ids or its stderr,
+and the paths each ``mc_ito`` record used, so a change in where the pathwise check stops shows in its
+diff.  A name with no file in the directory is a bundled scenario.  Adding a scenario is adding its file
+and its entry there.
 """
 
 import json
@@ -38,4 +39,7 @@ def test_scenario_runs_alike_at_every_jobs(name, tmp_path, capsys):
     assert all(files == outputs[0] for files in outputs[1:])
     if outputs:
         # a check that silently stops planning its cases shows here
-        assert [case["case_id"] for case in json.loads(outputs[0][0])["cases"]] == expected["case_ids"]
+        cases = json.loads(outputs[0][0])["cases"]
+        assert [case["case_id"] for case in cases] == expected["case_ids"]
+        paths = {case["case_id"]: case["mc"]["n_paths"] for case in cases if case["case_id"].startswith("mc_ito:")}
+        assert paths == expected.get("mc_ito_paths", {})
