@@ -41,6 +41,7 @@ from .gaussproc import (
     catalog_entries,
     cm_element,
     path_qv_mc,
+    path_qv_reader,
 )
 from .heatkernel import GrowthBound, GrowthBoundError, TEST_FUNCTION_IDS, test_function
 from .itoverify import (
@@ -195,8 +196,7 @@ def _scenario_hash(scenario: dict) -> str:
 
 
 def _build_test_functions(entries, lam: float):
-    out = []
-    seen = {}
+    out, seen = [], {}
     for entry in entries:
         if isinstance(entry, str):
             tf = test_function(entry, lam)
@@ -339,10 +339,10 @@ def _plan_cases(scenario, seed, batch_map=map):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k, batch_map)))
 
-    if qv:
-        # beside the pathwise check on its fine grid and at its seed, else on the dyadic grid at a seed of its own
-        qv_seed = base_seed + (1000 if mc_ito else 4000)
-        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, qv_seed, batch_map)))
+    # path_qv reads the pathwise check's draw, on its fine grid at its seed, else draws on the dyadic grid at a seed of its own
+    beside = [path_qv_reader(spec, grid, base_seed + 1000)] if qv and mc_ito else []
+    if qv and not mc_ito:
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000, batch_map)))
 
     if "simple_skorokhod" in checks:
         zero = cm_element(spec, [], label="one")
@@ -357,6 +357,8 @@ def _plan_cases(scenario, seed, batch_map=map):
     # checks a model cannot run are skipped; a scenario left with none verifies nothing
     if not (kinds or mc_ito or pairings):
         raise ConfigError(f"model {model['id']} runs none of the requested checks ({', '.join(checks)})")
+
+    z_gated = lambda cid, report: _case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)
 
     def run():
         # one chain-rule run per pairing element serves every test function and both deterministic checks
@@ -378,15 +380,14 @@ def _plan_cases(scenario, seed, batch_map=map):
                     records.append(_case_record(f"rcll:{cid}", ok, tol_f, terms, res, res.residual))
             yield records
         if mc_ito:
-            # one coupled draw serves every test function, until every verdict is resolved to pass
-            cases = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, tol["z_max"], batch_map)
+            # one coupled draw serves every test function, until every verdict is resolved to pass, and path_qv to the cap
+            cases = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, tol["z_max"], batch_map, [r for r, _ in beside])
             yield [
                 _case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=report)
                 for tf, (ok, required, terms, report) in zip(tfs, cases)
-            ]
+            ] + [z_gated(f"mc_qv:{spec.name}", report(batched)) for (_, report), batched in zip(beside, cases[len(tfs) :])]
         for cid, estimate in pairings:
-            report = estimate()
-            yield [_case_record(cid, report.within(tol["z_max"]), tol["z_max"], {}, report=report, z_score=report.z_score)]
+            yield [z_gated(cid, estimate())]
 
     return run()
 
@@ -460,14 +461,9 @@ def run_scenario(scenario_path, out_dir=None, seed=None, jobs=1, timings=False, 
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     scenario = _load_scenario(_resolve_scenario(scenario_path))
-    out = Path(
-        out_dir
-        or os.environ.get(ENV_OUT_DIR)
-        or scenario.get("output", {}).get("dir", "gaussito-out")
-    )
+    out = Path(out_dir or os.environ.get(ENV_OUT_DIR) or scenario.get("output", {}).get("dir", "gaussito-out"))
 
-    results: dict[str, dict] = {}
-    clocks: dict[str, float] = {}
+    results, clocks = {}, {}
     # the plan items run here, one after the other, and the pool's threads, one per CPU at most,
     # only their Monte Carlo batches, so no item waits on a pool it occupies
     workers = min(jobs, os.cpu_count() or 1)

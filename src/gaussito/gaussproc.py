@@ -41,6 +41,7 @@ __all__ = [
     "cm_element",
     "cm_inner",
     "path_qv_mc",
+    "path_qv_reader",
     "planar_qv_sum",
     "prepare_sampler",
     "simulate_batches",
@@ -406,43 +407,45 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     """Chan-Golub-LeVeque merge of two (count, mean, M2) triples, row by row."""
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
-    n = na + nb
-    delta = mean_b - mean_a
+    n, delta = na + nb, mean_b - mean_a
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
-def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, work: Callable, batch_map=map, stop=None) -> tuple[tuple, int]:
-    """The (count, mean, M2) triples of the per-path rows ``work(sim, buffer)`` returns for the ``simulate_paths``
-    batches of the ``n_paths`` draws on ``grid``, merged row by row in batch order as each batch arrives, and the batch count.
+def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, readers, batch_map=map) -> list[tuple[tuple, int]]:
+    """Per reader ``(work, stop)``, the (count, mean, M2) triples of the per-path rows ``work(sim, buffer)`` returns for
+    the ``simulate_paths`` batches of one draw of ``n_paths`` paths on ``grid``, merged in batch order, and its batch count.
 
-    The sampler is prepared once; batch b is seeded as it runs, from ``SeedSequence(seed, spawn_key=(b,))``,
-    the b-th stream of ``SeedSequence(seed).spawn``, so the draws depend only on (spec, grid, n_paths, seed).
-    ``batch_map`` (the builtin ``map``, or an ordered map over worker threads) runs the batches.  Each thread
-    draws into one ``_Buffers`` set, sized by its first batch, that ``work`` may use and return a view of, as the
-    rows are reduced before the thread draws again: memory is one batch per thread, about 4 MB per array.
-    ``stop(moments, looks)`` is asked on the merged moments at the ``looks`` looks, after batch 1, 2, 4, 8, ... and
-    the last; at its first true answer the map is closed and started batches are discarded: ``n_paths`` is a cap.
+    Batch b is drawn once for every reader, seeded as it runs from ``SeedSequence(seed, spawn_key=(b,))``, so the draws
+    depend only on (spec, grid, n_paths, seed).  ``batch_map`` (``map``, or an ordered map over threads) runs the batches;
+    each thread draws into one ``_Buffers`` set and runs the batch's live readers in turn, each reducing its rows before
+    the next runs, so a reader may return a view of the set's arrays and borrow a name an earlier reader is done with:
+    memory is one batch per thread, about 4 MB per array.  ``stop(moments, looks)``, if any, is asked at the ``looks``
+    looks, after batch 1, 2, 4, 8, ... and the last; at its first true answer its reader keeps those moments: ``n_paths``
+    is a cap.  While a live reader can stop, the map runs one look's batches at a time, so none starts past the next
+    look, and each reader's result is the one it gets drawn alone.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     sampler = prepare_sampler(spec, grid)
     rows = max(1, _BATCH_ELEMENTS // len(sampler.times))
-    batches, buffers = range(-(-n_paths // rows)), _Buffers()
-    looks = {1 << k for k in range(len(batches).bit_length())} | {len(batches)}
+    n_batches, buffers = -(-n_paths // rows), _Buffers()
+    looks = sorted({1 << k for k in range(n_batches.bit_length())} | {n_batches})
+    works, stops = zip(*readers)
 
-    def batch(b):
-        stream = np.random.SeedSequence(seed, spawn_key=(b,))
-        return _moments(work(simulate_paths(spec, sampler, min(rows, n_paths - b * rows), stream, buffers), buffers))
+    def batch(live, b):
+        sim = simulate_paths(spec, sampler, min(rows, n_paths - b * rows), np.random.SeedSequence(seed, spawn_key=(b,)), buffers)
+        return [_moments(works[r](sim, buffers)) for r in live]
 
-    results = batch_map(batch, batches)
-    try:
-        for used, moments in enumerate(results, 1):
-            merged = moments if used == 1 else _merge_moments(merged, moments)
-            if stop is not None and used in looks and stop(merged, len(looks)):
-                break
-    finally:
-        getattr(results, "close", lambda: None)()
-    return merged, used
+    results, live, done = [None] * len(readers), range(len(readers)), 0
+    while live and done < n_batches:
+        # one look's window while a live reader can stop, else every batch left
+        end = next(k for k in looks if k > done) if any(stops[r] for r in live) else n_batches
+        for b, moments in zip(range(done, end), batch_map(partial(batch, live), range(done, end))):
+            for r, m in zip(live, moments):
+                results[r] = (m if b == 0 else _merge_moments(results[r][0], m), b + 1)
+        done = end
+        live = [r for r in live if not (stops[r] and stops[r](results[r][0], len(looks)))]
+    return results
 
 
 def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McReport:
@@ -452,23 +455,26 @@ def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McRe
     return McReport(float(mean), se, reference, n_paths, seed, len(grid), batches)
 
 
-def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) -> McReport:
-    """Monte Carlo mean of the pathwise quadratic sum against its expected limit.
-
-    The reference is the continuous quadratic variation plus the summed
-    mean-square jumps over [0, horizon], which ``grid`` must span; only models
-    with a deterministic continuous quadratic variation support this check.
-    A batch returns its rows, the quadratic sums, reduced to moments as it arrives.
-    """
+def path_qv_reader(spec: ProcessSpec, grid, seed: int) -> tuple[tuple, Callable]:
+    """``path_qv_mc``'s reader ``(work, None)`` of a draw on ``grid``, and the function that makes its McReport from the
+    reader's ``simulate_batches`` result: the per-path quadratic sums against the continuous quadratic variation plus the
+    summed mean-square jumps over [0, horizon], which ``grid`` must span, on a model where that variation is deterministic."""
     if spec.pathwise_qv_cont is None or not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
     reference, pts = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records), _spanning_grid(spec, grid)
 
     def work(sim, buffer):
-        d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("diff", (len(sim.paths), len(sim.times) - 1)))
+        # the name of the pathwise check's fine-level increments, which it is done with when this reader reads its draw
+        d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("dX", (len(sim.paths), len(sim.times) - 1)))
         return np.sum(np.square(d, out=d), axis=1)
 
-    return _mc_report(simulate_batches(spec, pts, n_paths, seed, work, batch_map), reference, seed, pts)
+    return (work, None), lambda batched: _mc_report(batched, reference, seed, pts)
+
+
+def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) -> McReport:
+    """The ``path_qv_reader`` check on a draw of its own: every one of the ``n_paths`` paths, a two-sided z test."""
+    reader, report = path_qv_reader(spec, grid, seed)
+    return report(simulate_batches(spec, grid, n_paths, seed, [reader], batch_map)[0])
 
 
 # -- catalog -------------------------------------------------------------------
@@ -593,15 +599,12 @@ def _evanescent_phase(ts: np.ndarray, s0: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
-    T = float(horizon)
-    s0 = float(s0)
+    T, s0 = float(horizon), float(s0)
     if T <= 0 or not 0.0 < s0 < T:
         raise CatalogError("need 0 < s0 < horizon")
 
     def cov(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        t, s = np.broadcast_arrays(t, s)
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
         inside = (t < s0) & (s < s0)
         tt = np.where(t < s0, t, 0.0)
         ss = np.where(s < s0, s, 0.0)

@@ -327,7 +327,7 @@ def pathwise_decay(spec: ProcessSpec, grid) -> float:
     return min(alpha - 0.5, 1.0)
 
 
-def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_paths: int, seed: int, z_max: float = 4.0, batch_map=map):
+def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_paths: int, seed: int, z_max: float = 4.0, batch_map=map, beside=()):
     """Pathwise check of the Gaussian identity by Wick-Riemann sums on two nested grids, with its verdict.
 
     The levels are the dyadic grids of ``grid_depth - 2`` and ``grid_depth`` (at least 2) over [0, horizon], each
@@ -348,7 +348,8 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     passes when ``required <= log2_decay < inf``, or when both levels are below 1e-12, where the identity holds to
     roundoff.  ``n_paths`` is a cap: the draw stops at the first look of ``simulate_batches`` where every case is
     resolved to pass, below 1e-12 or ``log2_decay`` at least ``z_L`` (``z_max`` over the looks by Bonferroni)
-    standard errors above ``required``; a failing case runs to the cap.  The reports count the paths used.
+    standard errors above ``required``; a failing case runs to the cap.  The reports count the paths used.  The
+    ``simulate_batches`` readers ``beside`` read the same draw after this check's reader, and their results follow the cases.
     """
     tfs = _admitted(spec, test_functions)
     if grid_depth < 2:
@@ -367,12 +368,12 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     def batch(sim, buffer):
         X, xi = sim.paths, sim.jump_draws
         n = len(X)
-        # shared by every test function: increments net of the jump draws, values and left limits at the
-        # discontinuities; the coarse level's X goes to the array its F' and F'' are gathered into later
+        # shared by every test function: increments net of the jump draws (the fine level's in "dX", which a path_qv_reader
+        # beside borrows), values and left limits at the jumps; the coarse X goes to the array F' and F'' are gathered into
         dXs = []
-        for k, (cols, jpos, _) in enumerate(plan):
+        for cols, jpos, _ in plan:
             Xl = X if cols is None else _gather(X, cols, buffer("gather", (n, len(cols))))
-            dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer(("dX", k), (n, Xl.shape[1] - 1))))
+            dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer("dX" if cols is None else "coarse dX", (n, Xl.shape[1] - 1))))
             dXs[-1][:, jpos] -= xi
         x_jump = X[:, jcols]
         x_left = x_jump - xi
@@ -404,20 +405,20 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
         z = -NormalDist().inv_cdf(tail) if tail > 0 else math.inf
         return all(floor or decay - required >= z * se for _, floor, decay, se, _ in summaries(moments))
 
-    moments, batches = simulate_batches(spec, fine, n_paths, seed, batch, batch_map, resolved)
+    (moments, batches), *others = simulate_batches(spec, fine, n_paths, seed, [(batch, resolved), *beside], batch_map)
     cases = []
     for rels, floor, decay, se, se_rel in summaries(moments):
         terms = {f"rel_l2_depth{grid_depth - 2}": rels[0], f"rel_l2_depth{grid_depth}": rels[1], "log2_decay": decay, "log2_decay_se": se}
         report = McReport(rels[1], se_rel, 0.0, moments[0], seed, len(fine), batches)
         cases.append((floor or required <= decay < math.inf, required, terms, report))
-    return tuple(cases)
+    return (*cases, *others)
 
 
 def mc_s_transform(spec: ProcessSpec, pairing: Pairing, n_paths: int, seed: int, batch_map=map) -> McReport:
     """Sample mean and standard error of a pairing's per-path sample against its closed form: each
     ``simulate_batches`` batch on the pairing's times returns the sample, so memory is one batch whatever ``n_paths``."""
-    batched = simulate_batches(spec, pairing.times, n_paths, seed, lambda sim, _: pairing.sample(sim), batch_map)
-    return _mc_report(batched, pairing.reference, seed, pairing.times)
+    batched = simulate_batches(spec, pairing.times, n_paths, seed, [(lambda sim, _: pairing.sample(sim), None)], batch_map)
+    return _mc_report(batched[0], pairing.reference, seed, pairing.times)
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------

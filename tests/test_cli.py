@@ -509,14 +509,15 @@ class TestRun:
         cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
         assert [c["case_id"] for c in cases] == [f"mc_ito:{spec.name}:{tf}" for tf in ("sin", "x2")] + [f"mc_qv:{spec.name}"]
         *ito, qv = cases
-        # the quadratic-variation record draws all its paths, two batches on the pathwise check's fine grid at its
-        # seed, beside the pathwise check's own draw, which stops at its first resolved look
+        # the quadratic-variation record reads all its paths, two batches of the pathwise check's draw on its fine grid
+        # at its seed; the pathwise check reads the first of them and stops at its first resolved look
         assert qv["diagnostics"] == {"grid_points": len(fine), "batches": 2, "path_points": n_paths * len(fine)}
         assert {c["diagnostics"]["batches"] for c in ito} == {1}
-        assert len(calls) == ito[0]["diagnostics"]["batches"] + qv["diagnostics"]["batches"]
+        # each batch is drawn once for both readers
+        assert len(calls) == qv["diagnostics"]["batches"]
         assert all(c["mc"]["seed"] == seed + 1000 for c in cases)
-        # two plan items, each with its own time
-        assert len({c["runtime_ms"] for c in ito}) == 1 and qv["runtime_ms"] != ito[0]["runtime_ms"]
+        # one plan item, one time
+        assert {c["runtime_ms"] for c in cases} == {ito[0]["runtime_ms"]}
         # the record is the standalone estimator's on that grid at that seed, bit for bit
         expected = path_qv_mc(spec, fine, n_paths, seed + 1000)
         assert qv["mc"] == {
@@ -532,6 +533,26 @@ class TestRun:
         assert main(["run", str(alone), "--out", str(tmp_path / "alone")]) == 0
         without = json.loads((tmp_path / "alone" / "report.json").read_text())["cases"]
         assert [{**c, "runtime_ms": None} for c in ito] == [{**c, "runtime_ms": None} for c in without]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_full_jump_bm_draws_each_batch_at_the_pathwise_seed_once(self, jobs, tmp_path, capsys, monkeypatch):
+        import gaussito.gaussproc
+
+        seeds = []
+        original = gaussito.gaussproc.simulate_paths
+
+        def noting(spec, grid, n_paths, seed, buffer=None):
+            seeds.append(seed.entropy)
+            return original(spec, grid, n_paths, seed, buffer)
+
+        monkeypatch.setattr(gaussito.gaussproc, "simulate_paths", noting)
+        assert main(["run", "full_jump_bm", "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 0
+        cases = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
+        batches = {c["case_id"]: c["diagnostics"]["batches"] for c in cases if c["mc"] and c["mc"]["seed"] == 20250809 + 1000}
+        # mc_qv's ten batches on the 513-point grid, the first of which the pathwise check reads too and stops at,
+        # whatever the map: no batch is drawn twice, and none past the pathwise check's stopping look is discarded
+        assert batches == {"mc_ito:jump_bm:sin": 1, "mc_ito:jump_bm:x": 1, "mc_ito:jump_bm:x2": 1, "mc_qv:jump_bm": 10}
+        assert seeds.count(20250809 + 1000) == 10
 
     @pytest.mark.parametrize("model", [{"id": "fbm", "params": {"hurst": 0.5}}], ids=lambda m: m["id"])
     def test_path_qv_keeps_its_own_draw_without_the_pathwise_check(self, model, tmp_path, capsys):

@@ -429,7 +429,7 @@ class TestSimulation:
             # a view of the batch's buffer: it is reduced before the next batch draws into it
             return sim.paths[:, -1]
 
-        (count, mean, m2), n_batches = simulate_batches(jump_bm, grid, n_paths, seed, work)
+        (((count, mean, m2), n_batches),) = simulate_batches(jump_bm, grid, n_paths, seed, [(work, None)])
         # three batches of 511, 511 and 278 rows, all drawn into the same array
         assert [len(paths) for paths, _ in batches] == [rows, rows, n_paths - 2 * rows]
         assert n_batches == 3 and len(set(seen)) == 1
@@ -463,15 +463,15 @@ class TestSimulation:
             return False
 
         # ten batches: looks after batches 1, 2, 4, 8 and 10, five in all
-        whole, batches = simulate_batches(jump_bm, grid, n_paths, seed, work, stop=never)
+        ((whole, batches),) = simulate_batches(jump_bm, grid, n_paths, seed, [(work, never)])
         assert batches == 10 and whole[0] == n_paths
         assert asked == [(b * rows, 5) for b in (1, 2, 4, 8)] + [(n_paths, 5)]
-        assert whole == simulate_batches(jump_bm, grid, n_paths, seed, work)[0]
+        assert whole == simulate_batches(jump_bm, grid, n_paths, seed, [(work, None)])[0][0]
         # a rule that answers true at the look after batch 4 leaves the first four batches' moments, the same
         # whatever the map, so the result depends only on the model, grid, cap and seed
         at_four = lambda moments, looks: moments[0] == 4 * rows
-        stopped = simulate_batches(jump_bm, grid, n_paths, seed, work, stop=at_four)
-        assert stopped == (simulate_batches(jump_bm, grid, 4 * rows, seed, work)[0], 4)
+        (stopped,) = simulate_batches(jump_bm, grid, n_paths, seed, [(work, at_four)])
+        assert stopped == (simulate_batches(jump_bm, grid, 4 * rows, seed, [(work, None)])[0][0], 4)
         started = []
 
         def noting(sim, buffer):
@@ -479,10 +479,50 @@ class TestSimulation:
             return work(sim, buffer)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = simulate_batches(jump_bm, grid, n_paths, seed, noting, _ordered_map(pool, 4), stop=at_four)
+            (threaded,) = simulate_batches(jump_bm, grid, n_paths, seed, [(noting, at_four)], _ordered_map(pool, 4))
         assert threaded == stopped
-        # no batch beyond the four merged and the four submitted after them is started
-        assert len(started) <= 8
+        # the map runs one look's window at a time, [1], [2], [3, 4], so no batch past the stopping look starts
+        assert len(started) <= 4
+
+    @pytest.mark.parametrize("threads", [0, 2], ids=["map", "ordered_map"])
+    def test_readers_of_one_draw_get_their_results_when_drawn_alone(self, jump_bm, threads):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from gaussito.cli import _ordered_map
+
+        grid = np.linspace(0.0, 1.0, 2**10 + 1)
+        rows = _BATCH_ELEMENTS // len(grid)
+        n_paths, seed = 9 * rows + 7, 5
+        draws = []
+
+        def first(sim, buffer):
+            draws.append(len(sim.paths))
+            # a view of an array of the thread's set that the next reader borrows and overwrites
+            return np.multiply(sim.paths[:, -1], 2.0, out=buffer("shared", (len(sim.paths),)))
+
+        def last(sim, buffer):
+            return np.square(sim.paths[:, 256], out=buffer("shared", (len(sim.paths),)))
+
+        def middle(sim, buffer):
+            return np.sum(sim.paths, axis=1)
+
+        # one reader stops at the first look, one has no stop rule, one asks at every look and runs to the cap
+        asked = []
+        readers = [(first, lambda moments, looks: True), (middle, None), (last, lambda moments, looks: asked.append(moments[0]))]
+        alone = [simulate_batches(jump_bm, grid, n_paths, seed, [reader])[0] for reader in readers]
+        assert [batches for _, batches in alone] == [1, 10, 10]
+        draws.clear()
+        asked.clear()
+        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+            shared = simulate_batches(jump_bm, grid, n_paths, seed, readers, _ordered_map(pool, 4) if threads else map)
+        # bit for bit: the same counts, means and sums of squares, row by row, and the same batch counts
+        for (moments, batches), (ref, ref_batches) in zip(shared, alone):
+            assert batches == ref_batches and moments[0] == ref[0]
+            for got, want in zip(moments[1:], ref[1:]):
+                _assert_same_bits(got, want)
+        # the first reader read batch 1 only, and the last was asked at every look
+        assert draws == [rows]
+        assert asked == [b * rows for b in (1, 2, 4, 8)] + [n_paths]
 
     def test_prepared_sampler_belongs_to_its_model(self, brownian, jump_bm):
         with pytest.raises(ValueError, match="another model"):
@@ -678,8 +718,9 @@ class TestPathQv:
         # two paths per batch: 2000 and 10000 paths are 1000 and 5000 batches
         monkeypatch.setattr(gp, "_BATCH_ELEMENTS", 2)
         check = lambda n_paths: mc_s_transform(brownian, Pairing(0.0, grid, lambda sim: sim.paths[:, 0]), n_paths, seed=3)
-        # first-use allocations fall outside the traced runs
-        assert check(200).batches == 100
+        # first-use allocations, at each size, fall outside the traced runs
+        for n_paths in (2000, 10000):
+            assert check(n_paths).batches == n_paths // 2
         peaks = {}
         for n_paths in (2000, 10000):
             tracemalloc.start()

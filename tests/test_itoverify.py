@@ -427,6 +427,26 @@ class TestMartingaleItoMc:
         for n_paths in (2000, 8000):
             assert peaks[n_paths, 3] <= 1.15 * peaks[n_paths, 1]
 
+    def test_a_path_qv_reader_beside_borrows_the_fine_increments(self, jump_bm):
+        from gaussito.gaussproc import path_qv_reader
+
+        tfs = [make_tf("sin", jump_bm.lam)]
+        fine = np.union1d(np.linspace(0.0, 1.0, 2**10 + 1), jump_bm.record_times())
+        reader, _ = path_qv_reader(jump_bm, fine, 3)
+        peaks = {}
+        for beside in ((), [reader]):
+            # first-use allocations fall outside the traced run
+            martingale_ito_mc(jump_bm, tfs, 10, 2000, seed=3, beside=beside)
+            tracemalloc.start()
+            try:
+                martingale_ito_mc(jump_bm, tfs, 10, 2000, seed=3, beside=beside)
+                peaks[len(beside)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the readers of a batch run in turn, so the quadratic sums reuse the pathwise check's fine-level increment
+        # array; an array of their own would add one batch array, about 22% here
+        assert peaks[1] <= 1.05 * peaks[0]
+
     @given(
         hnp.arrays(
             float,
