@@ -287,13 +287,11 @@ def _plan_cases(scenario, seed, batch_map=map):
     dropped = {term for name, on in scenario.get("mutations", {}).items() if on for term in _MUTATIONS[name]}
 
     qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
-    grid = np.linspace(0.0, spec.horizon, 2**depth + 1)
+    grid = np.union1d(np.linspace(0.0, spec.horizon, 2**depth + 1), spec.record_times())
     mc_ito = "martingale_ito" in checks
     if mc_ito:
         try:
             pathwise_decay(spec, grid)
-            # the pathwise check draws on the grid joined with the discontinuity times, and path_qv beside it does too
-            grid = np.union1d(grid, spec.record_times())
         except UnsupportedModelError:
             # a model the check cannot decay on is skipped, as ito_rcll is
             mc_ito = False
@@ -339,10 +337,10 @@ def _plan_cases(scenario, seed, batch_map=map):
             cid = f"mc_p2:{spec.name}:{k}:{g.label}:{h.label}"
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k, batch_map)))
 
-    # path_qv reads the pathwise check's draw, on its fine grid at its seed, else draws on the dyadic grid at a seed of its own
+    # path_qv reads the pathwise draw (the dyadic grid joined with the discontinuity times, at its seed), beside the check or alone
     beside = [path_qv_reader(spec, grid, base_seed + 1000)] if qv and mc_ito else []
     if qv and not mc_ito:
-        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 4000, batch_map)))
+        pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 1000, batch_map)))
 
     if "simple_skorokhod" in checks:
         zero = cm_element(spec, [], label="one")

@@ -1,14 +1,16 @@
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gaussito.cli import CHECK_IDS, ENV_OUT_DIR, SCENARIO_SCHEMA, main
+from gaussito.cli import _DEFAULT_TOLERANCES, _MUTATIONS, CHECK_IDS, ENV_OUT_DIR, SCENARIO_SCHEMA, main
 from gaussito.heatkernel import TEST_FUNCTION_IDS
 from gaussito.gaussproc import UnsupportedModelError
 
@@ -28,6 +30,12 @@ def write_scenario(tmp_path, name="scen.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(scenario))
     return path
+
+
+def run_cases(tmp_path, tag, **overrides):
+    """The exit code and the report's cases by id of ``write_scenario(**overrides)``."""
+    code = main(["run", str(write_scenario(tmp_path, f"{tag}.json", **overrides)), "--out", str(tmp_path / tag)])
+    return code, {c["case_id"]: c for c in json.loads((tmp_path / tag / "report.json").read_text())["cases"]}
 
 
 def count_engine_runs(monkeypatch) -> list:
@@ -84,8 +92,6 @@ class TestRun:
         assert a == b
         assert (tmp_path / "a" / "terms.csv").read_bytes() == (tmp_path / "b" / "terms.csv").read_bytes()
         # every tolerance set to its default decides every case as no tolerances block does
-        from gaussito.cli import _DEFAULT_TOLERANCES
-
         defaults = write_scenario(
             tmp_path,
             "defaults.json",
@@ -419,6 +425,54 @@ class TestRun:
         assert report["scenario_hash"] != mreport["scenario_hash"]
         assert {**report, "scenario_hash": None} == {**mreport, "scenario_hash": None}
 
+    def test_transcendental_tolerance_gates_only_the_transcendental_cases(self, tmp_path, capsys):
+        # without (1/2) int psi_{F''} dV every case is off by that term; a huge transcendental tolerance forgives sin's, not x2's
+        common = {"test_functions": ["x2", "sin"], "cm_elements": "auto", "mutations": {"drop_dv_integral": True}}
+        code, strict = run_cases(tmp_path, "strict", **common)
+        loose_code, loose = run_cases(tmp_path, "loose", tolerances={"transcendental": 1e3}, **common)
+        assert code == loose_code == 1
+        assert not any(c["pass"] for c in strict.values())
+        assert {cid: c["pass"] for cid, c in loose.items()} == {cid: ":sin:" in cid for cid in strict}
+        for cid, c in loose.items():
+            assert c == (strict[cid] if ":x2:" in cid else {**strict[cid], "pass": True, "tolerance": 1e3})
+
+    def test_ys_tol_sets_the_refinement_the_diagnostics_report(self, tmp_path, capsys):
+        common = {"test_functions": ["x2", "sin"], "cm_elements": "auto", "checks": ["ito_stransform", "ito_rcll"]}
+        code, default = run_cases(tmp_path, "default", **common)
+        loose_code, loose = run_cases(tmp_path, "loose", tolerances={"ys_tol": 1e-4}, **common)
+        assert code == loose_code == 0 and sorted(loose) == sorted(default)
+        # a looser integrator tolerance stops refining sooner, on fewer cells, at a larger error estimate
+        cells = lambda cases, cid: [d["n_cells"] for d in cases[cid]["diagnostics"].values()]
+        assert all(loose_n <= n for cid in default for loose_n, n in zip(cells(loose, cid), cells(default, cid)))
+        assert sum(sum(cells(loose, cid)) for cid in loose) < sum(sum(cells(default, cid)) for cid in default)
+        error = lambda cases: max(d["error_estimate"] for c in cases.values() for d in c["diagnostics"].values())
+        assert error(loose) > 1e-11 > error(default)
+        assert all(d["converged"] for c in loose.values() for d in c["diagnostics"].values())
+
+    def test_rcll_agreement_gates_the_two_forms_difference(self, tmp_path, capsys):
+        # without its xleft correction the right-continuous form is off by E[X_{s-} xi] = 0.5 on coupled_jump_bm; where the
+        # residual tolerances forgive that, the rcll cases fail on the two forms' disagreement alone, until rcll_agreement forgives it too
+        model = {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}}
+        common = {"model": model, "checks": ["ito_rcll"], "test_functions": ["x2", "sin"], "cm_elements": "auto", "mutations": {"drop_xleft_correction": True}}
+        forgiving = {"polynomial": 1e3, "transcendental": 1e3}
+        code, strict = run_cases(tmp_path, "strict", tolerances=forgiving, **common)
+        loose_code, loose = run_cases(tmp_path, "loose", tolerances={**forgiving, "rcll_agreement": 1e3}, **common)
+        assert (code, loose_code) == (1, 0)
+        assert all(not c["pass"] and c["terms"]["agreement_delta"] > 1e-10 and abs(c["residual"]) < 1e3 for c in strict.values())
+        assert {cid: {**c, "pass": True} for cid, c in strict.items()} == loose
+
+    def test_z_max_gates_the_z_scores(self, tmp_path, capsys):
+        common = {"checks": ["s_transform_mc"], "mc": {"seed": 7, "n_paths": 2000}}
+        code, default = run_cases(tmp_path, "default", **common)
+        zs = sorted(abs(c["mc"]["z_score"]) for c in default.values())
+        z_max = 0.5 * (zs[0] + zs[-1])
+        _, gated = run_cases(tmp_path, "gated", tolerances={"z_max": z_max}, **common)
+        assert code == 0 and all(c["tolerance"] == 4.0 for c in default.values())
+        # the estimates stand; the verdicts of the records whose |z| exceeds z_max turn
+        assert {cid: c["pass"] for cid, c in gated.items()} == {cid: abs(c["mc"]["z_score"]) <= z_max for cid, c in default.items()}
+        assert {c["pass"] for c in gated.values()} == {True, False}
+        assert gated == {cid: {**c, "pass": gated[cid]["pass"], "tolerance": z_max} for cid, c in default.items()}
+
     def test_one_engine_run_per_pairing_element(self, tmp_path, capsys, monkeypatch):
         calls = count_engine_runs(monkeypatch)
         elements = [[[1.0, 1.0]], [[0.7, 0.5], [0.4, 0.8]], [[0.5, 0.3], [-0.6, 0.5]]]
@@ -554,22 +608,62 @@ class TestRun:
         assert batches == {"mc_ito:jump_bm:sin": 1, "mc_ito:jump_bm:x": 1, "mc_ito:jump_bm:x2": 1, "mc_qv:jump_bm": 10}
         assert seeds.count(20250809 + 1000) == 10
 
-    @pytest.mark.parametrize("model", [{"id": "fbm", "params": {"hurst": 0.5}}], ids=lambda m: m["id"])
-    def test_path_qv_keeps_its_own_draw_without_the_pathwise_check(self, model, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "model",
+        [{"id": "fbm", "params": {"hurst": 0.5}}, {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}}],
+        ids=lambda m: m["id"],
+    )
+    def test_path_qv_alone_draws_the_pathwise_draw(self, model, tmp_path, capsys):
         from gaussito.gaussproc import catalog, path_qv_mc
 
         seed, n_paths, depth = 7, 1000, 8
         mc = {"seed": seed, "n_paths": n_paths, "grid_depth": depth}
-        scen = write_scenario(tmp_path, model=model, checks=["path_qv"], mc=mc)
-        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
-        (case,) = json.loads((tmp_path / "out" / "report.json").read_text())["cases"]
-        # the dyadic grid and the seed of the standalone check, as before the shared draw
-        grid = np.linspace(0.0, 1.0, 2**depth + 1)
-        expected = path_qv_mc(catalog(model["id"], **model["params"]), grid, n_paths, seed + 4000)
-        assert case["case_id"] == f"mc_qv:{model['id']}"
-        assert (case["mc"]["estimate"], case["mc"]["standard_error"]) == (expected.estimate, expected.standard_error)
-        assert case["mc"]["seed"] == seed + 4000
-        assert case["diagnostics"] == {"grid_points": len(grid), "batches": 1, "path_points": n_paths * len(grid)}
+        qv = {}
+        for tag, checks in (("alone", ["path_qv"]), ("beside", ["martingale_ito", "path_qv"])):
+            code, cases = run_cases(tmp_path, tag, model=model, checks=checks, mc=mc)
+            assert code == 0
+            qv[tag] = cases[f"mc_qv:{model['id']}"]
+        # the pathwise grid, which gains the jump times 0.3 and 0.7 off the dyadic points, at the pathwise seed
+        spec = catalog(model["id"], **model["params"])
+        fine = np.union1d(np.linspace(0.0, 1.0, 2**depth + 1), spec.record_times())
+        assert len(fine) == 2**depth + 1 + len(spec.records)
+        expected = path_qv_mc(spec, fine, n_paths, seed + 1000)
+        assert qv["alone"]["mc"] == {
+            "estimate": expected.estimate,
+            "standard_error": expected.standard_error,
+            "reference": expected.reference,
+            "z_score": expected.z_score,
+            "n_paths": n_paths,
+            "seed": seed + 1000,
+        }
+        assert qv["alone"]["diagnostics"] == {"grid_points": len(fine), "batches": expected.batches, "path_points": n_paths * len(fine)}
+        # who draws it does not show: the record read beside the pathwise check is the same, bit for bit
+        assert qv["alone"] == qv["beside"]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"id": "brownian"},
+            {"id": "fbm", "params": {"hurst": 0.5}},
+            {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}},
+            {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}},
+            {"id": "evanescent", "params": {"s0": 0.5}},
+        ],
+        ids=lambda m: m["id"],
+    )
+    def test_a_record_depends_only_on_its_own_check(self, model, tmp_path, capsys):
+        # each check run alone writes the records it writes beside every other check, bit for bit
+        common = {"model": model, "test_functions": ["x2", "sin"], "cm_elements": "auto", "mc": {"seed": 7, "n_paths": 300, "grid_depth": 5}}
+        every = write_scenario(tmp_path, "every.json", checks=list(CHECK_IDS), **common)
+        assert main(["run", str(every), "--out", str(tmp_path / "every")]) in (0, 1)
+        beside = json.loads((tmp_path / "every" / "report.json").read_text())["cases"]
+        alone = []
+        for check in CHECK_IDS:
+            scen = write_scenario(tmp_path, f"{check}.json", checks=[check], **common)
+            # a check the model cannot run leaves a scenario with none, which exits 2 and writes nothing
+            if main(["run", str(scen), "--out", str(tmp_path / check)]) != 2:
+                alone += json.loads((tmp_path / check / "report.json").read_text())["cases"]
+        assert sorted(alone, key=lambda c: c["case_id"]) == beside
 
     def test_martingale_records_carry_no_z_score(self, tmp_path, capsys):
         # the pathwise verdict is the decay of the relative residual; a
@@ -947,21 +1041,44 @@ SCENARIOS = st.fixed_dictionaries(
         "cm_elements": st.sampled_from(["auto", [[[1.0, 0.5]]], [[[0.8, 0.3], [-0.5, 1.0]]]]),
         "checks": st.lists(st.sampled_from(CHECK_IDS), min_size=1, unique=True),
         "mc": st.fixed_dictionaries({"seed": st.integers(0, 1000), "n_paths": st.integers(2, 50), "grid_depth": st.integers(2, 4)}),
-    }
+    },
+    optional={
+        # any of the tolerances, from far below to far above its default, and any of the mutation flags
+        "tolerances": st.fixed_dictionaries({}, optional={name: st.floats(1e-14, 1e3) for name in _DEFAULT_TOLERANCES}),
+        "mutations": st.fixed_dictionaries({}, optional={name: st.booleans() for name in _MUTATIONS}),
+    },
 )
 
 
 class TestProperty:
     @settings(derandomize=True, deadline=None, max_examples=150, database=None)
     @given(scenario=SCENARIOS, jobs=st.integers(1, 2))
+    # a model that runs none of its checks, which the draws above reach only now and then
+    @example(
+        scenario={
+            "schema_version": 1,
+            "name": "property",
+            "model": {"id": "fbm", "params": {"hurst": 0.2}},
+            "test_functions": ["x2"],
+            "checks": ["martingale_ito", "path_qv"],
+            "tolerances": {"z_max": 1e-3},
+            "mutations": {"drop_jump_sum": True},
+        },
+        jobs=2,
+    )
     def test_every_bounded_scenario_exits_with_a_documented_code(self, scenario, jobs):
         # 0 or 1 with a strict-JSON report and a terms table, or 2 with a reason; never an uncaught exception
-        jsonschema.validate(scenario, SCENARIO_SCHEMA)
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            # the scenario names its output directory, which neither --out nor the environment overrides
             path, out = Path(tmp) / "scen.json", Path(tmp) / "out"
+            scenario = {**scenario, "output": {"dir": str(out)}}
+            jsonschema.validate(scenario, SCENARIO_SCHEMA)
             path.write_text(json.dumps(scenario))
-            code = main(["run", str(path), "--out", str(out), "--jobs", str(jobs)])
+            os.environ.pop(ENV_OUT_DIR, None)
+            code = main(["run", str(path), "--jobs", str(jobs)])
             assert code in (0, 1, 2)
             if code != 2:
                 json.loads((out / "report.json").read_text(), parse_constant=lambda token: pytest.fail(f"non-strict JSON: {token}"))
                 assert (out / "terms.csv").exists()
+            else:
+                assert not out.exists()
