@@ -95,19 +95,14 @@ def _point_knots(t):
 
 @dataclass(eq=False)
 class ProcessSpec:
-    """A centered Gaussian model: its covariance, its variance V and one
-    ``DiscontinuityRecord`` per discontinuity time.
+    """A centered Gaussian model: its covariance, its variance V and one ``DiscontinuityRecord`` per discontinuity time.
 
-    ``jump_cov_left(ts, k)`` returns E[X_t (X_{s_k} - X_{s_k-})] vectorized
-    over ts (``jump_cov_right`` the forward analogue).  Jump variables at
-    distinct times, and the left and right ones at one time, are
-    uncorrelated, so their Gram matrices are the diagonals of the records'
-    ``e_dminus_sq`` and ``e_dplus_sq``.  ``section_knots(t)`` enumerates the
-    kink locations of R(., t) so integration partitions can pin them.
-    ``sampler(grid)``, the exact Brownian-jump construction of
-    ``_bm_plus_jumps``, does the per-grid work once and returns ``draw(n_paths,
-    rng, buffer)``, which makes one ``(paths, jump_draws)`` batch on the grid,
-    in ``buffer``'s arrays; without it the Gram matrix is factorized.
+    ``jump_cov_left(ts, k)`` returns E[X_t (X_{s_k} - X_{s_k-})] vectorized over ts (``jump_cov_right`` the forward
+    analogue).  Jump variables at distinct times, and the left and right ones at one time, are uncorrelated, so their
+    Gram matrices are the diagonals of the records' ``e_dminus_sq`` and ``e_dplus_sq``.  ``section_knots(t)`` enumerates
+    the kink locations of R(., t) so integration partitions can pin them.  ``sampler(grid)``, the exact Brownian-jump
+    construction of ``_bm_plus_jumps``, does the per-grid work once and returns ``draw(n_paths, rng, buffer)``, which
+    makes one ``SimulationResult`` batch on the grid, in ``buffer``'s arrays; without it the Gram matrix is factorized.
     """
 
     name: str
@@ -275,9 +270,15 @@ def cm_inner(spec: ProcessSpec, g: CameronMartinElement, h: CameronMartinElement
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """A batch of X on ``times`` with its left-jump variables ``jump_draws`` (n_paths, n_records), and X in two forms of
+    (n_paths, n_times): ``paths``, and ``steps``, X(t_0-) and the continuous increments X(t_{i+1}-) - X(t_i), whose running
+    sum plus each jump draw from its column on is ``paths``.  ``forms[name]()`` returns a form when it is first read."""
+
     times: np.ndarray
-    paths: np.ndarray  # (n_paths, n_times)
-    jump_draws: np.ndarray  # (n_paths, n_records): the left-jump variables
+    jump_draws: np.ndarray
+    forms: dict
+    paths = cached_property(lambda self: self.forms["paths"]())
+    steps = cached_property(lambda self: self.forms["steps"]())
 
 
 @dataclass(frozen=True)
@@ -344,21 +345,27 @@ def _check_gram_limit(spec: ProcessSpec, n: int) -> None:
 
 
 def _gram_sampler(spec: ProcessSpec, grid: np.ndarray):
-    """Draws of X from its factorized Gram matrix; the left-jump variables are zero."""
+    """Draws of X from its factorized Gram matrix, differenced into the normals' array when steps are read; zero jumps."""
     n, K = len(grid), len(spec.records)
     if any(rec.e_dminus_sq for rec in spec.records):
         raise UnsupportedModelError(f"{spec.name}: left-jump variables need the model's own sampler")
     _check_gram_limit(spec, n)
     G = np.asarray(spec.cov(grid[:, None], grid[None, :]), dtype=float)
-    # a zero-variance coordinate is almost surely zero; do not let the
-    # factorization jitter leak into it
+    # a zero-variance coordinate is almost surely zero; do not let the factorization jitter leak into it
     zero = np.diag(G) == 0.0
     L = _chol_with_jitter(G, spec.lam)
 
     def draw(n_paths: int, rng: np.random.Generator, buffer):
         Y = np.matmul(rng.standard_normal(out=buffer("normals", (n_paths, n))), L.T, out=buffer("paths", (n_paths, n)))
         Y[:, zero] = 0.0
-        return Y, np.zeros((n_paths, K))
+
+        def steps():
+            dY = buffer("normals", Y.shape)
+            dY[:, 0] = Y[:, 0]
+            np.subtract(Y[:, 1:], Y[:, :-1], out=dY[:, 1:])
+            return dY
+
+        return SimulationResult(grid, np.zeros((n_paths, K)), {"paths": lambda: Y, "steps": steps})
 
     return draw
 
@@ -373,9 +380,8 @@ class PreparedSampler:
 
 
 def prepare_sampler(spec: ProcessSpec, grid) -> PreparedSampler:
-    """Do the per-grid work of ``simulate_paths`` once: the joined grid and
-    columns of an exact construction, or the factorized Gram matrix, with an
-    escalating diagonal jitter."""
+    """Do the per-grid work of ``simulate_paths`` once: the joined grid and columns of an exact construction, or the
+    factorized Gram matrix, with an escalating diagonal jitter."""
     pts = _grid_times(grid)
     prepare = spec.sampler if spec.sampler is not None else partial(_gram_sampler, spec)
     return PreparedSampler(spec, pts, prepare(pts))
@@ -384,17 +390,15 @@ def prepare_sampler(spec: ProcessSpec, grid) -> PreparedSampler:
 def simulate_paths(spec: ProcessSpec, grid, n_paths: int, seed: int | np.random.SeedSequence, buffer=None) -> SimulationResult:
     """Exact Gaussian draws of X on the grid; jump variables drawn jointly.
 
-    Deterministic given the seed (an integer or a ``SeedSequence``).  ``grid``
-    is an array of times or a ``prepare_sampler`` result for ``spec``, whose
-    per-grid work is then reused.  ``buffer``, a ``_Buffers``, lends arrays
-    that the draw fills with the bits a fresh one gets."""
+    Deterministic given the seed (an integer or a ``SeedSequence``).  ``grid`` is an array of times or a
+    ``prepare_sampler`` result for ``spec``, whose per-grid work is then reused.  ``buffer``, a ``_Buffers``, lends
+    arrays that the draw fills with the bits a fresh one gets, each form of X in its own when first read."""
     if n_paths < 0:
         raise ValueError("n_paths must be >= 0")
     sampler = grid if isinstance(grid, PreparedSampler) else prepare_sampler(spec, grid)
     if sampler.spec is not spec:
         raise ValueError("prepared sampler belongs to another model")
-    paths, draws = sampler.draw(int(n_paths), np.random.default_rng(seed), buffer or _Buffers())
-    return SimulationResult(times=sampler.times, paths=paths, jump_draws=draws)
+    return sampler.draw(int(n_paths), np.random.default_rng(seed), buffer or _Buffers())
 
 
 def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -416,13 +420,14 @@ def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, readers, 
     the ``simulate_paths`` batches of one draw of ``n_paths`` paths on ``grid``, merged in batch order, and its batch count.
 
     Batch b is drawn once for every reader, seeded as it runs from ``SeedSequence(seed, spawn_key=(b,))``, so the draws
-    depend only on (spec, grid, n_paths, seed).  ``batch_map`` (``map``, or an ordered map over threads) runs the batches;
-    each thread draws into one ``_Buffers`` set and runs the batch's live readers in turn, each reducing its rows before
-    the next runs, so a reader may return a view of the set's arrays and borrow a name an earlier reader is done with:
-    memory is one batch per thread, about 4 MB per array.  ``stop(moments, looks)``, if any, is asked at the ``looks``
-    looks, after batch 1, 2, 4, 8, ... and the last; at its first true answer its reader keeps those moments: ``n_paths``
-    is a cap.  While a live reader can stop, the map runs one look's batches at a time, so none starts past the next
-    look, and each reader's result is the one it gets drawn alone.
+    depend only on (spec, grid, n_paths, seed).  ``batch_map`` (``map``, or an ordered map over threads) runs the
+    batches; each thread draws into one ``_Buffers`` set and runs the batch's live readers in turn, each reducing its
+    rows before the next runs, so a reader may return a view of the set's arrays and borrow a name an earlier reader is
+    done with, but none that holds a form of X ("steps", "paths", a Gram draw's "normals"): memory is one batch per
+    thread, about 4 MB per array.  ``stop(moments, looks)``, if any, is asked at the ``looks`` looks, after batch 1, 2,
+    4, 8, ... and the last; at its first true answer its reader keeps those moments: ``n_paths`` is a cap.  While a live
+    reader can stop, the map runs one look's batches at a time, so none starts past the next look, and each reader's
+    result is the one it gets drawn alone.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -457,16 +462,20 @@ def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McRe
 
 def path_qv_reader(spec: ProcessSpec, grid, seed: int) -> tuple[tuple, Callable]:
     """``path_qv_mc``'s reader ``(work, None)`` of a draw on ``grid``, and the function that makes its McReport from the
-    reader's ``simulate_batches`` result: the per-path quadratic sums against the continuous quadratic variation plus the
-    summed mean-square jumps over [0, horizon], which ``grid`` must span, on a model where that variation is deterministic."""
+    reader's ``simulate_batches`` result: the per-path quadratic sums of steps and jumps on ``grid``, which must span
+    [0, horizon] and hold the discontinuity times, against the deterministic continuous variation, the mean-square jumps
+    and twice E[(X(s_k-) - X(t)) xi_k] per cell [t, s_k]."""
     if spec.pathwise_qv_cont is None or not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
-    reference, pts = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records), _spanning_grid(spec, grid)
+    pts = _spanning_grid(spec, grid)
+    cols = np.searchsorted(pts, spec.record_times())
+    coupling = (r.e_xleft_dminus - float(spec.jump_cov_left(pts[c - 1], k)) for k, (r, c) in enumerate(zip(spec.records, cols)))
+    reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records) + 2.0 * math.fsum(coupling)
 
     def work(sim, buffer):
-        # the name of the pathwise check's fine-level increments, which it is done with when this reader reads its draw
-        d = np.subtract(sim.paths[:, 1:], sim.paths[:, :-1], out=buffer("dX", (len(sim.paths), len(sim.times) - 1)))
-        return np.sum(np.square(d, out=d), axis=1)
+        # a cell that ends at a jump adds xi (2 dX + xi) to its continuous increment's square dX^2
+        dX, xi = sim.steps, sim.jump_draws
+        return np.einsum("ij,ij->i", dX, dX) + np.einsum("ij,ij->i", xi, 2.0 * dX[:, cols] + xi)
 
     return (work, None), lambda batched: _mc_report(batched, reference, seed, pts)
 
@@ -489,8 +498,10 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
     two_h = 2.0 * H
 
     def cov(t, s):
+        # in place, so that an n x n evaluation holds two matrices at its peak, not three
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-        return 0.5 * (t**two_h + s**two_h - np.abs(t - s) ** two_h)
+        out, d = np.asarray(t**two_h + s**two_h), np.asarray(t - s)
+        return np.multiply(np.subtract(out, np.power(np.abs(d, out=d), two_h, out=d), out=out), 0.5, out=out)
 
     return ProcessSpec(
         name="fbm",
@@ -517,28 +528,34 @@ def _coupled_jump_bm_spec(c: float, s0: float, horizon: float = 1.0) -> ProcessS
     return _bm_plus_jumps("coupled_jump_bm", [(s0, 0.0, c)], T)
 
 
-def _jump_sampler(times: np.ndarray, couplings: np.ndarray, sds: np.ndarray) -> Callable:
-    """Exact sampler of Brownian motion B plus xi_k = couplings_k B(times_k) + sds_k Z_k from times_k on: B on
-    the grid joined with ``times``, then the normals Z from the same generator; columns before a jump stay as drawn."""
+def _steps_across_jumps():
+    raise ValueError("steps need a grid that holds the discontinuity times: an increment across a jump is not continuous")
 
-    def sampler(grid):
-        full = np.union1d(grid, times)
-        # the standard deviation of each Brownian increment, from 0 to the first time on
-        sd, cols = np.sqrt(np.diff(full, prepend=0.0)), np.searchsorted(full, times)
-        pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
 
-        def draw(n_paths, rng, buffer):
-            B = rng.standard_normal(out=buffer("paths", (n_paths, len(full))))
-            B *= sd
-            np.cumsum(B, axis=1, out=B)
-            xi = B[:, cols] * couplings + rng.standard_normal((n_paths, len(cols))) * sds
+def _jump_sampler(times: np.ndarray, couplings: np.ndarray, sds: np.ndarray, grid: np.ndarray) -> Callable:
+    """Exact sampler of Brownian motion B plus xi_k = couplings_k B(times_k) + sds_k Z_k from times_k on: B's steps on the
+    grid joined with ``times``, then Z from the same generator; paths are summed when read, columns before a jump as drawn."""
+    full = np.union1d(grid, times)
+    # the standard deviation of each Brownian increment, from 0 to the first time on
+    sd, cols = np.sqrt(np.diff(full, prepend=0.0)), np.searchsorted(full, times)
+    pick = None if len(full) == len(grid) else np.searchsorted(full, grid)
+
+    def draw(n_paths, rng, buffer):
+        dB = rng.standard_normal(out=buffer("steps", (n_paths, len(full))))
+        dB *= sd
+        # B(times_k), where a jump couples to it, as the paths' running sum to its column
+        left = np.cumsum(dB[:, : cols[-1] + 1], axis=1)[:, cols] if couplings.any() else np.zeros((n_paths, len(cols)))
+        xi = left * couplings + rng.standard_normal((n_paths, len(cols))) * sds
+
+        def paths():
+            X = np.cumsum(dB, axis=1, out=buffer("paths", dB.shape))
             for k, col in enumerate(cols):
-                B[:, col:] += xi[:, k : k + 1]
-            return (B if pick is None else B[:, pick]), xi
+                X[:, col:] += xi[:, k : k + 1]
+            return X if pick is None else X[:, pick]
 
-        return draw
+        return SimulationResult(grid, xi, {"steps": (lambda: dB) if pick is None else _steps_across_jumps, "paths": paths})
 
-    return sampler
+    return draw
 
 
 def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float, float]], horizon: float = 1.0) -> ProcessSpec:
@@ -583,7 +600,7 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float, float]], horiz
         records=tuple(DiscontinuityRecord(s, e, e_xleft_dminus=a * s) for (s, _, a), e in zip(jumps, e_sq)),
         jump_cov_left=jump_cov_left,
         section_knots=lambda t: (float(t), *coupled),
-        sampler=_jump_sampler(np.array(times), np.array([a for *_, a in jumps]), np.sqrt([v for _, v, _ in jumps])),
+        sampler=partial(_jump_sampler, np.array(times), np.array([a for *_, a in jumps]), np.sqrt([v for _, v, _ in jumps])),
         pathwise_qv_cont=T,
     )
 

@@ -260,23 +260,14 @@ def _one_sided_paths(spec: ProcessSpec, sim: SimulationResult, t: float, side: i
     """X_{t-}, X_t or X_{t+} per path for side -1, 0, +1."""
     if side > 0 and any(rec.e_dplus_sq > 0 for rec in spec.records):
         raise UnsupportedModelError("forward jump variables are not simulated")
-    vals = sim.paths[:, _column(sim.times, t)]
-    if side < 0:
-        for k, rec in enumerate(spec.records):
-            if rec.time == t:
-                return vals - sim.jump_draws[:, k]
-    return vals
+    # the left limit takes off the jump drawn at t
+    jumps = sum(sim.jump_draws[:, k] for k, rec in enumerate(spec.records) if side < 0 and rec.time == t)
+    return sim.paths[:, _column(sim.times, t)] - jumps
 
 
 def _at(r: RegulatedFunction, t: float, side: int) -> float:
     """r(t-), r(t) or r(t+) for side -1, 0, +1."""
     return float((r.left_values, r.values, r.right_values)[side + 1](t))
-
-
-def _gather(a: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # a C-ordered copy, several times faster to make and to reduce than the Fortran-ordered
-    # one of a[:, cols]; mode "clip" writes straight into out, "raise" into a temporary first
-    return np.take(a, cols, axis=1, out=out, mode="clip")
 
 
 def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs, buffer, out):
@@ -288,9 +279,10 @@ def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs, buffer,
     jump = np.sum(tf.f(x_jump) - tf.f(x_left) - f1_left * xi, axis=1)
     increment = tf.f(X[:, -1]) - tf.f(X[:, 0])
     np.square(increment, out=out[0])
-    for (cols, _, weights), dX, row in zip(plan, dXs, out[1:]):
-        # a coarse level gathers F' and then F'' at its points into one array
-        at_level = (lambda f: f) if cols is None else (lambda f: _gather(f, cols[:-1], buffer("gather", dX.shape)))
+    for (cols, weights), dX, row in zip(plan, dXs, out[1:]):
+        # a coarse level gathers F' and then F'' into one C-ordered array ("clip" writes into it, "raise" into a temporary
+        # first), several times faster to make and to reduce than the Fortran-ordered f[:, cols]
+        at_level = (lambda f: f) if cols is None else (lambda f: np.take(f, cols[:-1], axis=1, out=buffer("gather", dX.shape), mode="clip"))
         ito = np.einsum("ij,ij->i", at_level(f1), dX) + jump_ito
         quad = 0.5 * np.einsum("ij,j->i", at_level(f2), weights)
         np.square(increment - ito - quad - jump, out=row)
@@ -332,7 +324,7 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
 
     The levels are the dyadic grids of ``grid_depth - 2`` and ``grid_depth`` (at least 2) over [0, horizon], each
     joined with the discontinuity times.  Paths are drawn on the fine grid only, by ``gaussproc.simulate_batches``
-    (``batch_map`` runs the batches, each thread in arrays it reuses); the coarse grid reads its columns from the same
+    (``batch_map`` runs the batches, each thread in arrays it reuses); the coarse grid sums its steps from the same
     draw and every test function the same batch, so levels and test functions are coupled, as in multilevel Monte
     Carlo.  A batch returns per test function four rows, reduced to moments as it arrives: a squared increment, a
     squared residual per level and their product.
@@ -354,27 +346,18 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     tfs = _admitted(spec, test_functions)
     if grid_depth < 2:
         raise ValueError("grid_depth must be at least 2")
-    records = np.asarray(spec.record_times(), dtype=float)
-    dyadic = np.linspace(0.0, spec.horizon, 2**grid_depth + 1)
+    records, dyadic = np.asarray(spec.record_times(), dtype=float), np.linspace(0.0, spec.horizon, 2**grid_depth + 1)
     coarse, fine = np.union1d(dyadic[::4], records), np.union1d(dyadic, records)
     required = 0.5 * pathwise_decay(spec, fine)
     jcols = np.searchsorted(fine, records)
-    # per level: fine columns (None for the fine level), the interval ending at each discontinuity, the cell weights
-    plan = [
-        (cols, np.searchsorted(pts, records) - 1, _cell_weights(spec, pts))
-        for cols, pts in ((np.searchsorted(fine, coarse), coarse), (None, fine))
-    ]
+    # per level: fine columns (None for the fine level), the cell weights
+    plan = [(cols, _cell_weights(spec, pts)) for cols, pts in ((np.searchsorted(fine, coarse), coarse), (None, fine))]
 
     def batch(sim, buffer):
-        X, xi = sim.paths, sim.jump_draws
-        n = len(X)
-        # shared by every test function: increments net of the jump draws (the fine level's in "dX", which a path_qv_reader
-        # beside borrows), values and left limits at the jumps; the coarse X goes to the array F' and F'' are gathered into
-        dXs = []
-        for cols, jpos, _ in plan:
-            Xl = X if cols is None else _gather(X, cols, buffer("gather", (n, len(cols))))
-            dXs.append(np.subtract(Xl[:, 1:], Xl[:, :-1], out=buffer("dX" if cols is None else "coarse dX", (n, Xl.shape[1] - 1))))
-            dXs[-1][:, jpos] -= xi
+        X, xi, dX, n = sim.paths, sim.jump_draws, sim.steps[:, 1:], len(sim.jump_draws)
+        # shared by every test function: each level's increments net of the jump draws, the fine level's the draw's steps
+        # and a coarse cell's their sum over it (no jump falls inside one), and the values and left limits at the jumps
+        dXs = [dX if cols is None else np.add.reduceat(dX, cols[:-1], axis=1, out=buffer("coarse dX", (n, len(cols) - 1))) for cols, _ in plan]
         x_jump = X[:, jcols]
         x_left = x_jump - xi
         rows = buffer("rows", (4 * len(tfs), n))

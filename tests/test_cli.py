@@ -706,7 +706,7 @@ class TestRun:
         cells = set()
 
         def capture(tf, X, xi, x_jump, x_left, plan, *args):
-            cells.add(tuple(len(weights) for _, _, weights in plan))
+            cells.add(tuple(len(weights) for _, weights in plan))
             return original(tf, X, xi, x_jump, x_left, plan, *args)
 
         monkeypatch.setattr(gaussito.itoverify, "_level_residuals", capture)

@@ -21,7 +21,7 @@ from gaussito.gaussproc import (
     simulate_batches,
     simulate_paths,
 )
-from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _one_sided_cov_matrix
+from gaussito.gaussproc import _BATCH_ELEMENTS, _GRAM_BYTES, _Buffers, _chol_with_jitter, _one_sided_cov_matrix
 from gaussito.itoverify import Pairing, mc_s_transform, wick_exponential_paths
 from gaussito.regulated import Jump, RegulatedFunction
 
@@ -617,7 +617,110 @@ class TestBrownianJumps:
         assert spec.section_knots(0.25) == knots
 
 
+# every catalog model: the Brownian-driven ones above, fbm on either side of H = 1/2, and evanescent
+ALL_MODELS = BROWNIAN_JUMP_MODELS + [("fbm", {"hurst": 0.3}), ("fbm", {"hurst": 0.7}), ("evanescent", {"s0": 0.5})]
+ALL_IDS = BROWNIAN_JUMP_IDS + ["fbm_h03", "fbm_h07", "evanescent"]
+
+
+def _summed_fbm_cov(hurst):
+    """fbm's covariance as one expression, which makes three n x n temporaries for an n x n evaluation."""
+    two_h = 2.0 * hurst
+    return lambda t, s: 0.5 * (t**two_h + s**two_h - np.abs(t - s) ** two_h)
+
+
+def _summed_draw(model_id, params, spec, grid, n_paths, seed):
+    """(paths, jump draws) as the samplers made them when a draw was its summed paths: B summed in place and each jump
+    tail added to it, then the grid's columns picked, or the normals times the transposed Cholesky factor."""
+    rng = np.random.default_rng(seed)
+    if spec.sampler is None:
+        cov = _summed_fbm_cov(params["hurst"]) if model_id == "fbm" else spec.cov
+        G = np.asarray(cov(grid[:, None], grid[None, :]), dtype=float)
+        zero, L = np.diag(G) == 0.0, _chol_with_jitter(G, spec.lam)
+        Y = rng.standard_normal((n_paths, len(grid))) @ L.T
+        Y[:, zero] = 0.0
+        return Y, np.zeros((n_paths, len(spec.records)))
+    if model_id == "coupled_jump_bm":
+        times, couplings, sds = [params["s0"]], np.array([params["c"]]), np.array([0.0])
+    else:
+        pairs = params.get("jumps", [])
+        times, couplings, sds = [t for t, _ in pairs], np.zeros(len(pairs)), np.sqrt([v for _, v in pairs])
+    full = np.union1d(grid, times)
+    B = rng.standard_normal((n_paths, len(full)))
+    B *= np.sqrt(np.diff(full, prepend=0.0))
+    np.cumsum(B, axis=1, out=B)
+    cols = np.searchsorted(full, times)
+    xi = B[:, cols] * couplings + rng.standard_normal((n_paths, len(cols))) * sds
+    for k, col in enumerate(cols):
+        B[:, col:] += xi[:, k : k + 1]
+    return B[:, np.searchsorted(full, grid)], xi
+
+
+class TestSteps:
+    # tenths hold every discontinuity time of ALL_MODELS; the other grid holds none of them
+    ON_GRID, OFF_GRID = np.arange(11) / 10.0, np.array([0.0, 0.15, 0.45, 0.65, 0.95, 1.0])
+
+    @pytest.mark.parametrize("grid", [ON_GRID, OFF_GRID], ids=["times_on_grid", "times_off_grid"])
+    @pytest.mark.parametrize("model_id,params", ALL_MODELS, ids=ALL_IDS)
+    def test_paths_are_the_summed_draw_bit_for_bit(self, model_id, params, grid):
+        spec = catalog(model_id, **params)
+        paths, draws = _summed_draw(model_id, params, spec, grid, 40, 29)
+        sim = simulate_paths(spec, grid, 40, seed=29)
+        _assert_same_bits(sim.paths, paths)
+        _assert_same_bits(sim.jump_draws, draws)
+
+    @pytest.mark.parametrize("model_id,params", ALL_MODELS, ids=ALL_IDS)
+    def test_steps_reassemble_the_paths(self, model_id, params):
+        spec, grid = catalog(model_id, **params), self.ON_GRID
+        sim = simulate_paths(spec, grid, 200, seed=31)
+        # X(t_0-) and the continuous increments, summed, then each jump draw from its time on
+        X = np.cumsum(sim.steps, axis=1)
+        for k, t in enumerate(spec.record_times()):
+            X[:, np.searchsorted(grid, t) :] += sim.jump_draws[:, k : k + 1]
+        scale = np.cumsum(np.abs(sim.steps), axis=1) + np.sum(np.abs(sim.jump_draws), axis=1, keepdims=True)
+        assert np.all(np.abs(X - sim.paths) <= 8 * np.finfo(float).eps * scale)
+
+    def test_a_quadratic_variation_draw_never_sums_its_paths(self, jump_bm):
+        grid = np.linspace(0.0, 1.0, 2**10 + 1)
+        batch_bytes = 8 * (_BATCH_ELEMENTS // len(grid)) * len(grid)
+        # first-use allocations fall inside the traced run: the draw's steps are one batch array, and summed
+        # paths, in a buffer or not, would be a second
+        tracemalloc.start()
+        try:
+            rep = path_qv_mc(jump_bm, grid, 3000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.batches == 6
+        assert peak <= 1.25 * batch_bytes
+
+    def test_steps_need_the_discontinuity_times_on_the_grid(self, jump_bm):
+        # reading paths there is fine; a step across the jump at 0.5 would hold the jump
+        sim = simulate_paths(jump_bm, np.array([0.0, 0.4, 0.6, 1.0]), 10, seed=1)
+        assert sim.paths.shape == (10, 4)
+        with pytest.raises(ValueError, match="discontinuity times"):
+            sim.steps
+        with pytest.raises(ValueError, match="discontinuity times"):
+            path_qv_mc(jump_bm, np.array([0.0, 0.4, 0.6, 1.0]), 10, seed=1)
+
+
 class TestGramSampler:
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
+    def test_fbm_covariance_is_evaluated_in_place(self, hurst):
+        spec = catalog("fbm", hurst=hurst)
+        grid = np.linspace(0.0, 1.0, 513)
+        t, s = grid[:, None], grid[None, :]
+        tracemalloc.start()
+        try:
+            G = spec.cov(t, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the values of the one-expression form, with two n x n matrices at the peak where it has three
+        _assert_same_bits(G, _summed_fbm_cov(hurst)(t, s))
+        assert peak <= 2.2 * grid.size**2 * 8
+        for a, b in ((0.3, 0.7), (1.0, 1.0), (0.0, 0.4)):
+            _assert_same_bits(spec.cov(a, b), _summed_fbm_cov(hurst)(np.asarray(a), np.asarray(b)))
+
     def test_left_jumps_need_an_exact_sampler(self, jump_bm):
         # the Gram fallback draws no jump variables: it must not draw zero jumps
         spec = replace(jump_bm, sampler=None)
