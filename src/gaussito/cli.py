@@ -229,9 +229,9 @@ def _case_record(case_id, ok, tolerance, terms, result=None, residual=None, repo
     mc = lhs = diagnostics = None
     if result is not None:
         lhs = result.lhs
-        # n_cells counts the partition the cases of one pairing element share
+        # n_cells and rounds count the partition the cases of one pairing element share
         diagnostics = {
-            name: {"converged": r.converged, "error_estimate": r.error_estimate, "n_cells": r.n_cells}
+            name: {"converged": r.converged, "error_estimate": r.error_estimate, "n_cells": r.n_cells, "rounds": r.rounds}
             for name, r in (("integral_dhbar", result.int_u1), ("integral_dv_half", result.int_u2))
         }
     if report is not None:

@@ -2,11 +2,13 @@
 
 Both integrals split a regulated integrator r into its continuous base and
 its jumps: the atoms are summed exactly, and one adaptive core,
-``_adaptive_continuous``, integrates u against the base by bisection with a
-per-cell two-level Richardson estimate, with jump times and declared kinks
-pinned as partition points.  One budget, ``_MAX_REFINE`` bisections, bounds
-every refinement.  An integrand with a leading component axis has its k
-components integrated on one shared partition, each converging on its own.
+``_adaptive_continuous``, integrates u against the base with a per-cell
+two-level Richardson estimate, with jump times and declared kinks pinned as
+partition points.  Each round cuts a cell whose error is above its target
+into 2, 4 or 8 equal pieces, more the further above it is.  One budget,
+``_MAX_REFINE`` cells added, bounds every refinement.  An integrand with a
+leading component axis has its k components integrated on one shared
+partition, each converging on its own.
 
 * ``integrate_ys`` is the Young-Stieltjes integral.  Its atoms are the
   one-sided jump terms u(s) d-r(s) + u(s) d+r(s).  Convergence in this
@@ -44,16 +46,22 @@ __all__ = [
 _MIN_CELLS = 16
 # cells this narrow, relative to their position, are never split again
 _WIDTH_FLOOR = 64.0 * np.finfo(float).eps
-# most bisections one integral, stacked or not, may make
+# most cells one integral, stacked or not, may add to its initial partition
 _MAX_REFINE = 60000
+# a cell this many times above its target is cut into 4 pieces, this squared into 8
+_CUT_FACTOR = 128.0
+# most pieces one cut makes: 2, 4 or 8
+_MAX_PIECES = 8
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     """Adaptively refined continuous part beside the exact atom sum.
 
-    A stacked integrand gives arrays over its components, except ``n_cells``,
-    the shared partition's, and ``converged``, true when every component is.
+    A stacked integrand gives arrays over its components, except ``n_cells``
+    and ``rounds``, the shared partition's cells and refinement rounds (one
+    integrand call each, after the first), and ``converged``, true when every
+    component is.
     """
 
     continuous: float | np.ndarray
@@ -61,6 +69,7 @@ class IntegralResult:
     error_estimate: float | np.ndarray
     component_converged: bool | np.ndarray
     n_cells: int
+    rounds: int
 
     @property
     def converged(self) -> bool:
@@ -73,7 +82,7 @@ class IntegralResult:
     def component(self, i) -> IntegralResult:
         """Component ``i`` of a stacked result, as floats."""
         c, a, e, ok = (x[i] for x in (self.continuous, self.atoms, self.error_estimate, self.component_converged))
-        return IntegralResult(float(c), float(a), float(e), bool(ok), self.n_cells)
+        return IntegralResult(float(c), float(a), float(e), bool(ok), self.n_cells, self.rounds)
 
 
 def _on_times(values, n: int) -> np.ndarray:
@@ -107,6 +116,10 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
     error sum is below ``tol``, and is stuck once its error on cells at the
     width floor, which are never split again, reaches ``tol``.  Cells are
     ranked by the largest error of the components neither converged nor stuck.
+    Each round cuts the cells ranked above the per-cell target ``tol / (2 n)``
+    into 2 equal pieces, into 4 above ``_CUT_FACTOR`` targets and into 8 above
+    its square, since each round costs more than its cells; a cell whose 4 or
+    8 pieces would be narrower than the width floor is bisected.
     """
     t0, t1 = r.domain
     eps = np.finfo(float).eps
@@ -114,17 +127,12 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
 
     # seed each initial gap so oscillation between knots cannot hide
     per_gap = max(2, int(np.ceil(_MIN_CELLS / max(1, len(pts) - 1))))
-    a_list, b_list = [], []
-    for i in range(len(pts) - 1):
-        edges = np.linspace(pts[i], pts[i + 1], per_gap + 1)
-        a_list.append(edges[:-1])
-        b_list.append(edges[1:])
-    a = np.concatenate(a_list)
-    b = np.concatenate(b_list)
-    ra = r.base_values(a)
-    rb = r.base_values(b)
+    edges = [np.linspace(pts[i], pts[i + 1], per_gap + 1) for i in range(len(pts) - 1)]
+    a, b = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    # one row each: the cells' left ends, right ends, and r's base at both
+    cells = np.stack([a, b, r.base_values(a), r.base_values(b)])
 
-    def levels(a, b, ra, rb):
+    def levels(cells):
         """Midpoint sums over 1, 2 and 4 subcells, then Romberg columns.
 
         Cells whose level ratio matches the smooth expansion (ratio near 4)
@@ -133,24 +141,17 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
         back to the finest sum with a geometric-tail bound, which stays
         conservative for Hoelder exponents down to about 0.17.
         """
-        h = b - a
-        cuts = np.stack([a + 0.125 * h * k for k in (2, 4, 6)])  # quarter, mid, three-quarter
-        r_cuts = r.base_values(cuts.ravel()).reshape(cuts.shape)
-        tags = np.stack([a + 0.125 * h * k for k in (4, 2, 6, 1, 3, 5, 7)])
+        a, b, ra, rb = cells
+        # eighths of each cell: mid, quarter, three-quarter, then the odd ones
+        tags = a + (0.125 * (b - a)) * np.array([4.0, 2.0, 6.0, 1.0, 3.0, 5.0, 7.0])[:, None]
+        r_mid, r_q1, r_q3 = r.base_values(tags[:3].ravel()).reshape(3, -1)
         ut = _on_times(u(tags.ravel()), tags.size)
-        ut = ut.reshape(ut.shape[:-1] + tags.shape)
-        m1 = ut[..., 0, :] * (rb - ra)
-        m2 = ut[..., 1, :] * (r_cuts[1] - ra) + ut[..., 2, :] * (rb - r_cuts[1])
-        m4 = (
-            ut[..., 3, :] * (r_cuts[0] - ra)
-            + ut[..., 4, :] * (r_cuts[1] - r_cuts[0])
-            + ut[..., 5, :] * (r_cuts[2] - r_cuts[1])
-            + ut[..., 6, :] * (rb - r_cuts[2])
-        )
-        d1 = m2 - m1
-        d2 = m4 - m2
-        r2 = m2 + d1 / 3.0
-        r4 = m4 + d2 / 3.0
+        u_mid, u_q1, u_q3, u_1, u_3, u_5, u_7 = np.moveaxis(ut.reshape(ut.shape[:-1] + tags.shape), -2, 0)
+        m1 = u_mid * (rb - ra)
+        m2 = u_q1 * (r_mid - ra) + u_q3 * (rb - r_mid)
+        m4 = u_1 * (r_q1 - ra) + u_3 * (r_mid - r_q1) + u_5 * (r_q3 - r_mid) + u_7 * (rb - r_q3)
+        d1, d2 = m2 - m1, m4 - m2
+        r2, r4 = m2 + d1 / 3.0, m4 + d2 / 3.0
         noise = 8.0 * eps * (np.abs(m1) + np.abs(m2) + np.abs(m4))
         ratio = np.divide(d1, d2, out=np.full_like(d1, 4.0), where=np.abs(d2) > noise)
         smooth = (np.abs(d2) <= noise) | ((ratio > 2.5) & (ratio < 8.0))
@@ -159,57 +160,55 @@ def _adaptive_continuous(u, r: RegulatedFunction, tol: float, knots: Sequence[fl
         err[err <= noise] = 0.0
         return value, err
 
-    value, err = levels(a, b, ra, rb)
-    splits = 0
+    value, err = levels(cells)
+    added = rounds = 0
     while True:
-        at_floor = (b - a) <= _WIDTH_FLOOR * np.maximum(1.0, np.abs(b))
+        h, floor = cells[1] - cells[0], _WIDTH_FLOOR * np.maximum(1.0, np.abs(cells[1]))
         total_err = np.sum(err, axis=-1)
-        stuck = np.sum(err[..., at_floor], axis=-1) >= tol
+        stuck = np.sum(err[..., h <= floor], axis=-1) >= tol
         still_open = np.ravel((total_err >= tol) & ~stuck)
-        if splits >= _MAX_REFINE or not np.any(still_open):
+        if added >= _MAX_REFINE or not np.any(still_open):
             break
-        worst = np.max(err.reshape(-1, len(a))[still_open], axis=0)
-        eligible = ~at_floor & (worst > 0.0)
+        worst = np.max(err.reshape(-1, len(h))[still_open], axis=0)
+        eligible = (h > floor) & (worst > 0.0)
         if not np.any(eligible):
             break  # floored cells keep their error on the books
-        sel = eligible & (worst > tol / (2.0 * len(a)))
-        if not np.any(sel):
-            sel = np.zeros(len(a), dtype=bool)
-            sel[int(np.argmax(np.where(eligible, worst, -1.0)))] = True
-        budget = _MAX_REFINE - splits
-        if int(np.sum(sel)) > budget:
-            order = np.argsort(worst[sel])[::-1]
-            idx = np.flatnonzero(sel)[order[:budget]]
-            sel = np.zeros(len(a), dtype=bool)
-            sel[idx] = True
-        splits += int(np.sum(sel))
+        target = tol / (2.0 * len(h))
+        idx = np.flatnonzero(eligible & (worst > target))
+        if not len(idx):
+            idx = np.array([np.argmax(np.where(eligible, worst, -1.0))])
+        over = worst[idx] / target
+        pieces = np.minimum(2 << ((over > _CUT_FACTOR).astype(int) + (over > _CUT_FACTOR**2)), _MAX_PIECES)
+        pieces[h[idx] / pieces < floor[idx]] = 2
+        if np.sum(pieces - 1) > _MAX_REFINE - added:  # the last round bisects the worst cells it can pay for
+            idx = idx[np.argsort(worst[idx])[::-1][: _MAX_REFINE - added]]
+            pieces = np.full(len(idx), 2)
+        added, rounds = added + int(np.sum(pieces - 1)), rounds + 1
 
-        ka, kb = a[sel], b[sel]
-        kmid = 0.5 * (ka + kb)
-        rm = r.base_values(kmid)
-        ca = np.concatenate([ka, kmid])
-        cb = np.concatenate([kmid, kb])
-        cra = np.concatenate([ra[sel], rm])
-        crb = np.concatenate([rm, rb[sel]])
-        cval, cerr = levels(ca, cb, cra, crb)
+        # piece j starts j widths into its parent and ends where piece j + 1 starts, the last where its parent ends
+        par = np.repeat(idx, pieces)
+        j = np.arange(len(par)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        new = cells[:, par]
+        new[0] += (new[1] - new[0]) / np.repeat(pieces, pieces) * j
+        inner = np.flatnonzero(j)
+        new[2, inner] = r.base_values(new[0, inner])
+        new[1::2, inner - 1] = new[0::2, inner]
+        cval, cerr = levels(new)
 
-        keep = ~sel
-        a = np.concatenate([a[keep], ca])
-        b = np.concatenate([b[keep], cb])
-        ra = np.concatenate([ra[keep], cra])
-        rb = np.concatenate([rb[keep], crb])
+        keep = np.delete(np.arange(len(h)), idx)
+        cells = np.concatenate([cells[:, keep], new], axis=1)
         value = np.concatenate([value[..., keep], cval], axis=-1)
         err = np.concatenate([err[..., keep], cerr], axis=-1)
 
-    return np.apply_along_axis(math.fsum, -1, value), total_err, total_err < tol, len(a)
+    return np.apply_along_axis(math.fsum, -1, value), total_err, total_err < tol, len(h), rounds
 
 
 def _integrate(u, r: RegulatedFunction, tol, extra_knots) -> IntegralResult:
     """Atoms of r plus the adaptive integral of u against r's base, r's knots pinned."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    value, err, ok, n = _adaptive_continuous(u, r, tol, r.pinned_points() + tuple(extra_knots))
-    res = IntegralResult(value, np.broadcast_to(_atom_sum(u, r), value.shape), err, ok, n)
+    value, *rest = _adaptive_continuous(u, r, tol, r.pinned_points() + tuple(extra_knots))
+    res = IntegralResult(value, np.broadcast_to(_atom_sum(u, r), value.shape), *rest)
     # a plain integrand has no component axis: its result is its one component
     return res if value.ndim else res.component(())
 
@@ -220,9 +219,10 @@ def integrate_ys(u, r: RegulatedFunction, tol: float = 1e-10, extra_knots: Seque
     ``u`` is a vectorized callable; a leading component axis in its values
     stacks integrands on one partition.  The atom terms are exact; only the
     integral against r's continuous base is refined.  A component has not
-    converged when ``_MAX_REFINE`` bisections, or cells refined down to the
-    width floor, left its error estimate at or above ``tol``; the last
-    estimate is still returned.  ``tol <= 0`` raises ``ValueError``.
+    converged when the ``_MAX_REFINE`` cells refinement may add, or cells
+    refined down to the width floor, left its error estimate at or above
+    ``tol``; the last estimate is still returned.  ``tol <= 0`` raises
+    ``ValueError``.
     """
     return _integrate(u, r, tol, extra_knots)
 

@@ -445,6 +445,8 @@ class TestRun:
         cells = lambda cases, cid: [d["n_cells"] for d in cases[cid]["diagnostics"].values()]
         assert all(loose_n <= n for cid in default for loose_n, n in zip(cells(loose, cid), cells(default, cid)))
         assert sum(sum(cells(loose, cid)) for cid in loose) < sum(sum(cells(default, cid)) for cid in default)
+        rounds = lambda cases: sum(d["rounds"] for c in cases.values() for d in c["diagnostics"].values())
+        assert rounds(loose) < rounds(default)
         error = lambda cases: max(d["error_estimate"] for c in cases.values() for d in c["diagnostics"].values())
         assert error(loose) > 1e-11 > error(default)
         assert all(d["converged"] for c in loose.values() for d in c["diagnostics"].values())
@@ -486,7 +488,7 @@ class TestRun:
         for k in range(len(elements)):
             diags = [c["diagnostics"] for c in cases if c["case_id"].endswith(f":h{k}")]
             for name in ("integral_dhbar", "integral_dv_half"):
-                assert len({d[name]["n_cells"] for d in diags}) == 1
+                assert len({(d[name]["n_cells"], d[name]["rounds"]) for d in diags}) == 1
                 assert all(d[name]["converged"] and d[name]["error_estimate"] < 1e-11 for d in diags)
 
     def test_diagnostics_carry_each_case_flag(self, tmp_path, capsys):

@@ -122,6 +122,23 @@ class TestStackedEngine:
         assert x3.int_u1.error_estimate >= 1e-11 > x2.int_u1.error_estimate
         assert x2.int_u1.n_cells == x3.int_u1.n_cells
 
+    def test_cusped_fbm_refines_in_few_rounds(self, monkeypatch):
+        # fbm(0.3)'s cusps put cells far above their error target; cutting those
+        # into 4 or 8 pieces per round makes 61 integrand calls over this battery,
+        # where one bisection per round made 161
+        from gaussito import stieltjes
+
+        calls, core = [], stieltjes._adaptive_continuous
+
+        def counting(u, *args):
+            return core(lambda ts: calls.append(1) or u(ts), *args)
+
+        monkeypatch.setattr(stieltjes, "_adaptive_continuous", counting)
+        spec = catalog("fbm", hurst=0.3)
+        for h in auto_cm_battery(spec):
+            assert all(r.converged for r in ito_stransform_residual(spec, h, [make_tf(n, spec.lam) for n in self.FIVE]))
+        assert len(calls) <= 110
+
     def test_cases_must_share_the_pairing_element(self, brownian):
         # one call is one pairing element, so its cases share it by construction
         with pytest.raises(ValueError, match="at least one test function"):

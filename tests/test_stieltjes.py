@@ -72,6 +72,47 @@ class TestIntegrateYS:
         assert res.error_estimate >= 1e-11
         assert res.n_cells < 40000 // 4
 
+    def test_far_above_target_cuts_into_eight(self, monkeypatch):
+        # cos(40 t) at 1e-14 starts with cells far above their target: the first
+        # round cuts them into 8 pieces, so the refinement takes fewer rounds,
+        # and so fewer integrand calls, than bisection alone (narrowest cell per
+        # call read off the integrand's evaluation points)
+        widths = []
+
+        def u(ts):
+            mid, _, _, eighth = np.reshape(ts, (7, -1))[:4]
+            widths.append(np.min(mid - eighth) * 8.0 / 3.0)
+            return np.cos(40 * ts)
+
+        cut = integrate_ys(u, identity(), tol=1e-14)
+        assert widths[:2] == pytest.approx([1 / 16, 1 / 128], rel=1e-9)
+        cut_calls = len(widths)
+        monkeypatch.setattr(stieltjes, "_MAX_PIECES", 2)
+        widths.clear()
+        bisected = integrate_ys(u, identity(), tol=1e-14)
+        assert cut.converged and bisected.converged
+        assert (cut_calls, len(widths)) == (cut.rounds + 1, bisected.rounds + 1)
+        assert cut_calls < len(widths)
+        assert cut.value == pytest.approx(math.sin(40.0) / 40.0, abs=1e-13)
+
+    def test_no_piece_below_the_width_floor(self):
+        # two knots pin cells 3 floors wide around a jump of 1e6, far above any
+        # target: 8 or 4 pieces would be narrower than the floor, so the cell is
+        # bisected, then bisected again, and stops at the floor (widths are read
+        # off the integrand's evaluation points, in floors)
+        floor = stieltjes._WIDTH_FLOOR
+        h, widths = 3.0 * floor, []
+
+        def u(ts):
+            mid, _, _, eighth = np.reshape(ts, (7, -1))[:4]
+            widths.append((mid - eighth) * 8.0 / 3.0 / floor)
+            return 1e6 * (np.asarray(ts) > 0.5 + 2.3 * h)
+
+        res = integrate_ys(u, identity(), tol=1e-10, extra_knots=(0.5, 0.5 + 6.0 * h))
+        widths = np.concatenate(widths)
+        assert not res.converged and res.rounds == 2
+        assert list(np.unique(np.round(widths[widths < 100.0], 2))) == [0.75, 1.5, 3.0]
+
     @given(
         st.floats(min_value=-2, max_value=2, allow_nan=False),
         st.floats(min_value=-2, max_value=2, allow_nan=False),
@@ -109,6 +150,14 @@ class TestStackedIntegrand:
             assert mine.n_cells == res.n_cells
             assert mine.atoms == alone.atoms
             assert mine.value == pytest.approx(alone.value, abs=1e-12)
+
+    def test_open_components_alone_shape_the_partition(self):
+        # the constant component is exact from the start, so the stack refines
+        # exactly as cos(40 t) alone does, 2-, 4- and 8-way cuts included
+        alone = integrate_ys(lambda t: np.cos(40 * t), identity(), tol=1e-14)
+        res = integrate_ys(lambda t: np.stack([const_one(t), np.cos(40 * t)]), identity(), tol=1e-14)
+        assert (res.n_cells, res.rounds) == (alone.n_cells, alone.rounds)
+        assert res.component(1) == alone
 
     def test_one_budget_and_per_component_flags(self, monkeypatch):
         # the constant component is exact on any partition; cos(40 t) cannot
