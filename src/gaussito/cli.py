@@ -286,7 +286,7 @@ def _plan_cases(scenario, seed, batch_map=map):
     checks = scenario.get("checks", ["ito_stransform"])
     dropped = {term for name, on in scenario.get("mutations", {}).items() if on for term in _MUTATIONS[name]}
 
-    qv = "path_qv" in checks and spec.pathwise_qv_cont is not None
+    qv = "path_qv" in checks and spec.rcll
     grid = np.union1d(np.linspace(0.0, spec.horizon, 2**depth + 1), spec.record_times())
     mc_ito = "martingale_ito" in checks
     if mc_ito:
@@ -309,7 +309,7 @@ def _plan_cases(scenario, seed, batch_map=map):
     def scaled_to(h, target):
         # pairings of two exponentials add their log-variances; keep the
         # combined weight lognormal mild so the sample mean is trustworthy
-        if h.norm_sq <= target or h.norm_sq == 0.0:
+        if h.norm_sq <= target:
             return h
         s = math.sqrt(target / h.norm_sq)
         return cm_element(spec, [(s * a, t) for a, t in h.coeffs], label=f"{h.label}s")

@@ -114,7 +114,6 @@ class ProcessSpec:
     jump_cov_right: Callable = _no_jump_cov
     section_knots: Callable = _point_knots
     sampler: Callable = None
-    pathwise_qv_cont: float | None = None
 
     def record_times(self) -> tuple[float, ...]:
         return tuple(r.time for r in self.records)
@@ -460,17 +459,27 @@ def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McRe
     return McReport(float(mean), se, reference, n_paths, seed, len(grid), batches)
 
 
+def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
+    """dV^c_i - 2 c_i per cell of a grid holding the discontinuity times, with the Wick weight
+    c_i = E[X_{t_i} (X_{t_{i+1}-} - X_{t_i})] (0 on a martingale): the mean square of X_{t_{i+1}-} - X_{t_i}."""
+    a = pts[:-1]
+    c = spec.cov(a, pts[1:]) - spec.cov(a, a)
+    for k, j in enumerate(np.searchsorted(pts, spec.record_times()) - 1):
+        c[j] -= spec.jump_cov_left(a[j], k)
+    return np.diff(spec.variance.base_values(pts)) - 2.0 * c
+
+
 def path_qv_reader(spec: ProcessSpec, grid, seed: int) -> tuple[tuple, Callable]:
     """``path_qv_mc``'s reader ``(work, None)`` of a draw on ``grid``, and the function that makes its McReport from the
     reader's ``simulate_batches`` result: the per-path quadratic sums of steps and jumps on ``grid``, which must span
-    [0, horizon] and hold the discontinuity times, against the deterministic continuous variation, the mean-square jumps
-    and twice E[(X(s_k-) - X(t)) xi_k] per cell [t, s_k]."""
-    if spec.pathwise_qv_cont is None or not spec.rcll:
-        raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation reference unavailable")
+    [0, horizon] and hold the discontinuity times, against their exact mean: the cells' ``_cell_weights``, the
+    mean-square jumps and twice E[(X(s_k-) - X(t)) xi_k] per cell [t, s_k]."""
+    if not spec.rcll:
+        raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation needs a right-continuous model, without weak one-sided limits")
     pts = _spanning_grid(spec, grid)
     cols = np.searchsorted(pts, spec.record_times())
     coupling = (r.e_xleft_dminus - float(spec.jump_cov_left(pts[c - 1], k)) for k, (r, c) in enumerate(zip(spec.records, cols)))
-    reference = spec.pathwise_qv_cont + math.fsum(r.e_dminus_sq for r in spec.records) + 2.0 * math.fsum(coupling)
+    reference = math.fsum(_cell_weights(spec, pts)) + math.fsum(r.e_dminus_sq for r in spec.records) + 2.0 * math.fsum(coupling)
 
     def work(sim, buffer):
         # a cell that ends at a jump adds xi (2 dX + xi) to its continuous increment's square dX^2
@@ -508,7 +517,6 @@ def _fbm_spec(hurst: float, horizon: float = 1.0) -> ProcessSpec:
         horizon=T,
         cov=cov,
         variance=RegulatedFunction(lambda ts: np.asarray(ts, dtype=float) ** two_h, (), (0.0, T)),
-        pathwise_qv_cont=T if H == 0.5 else None,
     )
 
 
@@ -601,7 +609,6 @@ def _bm_plus_jumps(name: str, jumps: Sequence[tuple[float, float, float]], horiz
         jump_cov_left=jump_cov_left,
         section_knots=lambda t: (float(t), *coupled),
         sampler=partial(_jump_sampler, np.array(times), np.array([a for *_, a in jumps]), np.sqrt([v for _, v, _ in jumps])),
-        pathwise_qv_cont=T,
     )
 
 
@@ -652,7 +659,6 @@ def _evanescent_spec(s0: float, horizon: float = 1.0) -> ProcessSpec:
         # the weak limit at s0 is 0: it loses all of V(s0-) = 1
         records=(DiscontinuityRecord(s0, 0.0, lost_minus=1.0),),
         section_knots=section_knots,
-        pathwise_qv_cont=None,
     )
 
 

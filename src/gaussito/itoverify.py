@@ -47,6 +47,7 @@ from .gaussproc import (
     ProcessSpec,
     SimulationResult,
     UnsupportedModelError,
+    _cell_weights,
     _mc_report,
     _spanning_grid,
     cm_element,
@@ -287,16 +288,6 @@ def _level_residuals(tf: TestFunction, X, xi, x_jump, x_left, plan, dXs, buffer,
         quad = 0.5 * np.einsum("ij,j->i", at_level(f2), weights)
         np.square(increment - ito - quad - jump, out=row)
     np.multiply(out[1], out[2], out=out[3])
-
-
-def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
-    """dV^c_i - 2 c_i per cell of a grid holding the discontinuity times, with the Wick weight
-    c_i = E[X_{t_i} (X_{t_{i+1}-} - X_{t_i})] (0 on a martingale): the mean square of X_{t_{i+1}-} - X_{t_i}."""
-    a = pts[:-1]
-    c = spec.cov(a, pts[1:]) - spec.cov(a, a)
-    for k, j in enumerate(np.searchsorted(pts, spec.record_times()) - 1):
-        c[j] -= spec.jump_cov_left(a[j], k)
-    return np.diff(spec.variance.base_values(pts)) - 2.0 * c
 
 
 def pathwise_decay(spec: ProcessSpec, grid) -> float:

@@ -647,6 +647,8 @@ class TestRun:
         [
             {"id": "brownian"},
             {"id": "fbm", "params": {"hurst": 0.5}},
+            # path_qv beside the pathwise check on a model whose cell weights are not all 0
+            pytest.param({"id": "fbm", "params": {"hurst": 0.7}}, id="fbm_h07"),
             {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}},
             {"id": "coupled_jump_bm", "params": {"c": 1.0, "s0": 0.5}},
             {"id": "evanescent", "params": {"s0": 0.5}},
@@ -944,11 +946,12 @@ class TestRun:
     @pytest.mark.parametrize(
         "model, checks",
         [
-            # too rough for the pathwise check, and no pathwise quadratic variation
-            ({"id": "fbm", "params": {"hurst": 0.2}}, ["martingale_ito", "path_qv"]),
+            # too rough for the pathwise check
+            ({"id": "fbm", "params": {"hurst": 0.2}}, ["martingale_ito"]),
             ({"id": "evanescent", "params": {"s0": 0.5}}, ["ito_rcll"]),
-            # a weak one-sided limit: no pathwise left limit to sample
+            # a weak one-sided limit: no pathwise left limit to sample, nor a quadratic sum of steps
             ({"id": "evanescent", "params": {"s0": 0.5}}, ["martingale_ito"]),
+            ({"id": "evanescent", "params": {"s0": 0.5}}, ["martingale_ito", "path_qv"]),
         ],
         ids=lambda v: v["id"] if isinstance(v, dict) else "+".join(v),
     )
@@ -1060,7 +1063,7 @@ class TestProperty:
         scenario={
             "schema_version": 1,
             "name": "property",
-            "model": {"id": "fbm", "params": {"hurst": 0.2}},
+            "model": {"id": "evanescent", "params": {"s0": 0.5}},
             "test_functions": ["x2"],
             "checks": ["martingale_ito", "path_qv"],
             "tolerances": {"z_max": 1e-3},

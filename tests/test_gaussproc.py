@@ -16,6 +16,7 @@ from gaussito.gaussproc import (
     cm_element,
     cm_inner,
     path_qv_mc,
+    path_qv_reader,
     planar_qv_sum,
     prepare_sampler,
     simulate_batches,
@@ -784,8 +785,60 @@ class TestPathQv:
             path_qv_mc(brownian, np.array([0.0, 1.0]), 1, seed=2)
 
     def test_unsupported_for_evanescent(self, evanescent):
-        with pytest.raises(UnsupportedModelError):
+        with pytest.raises(UnsupportedModelError, match="right-continuous"):
             path_qv_mc(evanescent, np.linspace(0, 1, 17), 100, seed=1)
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("brownian", {}),
+            ("fbm", {"hurst": 0.2}),
+            ("fbm", {"hurst": 0.3}),
+            ("fbm", {"hurst": 0.5}),
+            ("fbm", {"hurst": 0.7}),
+            ("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}),
+            ("coupled_jump_bm", {"c": 1.0, "s0": 0.3}),
+            ("coupled_jump_bm", {"c": -0.7, "s0": 0.3}),
+        ],
+        ids=["brownian", "fbm_h02", "fbm_h03", "fbm_h05", "fbm_h07", "jump_bm", "coupled", "coupled_neg"],
+    )
+    @pytest.mark.parametrize("depth", [4, 9])
+    def test_reference_is_the_mean_square_of_the_grid_increments(self, model, params, depth):
+        # on a grid that holds the discontinuity times, a right-continuous X's increment X(b) - X(a) is the cell's
+        # step plus its jump draw, so the quadratic sum's mean is sum R(b, b) - 2 R(a, b) + R(a, a), read off the covariance alone
+        spec = catalog(model, **params)
+        grid = np.union1d(np.linspace(0.0, 1.0, 2**depth + 1), spec.record_times())
+        a, b = grid[:-1], grid[1:]
+        oracle = math.fsum(spec.cov(b, b) - 2.0 * spec.cov(a, b) + spec.cov(a, a))
+        assert path_qv_mc(spec, grid, 2, seed=1).reference == pytest.approx(oracle, rel=1e-12)
+
+    # every model and pathwise grid (the dyadic points of a depth joined with the discontinuity times) that a
+    # repository or benchmark scenario runs path_qv on, by scenario, with the reference its report holds
+    COMMITTED_REFERENCES = {
+        "brownian": ("brownian", {}, 8, 1.0),
+        "fbm_qv": ("fbm", {"hurst": 0.5}, 10, 1.0),
+        "mc_paths_jump_bm": ("jump_bm", {"jumps": [[0.3, 0.2], [0.7, 0.3]]}, 10, 1.5),
+        "full_jump_bm": ("jump_bm", {"jumps": [[0.5, 0.25]]}, 9, 1.25),
+        "jump_bm3": ("jump_bm", {"jumps": [[0.2, 0.04], [0.5, 0.25], [0.8, 0.09]]}, 9, 1.38),
+        "coupled": ("coupled_jump_bm", {"c": 1.0, "s0": 0.5}, 8, 1.5078125),
+        "coupled_down": ("coupled_jump_bm", {"c": -0.5, "s0": 0.8}, 8, 1.196875),
+        "coupled_neg": ("coupled_jump_bm", {"c": -0.7, "s0": 0.3}, 9, 1.145359375),
+        "coupled_qv4": ("coupled_jump_bm", {"c": 1.0, "s0": 0.3}, 4, 1.4),
+    }
+
+    @pytest.mark.parametrize("model, params, depth, reference", COMMITTED_REFERENCES.values(), ids=COMMITTED_REFERENCES)
+    def test_committed_references_hold_bit_for_bit(self, model, params, depth, reference):
+        spec = catalog(model, **params)
+        grid = np.union1d(np.linspace(0.0, 1.0, 2**depth + 1), spec.record_times())
+        assert path_qv_mc(spec, grid, 2, seed=1).reference == reference
+
+    def test_an_fbm_draw_off_its_hurst_index_fails(self):
+        # fbm(0.7)'s reader on a draw of fbm(0.705): the smoother paths' quadratic sums fall short of the reference
+        spec, drawn = catalog("fbm", hurst=0.7), catalog("fbm", hurst=0.705)
+        grid = np.linspace(0.0, 1.0, 2**8 + 1)
+        reader, report = path_qv_reader(spec, grid, seed=7)
+        assert path_qv_mc(spec, grid, 4000, seed=7).within(4.0)
+        assert report(simulate_batches(drawn, grid, 4000, 7, [reader])[0]).z_score < -4.0
 
     def test_grid_must_span_the_horizon(self, brownian, jump_bm):
         # the reference is the variation over [0, horizon]: on [0.5, 1] a correct model reads half of it

@@ -17,12 +17,11 @@ from gaussito.gaussproc import (
     cm_inner,
     simulate_paths,
 )
-from gaussito.gaussproc import _merge_moments, _moments
+from gaussito.gaussproc import _cell_weights, _merge_moments, _moments
 from gaussito.heatkernel import test_function as make_tf
 from gaussito.itoverify import (
     Pairing,
     SimpleWickIntegrand,
-    _cell_weights,
     auto_cm_battery,
     f_pairing,
     hermite_p2_identity_mc,
