@@ -41,7 +41,7 @@ from .gaussproc import (
     catalog_entries,
     cm_element,
     path_qv_mc,
-    path_qv_reader,
+    path_qv_pairing,
 )
 from .heatkernel import GrowthBound, GrowthBoundError, TEST_FUNCTION_IDS, test_function
 from .itoverify import (
@@ -338,7 +338,7 @@ def _plan_cases(scenario, seed, batch_map=map):
             pairings.append((cid, partial(hermite_p2_identity_mc, spec, g, h, n_paths, base_seed + 3000 + k, batch_map)))
 
     # path_qv reads the pathwise draw (the dyadic grid joined with the discontinuity times, at its seed), beside the check or alone
-    beside = [path_qv_reader(spec, grid, base_seed + 1000)] if qv and mc_ito else []
+    beside = [path_qv_pairing(spec, grid)] if qv and mc_ito else []
     if qv and not mc_ito:
         pairings.append((f"mc_qv:{spec.name}", partial(path_qv_mc, spec, grid, n_paths, base_seed + 1000, batch_map)))
 
@@ -379,11 +379,11 @@ def _plan_cases(scenario, seed, batch_map=map):
             yield records
         if mc_ito:
             # one coupled draw serves every test function, until every verdict is resolved to pass, and path_qv to the cap
-            cases = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, tol["z_max"], batch_map, [r for r, _ in beside])
+            cases = martingale_ito_mc(spec, tfs, depth, n_paths, base_seed + 1000, tol["z_max"], batch_map, beside)
             yield [
                 _case_record(f"mc_ito:{spec.name}:{tf.name}", ok, required, terms, report=report)
                 for tf, (ok, required, terms, report) in zip(tfs, cases)
-            ] + [z_gated(f"mc_qv:{spec.name}", report(batched)) for (_, report), batched in zip(beside, cases[len(tfs) :])]
+            ] + [z_gated(f"mc_qv:{spec.name}", report) for report in cases[len(tfs) :]]
         for cid, estimate in pairings:
             yield [z_gated(cid, estimate())]
 

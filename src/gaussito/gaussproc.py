@@ -20,7 +20,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "CatalogError",
     "DiscontinuityRecord",
     "McReport",
+    "Pairing",
     "PreparedSampler",
     "ProcessSpec",
     "SimulationError",
@@ -40,8 +41,9 @@ __all__ = [
     "catalog_entries",
     "cm_element",
     "cm_inner",
+    "mc_s_transform",
     "path_qv_mc",
-    "path_qv_reader",
+    "path_qv_pairing",
     "planar_qv_sum",
     "prepare_sampler",
     "simulate_batches",
@@ -452,11 +454,24 @@ def simulate_batches(spec: ProcessSpec, grid, n_paths: int, seed: int, readers, 
     return results
 
 
-def _mc_report(batched: tuple, reference: float, seed, grid: np.ndarray) -> McReport:
-    """McReport of a one-row sample on ``grid`` from its ``simulate_batches`` moments and batch count."""
-    (n_paths, mean, m2), batches = batched
-    se = math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths)
-    return McReport(float(mean), se, reference, n_paths, seed, len(grid), batches)
+class Pairing(NamedTuple):
+    """A per-path sample on a draw at ``times`` and the closed form ``reference`` of its mean, Wick-weighted or not."""
+
+    reference: float
+    times: np.ndarray
+    sample: Callable[[SimulationResult], np.ndarray]
+
+    def report(self, batched: tuple, seed) -> McReport:
+        """The McReport of the sample from its ``simulate_batches`` moments and batch count, drawn at ``seed``."""
+        (n_paths, mean, m2), batches = batched
+        return McReport(float(mean), math.sqrt(m2 / (n_paths - 1)) / math.sqrt(n_paths), self.reference, n_paths, seed, len(self.times), batches)
+
+
+def mc_s_transform(spec: ProcessSpec, pairing: Pairing, n_paths: int, seed: int, batch_map=map) -> McReport:
+    """Sample mean and standard error of a pairing's per-path sample against its closed form: each
+    ``simulate_batches`` batch on the pairing's times returns the sample, so memory is one batch whatever ``n_paths``."""
+    batched = simulate_batches(spec, pairing.times, n_paths, seed, [(lambda sim, _: pairing.sample(sim), None)], batch_map)
+    return pairing.report(batched[0], seed)
 
 
 def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
@@ -469,11 +484,10 @@ def _cell_weights(spec: ProcessSpec, pts: np.ndarray) -> np.ndarray:
     return np.diff(spec.variance.base_values(pts)) - 2.0 * c
 
 
-def path_qv_reader(spec: ProcessSpec, grid, seed: int) -> tuple[tuple, Callable]:
-    """``path_qv_mc``'s reader ``(work, None)`` of a draw on ``grid``, and the function that makes its McReport from the
-    reader's ``simulate_batches`` result: the per-path quadratic sums of steps and jumps on ``grid``, which must span
-    [0, horizon] and hold the discontinuity times, against their exact mean: the cells' ``_cell_weights``, the
-    mean-square jumps and twice E[(X(s_k-) - X(t)) xi_k] per cell [t, s_k]."""
+def path_qv_pairing(spec: ProcessSpec, grid) -> Pairing:
+    """The per-path quadratic sums of steps and jumps on ``grid``, which must span [0, horizon] and hold the
+    discontinuity times, against their exact mean: the cells' ``_cell_weights``, the mean-square jumps and twice
+    E[(X(s_k-) - X(t)) xi_k] per cell [t, s_k]."""
     if not spec.rcll:
         raise UnsupportedModelError(f"{spec.name}: pathwise quadratic variation needs a right-continuous model, without weak one-sided limits")
     pts = _spanning_grid(spec, grid)
@@ -481,18 +495,17 @@ def path_qv_reader(spec: ProcessSpec, grid, seed: int) -> tuple[tuple, Callable]
     coupling = (r.e_xleft_dminus - float(spec.jump_cov_left(pts[c - 1], k)) for k, (r, c) in enumerate(zip(spec.records, cols)))
     reference = math.fsum(_cell_weights(spec, pts)) + math.fsum(r.e_dminus_sq for r in spec.records) + 2.0 * math.fsum(coupling)
 
-    def work(sim, buffer):
+    def sample(sim):
         # a cell that ends at a jump adds xi (2 dX + xi) to its continuous increment's square dX^2
         dX, xi = sim.steps, sim.jump_draws
         return np.einsum("ij,ij->i", dX, dX) + np.einsum("ij,ij->i", xi, 2.0 * dX[:, cols] + xi)
 
-    return (work, None), lambda batched: _mc_report(batched, reference, seed, pts)
+    return Pairing(reference, pts, sample)
 
 
 def path_qv_mc(spec: ProcessSpec, grid, n_paths: int, seed: int, batch_map=map) -> McReport:
-    """The ``path_qv_reader`` check on a draw of its own: every one of the ``n_paths`` paths, a two-sided z test."""
-    reader, report = path_qv_reader(spec, grid, seed)
-    return report(simulate_batches(spec, grid, n_paths, seed, [reader], batch_map)[0])
+    """``path_qv_pairing`` on a draw of its own: every one of the ``n_paths`` paths, a two-sided z test."""
+    return mc_s_transform(spec, path_qv_pairing(spec, grid), n_paths, seed, batch_map)
 
 
 # -- catalog -------------------------------------------------------------------

@@ -24,12 +24,12 @@ Monte Carlo side: the identity path by path as Wick-Riemann sums, sample
 pairings against Wick exponentials with exact first-chaos norms, simple
 Wick-Stieltjes integrals with closed-form Wick products, and the degree-two
 Hermite inner product identity E[P2(g) P2(h)] = 2 E[gh]^2.  A pairing is a
-``Pairing`` value (closed form, draw times, per-path sample) from one
-constructor per functional, and ``mc_s_transform`` estimates every one.  The
-pathwise check draws its two levels, the dyadic grids of ``grid_depth - 2``
-and ``grid_depth``, itself, and returns per test function its decay and its
-verdict against half of ``pathwise_decay``, drawing batches only until
-every verdict is resolved to pass.
+``gaussproc.Pairing`` (closed form, draw times, per-path sample) from one
+constructor per functional; ``mc_s_transform`` estimates each.  The pathwise
+check draws its two levels, the dyadic grids of ``grid_depth - 2`` and
+``grid_depth``, itself, and returns per test function its decay and its
+verdict against half of ``pathwise_decay``, drawing batches only until every
+verdict is resolved to pass; pairings beside it read every batch of its draw.
 """
 
 from __future__ import annotations
@@ -37,21 +37,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .gaussproc import (
     CameronMartinElement,
     McReport,
+    Pairing,
     ProcessSpec,
     SimulationResult,
     UnsupportedModelError,
     _cell_weights,
-    _mc_report,
     _spanning_grid,
     cm_element,
     cm_inner,
+    mc_s_transform,
     simulate_batches,
 )
 from .heatkernel import TestFunction, psi
@@ -80,14 +80,6 @@ __all__ = [
 
 
 # -- S-transform pairings ----------------------------------------------------------
-
-
-class Pairing(NamedTuple):
-    """E[exp-wick(h) * Y]: its closed form, the times of its draw, and the per-path sample whose mean estimates it."""
-
-    reference: float
-    times: np.ndarray
-    sample: Callable[[SimulationResult], np.ndarray]
 
 
 def _weighted(spec: ProcessSpec, h: CameronMartinElement, reference: float, support, observable) -> Pairing:
@@ -332,7 +324,7 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
     roundoff.  ``n_paths`` is a cap: the draw stops at the first look of ``simulate_batches`` where every case is
     resolved to pass, below 1e-12 or ``log2_decay`` at least ``z_L`` (``z_max`` over the looks by Bonferroni)
     standard errors above ``required``; a failing case runs to the cap.  The reports count the paths used.  The
-    ``simulate_batches`` readers ``beside`` read the same draw after this check's reader, and their results follow the cases.
+    ``Pairing``s ``beside``, on the fine grid, read the same draw after this check's reader; their McReports follow the cases.
     """
     tfs = _admitted(spec, test_functions)
     if grid_depth < 2:
@@ -379,20 +371,14 @@ def martingale_ito_mc(spec: ProcessSpec, test_functions, grid_depth: int, n_path
         z = -NormalDist().inv_cdf(tail) if tail > 0 else math.inf
         return all(floor or decay - required >= z * se for _, floor, decay, se, _ in summaries(moments))
 
-    (moments, batches), *others = simulate_batches(spec, fine, n_paths, seed, [(batch, resolved), *beside], batch_map)
+    readers = [(batch, resolved), *((lambda sim, _, p=p: p.sample(sim), None) for p in beside)]
+    (moments, batches), *others = simulate_batches(spec, fine, n_paths, seed, readers, batch_map)
     cases = []
     for rels, floor, decay, se, se_rel in summaries(moments):
         terms = {f"rel_l2_depth{grid_depth - 2}": rels[0], f"rel_l2_depth{grid_depth}": rels[1], "log2_decay": decay, "log2_decay_se": se}
         report = McReport(rels[1], se_rel, 0.0, moments[0], seed, len(fine), batches)
         cases.append((floor or required <= decay < math.inf, required, terms, report))
-    return (*cases, *others)
-
-
-def mc_s_transform(spec: ProcessSpec, pairing: Pairing, n_paths: int, seed: int, batch_map=map) -> McReport:
-    """Sample mean and standard error of a pairing's per-path sample against its closed form: each
-    ``simulate_batches`` batch on the pairing's times returns the sample, so memory is one batch whatever ``n_paths``."""
-    batched = simulate_batches(spec, pairing.times, n_paths, seed, [(lambda sim, _: pairing.sample(sim), None)], batch_map)
-    return _mc_report(batched[0], pairing.reference, seed, pairing.times)
+    return (*cases, *(p.report(batched, seed) for p, batched in zip(beside, others)))
 
 
 # -- simple Wick-Stieltjes integrands ----------------------------------------------

@@ -610,6 +610,29 @@ class TestRun:
         assert batches == {"mc_ito:jump_bm:sin": 1, "mc_ito:jump_bm:x": 1, "mc_ito:jump_bm:x2": 1, "mc_qv:jump_bm": 10}
         assert seeds.count(20250809 + 1000) == 10
 
+    @pytest.mark.parametrize("scenario", ["full_jump_bm", "fbm_h05"])
+    def test_every_z_gated_record_is_a_pairing_report(self, scenario, tmp_path, capsys, monkeypatch):
+        from gaussito.gaussproc import Pairing
+
+        if scenario == "fbm_h05":
+            # Monte Carlo on the Gram sampler, path_qv on a draw of its own, beside the two deterministic checks
+            checks = ["ito_stransform", "ito_rcll", "path_qv", "s_transform_mc", "hermite_p2", "simple_skorokhod"]
+            mc = {"n_paths": 4000, "grid_depth": 10}
+            model = {"id": "fbm", "params": {"hurst": 0.5}}
+            scenario = str(write_scenario(tmp_path, model=model, test_functions=["x2"], cm_elements="auto", checks=checks, mc=mc))
+        reports, report = [], Pairing.report
+
+        def counting(self, batched, seed):
+            reports.append(seed)
+            return report(self, batched, seed)
+
+        monkeypatch.setattr(Pairing, "report", counting)
+        assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 0
+        kinds = [c["case_id"].split(":")[0] for c in json.loads((tmp_path / "out" / "report.json").read_text())["cases"]]
+        # one Pairing.report per z-gated record, whether path_qv runs beside the pathwise check or alone
+        assert {"mc_st", "mc_p2", "mc_sk", "mc_qv"} <= set(kinds)
+        assert len(reports) == sum(kind in ("mc_st", "mc_p2", "mc_sk", "mc_qv") for kind in kinds)
+
     @pytest.mark.parametrize(
         "model",
         [{"id": "fbm", "params": {"hurst": 0.5}}, {"id": "jump_bm", "params": {"jumps": [[0.3, 0.2], [0.7, 0.3]]}}],

@@ -16,7 +16,7 @@ from gaussito.gaussproc import (
     cm_element,
     cm_inner,
     path_qv_mc,
-    path_qv_reader,
+    path_qv_pairing,
     planar_qv_sum,
     prepare_sampler,
     simulate_batches,
@@ -833,12 +833,12 @@ class TestPathQv:
         assert path_qv_mc(spec, grid, 2, seed=1).reference == reference
 
     def test_an_fbm_draw_off_its_hurst_index_fails(self):
-        # fbm(0.7)'s reader on a draw of fbm(0.705): the smoother paths' quadratic sums fall short of the reference
+        # fbm(0.7)'s pairing on a draw of fbm(0.705): the smoother paths' quadratic sums fall short of the reference
         spec, drawn = catalog("fbm", hurst=0.7), catalog("fbm", hurst=0.705)
         grid = np.linspace(0.0, 1.0, 2**8 + 1)
-        reader, report = path_qv_reader(spec, grid, seed=7)
+        pairing = path_qv_pairing(spec, grid)
         assert path_qv_mc(spec, grid, 4000, seed=7).within(4.0)
-        assert report(simulate_batches(drawn, grid, 4000, 7, [reader])[0]).z_score < -4.0
+        assert mc_s_transform(drawn, pairing, 4000, seed=7).z_score < -4.0
 
     def test_grid_must_span_the_horizon(self, brownian, jump_bm):
         # the reference is the variation over [0, horizon]: on [0.5, 1] a correct model reads half of it
@@ -873,18 +873,22 @@ class TestPathQv:
         grid = np.array([1.0])
         # two paths per batch: 2000 and 10000 paths are 1000 and 5000 batches
         monkeypatch.setattr(gp, "_BATCH_ELEMENTS", 2)
-        check = lambda n_paths: mc_s_transform(brownian, Pairing(0.0, grid, lambda sim: sim.paths[:, 0]), n_paths, seed=3)
-        # first-use allocations, at each size, fall outside the traced runs
-        for n_paths in (2000, 10000):
-            assert check(n_paths).batches == n_paths // 2
-        peaks = {}
-        for n_paths in (2000, 10000):
+        # X(1) read off the steps (a one-point grid's first step is X(t_0-), and Brownian motion has no jump): summing the
+        # paths runs np.cumsum on every tiny batch, and what numpy allocates there moves a run's traced peak by 1-3 KB
+        check = lambda n_paths: mc_s_transform(brownian, Pairing(0.0, grid, lambda sim: sim.steps[:, 0]), n_paths, seed=3)
+
+        def peak(n_paths):
             tracemalloc.start()
             try:
                 assert check(n_paths).batches == n_paths // 2
-                peaks[n_paths] = tracemalloc.get_traced_memory()[1]
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+
+        # a traced warm-up at each size: first-use allocations fall outside the measured runs
+        for n_paths in (2000, 10000):
+            peak(n_paths)
+        peaks = {n_paths: peak(n_paths) for n_paths in (2000, 10000)}
         # each batch's moments are merged as it arrives and its stream made as it runs
         assert max(peaks.values()) <= 1.1 * min(peaks.values())
 

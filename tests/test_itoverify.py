@@ -10,11 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 from gaussito.gaussproc import (
     DiscontinuityRecord,
+    McReport,
     ProcessSpec,
     UnsupportedModelError,
     catalog,
     cm_element,
     cm_inner,
+    path_qv_mc,
+    path_qv_pairing,
     simulate_paths,
 )
 from gaussito.gaussproc import _cell_weights, _merge_moments, _moments
@@ -443,14 +446,24 @@ class TestMartingaleItoMc:
         for n_paths in (2000, 8000):
             assert peaks[n_paths, 3] <= 1.15 * peaks[n_paths, 1]
 
-    def test_a_path_qv_reader_beside_borrows_the_fine_increments(self, jump_bm):
-        from gaussito.gaussproc import path_qv_reader
+    @pytest.mark.parametrize("model", ["jump_bm", "coupled"])
+    def test_a_pairing_beside_reports_as_on_a_draw_of_its_own(self, model, request):
+        spec = request.getfixturevalue(model)
+        tfs = [make_tf("x2", spec.lam), make_tf("sin", spec.lam)]
+        depth, n_paths, seed = 9, 2000, 11
+        fine = np.union1d(np.linspace(0.0, 1.0, 2**depth + 1), spec.record_times())
+        *cases, qv = martingale_ito_mc(spec, tfs, depth, n_paths, seed, beside=[path_qv_pairing(spec, fine)])
+        # the pathwise cases come first, as alone; the pairing's McReport follows them, from every batch of the draw
+        assert len(cases) == len(tfs) and cases == list(martingale_ito_mc(spec, tfs, depth, n_paths, seed))
+        assert isinstance(qv, McReport) and qv.batches > cases[0][3].batches
+        assert qv == path_qv_mc(spec, fine, n_paths, seed)
 
+    def test_a_path_qv_pairing_beside_borrows_the_fine_increments(self, jump_bm):
         tfs = [make_tf("sin", jump_bm.lam)]
         fine = np.union1d(np.linspace(0.0, 1.0, 2**10 + 1), jump_bm.record_times())
-        reader, _ = path_qv_reader(jump_bm, fine, 3)
+        pairing = path_qv_pairing(jump_bm, fine)
         peaks = {}
-        for beside in ((), [reader]):
+        for beside in ((), [pairing]):
             # first-use allocations fall outside the traced run
             martingale_ito_mc(jump_bm, tfs, 10, 2000, seed=3, beside=beside)
             tracemalloc.start()
